@@ -1,13 +1,15 @@
-"""Separable Lagrange interpolation of sampled fields.
+"""Separable interpolation and window integrals of sampled fields.
 
 Point evaluation uses a cubic 4-point stencil per axis (one-sided at the
 closed ends, wrapped on periodic axes) so that finite differences of
 interpolated quantities stay second-order accurate; axes shorter than 4
-nodes fall back to linear.  Evaluation over a whole grid applies the
-same stencils as one dense matrix per axis.  The antiderivative tables
-further down stay piecewise-linear on purpose: they make the
-uniform-weight averaging pipeline exact on multilinear coefficient
-fields.
+nodes fall back to linear.  Every whole-grid operation is one dense
+matrix per axis, applied axis by axis (sum factorisation): the cubic
+stencils for evaluation at scaled points, and window matrices for
+integrals over per-point intervals.  The window matrices integrate the
+piecewise-linear interpolant, optionally against the coordinate or a
+power-law factor, exactly; this keeps the uniform-weight averaging
+pipeline exact on multilinear coefficient fields.
 """
 
 import itertools
@@ -98,16 +100,17 @@ def _axis_matrix(domain, ax, coords):
     return mat, slice(lo, lo + mat.shape[1])
 
 
-def take_interp(table, mat):
-    """Apply one axis's interpolation matrix to the leading axis of table.
+def apply_axis_matrix(values, mat):
+    """Apply a linear map to the leading axis of values.
 
-    mat comes from _axis_matrix, with one column per leading-axis entry.
-    The interpolated axis moves to the end, so applying the matrices of
-    all axes in turn (sum factorisation) restores the axis order, and each
-    step is a single matrix product over contiguous memory.
+    mat has one column per leading-axis entry: an interpolation matrix
+    from _axis_matrix or a window matrix from window_matrix.  The mapped
+    axis moves to the end, so applying the matrices of all axes in turn
+    (sum factorisation) restores the axis order, and each step is a
+    single matrix product over contiguous memory.
     """
-    out = table.reshape(table.shape[0], -1).T @ mat.T
-    return out.reshape(table.shape[1:] + (mat.shape[0],))
+    out = values.reshape(values.shape[0], -1).T @ mat.T
+    return out.reshape(values.shape[1:] + (mat.shape[0],))
 
 
 def scaled_eval(field, domain, y, t):
@@ -123,51 +126,67 @@ def scaled_eval(field, domain, y, t):
     ]
     out = field[tuple(cols for _, cols in mats)]
     for mat, _ in mats:
-        out = take_interp(out, mat)
+        out = apply_axis_matrix(out, mat)
     return out
 
 
-def _axis_table(field, domain, ax, moment):
-    """Node table of integrals from lo of the piecewise-linear interpolant
-    (weighted by the coordinate when moment is set)."""
-    lo, hi = domain.bounds[ax]
+def _pl_primitive(left, right, e):
+    """int_right^left u^(e-1) du, elementwise, tolerating zero endpoints
+    (an infinite value just means the divergent branch was reached)."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if e == 0.0:
+            return np.log(left) - np.log(right)
+        return (left**e - right**e) / e
+
+
+def _hat_integrals(domain, ax, i, theta, weight):
+    """(int w*(1-u), int w*u) over the first fraction theta of cell i
+    along ax: the weight w against the cell's two hat functions, with u
+    the position in the cell in units of the spacing h."""
     h = domain.spacing(ax)
-    m = domain.grid[ax]
-    sl_lo = [slice(None)] * field.ndim
-    sl_hi = [slice(None)] * field.ndim
-    sl_lo[ax] = slice(0, m - 1)
-    sl_hi[ax] = slice(1, m)
-    f_lo = field[tuple(sl_lo)]
-    df = field[tuple(sl_hi)] - f_lo
-    if moment:
-        xs = lo + h * np.arange(m - 1)
-        shape = [1] * field.ndim
-        shape[ax] = -1
-        cells = xs.reshape(shape) * h * (f_lo + 0.5 * df) + h * h * (
-            0.5 * f_lo + df / 3.0
-        )
+    x = domain.bounds[ax][0] + h * i
+    if weight is None:
+        whole = h * theta
+        up = 0.5 * h * theta * theta
+    elif weight == "moment":
+        whole = h * theta * (x + 0.5 * h * theta)
+        up = h * theta * theta * (0.5 * x + h * theta / 3.0)
     else:
-        cells = h * (f_lo + 0.5 * df)
-    pad_shape = list(field.shape)
-    pad_shape[ax] = 1
-    return np.concatenate([np.zeros(pad_shape), np.cumsum(cells, axis=ax)], axis=ax)
+        mu, piv = weight
+        far, near = piv - x, piv - x - h * theta
+        whole = _pl_primitive(far, near, 1.0 - mu)
+        up = (far * whole - _pl_primitive(far, near, 2.0 - mu)) / h
+    return whole - up, up
 
 
-def _axis_antideriv(table, field, domain, ax, coords, moment):
-    """Integral of the interpolant of `field` from lo to coords[r], placed
-    at slot r of axis ax.  Exact for the interpolant, which keeps the
-    whole box-integral pipeline exact on multilinear coefficient fields."""
-    lo, hi = domain.bounds[ax]
-    h = domain.spacing(ax)
-    i, ip1, theta = _axis_locate(domain, ax, coords)
-    shape = [1] * field.ndim
-    shape[ax] = -1
-    th = theta.reshape(shape)
-    gi = np.take(table, i, axis=ax)
-    fi = np.take(field, i, axis=ax)
-    dfi = np.take(field, ip1, axis=ax) - fi
-    partial = h * (th * fi + 0.5 * th * th * dfi)
-    if moment:
-        xi = (lo + h * i).reshape(shape)
-        partial = xi * partial + h * h * (0.5 * th * th * fi + th * th * th * dfi / 3.0)
-    return gi + partial
+def window_matrix(domain, ax, lower, upper, weight=None):
+    """The window integrals of the interpolant along one axis, as a matrix.
+
+    Row r maps the node values along ax to the exact integral of
+    weight(s) times their piecewise-linear interpolant over
+    [lower[r], upper[r]].  weight is None (1), "moment" (the coordinate
+    s) or (mu, pivot) for (pivot - s)^-mu.  Row i of the running matrix
+    integrates from the axis lower bound to node i; each window end adds
+    its partial cell to that row, so a window row holds only the cells it
+    covers.
+    """
+    m = domain.grid[ax]
+    cells = np.arange(m - 1)
+    down, up = _hat_integrals(domain, ax, cells, 1.0, weight)
+    running = np.zeros((m, m))
+    running[cells + 1, cells] = down
+    running[cells + 1, cells + 1] = up
+    running = np.cumsum(running, axis=0)
+
+    def antideriv(coords):
+        i, ip1, theta = _axis_locate(domain, ax, coords)
+        down, up = _hat_integrals(domain, ax, i, theta, weight)
+        rows = running[i]
+        r = np.arange(len(i))
+        rows[r, i] += down
+        rows[r, ip1] += up
+        return rows
+
+    return antideriv(upper) - antideriv(lower)

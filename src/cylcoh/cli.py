@@ -106,7 +106,10 @@ def render_canonical(obj, indent=0):
 
 def _parse_frac(v):
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     if isinstance(v, (int, np.integer)):
         return Fraction(int(v))
     return Fraction(float(v))
@@ -116,7 +119,7 @@ def _parse_bound(v):
     if isinstance(v, str):
         if v in ("inf", "+inf"):
             return math.inf
-        return float(Fraction(v))
+        return float(_parse_frac(v))
     return float(v)
 
 

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._interp import _axis_antideriv, _axis_locate, _axis_table
+from ._interp import apply_axis_matrix, window_matrix
 from .weights import WeightProfile
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -74,74 +74,6 @@ class ConstantRequest:
             d["alpha"] = self.alpha.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d, domain_cls):
-        def w(key):
-            return WeightProfile.from_dict(d[key]) if key in d else None
-
-        return cls(
-            d["k"],
-            d["p"],
-            d["q"],
-            domain_cls.from_dict(d["domain"]),
-            n=d.get("n"),
-            pbar=d.get("pbar"),
-            beta=w("beta"),
-            gamma=w("gamma"),
-            alpha=w("alpha"),
-        )
-
-
-def _pl_primitive(left, right, e):
-    """int_right^left u^(e-1) du, elementwise, tolerating zero endpoints
-    (an infinite value just means the divergent branch was reached)."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if e == 0.0:
-            return np.log(left) - np.log(right)
-        return (left**e - right**e) / e
-
-
-def _pl_moments(left, right, mu):
-    """(int u^-mu du, int u^(1-mu) du) over [right, left]."""
-    return _pl_primitive(left, right, 1.0 - mu), _pl_primitive(left, right, 2.0 - mu)
-
-
-def _axis0_pl_table(field, D, mu, piv):
-    """Cumulative exact integral along axis 0 of (piv-s)^-mu times the
-    piecewise-linear interpolant of field.  Node j holds the integral from
-    the axis lower bound to node j."""
-    xs = D.axis_coords(0)
-    h = D.spacing(0)
-    out = np.zeros_like(field, dtype=float)
-    acc = np.zeros(field.shape[1:])
-    for i in range(len(xs) - 1):
-        fi = field[i]
-        dfi = field[i + 1] - fi
-        a = fi + (piv - xs[i]) * dfi / h
-        b = dfi / h
-        i0, i1 = _pl_moments(piv - xs[i], piv - xs[i + 1], mu)
-        acc = acc + a * i0 - b * i1
-        out[i + 1] = acc
-    return out
-
-
-def _axis0_pl_antideriv(table, field, D, coords, mu, piv):
-    xs = D.axis_coords(0)
-    h = D.spacing(0)
-    i, ip1, theta = _axis_locate(D, 0, coords)
-    shape = [1] * field.ndim
-    shape[0] = -1
-    si = xs[i].reshape(shape)
-    x = np.asarray(coords, dtype=float).reshape(shape)
-    fi = field[i]
-    dfi = field[ip1] - fi
-    a = fi + (piv - si) * dfi / h
-    b = dfi / h
-    i0, i1 = _pl_moments(piv - si, piv - x, mu)
-    return table[i] + a * i0 - b * i1
-
 
 def _window_mass_field(qfield, D, t, coords_list, pl=None):
     """Integral of the interpolant of qfield over the sliding window
@@ -157,16 +89,9 @@ def _window_mass_field(qfield, D, t, coords_list, pl=None):
         z = coords_list[ax]
         wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
         wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
-        wu = np.maximum(wu, wl)
-        if ax == 0 and pl is not None:
-            table = _axis0_pl_table(out, D, *pl)
-            upper = _axis0_pl_antideriv(table, out, D, wu, *pl)
-            lower = _axis0_pl_antideriv(table, out, D, wl, *pl)
-        else:
-            table = _axis_table(out, D, ax, False)
-            upper = _axis_antideriv(table, out, D, ax, wu, False)
-            lower = _axis_antideriv(table, out, D, ax, wl, False)
-        out = upper - lower
+        weight = pl if ax == 0 else None
+        mat = window_matrix(D, ax, wl, np.maximum(wu, wl), weight)
+        out = apply_axis_matrix(out, mat)
     return out
 
 

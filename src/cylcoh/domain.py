@@ -33,7 +33,12 @@ class DomainSpec:
         if kind not in KINDS:
             raise ValueError(f"unknown domain kind {kind!r}")
         self.kind = kind
-        self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        try:
+            self.bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"bounds must be a sequence of (lo, hi) pairs, got {bounds!r}"
+            ) from None
         self.grid = tuple(int(m) for m in grid)
         if periodic is None:
             periodic = (False,) * len(self.bounds)

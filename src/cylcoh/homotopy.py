@@ -9,13 +9,13 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
 and K_y omega integrates it over t in [0,1].  A_alpha averages K_y over
 centers y against a unit-mass weight; for a uniform weight the y-integral
 collapses, after the substitution z = t*x + (1-t)*y, to box integrals of
-the coefficients over t*x + (1-t)*D, which cumulative-sum tables evaluate
-in O(grid) per quadrature node.
+the coefficients over t*x + (1-t)*D.  Those are separable: one window
+matrix per axis, applied in turn, evaluates them for every x at once.
 """
 
 import numpy as np
 
-from ._interp import _axis_antideriv, _axis_table, point_eval, scaled_eval
+from ._interp import apply_axis_matrix, point_eval, scaled_eval, window_matrix
 from .forms import GridForm
 from .weights import WeightProfile
 
@@ -108,10 +108,7 @@ def _edge_moment_norm(alpha, D, pprime):
             pprime / 2.0
         )
         for a in range(D.dim - 1, 0, -1):
-            if D.periodic[a]:
-                g = g.sum(axis=-1) * D.spacing(a)
-            else:
-                g = np.trapezoid(g, dx=D.spacing(a), axis=-1)
+            g = (g * D.quad_weights(a)).sum(axis=-1)
     else:
         g = np.abs(tvals) ** pprime
     total = big_u / (1.0 - e) * float((wts * g).sum())
@@ -190,11 +187,11 @@ def _box_integral(field, domain, t, moment_axis=None):
     for ax in range(domain.dim):
         lo, hi = domain.bounds[ax]
         xs = domain.axis_coords(ax)
-        mom = ax == moment_axis
-        table = _axis_table(out, domain, ax, mom)
-        upper = _axis_antideriv(table, out, domain, ax, t * xs + (1.0 - t) * hi, mom)
-        lower = _axis_antideriv(table, out, domain, ax, t * xs + (1.0 - t) * lo, mom)
-        out = upper - lower
+        weight = "moment" if ax == moment_axis else None
+        mat = window_matrix(
+            domain, ax, t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi, weight
+        )
+        out = apply_axis_matrix(out, mat)
     return out
 
 
@@ -229,7 +226,7 @@ def A_alpha(omega, alpha, t_nodes=16, y_grid=None):
     """Averaged homotopy operator A_alpha omega = int alpha(y) K_y omega dy.
 
     alpha must be a unit-mass weight on the (box) domain.  The uniform
-    weight takes the O(grid) cumulative-table path; other weights fall
+    weight takes the separable box-integral path; other weights fall
     back to a tensor-trapezoid y-integration of K_y on a y_grid (default
     at most 9 points per axis), which is markedly slower.
     """

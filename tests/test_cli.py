@@ -45,6 +45,33 @@ def test_rejects_missing_fields(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def test_zero_denominator_reports_error(tmp_path, capsys):
+    sc = {
+        "command": "vanish",
+        "n": 4,
+        "k": 3,
+        "p": "1/0",
+        "q": 2,
+        "warp": {"kind": "powerlaw", "lam": 2.0},
+    }
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "zero denominator" in report["error"]
+    assert "vanish failed" in capsys.readouterr().err
+
+
+def test_malformed_bounds_reports_error(tmp_path, capsys):
+    sc = {
+        "command": "homotopy-check",
+        "degree": 1,
+        "domain": {"kind": "box", "bounds": 5, "grid": [65]},
+    }
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "(lo, hi) pairs" in report["error"]
+    assert "homotopy-check failed" in capsys.readouterr().err
+
+
 def test_vanish_powerlaw(tmp_path):
     sc = {
         "command": "vanish",

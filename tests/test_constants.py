@@ -15,7 +15,7 @@ from cylcoh import (
     cylinder_constant,
     sup_indicator_norm,
 )
-from cylcoh.constants import _powerlaw_axis_mass
+from cylcoh.constants import _powerlaw_axis_mass, _window_mass_field
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -89,6 +89,35 @@ def test_sup_indicator_powerlaw_exact():
 def test_powerlaw_axis_mass_rejects_interior_pivot():
     with pytest.raises(ValueError, match="pivot inside"):
         _powerlaw_axis_mass(WeightProfile.powerlaw(1.0, 0.5), 2.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.6])
+def test_window_mass_field_exact_for_powerlaw_weight(mu):
+    # qfield = (a0 + a1 s)(c0 + c1 y): the interpolant is the field itself,
+    # so the (1-s)^-mu weighted window integral has a closed form in
+    # u = 1 - s, windows reaching the pivot s = 1 included
+    dom = box([[0, 1], [0, 2]], [17, 9])
+    a0, a1, c0, c1 = 0.7, -0.4, 1.3, 0.25
+    s, y = dom.meshgrid()
+    qfield = (a0 + a1 * s) * (c0 + c1 * y)
+
+    def prim_s(u):
+        return (a0 + a1) * u ** (1.0 - mu) / (1.0 - mu) - a1 * u ** (2.0 - mu) / (2.0 - mu)
+
+    def prim_y(v):
+        return c0 * v + 0.5 * c1 * v * v
+
+    coords = [np.linspace(0.0, 1.0, 13), np.linspace(0.0, 2.0, 7)]
+    for t in (0.2, 0.5, 0.8):
+        got = _window_mass_field(qfield, dom, t, coords, pl=(mu, 1.0))
+        ends = []
+        for z, (lo, hi) in zip(coords, dom.bounds):
+            wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
+            wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
+            ends.append((wl, np.maximum(wu, wl)))
+        (sl, su), (yl, yu) = ends
+        ref = np.outer(prim_s(1.0 - sl) - prim_s(1.0 - su), prim_y(yu) - prim_y(yl))
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_c_integral_matches_analytic_reference():

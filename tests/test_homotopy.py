@@ -14,7 +14,7 @@ from cylcoh import (
     check_admissible_weight,
     WeightProfile,
 )
-from cylcoh.homotopy import cone_pullback_fiber, DEGREE0_MSG
+from cylcoh.homotopy import _box_integral, cone_pullback_fiber, DEGREE0_MSG
 from cylcoh._interp import _axis_stencil, point_eval, scaled_eval
 from cylcoh.forms import increasing_indices
 from conftest import random_form
@@ -167,6 +167,35 @@ def test_degree0_message():
     f = GridForm.from_callable(dom, 0, lambda x: x)
     with pytest.raises(ValueError, match="identity f - f"):
         K_y(f, [0.5])
+
+
+@pytest.mark.parametrize("moment_axis", [None, 0, 1, 2])
+@pytest.mark.parametrize("t", [0.03, 0.5, 0.97])
+def test_box_integral_exact_on_multilinear(t, moment_axis):
+    # the window integrals are exact for the piecewise-linear interpolant,
+    # which reproduces a multilinear field: compare with the closed form
+    # sum_e c_e prod_a int_{L_a}^{U_a} s^(e_a + [a == moment_axis]) ds
+    rng = np.random.default_rng(11)
+    bounds = [[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]]
+    dom = box(bounds, [9, 7, 5])
+    mesh = dom.meshgrid()
+    coef = rng.standard_normal((2, 2, 2))
+    field = sum(
+        coef[e] * np.prod([mesh[a] ** e[a] for a in range(3)], axis=0)
+        for e in itertools.product(range(2), repeat=3)
+    )
+    got = _box_integral(field, dom, t, moment_axis=moment_axis)
+
+    ref = 0.0
+    for e in itertools.product(range(2), repeat=3):
+        term = coef[e]
+        for a, (lo, hi) in enumerate(bounds):
+            n = e[a] + (a == moment_axis) + 1
+            low = t * mesh[a] + (1.0 - t) * lo
+            up = t * mesh[a] + (1.0 - t) * hi
+            term = term * (up**n - low**n) / n
+        ref = ref + term
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_A_uniform_volume_form():
