@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .constants import Q_factor, _t_axis_norm
+from .constants import Q_factor, _beta_norms
 from .forms import GridForm, exterior_derivative, lp_norm
 from .homotopy import A_alpha
 from .weights import WeightProfile
@@ -69,13 +69,6 @@ class CechCochain:
         return f"CechCochain(depth={self.depth}, degree={self.degree}, entries={len(self.data)})"
 
 
-def _restrict_global(cover, form, comp):
-    dom = cover.component_domain(comp)
-    idxs = cover._index_arrays(comp)
-    coeffs = {idx: arr[np.ix_(*idxs)] for idx, arr in form.coeffs.items()}
-    return GridForm(dom, form.degree, coeffs)
-
-
 def _restrict_between(cover, form, parent_comp, child_comp):
     dom = cover.component_domain(child_comp)
     sl = cover.slice_between(parent_comp, child_comp)
@@ -92,7 +85,17 @@ def coboundary(lam, cover=None):
     if isinstance(lam, GridForm):
         if cover is None:
             raise TypeError("depth-0 coboundary needs the cover")
-        return coboundary_global(cover, lam)
+        data = {}
+        for i in range(len(cover)):
+            for comp in cover.components((i,)):
+                coeffs = {
+                    idx: cover.restrict_array(arr, comp)
+                    for idx, arr in lam.coeffs.items()
+                }
+                data[((i,), comp)] = GridForm(
+                    cover.component_domain(comp), lam.degree, coeffs
+                )
+        return CechCochain(cover, 1, lam.degree, data)
     cover = lam.cover
     l = len(cover)
     data = {}
@@ -108,15 +111,6 @@ def coboundary(lam, cover=None):
                 acc = piece if acc is None else acc + piece
             data[(J, comp)] = acc
     return CechCochain(cover, lam.depth + 1, lam.degree, data)
-
-
-def coboundary_global(cover, form):
-    """Depth 0 to depth 1: restrict a global form to every patch."""
-    data = {}
-    for i in range(len(cover)):
-        for comp in cover.components((i,)):
-            data[((i,), comp)] = _restrict_global(cover, form, comp)
-    return CechCochain(cover, 1, form.degree, data)
 
 
 def _cocycle_residual(lam):
@@ -209,7 +203,7 @@ def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
         if closed_res > tol:
             raise ValueError(f"omega is not closed: d-residual {closed_res:.3e}")
     xi_list = []
-    lam = coboundary_global(cover, omega)
+    lam = coboundary(omega, cover)
     for s in range(k):
         data = {}
         lam_scale = max(lam.max_abs(), 1e-30)
@@ -294,14 +288,8 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
     """
     domain = omega.domain
     lo0, hi0 = domain.bounds[0]
-    failures = []
     beta = beta if beta is not None else WeightProfile.constant(1.0)
-    beta_norm = _t_axis_norm(beta, q, lo0, hi0)
-    if not math.isfinite(beta_norm):
-        failures.append("||beta||_{L^q[a,b)} divergent")
-    tbeta_norm = _t_axis_norm(beta, q, lo0, hi0, moment_t=True)
-    if not math.isfinite(tbeta_norm):
-        failures.append("||t beta(t)||_{L^q[a,b)} divergent")
+    beta_norm, tbeta_norm, failures = _beta_norms(beta, q, lo0, hi0)
     q_factor = None
     if gamma is not None:
         pbar_tried = sorted({1.0, 0.5 * (1.0 + p), p})

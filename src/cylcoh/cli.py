@@ -17,7 +17,7 @@ import numpy as np
 import jsonschema
 
 from .domain import DomainSpec, cylinder
-from .forms import GridForm, exterior_derivative, lp_norm
+from .forms import exterior_derivative, lp_norm, random_form
 from .weights import WeightProfile
 from .homotopy import K_y, A_alpha, check_admissible_weight
 from .constants import ConstantRequest, C_integral, corollary_box_bound, cylinder_constant
@@ -141,32 +141,6 @@ def _scale_domain(domain, scale):
     return domain.with_grid(tuple(new))
 
 
-def _random_form(dom, degree, rng, amplitude=0.2):
-    """Random smooth test form: gentle affine plus one trig mode per axis.
-
-    Linear terms go only on non-periodic axes so cylinder samples stay
-    consistent with the wrap.
-    """
-    mesh = dom.meshgrid()
-
-    def field():
-        out = rng.uniform(0.3, 1.0) * np.ones(dom.grid)
-        for a in range(dom.dim):
-            lo, hi = dom.bounds[a]
-            if not dom.periodic[a]:
-                out = out + rng.uniform(-0.5, 0.5) * (mesh[a] - lo) / (hi - lo)
-            th = (mesh[a] - lo) / (hi - lo)
-            out = out + amplitude * rng.uniform(0.5, 1.0) * np.sin(
-                2.0 * np.pi * th + rng.uniform(0.0, 2.0 * np.pi)
-            )
-        return out
-
-    om = GridForm.zeros(dom, degree)
-    for idx in om.coeffs:
-        om.coeffs[idx] = field()
-    return om
-
-
 def _weight(sc, key):
     return WeightProfile.from_dict(sc[key]) if key in sc else None
 
@@ -198,7 +172,7 @@ def _cmd_homotopy(sc, args):
         y = np.asarray(sc.get("y", [0.5 * (lo + hi) for lo, hi in dom.bounds]), dtype=float)
         report["y"] = list(map(float, y))
         for _ in range(count):
-            om = _random_form(dom, degree, rng, amplitude)
+            om = random_form(dom, degree, rng, amplitude)
             dom_scale = max(om.max_abs(), 1e-30)
             recon = K_y(exterior_derivative(om), y, t_nodes=t_nodes)
             dK = exterior_derivative(K_y(om, y, t_nodes=t_nodes))
@@ -216,7 +190,7 @@ def _cmd_homotopy(sc, args):
             )
         ratios = []
         for _ in range(count):
-            eta = _random_form(dom, max(degree - 1, 0), rng, amplitude)
+            eta = random_form(dom, max(degree - 1, 0), rng, amplitude)
             om = exterior_derivative(eta) if degree >= 1 else eta
             prim = A_alpha(om, alpha, t_nodes=t_nodes)
             resid = (exterior_derivative(prim) - om).max_abs() / max(om.max_abs(), 1e-30)
@@ -292,7 +266,7 @@ def _cmd_glue(sc, args):
 
     runs = []
     for _ in range(count):
-        eta = _random_form(dom, degree - 1, rng, amplitude)
+        eta = random_form(dom, degree - 1, rng, amplitude)
         om = exterior_derivative(eta)
         xi, rep = glue_primitive(
             om, cover, beta=beta, gamma=gamma, p=p, q=q,

@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from ._interp import apply_axis_matrix, window_matrix
+from .homotopy import check_admissible_weight, gauss01
 from .weights import WeightProfile
 
 DIVERGENCE_THRESHOLD = 1e6
@@ -180,9 +181,7 @@ def sup_indicator_norm(D, beta, q, t):
 
 def _graded_nodes(t_nodes, kappa=3):
     """Gauss-Legendre nodes pushed toward t = 1 by t = 1-(1-u)^kappa."""
-    u, w = np.polynomial.legendre.leggauss(int(t_nodes))
-    u = 0.5 * (u + 1.0)
-    w = 0.5 * w
+    u, w = gauss01(t_nodes)
     t = 1.0 - (1.0 - u) ** kappa
     jac = kappa * (1.0 - u) ** (kappa - 1)
     return t, w * jac
@@ -317,20 +316,18 @@ def _t_axis_norm(beta, q, lo, hi, moment_t=False, nodes=256):
     return float(((hi - lo) * np.sum(w * vals)) ** (1.0 / q))
 
 
-def _dual_exponent(p):
-    return math.inf if p == 1.0 else p / (p - 1.0)
-
-
-def _alpha_norms(alpha, D, p):
-    """(||alpha||_{p'}, ||alpha(y)|y|||_{p'}) over D, sup norms when p = 1."""
-    pprime = _dual_exponent(p)
-    field = alpha.sample_on(D)
-    radius = np.sqrt(sum(c**2 for c in D.meshgrid()))
-    if math.isinf(pprime):
-        return float(field.max()), float((field * radius).max())
-    plain = D.integrate(field**pprime) ** (1.0 / pprime)
-    moment = D.integrate((field * radius) ** pprime) ** (1.0 / pprime)
-    return float(plain), float(moment)
+def _beta_norms(beta, q, lo, hi):
+    """(||beta||_{L^q[lo,hi)}, ||t beta(t)||_{L^q[lo,hi)}, failures): the
+    beta hypotheses of the cylinder constant and of gluing, with each
+    divergent norm named in failures."""
+    beta_norm = _t_axis_norm(beta, q, lo, hi)
+    tbeta_norm = _t_axis_norm(beta, q, lo, hi, moment_t=True)
+    failures = []
+    if not math.isfinite(beta_norm):
+        failures.append("||beta||_{L^q[a,b)} divergent")
+    if not math.isfinite(tbeta_norm):
+        failures.append("||t beta(t)||_{L^q[a,b)} divergent")
+    return beta_norm, tbeta_norm, failures
 
 
 def cylinder_constant(req, t_nodes=64):
@@ -338,8 +335,9 @@ def cylinder_constant(req, t_nodes=64):
     and the assembled one-weight constant C = ||alpha|y|||_{p'} C1 +
     ||alpha||_{p'} C2.
 
-    Hypothesis failures (divergent beta norms) are reported by name, not
-    raised; the gluing pipeline turns them into refusals.
+    Hypothesis failures (divergent beta or alpha norms) are reported by
+    name, not raised; the gluing pipeline turns them into refusals.  The
+    alpha norms are check_admissible_weight's.
     """
     D = req.D
     beta = req.beta
@@ -348,18 +346,14 @@ def cylinder_constant(req, t_nodes=64):
     lo0, hi0 = D.bounds[0]
     fiber_measure = math.prod(hi - lo for lo, hi in D.bounds[1:])
 
-    failures = []
-    beta_norm = _t_axis_norm(beta, req.q, lo0, hi0)
-    if not math.isfinite(beta_norm):
-        failures.append("||beta||_{L^q[a,b)} divergent")
-    tbeta_norm = _t_axis_norm(beta, req.q, lo0, hi0, moment_t=True)
-    if not math.isfinite(tbeta_norm):
-        failures.append("||t beta(t)||_{L^q[a,b)} divergent")
-
+    beta_norm, tbeta_norm, failures = _beta_norms(beta, req.q, lo0, hi0)
     bound = fiber_measure ** (1.0 / req.q) * beta_norm
 
     alpha = req.alpha if req.alpha is not None else WeightProfile.constant(1.0 / D.volume)
-    anorm, amoment = _alpha_norms(alpha, D, req.p)
+    adm = check_admissible_weight(alpha, D, req.p)
+    anorm, amoment = float(adm["alpha_norm"]), float(adm["moment_norm"])
+    # the constant needs finite alpha norms, not unit mass
+    failures += [v for v in adm["violations"] if v.endswith("divergent")]
     c1 = C_integral(req, moment="none", t_nodes=t_nodes)
     c2 = C_integral(req, moment="|x|", t_nodes=t_nodes)
     if not math.isfinite(c1):

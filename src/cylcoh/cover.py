@@ -9,7 +9,6 @@ keeps the gluing recursion free of resampling error.
 """
 
 import itertools
-import math
 
 import numpy as np
 
@@ -180,15 +179,10 @@ class GoodCover:
 
     def restrict_array(self, arr, comp):
         """Slice an array to a component; size-1 axes stay broadcastable."""
-        idxs = []
-        for ax, run in enumerate(comp):
-            if arr.shape[ax] == 1:
-                idxs.append(np.zeros(1, dtype=int))
-            elif self.domain.periodic[ax]:
-                s, c = run
-                idxs.append((s + np.arange(c)) % self.domain.grid[ax])
-            else:
-                idxs.append(np.arange(self.domain.grid[ax]))
+        idxs = [
+            np.zeros(1, dtype=int) if arr.shape[ax] == 1 else ix
+            for ax, ix in enumerate(self._index_arrays(comp))
+        ]
         return arr[np.ix_(*idxs)]
 
     def slice_between(self, parent, child):

@@ -14,7 +14,6 @@ import itertools
 
 import numpy as np
 
-from .domain import DomainSpec
 from .weights import WeightProfile
 
 
@@ -121,25 +120,6 @@ class GridForm:
     def allclose(self, other, atol=1e-12):
         diff = self - other
         return diff.max_abs() <= atol
-
-    def to_dict(self):
-        return {
-            "degree": self.degree,
-            "domain": self.domain.to_dict(),
-            "coeffs": {
-                ",".join(map(str, idx)): field.ravel().tolist()
-                for idx, field in self.coeffs.items()
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        domain = DomainSpec.from_dict(d["domain"])
-        form = cls(domain, d["degree"])
-        for key, flat in d["coeffs"].items():
-            idx = tuple(int(s) for s in key.split(",")) if key else ()
-            form[idx] = np.asarray(flat, dtype=float).reshape(domain.grid)
-        return form
 
     def __repr__(self):
         return f"GridForm(degree={self.degree}, grid={self.domain.grid})"
@@ -295,3 +275,53 @@ def fF_profiles(domain, k, p):
     f = WeightProfile.sampled_t(tcoords, powed.min(axis=fiber_axes))
     F = WeightProfile.sampled_t(tcoords, powed.max(axis=fiber_axes))
     return f, F
+
+
+# Seeded analytic test forms.  Forms are drawn as parameter sets first
+# and sampled on a grid second, so convergence studies can rerun the same
+# form on finer grids.  The trig amplitude is the knob: coefficients are
+# multilinear plus one sine mode per axis, and the multilinear part is
+# reproduced exactly by the homotopy-operator quadratures, so the
+# amplitude controls how much genuine O(h^2) error a family carries.
+# Periodic axes get no linear term, so samples stay consistent with the
+# wrap.
+
+
+def draw_coeff_params(dim, rng, amplitude, periodic=None):
+    periodic = (False,) * dim if periodic is None else periodic
+    return {
+        "const": rng.uniform(0.3, 1.0),
+        "lin": [0.0 if periodic[a] else rng.uniform(-0.5, 0.5) for a in range(dim)],
+        "amp": [amplitude * rng.uniform(0.5, 1.0) for a in range(dim)],
+        "phase": [rng.uniform(0.0, 2.0 * np.pi) for a in range(dim)],
+    }
+
+
+def draw_form_params(dim, degree, rng, amplitude=0.2, periodic=None):
+    return {
+        idx: draw_coeff_params(dim, rng, amplitude, periodic)
+        for idx in increasing_indices(dim, degree)
+    }
+
+
+def sample_coeff(dom, cp):
+    mesh = dom.meshgrid()
+    out = cp["const"] * np.ones(dom.grid)
+    for a in range(dom.dim):
+        lo, hi = dom.bounds[a]
+        th = (mesh[a] - lo) / (hi - lo)
+        out = out + cp["lin"][a] * th
+        out = out + cp["amp"][a] * np.sin(2.0 * np.pi * th + cp["phase"][a])
+    return out
+
+
+def sample_form(dom, degree, params):
+    om = GridForm.zeros(dom, degree)
+    for idx, cp in params.items():
+        om.coeffs[idx] = sample_coeff(dom, cp)
+    return om
+
+
+def random_form(dom, degree, rng, amplitude=0.2):
+    params = draw_form_params(dom.dim, degree, rng, amplitude, dom.periodic)
+    return sample_form(dom, degree, params)

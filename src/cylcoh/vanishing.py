@@ -30,6 +30,8 @@ SHELLS = 6
 SHELL_NODES = 64
 BLOWUP = 1e6
 SLOPE_TOL = 1e-4
+# the region's strict inequalities, the ones a quadrature has to estimate
+STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
 
 def _frac(x):
@@ -121,7 +123,7 @@ class AdmissibleRegion:
         return self.reason is not None
 
     def _checks(self, p, q):
-        """The five inequality slacks at (p, q); positive means satisfied."""
+        """The four inequality slacks at (p, q); positive means satisfied."""
         p = _frac(p)
         q = _frac(q)
         if p < 1 or q < 1:
@@ -130,7 +132,6 @@ class AdmissibleRegion:
         return {
             "order p <= q": inv_p - inv_q,
             "(k-2+alpha)/n < 1/q": INF if self.left == INF else inv_q - self.left,
-            "1/q <= 1/p": inv_p - inv_q,
             "1/p < (k-beta)/n": -INF if self.right == -INF else self.right - inv_p,
             "gate q(n+1-p) < np": (q - 1) / (q * (self.n + 1)) - (inv_p - inv_q),
         }
@@ -139,13 +140,12 @@ class AdmissibleRegion:
         if self.b_infinite:
             return False
         checks = self._checks(p, q)
-        strict = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
         for name, slack in checks.items():
             if slack == INF:
                 return False
             if slack == -INF:
                 return False
-            if name in strict:
+            if name in STRICT_CHECKS:
                 if not slack > 0:
                     return False
             elif slack < 0:
@@ -164,12 +164,7 @@ class AdmissibleRegion:
         if self.b_infinite:
             return -INF
         checks = self._checks(p, q)
-        strict = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
-        vals = []
-        for name in strict:
-            v = checks[name]
-            vals.append(float(v) if v not in (INF, -INF) else math.copysign(1, -1 if v == -INF else 1) * INF)
-        return min(vals)
+        return min(float(checks[name]) for name in STRICT_CHECKS)
 
     def q_interval(self, p):
         """The q's admissible at this p: a pair (lo, hi) meaning [lo, hi), or None.
@@ -319,22 +314,15 @@ def _powerlaw_conditions(inp):
     v = k - n / p
     s, g = inp.s, inp.g
 
+    rows = (
+        ("I1: int s^(n/q-k+2) divergent", lambda ts: s.eval_t(ts) ** u, u),
+        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * s.eval_t(ts) ** u, u),
+        ("I3: int g^(k-n/p) divergent", lambda ts: g.eval_t(ts) ** v, v),
+    )
     conds = {}
-    fn1 = lambda ts: s.eval_t(ts) ** u
-    div1, tot1, sl1 = _divergent_at_b(fn1, inp.a, inp.b)
-    conds["I1: int s^(n/q-k+2) divergent"] = {
-        "holds": div1, "total": tot1, "slope": sl1, "exponent": u,
-    }
-    fn2 = lambda ts: ts * s.eval_t(ts) ** u
-    div2, tot2, sl2 = _divergent_at_b(fn2, inp.a, inp.b)
-    conds["I2: int t s^(n/q-k+2) divergent"] = {
-        "holds": div2, "total": tot2, "slope": sl2, "exponent": u,
-    }
-    fn3 = lambda ts: g.eval_t(ts) ** v
-    div3, tot3, sl3 = _divergent_at_b(fn3, inp.a, inp.b)
-    conds["I3: int g^(k-n/p) divergent"] = {
-        "holds": div3, "total": tot3, "slope": sl3, "exponent": v,
-    }
+    for name, fn, exponent in rows:
+        div, total, slope = _divergent_at_b(fn, inp.a, inp.b)
+        conds[name] = {"holds": div, "total": total, "slope": slope, "exponent": exponent}
     return conds
 
 
@@ -466,19 +454,16 @@ def criterion_check(inp, pbar_points=33):
     return report
 
 
-def asymptotic_delegate(inp, m=None):
-    """Same criterion for an asymptotic twisted cylinder of dimension m.
+def asymptotic_delegate(inp):
+    """Same criterion for an asymptotic twisted cylinder of dimension m = n + 1.
 
     The hypotheses relabel m = n + 1 and the de Rham flag refers to the
     ambient manifold; the numeric content is identical, so this wraps
     criterion_check and marks the report as delegated.
     """
-    m = inp.n + 1 if m is None else int(m)
-    if m != inp.n + 1:
-        raise ValueError("asymptotic dimension must be n + 1")
     report = criterion_check(inp)
     report["delegated"] = True
-    report["m"] = m
+    report["m"] = inp.n + 1
     if report["conditional"]:
         report["note"] = f"conditional on H^{inp.k}_DR(X) = 0"
     return report

@@ -30,6 +30,7 @@ from cylcoh.constants import (
     cylinder_constant,
 )
 from cylcoh.cover import circle_cover, torus_cover
+from cylcoh.forms import draw_form_params, sample_form
 from cylcoh.homotopy import A_alpha, K_y
 from cylcoh.vanishing import (
     CriterionInput,
@@ -37,8 +38,6 @@ from cylcoh.vanishing import (
     criterion_check,
     powerlaw_exponents,
 )
-
-from conftest import draw_form_params, sample_form
 
 
 def _line(num, label, ok, detail):

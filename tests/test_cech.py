@@ -20,8 +20,7 @@ from cylcoh.cech import (
     descend_xi,
     solve_coboundary,
 )
-
-from conftest import random_form
+from cylcoh.forms import random_form
 
 
 def _patch_cochain(cover, degree, rng, amplitude=0.2):

@@ -4,9 +4,12 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from cylcoh import K_y, box, exterior_derivative
 from cylcoh.cli import main
+from cylcoh.forms import random_form
 
 
 def _write(tmp_path, name, payload):
@@ -237,6 +240,26 @@ def test_homotopy_identity_scenario(tmp_path):
     assert code == 0
     assert report["pass"] is True
     assert len(report["residuals"]) == 2
+
+
+def test_homotopy_check_draws_from_forms_family(tmp_path):
+    # the scenario's form is forms.random_form's draw from the seed
+    sc = {
+        "command": "homotopy-check",
+        "domain": BOX33,
+        "degree": 1,
+        "count": 1,
+        "amplitude": 5e-5,
+        "tolerance": 1e-4,
+        "seed": 4,
+    }
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 0
+    dom = box(BOX33["bounds"], BOX33["grid"])
+    om = random_form(dom, 1, np.random.default_rng(4), 5e-5)
+    y = [0.5, 0.5]
+    recon = K_y(exterior_derivative(om), y) + exterior_derivative(K_y(om, y))
+    assert report["residuals"] == [(recon - om).max_abs() / om.max_abs()]
 
 
 def test_homotopy_inadmissible_weight_refuses(tmp_path):

@@ -11,6 +11,7 @@ from cylcoh import (
     Q_factor,
     WeightProfile,
     box,
+    check_admissible_weight,
     corollary_box_bound,
     cylinder_constant,
     sup_indicator_norm,
@@ -261,6 +262,24 @@ def test_cylinder_constant_gamma_q():
     assert "||1/gamma|| divergent for requested pbar" in out["hypothesis_failures"]
 
 
+def test_cylinder_constant_alpha_norms_are_admissibility_norms():
+    # a power law pivoting at the right t-edge is never sampled at its
+    # pivot: the edge-substituted norms of check_admissible_weight
+    sq = box([[0, 1], [0, 1]], [17, 17])
+    alpha = WeightProfile.powerlaw(0.25, 1.0)
+    out = cylinder_constant(ConstantRequest(1, 2.0, 2.0, sq, alpha=alpha))
+    adm = check_admissible_weight(alpha, sq, 2.0)
+    assert out["alpha_norm"] == adm["alpha_norm"] == pytest.approx(2.0**0.5, rel=1e-12)
+    assert out["alpha_moment_norm"] == adm["moment_norm"]
+    assert out["alpha_moment_norm"] == pytest.approx(1.31705559, rel=1e-8)
+    assert out["hypothesis_failures"] == []
+
+    steep = WeightProfile.powerlaw(0.6, 1.0)
+    out = cylinder_constant(ConstantRequest(1, 2.0, 2.0, sq, alpha=steep))
+    assert "||alpha||_p' divergent" in out["hypothesis_failures"]
+    assert "||alpha |y|||_p' divergent" in out["hypothesis_failures"]
+
+
 def test_c_integrals_match_brute_force_interval():
     # 1-D brute force: sup overlap and the right-aligned |x| window have
     # closed forms, leaving plain t-integrals to dense trapezoid
@@ -272,10 +291,10 @@ def test_c_integrals_match_brute_force_interval():
     t = np.linspace(1e-9, 1.0 - 1e-9, 200001)
     ell = np.minimum(1.0, (1.0 - t) / t)
     f1 = np.sqrt(ell) * t * (1.0 - t) ** -0.5
-    ref1 = np.trapezoid(f1, t)
+    ref1 = np.sum(0.5 * (f1[1:] + f1[:-1]) * np.diff(t))
     lo = 1.0 - ell
     f2 = np.sqrt((1.0 - lo**3) / 3.0) * t * (1.0 - t) ** -0.5
-    ref2 = np.trapezoid(f2, t)
+    ref2 = np.sum(0.5 * (f2[1:] + f2[:-1]) * np.diff(t))
 
     assert abs(c1 - ref1) <= 1e-3, f"C1 {c1} vs brute {ref1}"
     assert abs(c2 - ref2) <= 1e-3, f"C2 {c2} vs brute {ref2}"

@@ -12,8 +12,7 @@ from cylcoh import (
     lp_norm,
     pointwise_norm,
 )
-from cylcoh.forms import recompose_cylinder, fF_profiles
-from conftest import random_form
+from cylcoh.forms import fF_profiles, random_form, recompose_cylinder
 
 
 def test_d_constant_zero():

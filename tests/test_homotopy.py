@@ -16,8 +16,7 @@ from cylcoh import (
 )
 from cylcoh.homotopy import _box_integral, cone_pullback_fiber, DEGREE0_MSG
 from cylcoh._interp import _axis_stencil, point_eval, scaled_eval
-from cylcoh.forms import increasing_indices
-from conftest import random_form
+from cylcoh.forms import increasing_indices, random_form
 
 
 def test_pullback_one_form():
