@@ -1,15 +1,16 @@
 """Separable interpolation and window integrals of sampled fields.
 
 Point evaluation uses a cubic 4-point stencil per axis (one-sided at the
-closed ends, wrapped on periodic axes) so that finite differences of
-interpolated quantities stay second-order accurate; axes shorter than 4
-nodes fall back to linear.  Every whole-grid operation is one dense
-matrix per axis, applied axis by axis (sum factorisation): the cubic
-stencils for evaluation at scaled points, and window matrices for
-integrals over per-point intervals.  The window matrices integrate the
-piecewise-linear interpolant, optionally against the coordinate or a
-power-law factor, exactly; this keeps the uniform-weight averaging
-pipeline exact on multilinear coefficient fields.
+ends; the callers work on box charts, so no axis is periodic) so that
+finite differences of interpolated quantities stay second-order
+accurate; axes shorter than 4 nodes fall back to linear.  Every
+whole-grid operation is one dense matrix per axis, applied axis by axis
+(sum factorisation): the cubic stencils for evaluation at scaled points,
+and window matrices for integrals over per-point intervals.  The window
+matrices integrate the piecewise-linear interpolant, optionally against
+the coordinate or a power-law factor, exactly; this keeps the
+uniform-weight averaging pipeline exact on multilinear coefficient
+fields.
 """
 
 import itertools
@@ -18,15 +19,11 @@ import numpy as np
 
 
 def _axis_locate(domain, ax, coords):
-    """Per-axis cell index and fraction, clamped (wrapped when periodic)."""
+    """Per-axis cell index and fraction, clamped to the axis."""
     lo, hi = domain.bounds[ax]
     m = domain.grid[ax]
     h = domain.spacing(ax)
     c = np.asarray(coords, dtype=float)
-    if domain.periodic[ax]:
-        u = np.mod(c - lo, hi - lo) / h
-        i = np.minimum(u.astype(int), m - 1)
-        return i, (i + 1) % m, u - i
     u = (np.clip(c, lo, hi) - lo) / h
     i = np.clip(u.astype(int), 0, m - 2)
     return i, i + 1, u - i
@@ -45,16 +42,10 @@ def _axis_stencil(domain, ax, coords):
     lo, hi = domain.bounds[ax]
     h = domain.spacing(ax)
     c = np.asarray(coords, dtype=float)
-    if domain.periodic[ax]:
-        u = np.mod(c - lo, hi - lo) / h
-        b = np.minimum(np.floor(u).astype(int), m - 1)
-        start = b - 1
-        idx = np.stack([(start + r) % m for r in range(4)])
-    else:
-        u = (np.clip(c, lo, hi) - lo) / h
-        b = np.minimum(u.astype(int), m - 2)
-        start = np.clip(b - 1, 0, m - 4)
-        idx = np.stack([start + r for r in range(4)])
+    u = (np.clip(c, lo, hi) - lo) / h
+    b = np.minimum(u.astype(int), m - 2)
+    start = np.clip(b - 1, 0, m - 4)
+    idx = np.stack([start + r for r in range(4)])
     xi = u - start
     wts = np.stack([
         -(xi - 1.0) * (xi - 2.0) * (xi - 3.0) / 6.0,

@@ -3,8 +3,10 @@
 The pipeline follows the usual double-complex walk: local primitives on
 patches (descent), a constant correction killing the degree-0 cocycle,
 then partition-of-unity solves back up to a single global form (ascent).
-Cochains are stored per (index tuple, connected component); components
-are boxes, so every local solve is a cone-operator call on a box chart.
+Cochains are stored per (index tuple, connected component) at every
+depth, the global form being the depth-0 cochain on the one component of
+the empty index tuple; deeper components are boxes, so every local solve
+is a cone-operator call on a box chart.
 """
 
 import itertools
@@ -26,8 +28,8 @@ class CechCochain:
     """Degree-k forms indexed by increasing patch tuples and components.
 
     data maps (I, comp) to a GridForm on the component's unrolled box;
-    depth is len(I).  Depth-0 objects are represented by a bare GridForm
-    on the full domain, not by this class.
+    depth is len(I).  At depth 0 the one key is ((), cover.full) and its
+    form lives on the full domain (see whole).
     """
 
     def __init__(self, cover, depth, degree, data):
@@ -35,6 +37,11 @@ class CechCochain:
         self.depth = depth
         self.degree = degree
         self.data = data
+
+    @classmethod
+    def whole(cls, cover, form):
+        """A global form as the depth-0 cochain."""
+        return cls(cover, 0, form.degree, {((), cover.full): form})
 
     def entries(self):
         return sorted(self.data.items(), key=lambda kv: kv[0])
@@ -71,31 +78,14 @@ class CechCochain:
 
 def _restrict_between(cover, form, parent_comp, child_comp):
     dom = cover.component_domain(child_comp)
-    sl = cover.slice_between(parent_comp, child_comp)
-    coeffs = {idx: arr[sl] for idx, arr in form.coeffs.items()}
+    ix = cover.index_between(parent_comp, child_comp)
+    coeffs = {idx: arr[ix] for idx, arr in form.coeffs.items()}
     return GridForm(dom, form.degree, coeffs)
 
 
-def coboundary(lam, cover=None):
-    """Alternating sum of restrictions, one Cech depth up.
-
-    Accepts a global GridForm as the depth-0 case (pass the cover along),
-    where the result is plain restriction to every patch.
-    """
-    if isinstance(lam, GridForm):
-        if cover is None:
-            raise TypeError("depth-0 coboundary needs the cover")
-        data = {}
-        for i in range(len(cover)):
-            for comp in cover.components((i,)):
-                coeffs = {
-                    idx: cover.restrict_array(arr, comp)
-                    for idx, arr in lam.coeffs.items()
-                }
-                data[((i,), comp)] = GridForm(
-                    cover.component_domain(comp), lam.degree, coeffs
-                )
-        return CechCochain(cover, 1, lam.degree, data)
+def coboundary(lam):
+    """Alternating sum of restrictions, one Cech depth up; at depth 0 it
+    restricts the global form to every patch."""
     cover = lam.cover
     l = len(cover)
     data = {}
@@ -155,14 +145,6 @@ def solve_coboundary(lam, pou, tol=1e-8):
     if res > tol:
         raise ValueError(f"input is not a cocycle: coboundary residual {res:.3e}")
     l = len(cover)
-    if lam.depth == 1:
-        out = GridForm.zeros(cover.domain, lam.degree)
-        for ((j,), comp), form in lam.entries():
-            rho = cover.restrict_array(pou.fields[j], comp)
-            idxs = cover._index_arrays(comp)
-            for idx, arr in form.coeffs.items():
-                out.coeffs[idx][np.ix_(*idxs)] += rho * arr
-        return out
     data = {}
     for I in itertools.combinations(range(l), lam.depth - 1):
         for comp in cover.components(I):
@@ -175,13 +157,14 @@ def solve_coboundary(lam, pou, tol=1e-8):
                 sign = (-1) ** K.index(j)
                 for kcomp in lam.components_of(K):
                     try:
-                        sl = cover.slice_between(comp, kcomp)
+                        ix = cover.index_between(comp, kcomp)
                     except ValueError:
                         continue
-                    rho = cover.restrict_array(pou.fields[j], kcomp)
+                    field = pou.fields[j]
+                    rho = field[cover.index_between(cover.full, kcomp, field.shape)]
                     form = lam.data[(K, kcomp)]
                     for idx, arr in form.coeffs.items():
-                        acc.coeffs[idx][sl] += sign * rho * arr
+                        acc.coeffs[idx][ix] += sign * rho * arr
             data[(I, comp)] = acc
     return CechCochain(cover, lam.depth - 1, lam.degree, data)
 
@@ -203,7 +186,7 @@ def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
         if closed_res > tol:
             raise ValueError(f"omega is not closed: d-residual {closed_res:.3e}")
     xi_list = []
-    lam = coboundary(omega, cover)
+    lam = coboundary(CechCochain.whole(cover, omega))
     for s in range(k):
         data = {}
         lam_scale = max(lam.max_abs(), 1e-30)
@@ -276,7 +259,7 @@ def ascend_x(xi_list, c, pou, tol=1e-8):
             x = solve_coboundary(rhs, pou, tol=tol)
         except ValueError as e:
             raise ValueError(f"ascent stage s={s}: {e}") from e
-    return x
+    return x.data[((), x.cover.full)]
 
 
 def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32, tol=1e-6):

@@ -426,7 +426,7 @@ def main(argv=None):
     except HypothesisFailure as e:
         report = {"command": sc["command"], "verdict": "HYPOTHESES-FAIL", "refusal": str(e)}
         code, csv_text = 2, None
-    except (ValueError, KeyError, np.linalg.LinAlgError) as e:
+    except Exception as e:  # every scenario gets a report, never a traceback
         print(f"error: {sc['command']} failed: {e}", file=sys.stderr)
         report = {"command": sc["command"], "error": str(e)}
         code, csv_text = 1, None

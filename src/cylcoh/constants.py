@@ -20,7 +20,8 @@ from ._interp import apply_axis_matrix, window_matrix
 from .homotopy import check_admissible_weight, gauss01
 from .weights import WeightProfile
 
-DIVERGENCE_THRESHOLD = 1e6
+GRADING = 3
+T_NORM_NODES = 256
 
 
 class ConstantRequest:
@@ -179,11 +180,11 @@ def sup_indicator_norm(D, beta, q, t):
     return _sup_window_norm(qfield, D, q, t)
 
 
-def _graded_nodes(t_nodes, kappa=3):
-    """Gauss-Legendre nodes pushed toward t = 1 by t = 1-(1-u)^kappa."""
+def _graded_nodes(t_nodes):
+    """Gauss-Legendre nodes pushed toward t = 1 by t = 1-(1-u)^GRADING."""
     u, w = gauss01(t_nodes)
-    t = 1.0 - (1.0 - u) ** kappa
-    jac = kappa * (1.0 - u) ** (kappa - 1)
+    t = 1.0 - (1.0 - u) ** GRADING
+    jac = GRADING * (1.0 - u) ** (GRADING - 1)
     return t, w * jac
 
 
@@ -211,17 +212,21 @@ def _c_integral_symbolic(req, moment):
     return decay - nd / req.p > -1.0
 
 
-def C_integral(req, moment="none", t_nodes=64, _skip_precheck=False):
+def C_integral(req, moment="none", t_nodes=64):
     """The Poincare constant C(k,p,q,n,beta): t-integral of the sup norm.
 
     moment="|x|" gives the C_2 variant with beta replaced by |x|beta.
     Returns math.inf when the symbolic endpoint test says divergent.
+    D must be a box without periodic axes: the windows tx + (1-t)D are
+    taken in its convex chart.
     """
+    D = req.D
+    if D.kind != "box" or any(D.periodic):
+        raise ValueError("C_integral needs a box domain")
     if moment not in ("none", "|x|"):
         raise ValueError("moment must be 'none' or '|x|'")
-    if not _skip_precheck and not _c_integral_symbolic(req, moment):
+    if not _c_integral_symbolic(req, moment):
         return math.inf
-    D = req.D
     k, p, q = req.k, req.p, req.q
     beta = req.beta
 
@@ -300,7 +305,7 @@ def Q_factor(gamma, p, pbar, D):
     return float(D.integrate(field) ** (1.0 / r))
 
 
-def _t_axis_norm(beta, q, lo, hi, moment_t=False, nodes=256):
+def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile."""
     if beta.kind == "powerlaw" and beta.lam > 0:
         if not beta.power_integral_finite(q, lo, hi):
@@ -308,7 +313,7 @@ def _t_axis_norm(beta, q, lo, hi, moment_t=False, nodes=256):
     if beta.kind == "powerlaw" and not moment_t:
         mass = _powerlaw_axis_mass(beta, q, lo, hi, width=math.inf)
         return float(mass ** (1.0 / q))
-    t, w = _graded_nodes(nodes)
+    t, w = _graded_nodes(T_NORM_NODES)
     ts = lo + (hi - lo) * t
     vals = beta.eval_t(ts) ** q
     if moment_t:

@@ -4,8 +4,8 @@ Patches are products of node-index runs (arcs) on the periodic fiber
 axes.  A run (start, count) means nodes start .. start+count-1 taken mod
 the axis size; unrolling a run gives a plain box chart, so every patch
 and every intersection component is a box on which the cone-type
-operators apply.  All restrictions are exact index slices, which is what
-keeps the gluing recursion free of resampling error.
+operators apply.  All restrictions are exact index selections, which is
+what keeps the gluing recursion free of resampling error.
 """
 
 import itertools
@@ -90,7 +90,10 @@ class GoodCover:
     span them fully), a list of (start, count) runs on periodic ones.
     Patches are all combinations of one arc choice per periodic axis.
     Intersections may be disconnected; everything downstream works per
-    connected component, each of which is again a box.
+    connected component, each of which is again a box.  The whole domain
+    is the component full, the runs of every node on every axis: it is
+    the single component of the empty intersection, which Cech depth 0
+    indexes.
     """
 
     def __init__(self, domain, axis_arcs):
@@ -105,6 +108,7 @@ class GoodCover:
         self.axis_arcs = axis_arcs
         choices = [range(len(a)) if a is not None else [None] for a in axis_arcs]
         self.patch_labels = list(itertools.product(*choices))
+        self.full = tuple((0, m) for m in domain.grid)
         self._check_interior_coverage()
 
     def __len__(self):
@@ -117,8 +121,8 @@ class GoodCover:
             m = self.domain.grid[ax]
             covered = np.zeros(m, dtype=bool)
             for s, c in arcs:
-                if c < 3 or c > m:
-                    raise ValueError("arc must span at least two cells")
+                if not 3 <= c < m:
+                    raise ValueError("arc must span at least two cells and not the whole axis")
                 covered[(s + 1 + np.arange(c - 2)) % m] = True
             if not covered.all():
                 raise ValueError(f"arc interiors do not cover axis {ax}")
@@ -151,7 +155,10 @@ class GoodCover:
         return [tuple(c) for c in itertools.product(*per_axis)]
 
     def component_domain(self, comp):
-        """The unrolled box chart of one component."""
+        """The unrolled box chart of one component; the domain itself for
+        the depth-0 component self.full."""
+        if comp == self.full:
+            return self.domain
         bounds = []
         grid = []
         for ax, (s, c) in enumerate(comp):
@@ -167,46 +174,31 @@ class GoodCover:
             grid.append(c)
         return box(bounds, tuple(grid))
 
-    def _index_arrays(self, comp):
-        out = []
-        for ax, (s, c) in enumerate(comp):
-            m = self.domain.grid[ax]
-            if self.domain.periodic[ax]:
-                out.append((s + np.arange(c)) % m)
-            else:
-                out.append(np.arange(m))
-        return out
+    def index_between(self, parent, child, shape=None):
+        """np.ix_ index arrays picking the child component out of an array
+        laid out on the parent component (self.full for the whole domain).
 
-    def restrict_array(self, arr, comp):
-        """Slice an array to a component; size-1 axes stay broadcastable."""
-        idxs = [
-            np.zeros(1, dtype=int) if arr.shape[ax] == 1 else ix
-            for ax, ix in enumerate(self._index_arrays(comp))
-        ]
-        return arr[np.ix_(*idxs)]
-
-    def slice_between(self, parent, child):
-        """Index slices picking the child component out of the parent's
-        unrolled array.  child must be contained in parent."""
-        slices = []
-        for ax in range(self.domain.dim):
-            ps, pc = parent[ax]
-            cs, cc = child[ax]
-            if not self.domain.periodic[ax]:
-                slices.append(slice(None))
-                continue
+        Runs wrap mod the axis size, and child must lie inside parent.
+        Axes where shape has size 1 stay size 1, so partition fields keep
+        broadcasting.
+        """
+        idxs = []
+        for ax, ((ps, pc), (cs, cc)) in enumerate(zip(parent, child)):
             m = self.domain.grid[ax]
             off = (cs - ps) % m
-            if off + cc > pc:
+            if pc < m and off + cc > pc:
                 raise ValueError("component is not contained in the parent")
-            slices.append(slice(off, off + cc))
-        return tuple(slices)
+            if shape is not None and shape[ax] == 1:
+                idxs.append(np.zeros(1, dtype=int))
+            else:
+                idxs.append((off + np.arange(cc)) % m)
+        return np.ix_(*idxs)
 
     def find_parent(self, parents, child):
         """The unique component among `parents` containing `child`."""
         for par in parents:
             try:
-                self.slice_between(par, child)
+                self.index_between(par, child)
             except ValueError:
                 continue
             return par

@@ -30,6 +30,7 @@ SHELLS = 6
 SHELL_NODES = 64
 BLOWUP = 1e6
 SLOPE_TOL = 1e-4
+PBAR_POINTS = 33
 # the region's strict inequalities, the ones a quadrature has to estimate
 STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
@@ -252,7 +253,6 @@ class CriterionInput:
             fiber_axes = tuple(range(1, h.ndim))
             s_prof = WeightProfile.sampled_t(ts, h.max(axis=fiber_axes))
             g_prof = WeightProfile.sampled_t(ts, h.min(axis=fiber_axes))
-            self._h_samples = h
         if not (s_prof.t_only and g_prof.t_only):
             raise ValueError("twisting profiles must be functions of t")
         if s_prof.kind == "powerlaw" and g_prof.kind == "powerlaw":
@@ -326,35 +326,22 @@ def _powerlaw_conditions(inp):
     return conds
 
 
-def _profile_power(h_field, e, fiber_axes, maximize):
-    powered = h_field**e
-    return powered.max(axis=fiber_axes) if maximize else powered.min(axis=fiber_axes)
+def _sampled_conditions(inp):
+    """Literal norm finiteness of the criterion's three weighted norms.
 
-
-def _sampled_conditions(inp, pbar_points):
-    """Literal norm finiteness of the criterion's three weighted norms."""
+    A sampled warp h reaches here as its fiber max s and min g; a power
+    of h is monotone in h, so its fiber max and min are powers of s or g.
+    """
     n, k, p, q = inp.n, inp.k, inp.p, inp.q
-    h = getattr(inp, "_h_samples", None)
     ts = inp.s.tcoords if inp.s.kind == "sampled-t" else None
     if ts is None:
         ts = np.linspace(inp.a, inp.b, 257)[:-1]
-    if h is not None:
-        fiber_axes = tuple(range(1, h.ndim))
-        F = [
-            _profile_power(h, n / q - (k - 2), fiber_axes, True),
-            _profile_power(h, n / q - (k - 1), fiber_axes, True),
-        ]
-        f = [
-            _profile_power(h, n / p - (k - 1), fiber_axes, False),
-            _profile_power(h, n / p - k, fiber_axes, False),
-        ]
-    else:
-        sv = inp.s.eval_t(ts)
-        gv = inp.g.eval_t(ts)
-        F = [np.maximum(sv ** (n / q - (k - 2)), gv ** (n / q - (k - 2))),
-             np.maximum(sv ** (n / q - (k - 1)), gv ** (n / q - (k - 1)))]
-        f = [np.minimum(sv ** (n / p - (k - 1)), gv ** (n / p - (k - 1))),
-             np.minimum(sv ** (n / p - k), gv ** (n / p - k))]
+    sv = inp.s.eval_t(ts)
+    gv = inp.g.eval_t(ts)
+    F = [np.maximum(sv ** (n / q - (k - 2)), gv ** (n / q - (k - 2))),
+         np.maximum(sv ** (n / q - (k - 1)), gv ** (n / q - (k - 1)))]
+    f = [np.minimum(sv ** (n / p - (k - 1)), gv ** (n / p - (k - 1))),
+         np.minimum(sv ** (n / p - k), gv ** (n / p - k))]
 
     big_f = np.maximum(F[0], F[1])
     small_f = np.minimum(f[0], f[1])
@@ -373,7 +360,7 @@ def _sampled_conditions(inp, pbar_points):
     inv = 1.0 / small_f
     witnesses = []
     best = None
-    for pbar in np.linspace(1.0, p, pbar_points):
+    for pbar in np.linspace(1.0, p, PBAR_POINTS):
         if pbar >= p - 1e-12:
             val = float(inv.max())
         else:
@@ -394,7 +381,7 @@ def _sampled_conditions(inp, pbar_points):
     return conds
 
 
-def criterion_check(inp, pbar_points=33):
+def criterion_check(inp):
     """Decide the vanishing hypotheses for one (n, k, p, q, twisting).
 
     Power-law twisting goes through the shell divergence detector (the
@@ -423,7 +410,7 @@ def criterion_check(inp, pbar_points=33):
                 failed.append(name + " does not hold")
         pbar_witnesses = None
     else:
-        conds = _sampled_conditions(inp, pbar_points)
+        conds = _sampled_conditions(inp)
         for name, c in conds.items():
             if not c["holds"]:
                 failed.append(name + " does not hold")

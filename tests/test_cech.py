@@ -37,7 +37,7 @@ def test_coboundary_of_restriction_vanishes():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
     f = random_form(dom, 1, np.random.default_rng(0))
-    lam = coboundary(f, cov)
+    lam = coboundary(CechCochain.whole(cov, f))
     assert lam.depth == 1
     up = coboundary(lam)
     # restrictions of one global form agree exactly on overlaps
@@ -90,10 +90,10 @@ def test_solve_coboundary_depth_one_recovers_global():
     cov = circle_cover(dom)
     pou = cov.partition_of_unity()
     f = random_form(dom, 1, np.random.default_rng(3))
-    lam = coboundary(f, cov)
+    lam = coboundary(CechCochain.whole(cov, f))
     out = solve_coboundary(lam, pou)
-    assert isinstance(out, GridForm)
-    assert (out - f).max_abs() <= 1e-12
+    assert out.depth == 0 and list(out.data) == [((), cov.full)]
+    assert (out.data[((), cov.full)] - f).max_abs() <= 1e-12
 
 
 def test_solve_coboundary_rejects_non_cocycle():
@@ -132,7 +132,7 @@ def test_constant_correction_trivial_and_prescribed():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
     f = random_form(dom, 0, np.random.default_rng(7))
-    lam = coboundary(f, cov)
+    lam = coboundary(CechCochain.whole(cov, f))
     c, info = constant_correction(lam)
     assert info["lstsq_residual"] <= 1e-12
     assert c.max_abs() <= 1e-10

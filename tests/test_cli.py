@@ -75,6 +75,23 @@ def test_malformed_bounds_reports_error(tmp_path, capsys):
     assert "homotopy-check failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sc",
+    [
+        {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": 2, "warp": 5},
+        {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
+         "fiber_bounds": 5},
+        {"command": "homotopy-check", "degree": 1,
+         "domain": {"kind": "box", "bounds": [[0.0, 1.0]], "grid": 5}},
+    ],
+    ids=["warp", "fiber_bounds", "grid"],
+)
+def test_malformed_field_reports_error(tmp_path, sc):
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert report["command"] == sc["command"] and "error" in report
+
+
 def test_vanish_powerlaw(tmp_path):
     sc = {
         "command": "vanish",

@@ -13,6 +13,7 @@ from cylcoh import (
     box,
     check_admissible_weight,
     corollary_box_bound,
+    cylinder,
     cylinder_constant,
     sup_indicator_norm,
 )
@@ -165,6 +166,14 @@ def test_c_integral_moment_validation():
     req = ConstantRequest(1, 2.0, 2.0, dom)
     with pytest.raises(ValueError, match="moment"):
         C_integral(req, moment="x^2")
+
+
+@pytest.mark.parametrize("moment", ["none", "|x|"])
+def test_c_integral_needs_box_domain(moment):
+    # the windows tx + (1-t)D must not wrap around a periodic axis
+    req = ConstantRequest(1, 2.0, 2.0, cylinder([0, 1], [[0, 1]], [17, 16]))
+    with pytest.raises(ValueError, match="needs a box domain"):
+        C_integral(req, moment=moment)
 
 
 def test_request_validation_and_gates():

@@ -56,33 +56,40 @@ def test_torus_cover_components():
     assert len(cov.components((0, 1, 2, 3))) == 4
 
 
-def test_restrict_array_broadcast():
+def test_index_between_broadcast():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
+    assert cov.full == ((0, 9), (0, 32))
+    assert cov.components(()) == [cov.full]
+    assert cov.component_domain(cov.full) is dom
     comp = cov.components((0, 1))[0]
     full = np.arange(9 * 32, dtype=float).reshape(9, 32)
-    sub = cov.restrict_array(full, comp)
+    sub = full[cov.index_between(cov.full, comp)]
     assert sub.shape == (9, 3)
     assert np.array_equal(sub[:, 0], full[:, 10])
+    # arc 2 runs through the seam: indices wrap mod the axis size
+    arc = cov.components((2,))[0]
+    wrapped = full[cov.index_between(cov.full, arc)]
+    assert np.array_equal(wrapped[0], full[0, np.r_[20:32, 0:3]])
     # size-1 axes stay size 1 so partition fields keep broadcasting
     rho = np.ones((1, 32))
-    assert cov.restrict_array(rho, comp).shape == (1, 3)
+    assert rho[cov.index_between(cov.full, comp, rho.shape)].shape == (1, 3)
 
 
-def test_slice_between_and_find_parent():
+def test_index_between_and_find_parent():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
     parents = cov.components((2,))
     child = cov.components((1, 2))[0]
     par = cov.find_parent(parents, child)
     assert par == parents[0]
-    sl = cov.slice_between(par, child)
-    assert sl[0] == slice(None)
-    assert sl[1] == slice(0, 3)
+    rows, cols = cov.index_between(par, child)
+    assert np.array_equal(rows.ravel(), np.arange(9))
+    assert np.array_equal(cols.ravel(), np.arange(3))
 
     other = cov.components((0,))[0]
     with pytest.raises(ValueError, match="not contained"):
-        cov.slice_between(child, other)
+        cov.index_between(child, other)
     with pytest.raises(ValueError, match="no parent"):
         cov.find_parent([child], other)
 
@@ -123,6 +130,8 @@ def test_cover_validation():
         GoodCover(dom, [None, [(0, 2), (1, 31)]])
     with pytest.raises(ValueError, match="do not cover"):
         GoodCover(dom, [None, [(0, 8), (8, 8)]])
+    with pytest.raises(ValueError, match="not the whole axis"):
+        GoodCover(dom, [None, [(0, 32), (30, 4)]])
     with pytest.raises(ValueError, match="not periodic"):
         GoodCover(dom, [[(0, 5)], [(0, 20), (16, 20)]])
     box_dom = cylinder([0, 1], [[0, 1]], [9, 32], periodic_fiber=False)

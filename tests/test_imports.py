@@ -1,4 +1,5 @@
-"""Static check on the package sources: every imported name is used."""
+"""Static checks on the package sources: every imported name and every
+module constant is used."""
 
 import ast
 from pathlib import Path
@@ -17,13 +18,39 @@ def _unused_imports(tree):
     return sorted(imported - used)
 
 
+def _sources():
+    paths = sorted(Path(cylcoh.__file__).parent.glob("*.py"))
+    return {p.name: ast.parse(p.read_text(), filename=str(p)) for p in paths}
+
+
 def test_no_unused_imports():
     # __init__.py imports names only to re-export them
-    paths = sorted(Path(cylcoh.__file__).parent.glob("*.py"))
     unused = {
-        p.name: names
-        for p in paths
-        if p.name != "__init__.py"
-        and (names := _unused_imports(ast.parse(p.read_text(), filename=str(p))))
+        name: names
+        for name, tree in _sources().items()
+        if name != "__init__.py" and (names := _unused_imports(tree))
     }
+    assert unused == {}
+
+
+def test_no_unused_module_constants():
+    trees = _sources()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = {}
+    for name, tree in trees.items():
+        consts = [
+            t.id
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            for t in node.targets
+            if isinstance(t, ast.Name) and t.id.isupper()
+        ]
+        if dead := sorted(set(consts) - read):
+            unused[name] = dead
     assert unused == {}
