@@ -37,11 +37,13 @@ SCHEMA = {
         "csv": {"type": "string"},
         "domain": {"type": "object"},
         "degree": {"type": "integer", "minimum": 0},
-        "count": {"type": "integer", "minimum": 1},
-        "t_nodes": {"type": "integer", "minimum": 2},
+        # the maxima bound the work of one scenario; 256 is the largest
+        # quadrature rule the package builds (constants.T_NORM_NODES)
+        "count": {"type": "integer", "minimum": 1, "maximum": 100},
+        "t_nodes": {"type": "integer", "minimum": 2, "maximum": 256},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "amplitude": {"type": "number", "minimum": 0},
-        "resolution": {"type": "integer", "minimum": 1},
+        "resolution": {"type": "integer", "minimum": 1, "maximum": 512},
         "n": {"type": "integer", "minimum": 1},
         "p": {"type": ["number", "string"]},
         "q": {"type": ["number", "string"]},

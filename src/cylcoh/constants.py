@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from ._interp import apply_axis_matrix, window_matrix
-from .homotopy import check_admissible_weight, gauss01
+from .homotopy import check_admissible_weight, gauss01, read_only
 from .weights import WeightProfile
 
 GRADING = 3
@@ -188,6 +188,9 @@ def _graded_nodes(t_nodes):
     return t, w * jac
 
 
+T_NORM_RULE = read_only(_graded_nodes(T_NORM_NODES))
+
+
 def _c_integral_symbolic(req, moment):
     """Finiteness of the C-integral by endpoint exponent arithmetic.
 
@@ -313,7 +316,7 @@ def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     if beta.kind == "powerlaw" and not moment_t:
         mass = _powerlaw_axis_mass(beta, q, lo, hi, width=math.inf)
         return float(mass ** (1.0 / q))
-    t, w = _graded_nodes(T_NORM_NODES)
+    t, w = T_NORM_RULE
     ts = lo + (hi - lo) * t
     vals = beta.eval_t(ts) ** q
     if moment_t:

@@ -75,8 +75,6 @@ class PartitionOfUnity:
                     continue
                 m = self.cover.domain.grid[ax]
                 outside = ~_run_mask(runs[ax], m)
-                sl = [0] * f.ndim
-                sl[ax] = slice(None)
                 prof = np.max(np.abs(f), axis=tuple(a for a in range(f.ndim) if a != ax))
                 if np.any(prof[outside] > 0):
                     raise ValueError(f"bump {i} leaks outside its patch on axis {ax}")

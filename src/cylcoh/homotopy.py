@@ -11,6 +11,10 @@ centers y against a unit-mass weight; for a uniform weight the y-integral
 collapses, after the substitution z = t*x + (1-t)*y, to box integrals of
 the coefficients over t*x + (1-t)*D.  Those are separable: one window
 matrix per axis, applied in turn, evaluates them for every x at once.
+The window matrices depend only on the axis, the t-node and the weight,
+so they are built once per t-node and shared by every coefficient.
+Quadrature rules of fixed size are built once, at import, as read-only
+module constants.
 """
 
 import numpy as np
@@ -20,12 +24,23 @@ from .forms import GridForm
 from .weights import WeightProfile
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
+EDGE_NODES = 128
 
 
 def gauss01(n):
     """Gauss-Legendre nodes and weights on (0, 1)."""
     x, w = np.polynomial.legendre.leggauss(int(n))
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def read_only(rule):
+    """Freeze the arrays of a quadrature rule built once for a module."""
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+EDGE_RULE = read_only(gauss01(EDGE_NODES))
 
 
 def _require_box(domain, who):
@@ -99,7 +114,7 @@ def _edge_moment_norm(alpha, D, pprime):
     lo0, hi0 = D.bounds[0]
     e = alpha.lam * pprime
     big_u = (hi0 - lo0) ** (1.0 - e)
-    nodes, wts = gauss01(128)
+    nodes, wts = EDGE_RULE
     tvals = hi0 - (big_u * nodes) ** (1.0 / (1.0 - e))
     axes = [D.axis_coords(a) for a in range(1, D.dim)]
     if axes:
@@ -175,22 +190,27 @@ def check_admissible_weight(alpha, D, p):
     }
 
 
-def _box_integral(field, domain, t, moment_axis=None):
-    """Integral of the interpolant over the shrunken box t*x + (1-t)*D.
+def _box_window(domain, ax, t, weight=None):
+    """The window matrix along ax of the boxes t*x + (1-t)*D.
 
     Separable because along each axis the box endpoints
-    t*x_a + (1-t)*lo_a and t*x_a + (1-t)*hi_a depend on x_a alone; the
-    result is a full grid field indexed by x.  moment_axis weights the
-    integrand by that coordinate (for the first-moment terms).
+    t*x_a + (1-t)*lo_a and t*x_a + (1-t)*hi_a depend on x_a alone.
+    weight "moment" weights the integrand by that coordinate (for the
+    first-moment terms).
     """
+    lo, hi = domain.bounds[ax]
+    xs = domain.axis_coords(ax)
+    return window_matrix(
+        domain, ax, t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi, weight
+    )
+
+
+def _box_integral(field, mats):
+    """Integral of the interpolant over the shrunken box t*x + (1-t)*D,
+    given the _box_window matrix of every axis; the result is a full
+    grid field indexed by x."""
     out = field
-    for ax in range(domain.dim):
-        lo, hi = domain.bounds[ax]
-        xs = domain.axis_coords(ax)
-        weight = "moment" if ax == moment_axis else None
-        mat = window_matrix(
-            domain, ax, t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi, weight
-        )
+    for mat in mats:
         out = apply_axis_matrix(out, mat)
     return out
 
@@ -204,20 +224,27 @@ def _a_alpha_uniform(omega, t_nodes):
         (1-t)^(-(dim+1)) / |D| * [x_a * int_B f_I - int_B z_a f_I],
 
     B = t*x + (1-t)*D, which _box_integral evaluates for all x at once.
+    Per t-node the plain window matrix of every axis and the moment
+    window matrix of every axis some index uses are built once; the
+    moment box of axis a swaps in that axis's moment matrix.
     """
     dom = omega.domain
     k = omega.degree
     mesh = dom.meshgrid()
     nodes, wts = gauss01(t_nodes)
+    moment_axes = {a for idx in omega.coeffs for a in idx}
     out = GridForm(dom, k - 1)
     for t, w in zip(nodes, wts):
         pref = w * t ** (k - 1) / (dom.volume * (1.0 - t) ** (dom.dim + 1))
+        plain = [_box_window(dom, ax, t) for ax in range(dom.dim)]
+        moment = {a: _box_window(dom, a, t, "moment") for a in moment_axes}
         for idx, field in omega.coeffs.items():
-            s_box = _box_integral(field, dom, t)
+            s_box = _box_integral(field, plain)
             for r, a in enumerate(idx):
                 sign = -1.0 if r % 2 else 1.0
                 jdx = idx[:r] + idx[r + 1 :]
-                t_box = _box_integral(field, dom, t, moment_axis=a)
+                mats = plain[:a] + [moment[a]] + plain[a + 1 :]
+                t_box = _box_integral(field, mats)
                 out.coeffs[jdx] += (sign * pref) * (mesh[a] * s_box - t_box)
     return out
 

@@ -7,7 +7,8 @@ anything else the criterion's three weighted norms are evaluated
 literally on the sample grid.  A numeric divergence detector (dyadic
 shells toward the singular end) bridges the two: it classifies the
 power-law integrals by quadrature alone, so the exact region can be
-cross-checked without reusing its arithmetic.
+cross-checked without reusing its arithmetic.  Every shell uses the same
+Gauss-Legendre rule, SHELL_RULE, built once at import.
 
 The worked power-law example in the source text pins the inequality
 orientation: the admissible window is
@@ -22,12 +23,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .homotopy import gauss01
+from .homotopy import gauss01, read_only
 from .weights import WeightProfile
 
 INF = math.inf
 SHELLS = 6
 SHELL_NODES = 64
+SHELL_RULE = read_only(gauss01(SHELL_NODES))
 BLOWUP = 1e6
 SLOPE_TOL = 1e-4
 PBAR_POINTS = 33
@@ -281,7 +283,7 @@ def _shell_integral(fn, a, b):
     for (b - t)^(-mu) the shell mass ratio is 2^{mu-1}, so the fitted
     slope 1 + log2(ratio) recovers mu and mu >= 1 flags divergence.
     """
-    nodes, wts = gauss01(SHELL_NODES)
+    nodes, wts = SHELL_RULE
     masses = []
     width = b - a
     for j in range(SHELLS):

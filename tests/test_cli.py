@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cylcoh
 from cylcoh import K_y, box, exterior_derivative
 from cylcoh.cli import main
 from cylcoh.forms import random_form
@@ -157,6 +162,23 @@ def test_report_byte_identical(tmp_path):
     first = hashlib.md5(path1.read_bytes()).hexdigest()
     _, _, path2 = _run(tmp_path, sc, name="a.json")
     assert hashlib.md5(path2.read_bytes()).hexdigest() == first
+
+
+def test_oversized_resolution_is_a_schema_error(tmp_path):
+    # 1e+308 is an integer to JSON Schema; without a maximum region_grid
+    # would walk a 1e308 x 1e308 grid, so run it where a hang can be cut
+    p = _write(tmp_path, "huge.json", {"command": "region", "n": 4, "k": 3,
+                                       "lambda": 2, "resolution": 1e308})
+    assert '"resolution": 1e+308' in p.read_text()
+    src = str(Path(cylcoh.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cylcoh", "--scenario", str(p), "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "schema error" in proc.stderr
 
 
 def test_region_csv_rows(tmp_path):

@@ -14,7 +14,8 @@ from cylcoh import (
     check_admissible_weight,
     WeightProfile,
 )
-from cylcoh.homotopy import _box_integral, cone_pullback_fiber, DEGREE0_MSG
+from cylcoh import constants, homotopy, vanishing
+from cylcoh.homotopy import _box_integral, _box_window, cone_pullback_fiber, DEGREE0_MSG
 from cylcoh._interp import point_eval, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
 
@@ -181,7 +182,11 @@ def test_box_integral_exact_on_multilinear(t, moment_axis):
         coef[e] * np.prod([mesh[a] ** e[a] for a in range(3)], axis=0)
         for e in itertools.product(range(2), repeat=3)
     )
-    got = _box_integral(field, dom, t, moment_axis=moment_axis)
+    mats = [
+        _box_window(dom, a, t, "moment" if a == moment_axis else None)
+        for a in range(3)
+    ]
+    got = _box_integral(field, mats)
 
     ref = 0.0
     for e in itertools.product(range(2), repeat=3):
@@ -193,6 +198,35 @@ def test_box_integral_exact_on_multilinear(t, moment_axis):
             term = term * (up**n - low**n) / n
         ref = ref + term
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_a_alpha_builds_window_matrices_once_per_t_node(monkeypatch):
+    # per t-node: one plain matrix per axis, one moment matrix per axis
+    # that some index uses (all three for degree 2 in 3-D)
+    calls = []
+    build = homotopy.window_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(homotopy, "window_matrix", counted)
+    dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
+    om = random_form(dom, 2, np.random.default_rng(3))
+    A_alpha(om, WeightProfile.constant(1.0), t_nodes=4)
+    assert len(calls) == (dom.dim + 3) * 4
+
+
+def test_fixed_rules_are_read_only_and_match_fresh_builds():
+    rules = [
+        (vanishing.SHELL_RULE, homotopy.gauss01(vanishing.SHELL_NODES)),
+        (constants.T_NORM_RULE, constants._graded_nodes(constants.T_NORM_NODES)),
+        (homotopy.EDGE_RULE, homotopy.gauss01(homotopy.EDGE_NODES)),
+    ]
+    for rule, fresh in rules:
+        for arr, ref in zip(rule, fresh, strict=True):
+            assert arr.flags.writeable is False
+            assert np.array_equal(arr, ref)
 
 
 def test_A_uniform_volume_form():

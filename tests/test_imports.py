@@ -1,5 +1,6 @@
 """Static checks on the package sources: every imported name and every
-module constant is used."""
+module constant is used, and no function rebuilds a fixed quadrature
+rule."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,35 @@ def test_no_unused_module_constants():
         if dead := sorted(set(consts) - read):
             unused[name] = dead
     assert unused == {}
+
+
+RULE_BUILDERS = {"gauss01", "_graded_nodes"}
+
+
+def _fixed_rule_builds(tree):
+    """Functions that build a quadrature rule of fixed size on every call:
+    a rule builder called with an integer literal or an UPPERCASE module
+    constant, which belongs in a module constant built at import."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RULE_BUILDERS and any(
+                (isinstance(a, ast.Constant) and type(a.value) is int)
+                or (isinstance(a, ast.Name) and a.id.isupper())
+                for a in node.args
+            ):
+                found.add(fn.name)
+    return sorted(found)
+
+
+def test_no_fixed_rule_rebuilt_per_call():
+    rebuilt = {
+        name: fns for name, tree in _sources().items() if (fns := _fixed_rule_builds(tree))
+    }
+    assert rebuilt == {}
