@@ -138,7 +138,8 @@ def solve_coboundary(lam, pou, tol=1e-8):
     Requires lam to be a cocycle; the weighted sum kappa_I = sum_j
     rho_j lam_{jI} (extended by zero, sign from sorting j into I) is the
     classical formula and is exact at grid nodes because each rho_j
-    vanishes on its patch boundary nodes.
+    vanishes on its patch boundary nodes.  Returns (kappa, residual),
+    residual being lam's relative cocycle residual.
     """
     cover = lam.cover
     res = _cocycle_residual(lam)
@@ -166,7 +167,7 @@ def solve_coboundary(lam, pou, tol=1e-8):
                     for idx, arr in form.coeffs.items():
                         acc.coeffs[idx][ix] += sign * rho * arr
             data[(I, comp)] = acc
-    return CechCochain(cover, lam.depth - 1, lam.degree, data)
+    return CechCochain(cover, lam.depth - 1, lam.degree, data), res
 
 
 def _uniform_solve(form, t_nodes):
@@ -176,7 +177,10 @@ def _uniform_solve(form, t_nodes):
 
 def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
     """Local primitives down the double complex: xi^s of degree k-1-s with
-    d(xi^s) = (delta xi^{s-1}) per component, starting from omega itself."""
+    d(xi^s) = (delta xi^{s-1}) per component, starting from omega itself.
+
+    Returns (xi_list, residuals): residuals[s] is the largest relative
+    patch-solve residual at depth s."""
     k = omega.degree
     if k < 1:
         raise ValueError("need a form of degree at least 1 to glue")
@@ -186,9 +190,11 @@ def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
         if closed_res > tol:
             raise ValueError(f"omega is not closed: d-residual {closed_res:.3e}")
     xi_list = []
+    residuals = []
     lam = coboundary(CechCochain.whole(cover, omega))
     for s in range(k):
         data = {}
+        worst = 0.0
         lam_scale = max(lam.max_abs(), 1e-30)
         for (I, comp), form in lam.entries():
             xi = _uniform_solve(form, t_nodes)
@@ -198,10 +204,12 @@ def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
                     f"patch solve failed at depth {s} on V_{I}: residual {res:.3e}"
                 )
             data[(I, comp)] = xi
+            worst = max(worst, res)
         xi_list.append(CechCochain(cover, lam.depth, k - 1 - s, data))
+        residuals.append(worst)
         if s < k - 1:
             lam = coboundary(xi_list[-1])
-    return xi_list
+    return xi_list, residuals
 
 
 def constant_correction(xi_last, tol=1e-8):
@@ -247,25 +255,30 @@ def constant_correction(xi_last, tol=1e-8):
 
 
 def ascend_x(xi_list, c, pou, tol=1e-8):
-    """Back up the double complex to a single global primitive."""
+    """Back up the double complex to a single global primitive.
+
+    Returns (xi, residuals): residuals[s] is the cocycle residual of the
+    depth-s right side that solve_coboundary inverted."""
     k = len(xi_list)
-    try:
-        x = solve_coboundary(xi_list[k - 1] - c, pou, tol=tol)
-    except ValueError as e:
-        raise ValueError(f"ascent stage s={k - 1}: {e}") from e
-    for s in range(k - 2, -1, -1):
-        rhs = xi_list[s] - x.d()
+    residuals = [0.0] * k
+    rhs = xi_list[k - 1] - c
+    for s in range(k - 1, -1, -1):
         try:
-            x = solve_coboundary(rhs, pou, tol=tol)
+            x, residuals[s] = solve_coboundary(rhs, pou, tol=tol)
         except ValueError as e:
             raise ValueError(f"ascent stage s={s}: {e}") from e
-    return x.data[((), x.cover.full)]
+        if s > 0:
+            rhs = xi_list[s - 1] - x.d()
+    return x.data[((), x.cover.full)], residuals
 
 
 def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32, tol=1e-6):
     """End-to-end gluing with hypothesis checks and a stage report.
 
-    Returns (xi, report) with d(xi) = omega on the full domain.  Weight
+    Returns (xi, report) with d(xi) = omega on the full domain.
+    report["stages"] has one entry per depth s of the descent: the
+    number of patch solves, their largest relative residual, and the
+    cocycle residual of the ascent's depth-s solve.  Weight
     hypotheses that fail produce a HypothesisFailure naming the culprit
     instead of a numeric answer.
     """
@@ -285,10 +298,10 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
     if failures:
         raise HypothesisFailure("; ".join(failures))
 
-    xi_list = descend_xi(omega, cover, t_nodes=t_nodes, tol=tol)
+    xi_list, patch_res = descend_xi(omega, cover, t_nodes=t_nodes, tol=tol)
     c, corr_info = constant_correction(xi_list[-1], tol=max(tol, 1e-8))
     pou = cover.partition_of_unity()
-    xi = ascend_x(xi_list, c, pou, tol=tol)
+    xi, cocycle_res = ascend_x(xi_list, c, pou, tol=tol)
 
     resid = (exterior_derivative(xi) - omega).max_abs()
     scale = max(omega.max_abs(), 1e-30)
@@ -306,7 +319,14 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
         "tbeta_norm": tbeta_norm,
         "constant_correction": corr_info,
         "patches": len(cover),
-        "stages": len(xi_list),
+        "stages": [
+            {
+                "patch_solves": len(xi_s.data),
+                "patch_residual_max": pres,
+                "cocycle_residual": cres,
+            }
+            for xi_s, pres, cres in zip(xi_list, patch_res, cocycle_res)
+        ],
     }
     if q_factor is not None:
         report["Q"] = q_factor

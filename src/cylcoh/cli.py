@@ -27,6 +27,11 @@ from .vanishing import (admissible_region, powerlaw_exponents, CriterionInput,
                         criterion_check, asymptotic_delegate, region_grid,
                         sphere_hdr_zero)
 
+# points per grid axis: 257 is one doubling above the finest grid the
+# README, the tests and the acceptance ladders use (129)
+GRID_MAX = 257
+GRID_ITEMS = {"type": "integer", "minimum": 3, "maximum": GRID_MAX}
+
 SCHEMA = {
     "type": "object",
     "required": ["command"],
@@ -35,7 +40,9 @@ SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "report": {"type": "string"},
         "csv": {"type": "string"},
-        "domain": {"type": "object"},
+        # only the grid's entries are checked here; a malformed domain
+        # reaches the handler and gets an error report
+        "domain": {"type": "object", "properties": {"grid": {"items": GRID_ITEMS}}},
         "degree": {"type": "integer", "minimum": 0},
         # the maxima bound the work of one scenario; 256 is the largest
         # quadrature rule the package builds (constants.T_NORM_NODES)
@@ -48,7 +55,7 @@ SCHEMA = {
         "p": {"type": ["number", "string"]},
         "q": {"type": ["number", "string"]},
         "surface": {"enum": ["cylinder-s1", "cylinder-t2"]},
-        "grid": {"type": "array", "items": {"type": "integer", "minimum": 3}},
+        "grid": {"type": "array", "items": GRID_ITEMS},
         "mode": {"enum": ["identity", "averaged"]},
         "route": {"enum": ["box", "corollary", "cylinder"]},
         "interval": {"type": "array", "minItems": 2, "maxItems": 2},
@@ -129,7 +136,9 @@ def _scale_domain(domain, scale):
     """Refine or coarsen a grid; periodic axes snap to multiples of 16.
 
     Non-periodic axes scale the cell count: m -> round((m-1)*scale)+1.
-    The snap keeps the standard covers constructible after scaling.
+    The snap keeps the standard covers constructible after scaling.  A
+    scaled axis above GRID_MAX is a ValueError, raised before any field
+    is sampled.
     """
     if scale is None or scale == 1.0:
         return domain
@@ -140,6 +149,8 @@ def _scale_domain(domain, scale):
         else:
             mm = max(3, int(round((m - 1) * scale)) + 1)
         new.append(mm)
+    if max(new) > GRID_MAX:
+        raise ValueError(f"scaled grid {new} exceeds {GRID_MAX} points per axis")
     return domain.with_grid(tuple(new))
 
 

@@ -9,10 +9,13 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
 and K_y omega integrates it over t in [0,1].  A_alpha averages K_y over
 centers y against a unit-mass weight; for a uniform weight the y-integral
 collapses, after the substitution z = t*x + (1-t)*y, to box integrals of
-the coefficients over t*x + (1-t)*D.  Those are separable: one window
-matrix per axis, applied in turn, evaluates them for every x at once.
-The window matrices depend only on the axis, the t-node and the weight,
-so they are built once per t-node and shared by every coefficient.
+(x_a - z_a) f_I(z) over t*x + (1-t)*D.  Those are separable: one window
+matrix per axis, applied in turn, evaluates them for every x at once,
+with the lever matrix x_a * P - M (plain and moment window matrices) on
+axis a folding the factor x_a - z_a into a single box integral.  The
+window matrices depend only on the axis, the t-node and the weight, so
+each axis's matrices for all t-nodes come from one build and are shared
+by every coefficient.
 Quadrature rules of fixed size are built once, at import, as read-only
 module constants.
 """
@@ -190,25 +193,36 @@ def check_admissible_weight(alpha, D, p):
     }
 
 
-def _box_window(domain, ax, t, weight=None):
-    """The window matrix along ax of the boxes t*x + (1-t)*D.
+def _box_windows(domain, ax, nodes, weight=None):
+    """The window matrices along ax of the boxes t*x + (1-t)*D, one per
+    t in nodes, stacked to shape (len(nodes), m, m) from one build.
 
     Separable because along each axis the box endpoints
     t*x_a + (1-t)*lo_a and t*x_a + (1-t)*hi_a depend on x_a alone.
-    weight "moment" weights the integrand by that coordinate (for the
-    first-moment terms).
+    weight "moment" weights the integrand by that coordinate.
     """
     lo, hi = domain.bounds[ax]
     xs = domain.axis_coords(ax)
-    return window_matrix(
-        domain, ax, t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi, weight
-    )
+    t = np.asarray(nodes, dtype=float)[:, None]
+    lower = (t * xs + (1.0 - t) * lo).ravel()
+    upper = (t * xs + (1.0 - t) * hi).ravel()
+    mats = window_matrix(domain, ax, lower, upper, weight)
+    return mats.reshape(t.shape[0], xs.size, xs.size)
+
+
+def _lever_windows(domain, ax, nodes, plain):
+    """The lever matrices x_a * P - M along ax, one per t in nodes: the
+    window integrals of (x_a - s) times the interpolant, with plain the
+    _box_windows P of the same axis and nodes and M their moment
+    counterparts."""
+    xs = domain.axis_coords(ax)
+    return xs[:, None] * plain - _box_windows(domain, ax, nodes, "moment")
 
 
 def _box_integral(field, mats):
     """Integral of the interpolant over the shrunken box t*x + (1-t)*D,
-    given the _box_window matrix of every axis; the result is a full
-    grid field indexed by x."""
+    given one window matrix per axis (a slice of _box_windows or
+    _lever_windows); the result is a full grid field indexed by x."""
     out = field
     for mat in mats:
         out = apply_axis_matrix(out, mat)
@@ -221,31 +235,35 @@ def _a_alpha_uniform(omega, t_nodes):
     With alpha = 1/|D| the substitution z = t*x + (1-t)*y turns the
     y-average of K_y into
 
-        (1-t)^(-(dim+1)) / |D| * [x_a * int_B f_I - int_B z_a f_I],
+        (1-t)^(-(dim+1)) / |D| * int_B (x_a - z_a) f_I(z) dz,
 
-    B = t*x + (1-t)*D, which _box_integral evaluates for all x at once.
-    Per t-node the plain window matrix of every axis and the moment
-    window matrix of every axis some index uses are built once; the
-    moment box of axis a swaps in that axis's moment matrix.
+    B = t*x + (1-t)*D.  The integrand is separable, so for each index I
+    and each a in I this is one box integral: the lever matrix of axis a
+    (scaled by the t-node's prefactor) on axis a and the plain window
+    matrix on every other axis.  Each axis's plain matrices, and the
+    lever matrices of every axis some index uses, are built for all
+    t-nodes in one call.
     """
     dom = omega.domain
     k = omega.degree
-    mesh = dom.meshgrid()
     nodes, wts = gauss01(t_nodes)
-    moment_axes = {a for idx in omega.coeffs for a in idx}
+    pref = wts * nodes ** (k - 1) / (dom.volume * (1.0 - nodes) ** (dom.dim + 1))
+    plain = [_box_windows(dom, ax, nodes) for ax in range(dom.dim)]
+    lever = {
+        a: pref[:, None, None] * _lever_windows(dom, a, nodes, plain[a])
+        for a in {a for idx in omega.coeffs for a in idx}
+    }
     out = GridForm(dom, k - 1)
-    for t, w in zip(nodes, wts):
-        pref = w * t ** (k - 1) / (dom.volume * (1.0 - t) ** (dom.dim + 1))
-        plain = [_box_window(dom, ax, t) for ax in range(dom.dim)]
-        moment = {a: _box_window(dom, a, t, "moment") for a in moment_axes}
+    for i in range(len(nodes)):
         for idx, field in omega.coeffs.items():
-            s_box = _box_integral(field, plain)
             for r, a in enumerate(idx):
-                sign = -1.0 if r % 2 else 1.0
-                jdx = idx[:r] + idx[r + 1 :]
-                mats = plain[:a] + [moment[a]] + plain[a + 1 :]
-                t_box = _box_integral(field, mats)
-                out.coeffs[jdx] += (sign * pref) * (mesh[a] * s_box - t_box)
+                mats = [lever[a][i] if ax == a else plain[ax][i] for ax in range(dom.dim)]
+                box = _box_integral(field, mats)
+                acc = out.coeffs[idx[:r] + idx[r + 1 :]]
+                if r % 2:
+                    acc -= box
+                else:
+                    acc += box
     return out
 
 

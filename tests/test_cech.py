@@ -79,8 +79,8 @@ def test_solve_coboundary_round_trip():
     pou = cov.partition_of_unity()
     kappa = _patch_cochain(cov, 1, np.random.default_rng(2))
     lam = coboundary(kappa)
-    back = solve_coboundary(lam, pou)
-    assert back.depth == 1
+    back, res = solve_coboundary(lam, pou)
+    assert back.depth == 1 and res <= 1e-12
     resid = (coboundary(back) - lam).max_abs()
     assert resid <= 1e-12, f"delta(solution) misses the cocycle by {resid:.3e}"
 
@@ -91,7 +91,7 @@ def test_solve_coboundary_depth_one_recovers_global():
     pou = cov.partition_of_unity()
     f = random_form(dom, 1, np.random.default_rng(3))
     lam = coboundary(CechCochain.whole(cov, f))
-    out = solve_coboundary(lam, pou)
+    out, _ = solve_coboundary(lam, pou)
     assert out.depth == 0 and list(out.data) == [((), cov.full)]
     assert (out.data[((), cov.full)] - f).max_abs() <= 1e-12
 
@@ -121,8 +121,8 @@ def test_descend_gives_local_primitives():
     f = random_form(dom, 0, rng, amplitude=3e-6)
     om = exterior_derivative(f)
     cov = circle_cover(dom)
-    xi_list = descend_xi(om, cov)
-    assert len(xi_list) == 1
+    xi_list, residuals = descend_xi(om, cov)
+    assert len(xi_list) == len(residuals) == 1
     # primitives of the same form differ by constants on overlaps
     drift = constant_correction(xi_list[0])[1]["constancy_drift"]
     assert drift <= 1e-6, f"overlap differences drift by {drift:.3e}"
@@ -161,7 +161,7 @@ def test_glue_exact_one_form_circle():
     om = exterior_derivative(f)
     xi, report = glue_primitive(om, circle_cover(dom))
     assert report["relative_residual"] <= 1e-5
-    assert report["stages"] == 1 and report["patches"] == 3
+    assert len(report["stages"]) == 1 and report["patches"] == 3
     # xi and f are both primitives on a connected domain: constant gap
     gap = xi[()] - f[()]
     assert np.ptp(gap) <= 1e-4 * max(np.abs(f[()]).max(), 1.0)
@@ -175,7 +175,12 @@ def test_glue_exact_two_form_torus():
     om = exterior_derivative(eta)
     xi, report = glue_primitive(om, torus_cover(dom))
     assert report["relative_residual"] <= 1e-4
-    assert report["stages"] == 2 and report["patches"] == 4
+    assert len(report["stages"]) == 2 and report["patches"] == 4
+    # four patches at depth 1; sixteen overlap components at depth 2
+    assert [st["patch_solves"] for st in report["stages"]] == [4, 16]
+    for st in report["stages"]:
+        assert 0.0 < st["patch_residual_max"] <= 1e-6
+        assert 0.0 <= st["cocycle_residual"] <= 1e-6
     assert (exterior_derivative(xi) - om).max_abs() <= report["residual"] + 1e-15
 
 

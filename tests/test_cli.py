@@ -13,7 +13,7 @@ import pytest
 
 import cylcoh
 from cylcoh import K_y, box, exterior_derivative
-from cylcoh.cli import main
+from cylcoh.cli import GRID_MAX, main
 from cylcoh.forms import random_form
 
 
@@ -164,21 +164,60 @@ def test_report_byte_identical(tmp_path):
     assert hashlib.md5(path2.read_bytes()).hexdigest() == first
 
 
+def _run_process(tmp_path, path, extra=()):
+    """Run the CLI on a scenario in a child process, where a hang or a
+    huge allocation can be cut by the timeout."""
+    src = str(Path(cylcoh.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "cylcoh", "--scenario", str(path), "--out", str(tmp_path)]
+        + list(extra),
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
 def test_oversized_resolution_is_a_schema_error(tmp_path):
     # 1e+308 is an integer to JSON Schema; without a maximum region_grid
     # would walk a 1e308 x 1e308 grid, so run it where a hang can be cut
     p = _write(tmp_path, "huge.json", {"command": "region", "n": 4, "k": 3,
                                        "lambda": 2, "resolution": 1e308})
     assert '"resolution": 1e+308' in p.read_text()
-    src = str(Path(cylcoh.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cylcoh", "--scenario", str(p), "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
+    proc = _run_process(tmp_path, p)
     assert proc.returncode == 1
     assert "schema error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        {"command": "glue", "surface": "cylinder-s1", "grid": [10**6 + 1, 10**6],
+         "degree": 1},
+        {"command": "homotopy-check", "degree": 1,
+         "domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 2, "grid": [10**6, 10**6]}},
+    ],
+    ids=["top-level", "domain"],
+)
+def test_oversized_grid_is_a_schema_error(tmp_path, sc):
+    # a 10^6-point axis would ask for terabytes of fields: the schema
+    # refuses it before any handler runs, so no report is written
+    p = _write(tmp_path, "huge.json", sc)
+    proc = _run_process(tmp_path, p)
+    assert proc.returncode == 1
+    assert "schema error" in proc.stderr and str(GRID_MAX) in proc.stderr
+    assert not (tmp_path / "huge.report.json").exists()
+
+
+def test_grid_scale_beyond_maximum_is_an_error(tmp_path):
+    # 129 nodes scaled by 4 is 513 > GRID_MAX: the handler stops before
+    # sampling a field and the run gets an error report
+    sc = dict(BOX33, grid=[33, 129])
+    p = _write(tmp_path, "scaled.json",
+               {"command": "homotopy-check", "degree": 1, "domain": sc})
+    proc = _run_process(tmp_path, p, ["--grid-scale", "4"])
+    assert proc.returncode == 1
+    report = json.loads((tmp_path / "scaled.report.json").read_text())
+    assert f"exceeds {GRID_MAX} points per axis" in report["error"]
 
 
 def test_region_csv_rows(tmp_path):
@@ -246,7 +285,7 @@ def test_glue_small_scenario(tmp_path):
     assert code == 0
     assert report["pass"] is True
     assert report["residual_max"] <= 1e-4
-    assert report["runs"][0]["stages"] == 1
+    assert len(report["runs"][0]["stages"]) == 1
 
 
 def test_glue_divergent_beta_refuses(tmp_path):

@@ -15,7 +15,13 @@ from cylcoh import (
     WeightProfile,
 )
 from cylcoh import constants, homotopy, vanishing
-from cylcoh.homotopy import _box_integral, _box_window, cone_pullback_fiber, DEGREE0_MSG
+from cylcoh.homotopy import (
+    _box_integral,
+    _box_windows,
+    _lever_windows,
+    cone_pullback_fiber,
+    DEGREE0_MSG,
+)
 from cylcoh._interp import point_eval, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
 
@@ -167,12 +173,18 @@ def test_degree0_message():
         K_y(f, [0.5])
 
 
-@pytest.mark.parametrize("moment_axis", [None, 0, 1, 2])
+@pytest.mark.parametrize(
+    "axis, weight",
+    [pytest.param(None, None, id="None")]
+    + [pytest.param(a, "moment", id=str(a)) for a in range(3)]
+    + [pytest.param(a, "lever", id=f"lever{a}") for a in range(3)],
+)
 @pytest.mark.parametrize("t", [0.03, 0.5, 0.97])
-def test_box_integral_exact_on_multilinear(t, moment_axis):
+def test_box_integral_exact_on_multilinear(t, axis, weight):
     # the window integrals are exact for the piecewise-linear interpolant,
     # which reproduces a multilinear field: compare with the closed form
-    # sum_e c_e prod_a int_{L_a}^{U_a} s^(e_a + [a == moment_axis]) ds
+    # sum_e c_e prod_a int_{L_a}^{U_a} w_a(s) s^e_a ds, where w_a is 1,
+    # or s (moment) or x_a - s (lever) on the weighted axis
     rng = np.random.default_rng(11)
     bounds = [[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]]
     dom = box(bounds, [9, 7, 5])
@@ -182,27 +194,41 @@ def test_box_integral_exact_on_multilinear(t, moment_axis):
         coef[e] * np.prod([mesh[a] ** e[a] for a in range(3)], axis=0)
         for e in itertools.product(range(2), repeat=3)
     )
-    mats = [
-        _box_window(dom, a, t, "moment" if a == moment_axis else None)
-        for a in range(3)
-    ]
+    mats = []
+    for a in range(3):
+        plain = _box_windows(dom, a, [t])
+        if a != axis:
+            mats.append(plain[0])
+        elif weight == "moment":
+            mats.append(_box_windows(dom, a, [t], "moment")[0])
+        else:
+            mats.append(_lever_windows(dom, a, [t], plain)[0])
     got = _box_integral(field, mats)
+
+    def power(a, n):
+        low = t * mesh[a] + (1.0 - t) * bounds[a][0]
+        up = t * mesh[a] + (1.0 - t) * bounds[a][1]
+        return (up**n - low**n) / n
 
     ref = 0.0
     for e in itertools.product(range(2), repeat=3):
         term = coef[e]
-        for a, (lo, hi) in enumerate(bounds):
-            n = e[a] + (a == moment_axis) + 1
-            low = t * mesh[a] + (1.0 - t) * lo
-            up = t * mesh[a] + (1.0 - t) * hi
-            term = term * (up**n - low**n) / n
+        for a in range(3):
+            n = e[a] + 1
+            if a != axis:
+                term = term * power(a, n)
+            elif weight == "moment":
+                term = term * power(a, n + 1)
+            else:
+                term = term * (mesh[a] * power(a, n) - power(a, n + 1))
         ref = ref + term
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_a_alpha_builds_window_matrices_once_per_t_node(monkeypatch):
-    # per t-node: one plain matrix per axis, one moment matrix per axis
-    # that some index uses (all three for degree 2 in 3-D)
+def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
+    # one build per axis for all t-nodes: the plain matrices of every
+    # axis and the moment matrices of every axis that some index uses
+    # (all three for degree 2 in 3-D)
     calls = []
     build = homotopy.window_matrix
 
@@ -213,8 +239,10 @@ def test_a_alpha_builds_window_matrices_once_per_t_node(monkeypatch):
     monkeypatch.setattr(homotopy, "window_matrix", counted)
     dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
     om = random_form(dom, 2, np.random.default_rng(3))
-    A_alpha(om, WeightProfile.constant(1.0), t_nodes=4)
-    assert len(calls) == (dom.dim + 3) * 4
+    for t_nodes in (4, 16):
+        calls.clear()
+        A_alpha(om, WeightProfile.constant(1.0), t_nodes=t_nodes)
+        assert len(calls) == 2 * dom.dim, f"t_nodes={t_nodes}"
 
 
 def test_fixed_rules_are_read_only_and_match_fresh_builds():
