@@ -31,6 +31,9 @@ from .vanishing import (admissible_region, powerlaw_exponents, CriterionInput,
 # README, the tests and the acceptance ladders use (129)
 GRID_MAX = 257
 GRID_ITEMS = {"type": "integer", "minimum": 3, "maximum": GRID_MAX}
+# an exponent is a number >= 1 or a string Fraction reads: "5/2" or "2.5"
+EXPONENT = {"anyOf": [{"type": "number", "minimum": 1},
+                      {"type": "string", "pattern": r"^[0-9]+(\.[0-9]+|/[0-9]+)?$"}]}
 
 SCHEMA = {
     "type": "object",
@@ -52,8 +55,8 @@ SCHEMA = {
         "amplitude": {"type": "number", "minimum": 0},
         "resolution": {"type": "integer", "minimum": 1, "maximum": 512},
         "n": {"type": "integer", "minimum": 1},
-        "p": {"type": ["number", "string"]},
-        "q": {"type": ["number", "string"]},
+        "p": EXPONENT,
+        "q": EXPONENT,
         "surface": {"enum": ["cylinder-s1", "cylinder-t2"]},
         "grid": {"type": "array", "items": GRID_ITEMS},
         "mode": {"enum": ["identity", "averaged"]},

@@ -8,7 +8,9 @@ literally on the sample grid.  A numeric divergence detector (dyadic
 shells toward the singular end) bridges the two: it classifies the
 power-law integrals by quadrature alone, so the exact region can be
 cross-checked without reusing its arithmetic.  Every shell uses the same
-Gauss-Legendre rule, SHELL_RULE, built once at import.
+Gauss-Legendre rule, SHELL_RULE, built once at import, and each shell
+integral is one array evaluation over all shells; so is the p-bar sweep
+of the literal route, one array power for all its exponents.
 
 The worked power-law example in the source text pins the inequality
 orientation: the admissible window is
@@ -33,6 +35,7 @@ SHELL_RULE = read_only(gauss01(SHELL_NODES))
 BLOWUP = 1e6
 SLOPE_TOL = 1e-4
 PBAR_POINTS = 33
+PBAR_NORM = "||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"
 # the region's strict inequalities, the ones a quadrature has to estimate
 STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
@@ -144,9 +147,7 @@ class AdmissibleRegion:
             return False
         checks = self._checks(p, q)
         for name, slack in checks.items():
-            if slack == INF:
-                return False
-            if slack == -INF:
+            if slack in (INF, -INF):
                 return False
             if name in STRICT_CHECKS:
                 if not slack > 0:
@@ -240,8 +241,7 @@ class CriterionInput:
         if isinstance(warp, WeightProfile):
             s_prof = g_prof = warp
         elif isinstance(warp, (tuple, list)) and len(warp) == 2 and all(
-            isinstance(w, WeightProfile) for w in warp
-        ):
+                isinstance(w, WeightProfile) for w in warp):
             s_prof, g_prof = warp
         else:
             if math.isinf(self.b):
@@ -257,16 +257,13 @@ class CriterionInput:
             g_prof = WeightProfile.sampled_t(ts, h.min(axis=fiber_axes))
         if not (s_prof.t_only and g_prof.t_only):
             raise ValueError("twisting profiles must be functions of t")
-        if s_prof.kind == "powerlaw" and g_prof.kind == "powerlaw":
-            if s_prof.lam < g_prof.lam:
-                raise ValueError("s must dominate g: lam_s >= lam_g required")
-        elif s_prof.kind == "sampled-t" and g_prof.kind == "sampled-t":
-            if np.array_equal(s_prof.tcoords, g_prof.tcoords) and (
-                s_prof.samples < g_prof.samples - 1e-12
-            ).any():
-                raise ValueError("s must dominate g pointwise")
-        self.s = s_prof
-        self.g = g_prof
+        if s_prof.kind == g_prof.kind == "powerlaw" and s_prof.lam < g_prof.lam:
+            raise ValueError("s must dominate g: lam_s >= lam_g required")
+        if (s_prof.kind == g_prof.kind == "sampled-t"
+                and np.array_equal(s_prof.tcoords, g_prof.tcoords)
+                and (s_prof.samples < g_prof.samples - 1e-12).any()):
+            raise ValueError("s must dominate g pointwise")
+        self.s, self.g = s_prof, g_prof
         if math.isinf(self.b) and s_prof.kind != "powerlaw":
             raise ValueError("infinite b needs power-law profiles (symbolic mode)")
         self.hdr_zero = hdr_zero
@@ -281,21 +278,20 @@ def _shell_integral(fn, a, b):
 
     Shell j covers [b - eps_j, b - eps_{j+1}] with eps_j = (b-a) 2^{-j};
     for (b - t)^(-mu) the shell mass ratio is 2^{mu-1}, so the fitted
-    slope 1 + log2(ratio) recovers mu and mu >= 1 flags divergence.
+    slope 1 + log2(ratio) recovers mu and mu >= 1 flags divergence.  All
+    shells are one array evaluation: fn is called once, on the
+    (SHELLS, SHELL_NODES) array of every shell's nodes, and one row sum
+    gives the masses; the total adds them left to right.
     """
     nodes, wts = SHELL_RULE
-    masses = []
-    width = b - a
-    for j in range(SHELLS):
-        hi = b - width * 0.5 ** (j + 1)
-        lo = b - width * 0.5**j
-        ts = lo + (hi - lo) * nodes
-        masses.append(float(np.sum(fn(ts) * wts) * (hi - lo)))
+    ends = b - (b - a) * 0.5 ** np.arange(SHELLS + 1)
+    widths = ends[1:] - ends[:-1]
+    ts = ends[:-1, None] + widths[:, None] * nodes
+    masses = ((fn(ts) * wts).sum(axis=1) * widths).tolist()
     total = sum(masses)
     if masses[-2] <= 0:
         return total, -INF
-    slope = 1.0 + math.log2(masses[-1] / masses[-2])
-    return total, slope
+    return total, 1.0 + math.log2(masses[-1] / masses[-2])
 
 
 def _divergent_at_b(fn, a, b):
@@ -315,10 +311,16 @@ def _powerlaw_conditions(inp):
     u = n / q - k + 2.0
     v = k - n / p
     s, g = inp.s, inp.g
+    su = None
+
+    def s_pow(ts):  # I2 reuses the s^u that I1 takes on the same shell nodes
+        nonlocal su
+        su = s.eval_t(ts) ** u
+        return su
 
     rows = (
-        ("I1: int s^(n/q-k+2) divergent", lambda ts: s.eval_t(ts) ** u, u),
-        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * s.eval_t(ts) ** u, u),
+        ("I1: int s^(n/q-k+2) divergent", s_pow, u),
+        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * su, u),
         ("I3: int g^(k-n/p) divergent", lambda ts: g.eval_t(ts) ** v, v),
     )
     conds = {}
@@ -333,24 +335,28 @@ def _sampled_conditions(inp):
 
     A sampled warp h reaches here as its fiber max s and min g; a power
     of h is monotone in h, so its fiber max and min are powers of s or g.
+    Each profile is read once; the p-bar sweep's finite-r sums take one power.
     """
     n, k, p, q = inp.n, inp.k, inp.p, inp.q
-    ts = inp.s.tcoords if inp.s.kind == "sampled-t" else None
-    if ts is None:
-        ts = np.linspace(inp.a, inp.b, 257)[:-1]
-    sv = inp.s.eval_t(ts)
-    gv = inp.g.eval_t(ts)
-    F = [np.maximum(sv ** (n / q - (k - 2)), gv ** (n / q - (k - 2))),
-         np.maximum(sv ** (n / q - (k - 1)), gv ** (n / q - (k - 1)))]
-    f = [np.minimum(sv ** (n / p - (k - 1)), gv ** (n / p - (k - 1))),
-         np.minimum(sv ** (n / p - k), gv ** (n / p - k))]
+    ts = inp.s.tcoords if inp.s.kind == "sampled-t" else np.linspace(inp.a, inp.b, 257)[:-1]
 
-    big_f = np.maximum(F[0], F[1])
-    small_f = np.minimum(f[0], f[1])
-    dt = np.gradient(ts)
+    def read(prof):
+        # np.interp returns a sampled-t profile's samples unchanged at its own nodes
+        return prof.samples if prof.kind == "sampled-t" and prof.tcoords is ts else prof.eval_t(ts)
+
+    sv = read(inp.s)
+    profiles = sv[None] if inp.g is inp.s else np.stack((sv, read(inp.g)))
+    expo = np.array([n / q - (k - 2), n / q - (k - 1), n / p - (k - 1), n / p - k])
+    powers = profiles[:, None, :] ** expo[:, None]
+    big_f = powers[:, :2].max(axis=(0, 1))
+    small_f = powers[:, 2:].min(axis=(0, 1))
+    # np.gradient(ts): central differences inside, one-sided at the ends
+    dt = np.empty_like(ts)
+    dt[1:-1] = (ts[2:] - ts[:-2]) / 2.0
+    dt[0], dt[-1] = ts[1] - ts[0], ts[-1] - ts[-2]
 
     def finite(x):
-        return bool(np.isfinite(x)) and x <= BLOWUP
+        return math.isfinite(x) and x <= BLOWUP
 
     n1 = float(np.sum(big_f**q * dt)) ** (1.0 / q)
     n2 = float(np.sum((ts * big_f) ** q * dt)) ** (1.0 / q)
@@ -360,26 +366,19 @@ def _sampled_conditions(inp):
     }
 
     inv = 1.0 / small_f
-    witnesses = []
-    best = None
-    for pbar in np.linspace(1.0, p, PBAR_POINTS):
-        if pbar >= p - 1e-12:
-            val = float(inv.max())
-        else:
-            r = p * pbar / (p - pbar)
-            # overflow to inf is the signal here, not an error
-            with np.errstate(over="ignore"):
-                val = float(np.sum(inv**r * dt)) ** (1.0 / r)
-        if finite(val):
-            witnesses.append(float(pbar))
-            if best is None or val < best[1]:
-                best = (float(pbar), val)
-    conds["||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"] = {
-        "holds": bool(witnesses),
-        "witness_pbar": best[0] if best else None,
-        "value": best[1] if best else INF,
-        "witness_count": len(witnesses),
-    }
+    pbars = np.linspace(1.0, p, PBAR_POINTS)
+    # pbar within 1e-12 of p takes the sup norm; the rest a finite r
+    below = pbars[pbars < p - 1e-12]
+    r = p * below / (p - below)
+    # overflow to inf is the signal here, not an error
+    with np.errstate(over="ignore"):
+        sums = (inv ** r[:, None] * dt).sum(axis=1)
+    vals = [s ** (1.0 / rr) for s, rr in zip(sums.tolist(), r.tolist())]
+    vals += [float(inv.max())] * (PBAR_POINTS - len(vals))
+    witnesses = [(pbar, val) for pbar, val in zip(pbars.tolist(), vals) if finite(val)]
+    best = min(witnesses, key=lambda w: w[1]) if witnesses else (None, INF)
+    conds[PBAR_NORM] = {"holds": bool(witnesses), "witness_pbar": best[0], "value": best[1],
+                        "witness_count": len(witnesses)}
     return conds
 
 
@@ -399,25 +398,17 @@ def criterion_check(inp):
     if not gates["gate"]:
         failed.append("gate 1/p - 1/q < (q-1)/(q(n+1)) violated")
 
+    pbar_witnesses = None
     if math.isinf(inp.b):
         conds = {}
-        failed.append(
-            "b is infinite: conditions I1-I3 cannot hold simultaneously"
-        )
+        failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
         pbar_witnesses = []
     elif inp.powerlaw and inp.s.lam > 0:
         conds = _powerlaw_conditions(inp)
-        for name, c in conds.items():
-            if not c["holds"]:
-                failed.append(name + " does not hold")
-        pbar_witnesses = None
     else:
         conds = _sampled_conditions(inp)
-        for name, c in conds.items():
-            if not c["holds"]:
-                failed.append(name + " does not hold")
-        last = conds["||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"]
-        pbar_witnesses = last["witness_count"]
+        pbar_witnesses = conds[PBAR_NORM]["witness_count"]
+    failed += [name + " does not hold" for name, c in conds.items() if not c["holds"]]
 
     conditional = False
     if inp.hdr_zero is False:

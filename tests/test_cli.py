@@ -8,12 +8,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
 import cylcoh
 from cylcoh import K_y, box, exterior_derivative
-from cylcoh.cli import GRID_MAX, main
+from cylcoh.cli import GRID_MAX, SCHEMA, main
 from cylcoh.forms import random_form
 
 
@@ -66,6 +67,24 @@ def test_zero_denominator_reports_error(tmp_path, capsys):
     assert code == 1
     assert "zero denominator" in report["error"]
     assert "vanish failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("p", "two"), ("q", 0.5)])
+def test_exponent_outside_schema(tmp_path, capsys, field, value):
+    sc = {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": "5/2",
+          "warp": {"kind": "powerlaw", "lam": 2.0}}
+    sc[field] = value
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and report is None
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_readme_scenarios_validate():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = readme.split("```json\n")[1:]
+    assert len(blocks) >= 5
+    for block in blocks:
+        jsonschema.validate(json.loads(block.split("```")[0]), SCHEMA)
 
 
 def test_malformed_bounds_reports_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from cylcoh import (
     region_grid,
     sphere_hdr_zero,
 )
-from cylcoh.vanishing import _divergent_at_b
+from cylcoh.vanishing import SHELL_RULE, SHELLS, _divergent_at_b, _shell_integral
 
 
 def test_powerlaw_exponents_exact():
@@ -44,6 +44,36 @@ def test_shell_detector_matches_exponent_arithmetic():
             continue
         div, total, slope = _divergent_at_b(lambda ts: (1.0 - ts) ** -mu, 0.0, 1.0)
         assert div == (mu >= 1.0), f"mu={mu}: divergent={div}, slope={slope}"
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.9, 1.0, 1.5, 3.0])
+def test_shell_integral_closed_form(mu):
+    # shell j of (0, 1) is [1 - eps_j, 1 - eps_{j+1}] with eps_j = 2^-j, where
+    # (1-t)^(-mu) integrates to (eps_j^(1-mu) - eps_{j+1}^(1-mu))/(1-mu), or
+    # log(eps_j/eps_{j+1}) at mu = 1; successive masses differ by 2^(mu-1)
+    eps = [2.0**-j for j in range(SHELLS + 1)]
+    if mu == 1.0:
+        want = sum(math.log(eps[j] / eps[j + 1]) for j in range(SHELLS))
+    else:
+        want = sum((eps[j] ** (1 - mu) - eps[j + 1] ** (1 - mu)) / (1 - mu)
+                   for j in range(SHELLS))
+    total, slope = _shell_integral(lambda ts: (1.0 - ts) ** -mu, 0.0, 1.0)
+    assert abs(total - want) <= 1e-12 * want
+    assert abs(slope - mu) <= 1e-12
+
+
+def test_shell_integral_matches_shell_loop():
+    # reference: one shell at a time; the array evaluation does the same
+    # arithmetic per element, so the results agree exactly
+    nodes, wts = SHELL_RULE
+    for fn, a, b in [(lambda ts: (1.0 - ts) ** -1.5, 0.0, 1.0),
+                     (lambda ts: ts * (2.0 - ts) ** -0.7, -1.0, 2.0)]:
+        masses = []
+        for j in range(SHELLS):
+            lo, hi = b - (b - a) * 0.5**j, b - (b - a) * 0.5 ** (j + 1)
+            masses.append(float(np.sum(fn(lo + (hi - lo) * nodes) * wts) * (hi - lo)))
+        want = (sum(masses), 1.0 + math.log2(masses[-1] / masses[-2]))
+        assert _shell_integral(fn, a, b) == want
 
 
 def test_region_window_fractions():
@@ -155,6 +185,37 @@ def test_criterion_sampled_detects_collapse():
     assert rep["verdict"] == "HYPOTHESES-FAIL"
     assert any("for some pbar" in f for f in rep["failed"])
     assert rep["pbar_witnesses"] == 0
+
+
+N1 = "||max(F_{k-2,q},F_{k-1,q})||_q finite"
+N2 = "||t max(F_{k-2,q},F_{k-1,q})||_q finite"
+PBAR = "||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"
+LINEAR_T = np.linspace(0.0, 1.0, 257)[:-1]
+GRADED_T = 1.0 - 2.0 ** (-12.0 * np.arange(257) / 256)
+# (n, k, p, warp, hdr_zero) and the report of the loop-per-pbar sampled route
+SAMPLED_CASES = {
+    "flat": ((2, 1, 2.0, np.ones((65, 9)), None),
+             "VANISHES", [], 1.0077822185373186, 0.5841117388287107, 1.0, 33, 2.0),
+    "collapse": ((4, 1, 2.0, WeightProfile.sampled_t(LINEAR_T, (1.0 - LINEAR_T) ** 2), True),
+                 "HYPOTHESES-FAIL", [PBAR + " does not hold"],
+                 0.3362653840770698, 0.04494665732488643, math.inf, 0, None),
+    "graded-lam1": ((2, 1, 21.0, WeightProfile.sampled_t(GRADED_T, (1.0 - GRADED_T) ** -1.0), True),
+                    "VANISHES", [], 5340.471933359466, 5339.125865176125,
+                    6.235373748634842, 27, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
+def test_criterion_sampled_reports_pinned(case):
+    (n, k, p, warp, hdr), verdict, failed, n1, n2, value, count, witness = SAMPLED_CASES[case]
+    rep = criterion_check(CriterionInput(n, k, p, p, (0.0, 1.0), warp, hdr_zero=hdr))
+    assert rep["verdict"] == verdict and rep["failed"] == failed
+    conds = rep["conditions"]
+    assert conds[N1]["value"] == pytest.approx(n1, rel=1e-12)
+    assert conds[N2]["value"] == pytest.approx(n2, rel=1e-12)
+    assert conds[PBAR]["value"] == pytest.approx(value, rel=1e-12)
+    assert conds[PBAR]["witness_count"] == rep["pbar_witnesses"] == count
+    assert conds[PBAR]["witness_pbar"] == witness
 
 
 def test_criterion_de_rham_flag():

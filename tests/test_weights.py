@@ -38,6 +38,13 @@ def test_positivity_enforced():
         WeightProfile.sampled_t([0, 1], [1.0, 0.0])
 
 
+def test_sampled_t_needs_increasing_t():
+    # np.interp reads its nodes in increasing order only
+    for t in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            WeightProfile.sampled_t(t, [1.0, 2.0, 3.0])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-3, 3, allow_nan=False), st.floats(0.25, 4))
 def test_pow_exponent_arithmetic(lam, e):
