@@ -6,14 +6,15 @@ finite differences of interpolated quantities stay second-order
 accurate; axes shorter than 4 nodes fall back to linear.  Every
 whole-grid operation is one dense matrix per axis, applied axis by axis
 (sum factorisation): the cubic stencils for evaluation at scaled points,
-and window matrices for integrals over per-point intervals.  The window
+and window matrices for integrals over per-point intervals.  The stencil
+matrices of every t-node of a cone come from one stencil build per axis,
+so a caller builds them once and applies them to every field, through a
+pair of reusable grid-sized buffers rather than fresh arrays.  The window
 matrices integrate the piecewise-linear interpolant, optionally against
 the coordinate or a power-law factor, exactly; this keeps the
 uniform-weight averaging pipeline exact on multilinear coefficient
 fields.
 """
-
-import itertools
 
 import numpy as np
 
@@ -56,68 +57,66 @@ def _axis_stencil(domain, ax, coords):
     return idx, wts
 
 
-def point_eval(field, domain, pts):
-    """Evaluate a sampled scalar field at points of shape (m, dim) or (dim,)."""
-    pts = np.asarray(pts, dtype=float)
-    squeeze = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    stencils = [_axis_stencil(domain, ax, pts[:, ax]) for ax in range(domain.dim)]
-    out = np.zeros(pts.shape[0])
-    for taps in itertools.product(*[range(len(s[0])) for s in stencils]):
-        w = np.ones(pts.shape[0])
-        ix = []
-        for ax, tap in enumerate(taps):
-            idx, wts = stencils[ax]
-            w = w * wts[tap]
-            ix.append(idx[tap])
-        out += w * field[tuple(ix)]
-    return out[0] if squeeze else out
+def scaled_axis_matrices(domain, ax, y, nodes):
+    """The interpolation along ax at t*x_a + (1-t)*y[ax], one matrix per t.
 
-
-def _axis_matrix(domain, ax, coords):
-    """The interpolation at coords along one axis, as a dense matrix.
-
-    Returns (mat, cols): row r of mat holds the stencil weights of
-    coords[r] on the nodes in cols, the narrowest node range that any
-    stencil touches, so mat @ v[cols] interpolates the node vector v at
-    every coordinate.
+    The stencils of all t-nodes come from one _axis_stencil call on the
+    (len(nodes), m) scaled coordinates.  Returns a list of (mat, cols),
+    one per t in nodes: row r of mat holds the stencil weights of grid
+    point r on the nodes in cols, the narrowest node range that any of
+    that t-node's stencils touches, so mat @ v[cols] interpolates the
+    node vector v at every scaled coordinate.
     """
-    idx, wts = _axis_stencil(domain, ax, coords)
-    lo = int(idx.min())
-    mat = np.zeros((idx.shape[1], int(idx.max()) + 1 - lo))
-    rows = np.arange(idx.shape[1])
+    xs = domain.axis_coords(ax)
+    t = np.asarray(nodes, dtype=float)[:, None]
+    stencil = _axis_stencil(domain, ax, (t * xs + (1.0 - t) * y[ax]).ravel())
+    # (taps, t-nodes * m) -> per t-node (taps, m)
+    idx, wts = (a.reshape(len(a), -1, xs.size).swapaxes(0, 1) for a in stencil)
+    rows = np.arange(xs.size)
+    out = []
     for i, w in zip(idx, wts):
-        mat[rows, i - lo] += w
-    return mat, slice(lo, lo + mat.shape[1])
+        lo = int(i.min())
+        mat = np.zeros((xs.size, int(i.max()) + 1 - lo))
+        # the taps of one row sit on distinct nodes, so each entry is set once
+        mat[rows, i - lo] = w
+        out.append((mat, slice(lo, lo + mat.shape[1])))
+    return out
 
 
-def apply_axis_matrix(values, mat):
+def apply_axis_matrix(values, mat, out=None):
     """Apply a linear map to the leading axis of values.
 
     mat has one column per leading-axis entry: an interpolation matrix
-    from _axis_matrix or a window matrix from window_matrix.  The mapped
-    axis moves to the end, so applying the matrices of all axes in turn
-    (sum factorisation) restores the axis order, and each step is a
-    single matrix product over contiguous memory.
+    from scaled_axis_matrices or a window matrix from window_matrix.  The
+    mapped axis moves to the end, so applying the matrices of all axes in
+    turn (sum factorisation) restores the axis order, and each step is a
+    single matrix product over contiguous memory.  out, if given, is a
+    flat buffer, not overlapping values, whose leading entries receive
+    the product in place of a new array.
     """
-    out = values.reshape(values.shape[0], -1).T @ mat.T
+    flat = values.reshape(values.shape[0], -1).T
+    if out is not None:
+        out = out[: flat.shape[0] * mat.shape[0]].reshape(flat.shape[0], -1)
+    out = np.matmul(flat, mat.T, out=out)
     return out.reshape(values.shape[1:] + (mat.shape[0],))
 
 
-def scaled_eval(field, domain, y, t):
-    """Field values at t*x + (1-t)*y for every grid point x, separably.
+def scaled_eval(field, mats, work):
+    """Field values at t*x + (1-t)*y for every grid point x, separably,
+    given one t-node's (mat, cols) per axis from scaled_axis_matrices.
 
     The points fill the box t*D + (1-t)*y, so the field is first cut down
     to the nodes their stencils reach; the matrix products then cost about
-    t times the full-grid ones per axis.
+    t times the full-grid ones per axis.  work is a pair of flat buffers
+    of the grid's size that the cut field and each product take in turn,
+    so a call allocates no grid-sized array; the result is a view of one
+    of them, valid until the next call with the same work.
     """
-    mats = [
-        _axis_matrix(domain, ax, t * domain.axis_coords(ax) + (1.0 - t) * y[ax])
-        for ax in range(domain.dim)
-    ]
-    out = field[tuple(cols for _, cols in mats)]
-    for mat, _ in mats:
-        out = apply_axis_matrix(out, mat)
+    crop = field[tuple(cols for _, cols in mats)]
+    out = work[0][: crop.size].reshape(crop.shape)
+    out[...] = crop
+    for i, (mat, _) in enumerate(mats, 1):
+        out = apply_axis_matrix(out, mat, work[i % 2])
     return out
 
 

@@ -6,10 +6,18 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
     (psi_y^* omega)_1 = t^(k-1) sum_I f_I(psi) sum_r (-1)^(r-1)
                          (x_{i_r} - y_{i_r}) dx_{I minus i_r}
 
-and K_y omega integrates it over t in [0,1].  A_alpha averages K_y over
-centers y against a unit-mass weight; for a uniform weight the y-integral
-collapses, after the substitution z = t*x + (1-t)*y, to box integrals of
-(x_a - z_a) f_I(z) over t*x + (1-t)*D.  Those are separable: one window
+and K_y omega integrates it over t in [0,1] by Gauss-Legendre.  The
+stencil matrices that evaluate a field at t*x + (1-t)*y depend only on
+the axis, the t-node and y, so K_y builds each axis's matrices for all
+t-nodes once per call, with the quadrature weight w_t t^(k-1) folded into
+the last axis's matrices, and applies them to every coefficient; the
+factor x_a - y_a multiplies the t-integral afterwards, as a 1-D array
+broadcast along axis a.
+
+A_alpha averages K_y over centers y against a unit-mass weight; for a
+uniform weight the y-integral collapses, after the substitution
+z = t*x + (1-t)*y, to box integrals of (x_a - z_a) f_I(z) over
+t*x + (1-t)*D.  Those are separable: one window
 matrix per axis, applied in turn, evaluates them for every x at once,
 with the lever matrix x_a * P - M (plain and moment window matrices) on
 axis a folding the factor x_a - z_a into a single box integral.  The
@@ -22,7 +30,7 @@ module constants.
 
 import numpy as np
 
-from ._interp import apply_axis_matrix, point_eval, scaled_eval, window_matrix
+from ._interp import apply_axis_matrix, scaled_axis_matrices, scaled_eval, window_matrix
 from .forms import GridForm
 from .weights import WeightProfile
 
@@ -58,33 +66,13 @@ def _inside(domain, pt):
     )
 
 
-def cone_pullback_fiber(omega, y, x, t):
-    """Coefficients of (psi_y^* omega)_1 at the point x, parameter t.
-
-    Returns a dict over increasing multi-indices of length k-1.
-    """
-    dom = omega.domain
-    _require_box(dom, "cone pullback")
-    if omega.degree == 0:
-        raise ValueError(DEGREE0_MSG)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not _inside(dom, x) or not _inside(dom, y):
-        raise ValueError("x or y outside domain")
-    psi = t * x + (1.0 - t) * y
-    tk = t ** (omega.degree - 1)
-    out = {}
-    for idx, field in omega.coeffs.items():
-        val = point_eval(field, dom, psi)
-        for r, a in enumerate(idx):
-            sign = -1.0 if r % 2 else 1.0
-            jdx = idx[:r] + idx[r + 1 :]
-            out[jdx] = out.get(jdx, 0.0) + sign * tk * val * (x[a] - y[a])
-    return out
-
-
 def K_y(omega, y, t_nodes=32):
-    """Cone homotopy operator: degree k -> k-1, K_y d + d K_y = id."""
+    """Cone homotopy operator: degree k -> k-1, K_y d + d K_y = id.
+
+    Each axis's stencil matrices for all t_nodes come from one build per
+    call, with the quadrature weight w_t t^(k-1) folded into the last
+    axis's, and serve every coefficient.
+    """
     dom = omega.domain
     _require_box(dom, "K_y")
     if omega.degree == 0:
@@ -93,18 +81,23 @@ def K_y(omega, y, t_nodes=32):
     if not _inside(dom, y):
         raise ValueError("x or y outside domain")
     nodes, wts = gauss01(t_nodes)
-    mesh = dom.meshgrid()
+    mats = [scaled_axis_matrices(dom, ax, y, nodes) for ax in range(dom.dim)]
+    for (mat, _), w in zip(mats[-1], wts * nodes ** (omega.degree - 1)):
+        mat *= w
+    # reused grid-sized buffers: fresh arrays per t-node let malloc hand
+    # their pages back to the system and fault them in again
+    work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
+    fint = np.empty(dom.grid)
     out = GridForm(dom, omega.degree - 1)
     for idx, field in omega.coeffs.items():
         # (x_a - y_a) does not depend on t, so integrate f_I(psi) first
-        fint = sum(
-            (w * t ** (omega.degree - 1)) * scaled_eval(field, dom, y, t)
-            for t, w in zip(nodes, wts)
-        )
+        fint[...] = 0.0
+        for node_mats in zip(*mats):
+            fint += scaled_eval(field, node_mats, work)
         for r, a in enumerate(idx):
-            sign = -1.0 if r % 2 else 1.0
-            jdx = idx[:r] + idx[r + 1 :]
-            out.coeffs[jdx] += sign * fint * (mesh[a] - y[a])
+            lever = (dom.axis_coords(a) - y[a]).reshape((-1,) + (1,) * (dom.dim - 1 - a))
+            term = np.multiply(fint, -lever if r % 2 else lever, out=work[0].reshape(dom.grid))
+            out.coeffs[idx[:r] + idx[r + 1 :]] += term
     return out
 
 

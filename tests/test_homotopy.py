@@ -14,16 +14,16 @@ from cylcoh import (
     check_admissible_weight,
     WeightProfile,
 )
-from cylcoh import constants, homotopy, vanishing
+from cylcoh import _interp, constants, homotopy, vanishing
 from cylcoh.homotopy import (
     _box_integral,
     _box_windows,
     _lever_windows,
-    cone_pullback_fiber,
     DEGREE0_MSG,
 )
-from cylcoh._interp import point_eval, scaled_eval
+from cylcoh._interp import scaled_axis_matrices, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
+from oracles import cone_pullback_fiber, point_eval
 
 
 def test_pullback_one_form():
@@ -129,8 +129,65 @@ def test_scaled_eval_matches_point_eval(t):
     y = np.array([0.3, 1.9, -0.4])
     pts = t * np.stack([c.ravel() for c in dom.meshgrid()], axis=-1) + (1 - t) * y
     want = point_eval(field, dom, pts).reshape(dom.grid)
-    got = scaled_eval(field, dom, y, t)
+    mats = [scaled_axis_matrices(dom, ax, y, [t])[0] for ax in range(dom.dim)]
+    work = (np.empty(field.size), np.empty(field.size))
+    got = scaled_eval(field, mats, work)
     assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "bounds, grid, y",
+    [
+        ([[0, 1], [0, 2], [-1, 1]], [9, 8, 3], [0.3, 1.9, -0.4]),
+        ([[-0.5, 1.0], [0, 2]], [13, 10], [0.8, 0.4]),
+    ],
+    ids=["9x8x3", "13x10"],
+)
+def test_K_y_matches_pointwise_quadrature(bounds, grid, y):
+    # K_y is the Gauss-Legendre sum over t of
+    # t^(k-1) sum_r (-1)^r f_I(t x + (1-t) y) (x_{i_r} - y_{i_r}),
+    # here with f_I evaluated point by point at every grid point x
+    dom = box(bounds, grid)
+    y = np.array(y)
+    xs = np.stack([c.ravel() for c in dom.meshgrid()], axis=-1)
+    nodes, wts = homotopy.gauss01(32)
+    rng = np.random.default_rng(13)
+    for k in range(1, dom.dim + 1):
+        om = GridForm(dom, k)
+        for idx in om.coeffs:
+            om.coeffs[idx] = rng.standard_normal(dom.grid)
+        want = {jdx: np.zeros(xs.shape[0]) for jdx in increasing_indices(dom.dim, k - 1)}
+        for t, w in zip(nodes, wts):
+            for idx, field in om.coeffs.items():
+                val = w * t ** (k - 1) * point_eval(field, dom, t * xs + (1 - t) * y)
+                for r, a in enumerate(idx):
+                    want[idx[:r] + idx[r + 1 :]] += (-1) ** r * val * (xs[:, a] - y[a])
+        got = K_y(om, y)
+        for jdx, ref in want.items():
+            ref = ref.reshape(dom.grid)
+            err = np.abs(got[jdx] - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), f"k={k} {jdx}: {err:.3e}"
+
+
+def test_K_y_builds_stencils_once_per_axis(monkeypatch):
+    # one stencil build per axis for all t-nodes, shared by every
+    # coefficient: a 3-form (1 coefficient) and a 2-form (3) in 3-D
+    calls = []
+    build = _interp._axis_stencil
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(_interp, "_axis_stencil", counted)
+    dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
+    rng = np.random.default_rng(3)
+    for k in (3, 2):
+        om = random_form(dom, k, rng)
+        for t_nodes in (4, 32):
+            calls.clear()
+            K_y(om, [0.4, 0.5, 0.6], t_nodes=t_nodes)
+            assert len(calls) == dom.dim, f"k={k} t_nodes={t_nodes}"
 
 
 @settings(max_examples=15, deadline=None)
