@@ -7,16 +7,8 @@ cover, and an integrability criterion deciding when every exact form on
 a twisted cylinder has a norm-controlled global primitive.
 """
 
-from .domain import DomainSpec, box, cylinder, twisted_cylinder
-from .forms import (
-    GridForm,
-    decompose_cylinder,
-    exterior_derivative,
-    fF_profiles,
-    lp_norm,
-    pointwise_norm,
-    recompose_cylinder,
-)
+from .domain import DomainSpec, box, cylinder
+from .forms import GridForm, exterior_derivative, lp_norm
 from .weights import WeightProfile
 from .homotopy import K_y, A_alpha, check_admissible_weight
 from .constants import (
@@ -38,20 +30,16 @@ from .vanishing import (
     powerlaw_exponents,
     region_grid,
     sphere_hdr_zero,
+    warp_profiles,
 )
 
 __all__ = [
     "DomainSpec",
     "box",
     "cylinder",
-    "twisted_cylinder",
     "GridForm",
     "exterior_derivative",
-    "decompose_cylinder",
-    "recompose_cylinder",
-    "pointwise_norm",
     "lp_norm",
-    "fF_profiles",
     "WeightProfile",
     "K_y",
     "A_alpha",
@@ -77,6 +65,7 @@ __all__ = [
     "powerlaw_exponents",
     "region_grid",
     "sphere_hdr_zero",
+    "warp_profiles",
 ]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .cover import circle_cover, torus_cover
 from .cech import glue_primitive, HypothesisFailure
 from .vanishing import (admissible_region, powerlaw_exponents, CriterionInput,
                         criterion_check, asymptotic_delegate, region_grid,
-                        sphere_hdr_zero)
+                        sphere_hdr_zero, warp_profiles)
 
 # points per grid axis: 257 is one doubling above the finest grid the
 # README, the tests and the acceptance ladders use (129)
@@ -326,10 +326,12 @@ def _parse_warp(sc):
         return (WeightProfile.powerlaw(float(d["lam_s"]), pivot),
                 WeightProfile.powerlaw(float(d["lam_g"]), pivot))
     if kind == "sampled":
-        arr = np.asarray(d["values"], dtype=float)
+        if "t" not in d:
+            raise ValueError('sampled warp needs a "t" array, one entry per row of "values"')
+        h = np.asarray(d["values"], dtype=float)
         if "shape" in d:
-            arr = arr.reshape(d["shape"])
-        return arr
+            h = h.reshape(d["shape"])
+        return warp_profiles(d["t"], h)
     if kind == "profile":
         return WeightProfile.from_dict(d["profile"])
     raise ValueError(f"unknown warp kind {kind!r}")

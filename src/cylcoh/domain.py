@@ -1,4 +1,4 @@
-"""Tensor-grid domains: boxes, product cylinders, twisted cylinders.
+"""Tensor-grid domains: boxes and product cylinders.
 
 Axis 0 of a cylinder is the interval [a, b); the remaining axes form the
 fiber, modeled as a flat torus (periodic axes) or a box.  Non-periodic
@@ -8,7 +8,7 @@ axes on the half-open interval (rectangle rule).
 
 import numpy as np
 
-KINDS = ("box", "cylinder", "twisted-cylinder")
+KINDS = ("box", "cylinder")
 
 
 class DomainSpec:
@@ -17,7 +17,7 @@ class DomainSpec:
     Parameters
     ----------
     kind : str
-        One of "box", "cylinder", "twisted-cylinder".
+        One of "box", "cylinder".
     bounds : sequence of (lo, hi)
         Per-axis intervals; all lengths must be positive and finite.
     grid : sequence of int
@@ -25,11 +25,9 @@ class DomainSpec:
     periodic : sequence of bool, optional
         Periodic (wrap-around) axes.  Defaults to all False.  Axis 0 of
         a cylinder must not be periodic.
-    warp : ndarray, optional
-        Sampled h(t, x) > 0 on the grid; required for twisted cylinders.
     """
 
-    def __init__(self, kind, bounds, grid, periodic=None, warp=None):
+    def __init__(self, kind, bounds, grid, periodic=None):
         if kind not in KINDS:
             raise ValueError(f"unknown domain kind {kind!r}")
         self.kind = kind
@@ -53,36 +51,15 @@ class DomainSpec:
             if m < 3:
                 raise ValueError("need at least 3 samples per axis")
 
-        if kind in ("cylinder", "twisted-cylinder"):
+        if kind == "cylinder":
             if self.dim < 2:
                 raise ValueError("cylinder needs a fiber axis")
             if self.periodic[0]:
                 raise ValueError("cylinder axis 0 cannot be periodic")
 
-        if kind == "twisted-cylinder":
-            if warp is None:
-                raise ValueError("twisted cylinder requires warp samples")
-            warp = np.asarray(warp, dtype=float)
-            if warp.shape != self.grid:
-                raise ValueError(
-                    f"warp shape {warp.shape} does not match grid {self.grid}"
-                )
-            if not (warp > 0).all():
-                raise ValueError("warp samples must be strictly positive")
-        elif warp is not None:
-            raise ValueError("warp only allowed on twisted cylinders")
-        self.warp = warp
-
     @property
     def dim(self):
         return len(self.bounds)
-
-    @property
-    def fiber_dim(self):
-        """Dimension of the fiber N of a cylinder [a,b) x N."""
-        if self.kind == "box":
-            raise ValueError("box has no fiber")
-        return self.dim - 1
 
     def axis_coords(self, ax):
         lo, hi = self.bounds[ax]
@@ -136,26 +113,19 @@ class DomainSpec:
         """Sample a callable fn(*coord_arrays) on the mesh grid."""
         return np.asarray(fn(*self.meshgrid()), dtype=float) * np.ones(self.grid)
 
-    def with_grid(self, grid, warp=None):
-        """Same domain on a different grid (warp must be resampled by caller)."""
-        if self.kind == "twisted-cylinder" and warp is None:
-            raise ValueError("resampled warp required for twisted cylinders")
-        return DomainSpec(self.kind, self.bounds, grid, self.periodic, warp)
+    def with_grid(self, grid):
+        """Same domain on a different grid."""
+        return DomainSpec(self.kind, self.bounds, grid, self.periodic)
 
     def __eq__(self, other):
         if not isinstance(other, DomainSpec):
             return NotImplemented
-        same = (
+        return (
             self.kind == other.kind
             and self.bounds == other.bounds
             and self.grid == other.grid
             and self.periodic == other.periodic
         )
-        if not same:
-            return False
-        if self.warp is None:
-            return other.warp is None
-        return other.warp is not None and np.array_equal(self.warp, other.warp)
 
     def __repr__(self):
         return (
@@ -164,22 +134,16 @@ class DomainSpec:
         )
 
     def to_dict(self):
-        d = {
+        return {
             "kind": self.kind,
             "bounds": [list(b) for b in self.bounds],
             "grid": list(self.grid),
             "periodic": list(self.periodic),
         }
-        if self.warp is not None:
-            d["warp"] = self.warp.ravel().tolist()
-        return d
 
     @classmethod
     def from_dict(cls, d):
-        warp = d.get("warp")
-        if warp is not None:
-            warp = np.asarray(warp, dtype=float).reshape(tuple(d["grid"]))
-        return cls(d["kind"], d["bounds"], d["grid"], d.get("periodic"), warp)
+        return cls(d["kind"], d["bounds"], d["grid"], d.get("periodic"))
 
 
 def box(bounds, grid, periodic=None):
@@ -192,13 +156,3 @@ def cylinder(t_bounds, fiber_bounds, grid, periodic_fiber=True):
     periodic = [False] + [periodic_fiber] * len(fiber_bounds)
     return DomainSpec("cylinder", bounds, grid, periodic)
 
-
-def twisted_cylinder(t_bounds, fiber_bounds, grid, warp, periodic_fiber=True):
-    """Twisted cylinder [a,b) x_h N; warp is a callable h(t, x) or samples."""
-    bounds = [t_bounds, *fiber_bounds]
-    periodic = [False] + [periodic_fiber] * len(fiber_bounds)
-    spec = DomainSpec("cylinder", bounds, grid, periodic)
-    if callable(warp):
-        warp = warp(*spec.meshgrid())
-    warp = np.asarray(warp, dtype=float) * np.ones(spec.grid)
-    return DomainSpec("twisted-cylinder", bounds, grid, periodic, warp)

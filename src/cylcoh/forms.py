@@ -1,13 +1,6 @@
-"""Sampled differential forms, exterior derivative, warped L^p norms.
+"""Sampled differential forms, exterior derivative, weighted L^p norms.
 
-A GridForm stores one coefficient field per increasing multi-index.  On a
-cylinder the t axis is axis 0 and every form splits uniquely as
-
-    omega = omega_A + dt ^ omega_B
-
-where neither part involves dt.  Since dt sits leftmost and 0 precedes all
-fiber indices, the coefficient of omega_B at fiber index I equals the
-coefficient of omega at (0,) + I with no sign flip.
+A GridForm stores one coefficient field per increasing multi-index.
 """
 
 import itertools
@@ -112,7 +105,7 @@ class GridForm:
         return self * -1.0
 
     def max_abs(self):
-        """Sup of the Euclidean coefficient norm over the grid."""
+        """Largest absolute coefficient over the grid, sup_x max_I |f_I(x)|."""
         if not self.coeffs:
             return 0.0
         return float(max(np.abs(f).max() for f in self.coeffs.values()))
@@ -154,74 +147,6 @@ def exterior_derivative(omega):
     return out
 
 
-def decompose_cylinder(omega):
-    """Split omega = omega_A + dt ^ omega_B on a cylinder (t = axis 0).
-
-    Returns (omega_A, omega_B) of degrees (k, k-1); only fiber indices of
-    either part carry nonzero coefficients.
-    """
-    dom = omega.domain
-    if dom.kind == "box":
-        raise ValueError("not a cylinder")
-    if omega.degree == 0:
-        raise ValueError("degree-0 form has no dt part; the split is trivial")
-    omega_a = GridForm(dom, omega.degree)
-    omega_b = GridForm(dom, omega.degree - 1)
-    for idx, field in omega.coeffs.items():
-        if idx[0] == 0:
-            omega_b.coeffs[idx[1:]] = field.copy()
-        else:
-            omega_a.coeffs[idx] = field.copy()
-    return omega_a, omega_b
-
-
-def recompose_cylinder(omega_a, omega_b):
-    """Inverse of decompose_cylinder: omega_A + dt ^ omega_B."""
-    dom = omega_a.domain
-    out = GridForm(dom, omega_a.degree)
-    for idx, field in omega_a.coeffs.items():
-        if not idx or idx[0] != 0:
-            out.coeffs[idx] = field.copy()
-    for idx, field in omega_b.coeffs.items():
-        if not idx or idx[0] != 0:
-            out.coeffs[(0,) + idx] = field.copy()
-    return out
-
-
-def _split_squares(omega):
-    """Sums of squared coefficients of the A and B parts (B = dt-carrying)."""
-    grid = omega.domain.grid
-    a2 = np.zeros(grid)
-    b2 = np.zeros(grid)
-    for idx, field in omega.coeffs.items():
-        if idx and idx[0] == 0:
-            b2 += field * field
-        else:
-            a2 += field * field
-    return a2, b2
-
-
-def pointwise_norm(omega, at=None):
-    """Warped pointwise norm field |omega(t,x)|, or its value at one grid point.
-
-    On a twisted cylinder with warp h this is
-    (h^(-2k) |omega_A|^2 + h^(-2(k+1)) |omega_B|^2)^(1/2); with h == 1 it
-    reduces to the Euclidean coefficient norm, which is what boxes and
-    plain cylinders get.
-    """
-    dom = omega.domain
-    a2, b2 = _split_squares(omega)
-    if dom.kind == "twisted-cylinder":
-        k = omega.degree
-        h = dom.warp
-        field = np.sqrt(h ** (-2.0 * k) * a2 + h ** (-2.0 * (k + 1)) * b2)
-    else:
-        field = np.sqrt(a2 + b2)
-    if at is None:
-        return field
-    return float(field[tuple(at)])
-
-
 def _weight_field(weight, domain):
     if weight is None:
         return None
@@ -235,24 +160,15 @@ def _weight_field(weight, domain):
 def lp_norm(omega, p, weight=None):
     """Weighted L^p norm by tensor trapezoid quadrature.
 
-    Twisted cylinders use the warped density
-    (h^(2(n/p-k)) |omega_A|^2 + h^(2(n/p-k+1)) |omega_B|^2)^(1/2) with
-    n the fiber dimension; the weight enters as sigma^p inside the
-    integral.  p = inf takes the weighted sup instead.
+    The density is the Euclidean coefficient norm sqrt(sum_I f_I^2); the
+    weight enters as sigma^p inside the integral.  p = inf takes the
+    weighted sup instead.
     """
     p = float(p)
     if p < 1:
         raise ValueError("p must be >= 1")
     dom = omega.domain
-    a2, b2 = _split_squares(omega)
-    if dom.kind == "twisted-cylinder":
-        k = omega.degree
-        n = dom.fiber_dim
-        e = 0.0 if np.isinf(p) else n / p
-        h = dom.warp
-        dens = np.sqrt(h ** (2.0 * (e - k)) * a2 + h ** (2.0 * (e - k + 1)) * b2)
-    else:
-        dens = np.sqrt(a2 + b2)
+    dens = np.sqrt(sum(f * f for f in omega.coeffs.values()))
     sigma = _weight_field(weight, dom)
     if np.isinf(p):
         if sigma is not None:
@@ -262,19 +178,6 @@ def lp_norm(omega, p, weight=None):
     if sigma is not None:
         integrand = integrand * sigma**p
     return float(dom.integrate(integrand) ** (1.0 / p))
-
-
-def fF_profiles(domain, k, p):
-    """Fiber-wise min and max of h^(n/p - k) as t-only weight profiles."""
-    if domain.kind != "twisted-cylinder":
-        raise ValueError("fF profiles need a twisted cylinder with warp")
-    e = domain.fiber_dim / float(p) - k
-    powed = domain.warp**e
-    fiber_axes = tuple(range(1, domain.dim))
-    tcoords = domain.axis_coords(0)
-    f = WeightProfile.sampled_t(tcoords, powed.min(axis=fiber_axes))
-    F = WeightProfile.sampled_t(tcoords, powed.max(axis=fiber_axes))
-    return f, F
 
 
 # Seeded analytic test forms.  Forms are drawn as parameter sets first

@@ -4,7 +4,9 @@ Two routes to the same decision.  For power-law twisting (b - t)^(-lam)
 the admissible (p, q, k) set is a system of rational inequalities in the
 maximal integrability exponents, decided exactly over Fractions.  For
 anything else the criterion's three weighted norms are evaluated
-literally on the sample grid.  A numeric divergence detector (dyadic
+literally on the sample grid; a sampled warp h(t, x) enters as the
+(s, g) pair of its fiber max and min that warp_profiles builds at
+explicit t-coordinates.  A numeric divergence detector (dyadic
 shells toward the singular end) bridges the two: it classifies the
 power-law integrals by quadrature alone, so the exact region can be
 cross-checked without reusing its arithmetic.  Every shell uses the same
@@ -217,13 +219,30 @@ def admissible_region(n, k, alpha, beta, b_infinite=False):
                             _frac(beta) if beta != INF else INF, b_infinite)
 
 
+def warp_profiles(t, h):
+    """Twisting pair (s, g) of a sampled warp h(t, x) > 0.
+
+    h has one row per entry of t (t-axis first, then the fiber axes); s
+    and g are its max and min over the fiber, as sampled-t profiles at
+    the strictly increasing t.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim < 2:
+        raise ValueError("sampled warp needs a t-axis plus fiber axes")
+    t = np.asarray(t, dtype=float)
+    if t.shape != h.shape[:1]:
+        raise ValueError(f"t has shape {t.shape}, expected one entry per row of h ({len(h)})")
+    fiber_axes = tuple(range(1, h.ndim))
+    return (WeightProfile.sampled_t(t, h.max(axis=fiber_axes)),
+            WeightProfile.sampled_t(t, h.min(axis=fiber_axes)))
+
+
 class CriterionInput:
     """One vanishing query: fiber dimension, degree, exponents, twisting.
 
-    warp is a t-only WeightProfile for warped products (s = g = h), a
-    (s, g) pair of profiles, or a full h sample array with the t-axis
-    first (s and g are then fiber max/min).  b = interval[1] may be inf
-    only with power-law profiles.
+    warp is a t-only WeightProfile for warped products (s = g = h) or an
+    (s, g) pair of them; warp_profiles(t, h) turns a sampled h into the
+    pair.  b = interval[1] may be inf only with power-law profiles.
     """
 
     def __init__(self, n, k, p, q, interval, warp, hdr_zero=None):
@@ -239,22 +258,12 @@ class CriterionInput:
         if not self.a < self.b:
             raise ValueError("empty interval")
         if isinstance(warp, WeightProfile):
-            s_prof = g_prof = warp
-        elif isinstance(warp, (tuple, list)) and len(warp) == 2 and all(
-                isinstance(w, WeightProfile) for w in warp):
-            s_prof, g_prof = warp
-        else:
-            if math.isinf(self.b):
-                raise ValueError("infinite b needs power-law profiles (symbolic mode)")
-            h = np.asarray(warp, dtype=float)
-            if h.ndim < 2:
-                raise ValueError("sampled warp needs a t-axis plus fiber axes")
-            if not (h > 0).all():
-                raise ValueError("warp samples must be strictly positive")
-            ts = np.linspace(self.a, self.b, h.shape[0])
-            fiber_axes = tuple(range(1, h.ndim))
-            s_prof = WeightProfile.sampled_t(ts, h.max(axis=fiber_axes))
-            g_prof = WeightProfile.sampled_t(ts, h.min(axis=fiber_axes))
+            warp = (warp, warp)
+        if not (isinstance(warp, (tuple, list)) and len(warp) == 2
+                and all(isinstance(w, WeightProfile) for w in warp)):
+            raise ValueError("warp must be a WeightProfile or an (s, g) pair of "
+                             "WeightProfiles; warp_profiles(t, h) builds the pair")
+        s_prof, g_prof = warp
         if not (s_prof.t_only and g_prof.t_only):
             raise ValueError("twisting profiles must be functions of t")
         if s_prof.kind == g_prof.kind == "powerlaw" and s_prof.lam < g_prof.lam:

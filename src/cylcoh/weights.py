@@ -32,7 +32,8 @@ class WeightProfile:
                 raise ValueError("sampled-t needs tcoords and samples")
             if self.samples.shape != self.tcoords.shape or self.samples.ndim != 1:
                 raise ValueError("tcoords/samples must be matching 1-D arrays")
-            if (np.diff(self.tcoords) <= 0).any():
+            # written so a NaN coordinate fails: every comparison with it is False
+            if not (np.diff(self.tcoords) > 0).all():
                 raise ValueError("tcoords must be strictly increasing")
             if not (self.samples > 0).all():
                 raise ValueError("weight samples must be positive")

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import cylcoh
-from cylcoh import K_y, box, exterior_derivative
-from cylcoh.cli import GRID_MAX, SCHEMA, main
+from cylcoh import (CriterionInput, K_y, box, criterion_check, exterior_derivative,
+                    warp_profiles)
+from cylcoh.cli import GRID_MAX, SCHEMA, main, render_canonical
 from cylcoh.forms import random_form
 
 
@@ -165,6 +166,42 @@ def test_vanish_asymptotic_flag(tmp_path):
     code, report, _ = _run(tmp_path, sc)
     assert code == 0
     assert report["delegated"] is True and report["m"] == 5
+
+
+def test_vanish_sampled_warp_matches_library(tmp_path):
+    ts = 1.0 - 2.0 ** (-np.arange(33) / 4.0)
+    xs = np.arange(16) / 16
+    h = np.exp(ts)[:, None] * (2.0 + np.sin(2 * np.pi * xs))[None, :]
+    sc = {
+        "command": "vanish", "n": 2, "k": 1, "p": 2, "q": 2, "hdr_zero": True,
+        "warp": {"kind": "sampled", "t": ts.tolist(), "values": h.ravel().tolist(),
+                 "shape": list(h.shape)},
+    }
+    code, _, path = _run(tmp_path, sc)
+    rep = criterion_check(CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), warp_profiles(ts, h),
+                                         hdr_zero=True))
+    rep["command"] = "vanish"
+    assert code == (0 if rep["verdict"] == "VANISHES" else 2)
+    assert path.read_text() == render_canonical(rep) + "\n"
+
+
+def test_vanish_sampled_warp_needs_t(tmp_path, capsys):
+    sc = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 2,
+          "warp": {"kind": "sampled", "values": [1.0] * 12, "shape": [4, 3]}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert '"t" array' in report["error"]
+    assert "vanish failed" in capsys.readouterr().err
+
+
+def test_twisted_cylinder_domain_is_an_error(tmp_path):
+    # no route reads a warp, so a warped domain is refused rather than ignored
+    dom = {"kind": "twisted-cylinder", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [9, 8],
+           "periodic": [False, True], "warp": [1.0] * 72}
+    sc = {"command": "constant", "domain": dom, "k": 1, "p": 2, "q": 2, "route": "corollary"}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "unknown domain kind 'twisted-cylinder'" in report["error"]
 
 
 def test_report_byte_identical(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylcoh import DomainSpec, box, cylinder, twisted_cylinder
+from cylcoh import DomainSpec, box, cylinder
 
 
 def test_box_basics():
@@ -24,7 +24,6 @@ def test_cylinder_axis_sampling():
     assert ts[-1] == pytest.approx(1.0)
     assert th[-1] == pytest.approx(1.0 - 1.0 / 8)
     assert dom.periodic == (False, True)
-    assert dom.fiber_dim == 1
 
 
 def test_quadrature_constant():
@@ -54,14 +53,6 @@ def test_with_grid_and_roundtrip():
     assert fine.periodic == dom.periodic
     back = DomainSpec.from_dict(dom.to_dict())
     assert back == dom
-
-
-def test_twisted_cylinder_warp():
-    dom = twisted_cylinder([0, 1], [[0, 1]], [9, 16], lambda t, x: np.exp(t))
-    ts = dom.axis_coords(0)
-    assert dom.warp.shape == dom.grid
-    assert np.allclose(dom.warp[:, 3], np.exp(ts))
-    assert dom.kind == "twisted-cylinder"
 
 
 def test_sample_matches_meshgrid():

@@ -1,8 +1,9 @@
 """Static checks on the package sources: every imported name and every
-module constant is used, and no function rebuilds a fixed quadrature
-rule."""
+module constant is used, every public name has a caller, and no
+function rebuilds a fixed quadrature rule."""
 
 import ast
+import re
 from pathlib import Path
 
 import cylcoh
@@ -34,15 +35,20 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-def test_no_unused_module_constants():
-    trees = _sources()
+def _read_names(trees):
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_no_unused_module_constants():
+    trees = _sources()
+    read = _read_names(trees.values())
     unused = {}
     for name, tree in trees.items():
         consts = [
@@ -55,6 +61,16 @@ def test_no_unused_module_constants():
         if dead := sorted(set(consts) - read):
             unused[name] = dead
     assert unused == {}
+
+
+def test_public_names_have_callers():
+    # a name in __all__ is read by a package module (the re-exports in
+    # __init__.py do not count) or shown in a README python block
+    read = _read_names(tree for name, tree in _sources().items() if name != "__init__.py")
+    readme = (Path(cylcoh.__file__).resolve().parents[2] / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        read.update(re.findall(r"\w+", block))
+    assert sorted(set(cylcoh.__all__) - read) == []
 
 
 RULE_BUILDERS = {"gauss01", "_graded_nodes"}

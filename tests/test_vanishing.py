@@ -15,6 +15,7 @@ from cylcoh import (
     powerlaw_exponents,
     region_grid,
     sphere_hdr_zero,
+    warp_profiles,
 )
 from cylcoh.vanishing import SHELL_RULE, SHELLS, _divergent_at_b, _shell_integral
 
@@ -166,9 +167,11 @@ def test_criterion_infinite_b():
     assert rep["conditions"] == {}
 
 
+FLAT = warp_profiles(np.linspace(0.0, 1.0, 65), np.ones((65, 9)))
+
+
 def test_criterion_sampled_flat_is_conditional():
-    h = np.ones((65, 9))
-    inp = CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), h)
+    inp = CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), FLAT)
     rep = criterion_check(inp)
     assert rep["verdict"] == "VANISHES"
     assert rep["conditional"]
@@ -194,7 +197,7 @@ LINEAR_T = np.linspace(0.0, 1.0, 257)[:-1]
 GRADED_T = 1.0 - 2.0 ** (-12.0 * np.arange(257) / 256)
 # (n, k, p, warp, hdr_zero) and the report of the loop-per-pbar sampled route
 SAMPLED_CASES = {
-    "flat": ((2, 1, 2.0, np.ones((65, 9)), None),
+    "flat": ((2, 1, 2.0, FLAT, None),
              "VANISHES", [], 1.0077822185373186, 0.5841117388287107, 1.0, 33, 2.0),
     "collapse": ((4, 1, 2.0, WeightProfile.sampled_t(LINEAR_T, (1.0 - LINEAR_T) ** 2), True),
                  "HYPOTHESES-FAIL", [PBAR + " does not hold"],
@@ -219,8 +222,7 @@ def test_criterion_sampled_reports_pinned(case):
 
 
 def test_criterion_de_rham_flag():
-    h = np.ones((65, 9))
-    inp = CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), h, hdr_zero=False)
+    inp = CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), FLAT, hdr_zero=False)
     rep = criterion_check(inp)
     assert rep["verdict"] == "HYPOTHESES-FAIL"
     assert "de Rham condition H^1_DR(N) = 0 does not hold" in rep["failed"]
@@ -232,13 +234,48 @@ def test_criterion_input_validation():
         CriterionInput(4, 3, 3.0, 2.0, (0.0, 1.0), warp)
     with pytest.raises(ValueError, match="interval"):
         CriterionInput(4, 3, 2.0, 2.0, (1.0, 1.0), warp)
-    with pytest.raises(ValueError, match="positive"):
-        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), np.zeros((9, 5)))
+    # a bare h array has no t-coordinates; warp_profiles gives them
+    with pytest.raises(ValueError, match="WeightProfile"):
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), np.ones((9, 5)))
+    with pytest.raises(ValueError, match="WeightProfile"):
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), (np.ones(9), np.ones(9)))
     with pytest.raises(ValueError, match="power-law"):
-        CriterionInput(4, 3, 2.0, 2.0, (0.0, math.inf), np.ones((9, 5)))
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, math.inf), FLAT)
     pair = (WeightProfile.powerlaw(1.0, 1.0), WeightProfile.powerlaw(2.0, 1.0))
     with pytest.raises(ValueError, match="dominate"):
         CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), pair)
+
+
+def test_warp_profiles_fiber_max_min():
+    ts = np.linspace(0.0, 1.0, 9)
+    pairs = []
+    for m in (256, 2560):
+        xs = np.arange(m) / m
+        h = np.exp(ts)[:, None] * (2.0 + np.sin(2 * np.pi * xs))[None, :]
+        s, g = warp_profiles(ts, h)
+        assert s.kind == g.kind == "sampled-t"
+        assert np.array_equal(s.tcoords, ts) and np.array_equal(g.tcoords, ts)
+        assert np.array_equal(s.samples, h.max(axis=1))
+        assert np.array_equal(g.samples, h.min(axis=1))
+        pairs.append((s, g))
+    # a 10x finer fiber grid pins the same fiber min and max to grid tolerance
+    (s, g), (s_fine, g_fine) = pairs
+    assert np.allclose(g.eval_t(ts), g_fine.eval_t(ts), atol=1e-4)
+    assert np.allclose(s.eval_t(ts), s_fine.eval_t(ts), atol=1e-4)
+
+
+def test_warp_profiles_validation():
+    ts = np.linspace(0.0, 1.0, 9)
+    with pytest.raises(ValueError, match="fiber axes"):
+        warp_profiles(ts, np.ones(9))
+    with pytest.raises(ValueError, match="one entry per row"):
+        warp_profiles(ts[:-1], np.ones((9, 4)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        warp_profiles(ts[::-1], np.ones((9, 4)))
+    h = np.ones((9, 4))
+    h[3, 2] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        warp_profiles(ts, h)
 
 
 def test_asymptotic_delegate_bookkeeping():

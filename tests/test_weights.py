@@ -40,7 +40,7 @@ def test_positivity_enforced():
 
 def test_sampled_t_needs_increasing_t():
     # np.interp reads its nodes in increasing order only
-    for t in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5]):
+    for t in ([0.0, 1.0, 0.5], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0]):
         with pytest.raises(ValueError, match="strictly increasing"):
             WeightProfile.sampled_t(t, [1.0, 2.0, 3.0])
 
