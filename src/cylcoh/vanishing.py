@@ -1,25 +1,25 @@
 """Vanishing criterion for twisted-cylinder cohomology.
 
-Two routes to the same decision.  For power-law twisting (b - t)^(-lam)
-the admissible (p, q, k) set is a system of rational inequalities in the
-maximal integrability exponents, decided exactly over Fractions.  For
-anything else the criterion's three weighted norms are evaluated
-literally on the sample grid; a sampled warp h(t, x) enters as the
-(s, g) pair of its fiber max and min that warp_profiles builds at
-explicit t-coordinates.  A numeric divergence detector (dyadic
-shells toward the singular end) bridges the two: it classifies the
-power-law integrals by quadrature alone, so the exact region can be
-cross-checked without reusing its arithmetic.  Every shell uses the same
-Gauss-Legendre rule, SHELL_RULE, built once at import, and each shell
-integral is one array evaluation over all shells; so is the p-bar sweep
-of the literal route, one array power for all its exponents.
+One divergence detector, the dyadic-shell slope of _shell_integral,
+decides whether s^u, t s^u and g^v diverge at b (conditions I1-I3;
+s, g the fiber max and min of the twisting).  Every profile enters it
+as a tail law (mu, delta), (b - t)^(-mu) up to slope delta: power laws
+and constants exactly, (lam, 0) and (0, 0); a sampled-t profile by the
+least-squares slope mu of log s against x = -log(b - t) over its last
+TAIL_SAMPLES samples before b, with delta = 1/mean(x), the slope a
+factor |log(b - t)|^(+-1) adds to the fit.  A condition whose slope is
+within delta*|exponent| of 1 is undecided.
 
-The worked power-law example in the source text pins the inequality
-orientation: the admissible window is
+Bounded rule: with s bounded above and g away from 0 the cylinder is
+bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
+invariant, and on the compact flat cylinder it is H^k(N) when the gates
+hold (Gol'dshtein-Troyanov, J. Geom. Anal. 16, 2006).  So constants and
+lam = 0 VANISH conditional on H^k_DR(N) = 0; a fitted tail whose bands
+both contain 0, or with under 3 samples before b, is UNDECIDED.
 
-    (k - 2 + alpha)/n < 1/q <= 1/p < (k - beta)/n,
-
-together with p <= q and q*(n + 1 - p) < n*p.
+The source's worked power-law example pins the exact window
+(AdmissibleRegion, over Fractions), which cross-checks the detector:
+(k - 2 + alpha)/n < 1/q <= 1/p < (k - beta)/n, p <= q, q(n+1-p) < np.
 """
 
 import math
@@ -34,10 +34,8 @@ INF = math.inf
 SHELLS = 6
 SHELL_NODES = 64
 SHELL_RULE = read_only(gauss01(SHELL_NODES))
-BLOWUP = 1e6
 SLOPE_TOL = 1e-4
-PBAR_POINTS = 33
-PBAR_NORM = "||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"
+TAIL_SAMPLES = 64
 # the region's strict inequalities, the ones a quadrature has to estimate
 STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
@@ -120,6 +118,8 @@ class AdmissibleRegion:
         self.left = INF if alpha == INF else Fraction(self.k - 2 + alpha, 1) / self.n
         self.right = -INF if beta == INF else Fraction(self.k, 1) / self.n - Fraction(beta, 1) / self.n
         if alpha == INF or beta == INF:
+            # no power-law window; criterion_check decides bounded twisting
+            # by the bounded rule (module docstring)
             self.reason = "bounded twisting profile (infinite integrability exponent)"
         elif alpha + beta > 2:
             self.reason = "alpha + beta exceeds 2"
@@ -242,7 +242,8 @@ class CriterionInput:
 
     warp is a t-only WeightProfile for warped products (s = g = h) or an
     (s, g) pair of them; warp_profiles(t, h) turns a sampled h into the
-    pair.  b = interval[1] may be inf only with power-law profiles.
+    pair.  A sampled-t profile's t must lie in [a, b].  b = interval[1]
+    may be inf only with power-law profiles.
     """
 
     def __init__(self, n, k, p, q, interval, warp, hdr_zero=None):
@@ -272,14 +273,15 @@ class CriterionInput:
                 and np.array_equal(s_prof.tcoords, g_prof.tcoords)
                 and (s_prof.samples < g_prof.samples - 1e-12).any()):
             raise ValueError("s must dominate g pointwise")
+        for prof in warp:
+            if prof.kind == "sampled-t" and not (
+                    self.a <= prof.tcoords[0] and prof.tcoords[-1] <= self.b):
+                raise ValueError(f"sampled-t profile has t outside [a, b] = "
+                                 f"[{self.a}, {self.b}]")
         self.s, self.g = s_prof, g_prof
         if math.isinf(self.b) and s_prof.kind != "powerlaw":
             raise ValueError("infinite b needs power-law profiles (symbolic mode)")
         self.hdr_zero = hdr_zero
-
-    @property
-    def powerlaw(self):
-        return self.s.kind == "powerlaw" and self.g.kind == "powerlaw"
 
 
 def _shell_integral(fn, a, b):
@@ -305,7 +307,7 @@ def _shell_integral(fn, a, b):
 
 def _divergent_at_b(fn, a, b):
     total, slope = _shell_integral(fn, a, b)
-    return slope >= 1.0 - SLOPE_TOL or total > BLOWUP, total, slope
+    return slope >= 1.0 - SLOPE_TOL, total, slope
 
 
 def _pq_gates(n, p, q):
@@ -314,12 +316,15 @@ def _pq_gates(n, p, q):
     return {"order": p <= q, "gate": lhs < gate, "lhs": lhs, "gate_rhs": gate}
 
 
-def _powerlaw_conditions(inp):
-    """Divergence checks for the three §-style integrals via shells."""
+def _powerlaw_conditions(inp, s, g, band_s=0.0, band_g=0.0):
+    """Divergence checks for the three §-style integrals via shells.
+
+    A condition whose slope lies within band*|exponent| of 1 is
+    undecided, "holds": None; exact laws have band 0.
+    """
     n, k, p, q = inp.n, inp.k, inp.p, inp.q
     u = n / q - k + 2.0
     v = k - n / p
-    s, g = inp.s, inp.g
     su = None
 
     def s_pow(ts):  # I2 reuses the s^u that I1 takes on the same shell nodes
@@ -328,77 +333,62 @@ def _powerlaw_conditions(inp):
         return su
 
     rows = (
-        ("I1: int s^(n/q-k+2) divergent", s_pow, u),
-        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * su, u),
-        ("I3: int g^(k-n/p) divergent", lambda ts: g.eval_t(ts) ** v, v),
+        ("I1: int s^(n/q-k+2) divergent", s_pow, u, band_s),
+        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * su, u, band_s),
+        ("I3: int g^(k-n/p) divergent", lambda ts: g.eval_t(ts) ** v, v, band_g),
     )
     conds = {}
-    for name, fn, exponent in rows:
+    for name, fn, exponent, band in rows:
         div, total, slope = _divergent_at_b(fn, inp.a, inp.b)
-        conds[name] = {"holds": div, "total": total, "slope": slope, "exponent": exponent}
+        # a zero exponent makes the integrand 1 whatever the law: decided
+        undecided = exponent != 0 and abs(slope - 1.0) < band * abs(exponent)
+        conds[name] = {"holds": None if undecided else div, "total": total, "slope": slope,
+                       "exponent": exponent}
     return conds
+
+
+def _tail_law(prof, b):
+    """Tail law {mu, delta, rms} of a t-only profile toward b, or None
+    for a sampled-t profile with fewer than 3 samples before b."""
+    if prof.kind != "sampled-t":
+        return {"mu": prof.lam if prof.kind == "powerlaw" else 0.0, "delta": 0.0, "rms": 0.0}
+    before = prof.tcoords < b
+    x = -np.log(b - prof.tcoords[before][-TAIL_SAMPLES:])
+    if x.size < 3:
+        return None
+    mean_x = float(x.mean())
+    y = np.log(prof.samples[before][-TAIL_SAMPLES:])
+    xc, yc = x - mean_x, y - y.mean()
+    mu = float(xc @ yc / (xc @ xc))
+    return {"mu": mu, "delta": 1.0 / mean_x if mean_x > 0 else INF,
+            "rms": math.sqrt(float(np.mean((yc - mu * xc) ** 2)))}
 
 
 def _sampled_conditions(inp):
-    """Literal norm finiteness of the criterion's three weighted norms.
-
-    A sampled warp h reaches here as its fiber max s and min g; a power
-    of h is monotone in h, so its fiber max and min are powers of s or g.
-    Each profile is read once; the p-bar sweep's finite-r sums take one power.
-    """
-    n, k, p, q = inp.n, inp.k, inp.p, inp.q
-    ts = inp.s.tcoords if inp.s.kind == "sampled-t" else np.linspace(inp.a, inp.b, 257)[:-1]
-
-    def read(prof):
-        # np.interp returns a sampled-t profile's samples unchanged at its own nodes
-        return prof.samples if prof.kind == "sampled-t" and prof.tcoords is ts else prof.eval_t(ts)
-
-    sv = read(inp.s)
-    profiles = sv[None] if inp.g is inp.s else np.stack((sv, read(inp.g)))
-    expo = np.array([n / q - (k - 2), n / q - (k - 1), n / p - (k - 1), n / p - k])
-    powers = profiles[:, None, :] ** expo[:, None]
-    big_f = powers[:, :2].max(axis=(0, 1))
-    small_f = powers[:, 2:].min(axis=(0, 1))
-    # np.gradient(ts): central differences inside, one-sided at the ends
-    dt = np.empty_like(ts)
-    dt[1:-1] = (ts[2:] - ts[:-2]) / 2.0
-    dt[0], dt[-1] = ts[1] - ts[0], ts[-1] - ts[-2]
-
-    def finite(x):
-        return math.isfinite(x) and x <= BLOWUP
-
-    n1 = float(np.sum(big_f**q * dt)) ** (1.0 / q)
-    n2 = float(np.sum((ts * big_f) ** q * dt)) ** (1.0 / q)
-    conds = {
-        "||max(F_{k-2,q},F_{k-1,q})||_q finite": {"holds": finite(n1), "value": n1},
-        "||t max(F_{k-2,q},F_{k-1,q})||_q finite": {"holds": finite(n2), "value": n2},
-    }
-
-    inv = 1.0 / small_f
-    pbars = np.linspace(1.0, p, PBAR_POINTS)
-    # pbar within 1e-12 of p takes the sup norm; the rest a finite r
-    below = pbars[pbars < p - 1e-12]
-    r = p * below / (p - below)
-    # overflow to inf is the signal here, not an error
-    with np.errstate(over="ignore"):
-        sums = (inv ** r[:, None] * dt).sum(axis=1)
-    vals = [s ** (1.0 / rr) for s, rr in zip(sums.tolist(), r.tolist())]
-    vals += [float(inv.max())] * (PBAR_POINTS - len(vals))
-    witnesses = [(pbar, val) for pbar, val in zip(pbars.tolist(), vals) if finite(val)]
-    best = min(witnesses, key=lambda w: w[1]) if witnesses else (None, INF)
-    conds[PBAR_NORM] = {"holds": bool(witnesses), "witness_pbar": best[0], "value": best[1],
-                        "witness_count": len(witnesses)}
-    return conds
+    """(conditions, tail laws, undecided reasons) of a query with a
+    sampled-t profile: it enters the shell detector as (b - t)^(-mu)
+    with band delta, an exact profile as itself with band 0."""
+    tail = {"s": _tail_law(inp.s, inp.b)}
+    tail["g"] = tail["s"] if inp.g is inp.s else _tail_law(inp.g, inp.b)
+    if None in tail.values():
+        return {}, tail, ["fewer than 3 samples before b"]
+    if all(abs(law["mu"]) <= law["delta"] for law in tail.values()):
+        return {}, tail, ["tail bands of s and g contain 0: bounded and |log|-growing "
+                          "twisting cannot be told apart"]
+    s, g = (WeightProfile.powerlaw(tail[name]["mu"], inp.b) if prof.kind == "sampled-t"
+            else prof for name, prof in (("s", inp.s), ("g", inp.g)))
+    conds = _powerlaw_conditions(inp, s, g, tail["s"]["delta"], tail["g"]["delta"])
+    return conds, tail, []
 
 
 def criterion_check(inp):
     """Decide the vanishing hypotheses for one (n, k, p, q, twisting).
 
-    Power-law twisting goes through the shell divergence detector (the
-    route consistent with the exact admissible region); sampled twisting
-    evaluates the three weighted norms literally.  Returns a report dict
-    with verdict VANISHES or HYPOTHESES-FAIL, per-condition detail, and
-    the de Rham qualifier.
+    report["route"] names what decided it: "b-infinite", "bounded" (the
+    bounded rule), "powerlaw" (exact laws) or "fitted-tail" (sampled
+    tail laws, under "tail").  The verdict is HYPOTHESES-FAIL when a gate
+    or condition fails, else UNDECIDED when something is undecided
+    (reasons under "undecided"), else VANISHES, with the de Rham qualifier.
     """
     gates = _pq_gates(inp.n, inp.p, inp.q)
     failed = []
@@ -407,39 +397,44 @@ def criterion_check(inp):
     if not gates["gate"]:
         failed.append("gate 1/p - 1/q < (q-1)/(q(n+1)) violated")
 
-    pbar_witnesses = None
+    conds, tail, undecided = {}, None, []
     if math.isinf(inp.b):
-        conds = {}
+        route = "b-infinite"
         failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
-        pbar_witnesses = []
-    elif inp.powerlaw and inp.s.lam > 0:
-        conds = _powerlaw_conditions(inp)
+    elif all(w.kind == "constant" or w.lam == 0 for w in (inp.s, inp.g)):  # sampled: lam None
+        route = "bounded"
+    elif "sampled-t" in (inp.s.kind, inp.g.kind):
+        route = "fitted-tail"
+        conds, tail, undecided = _sampled_conditions(inp)
     else:
-        conds = _sampled_conditions(inp)
-        pbar_witnesses = conds[PBAR_NORM]["witness_count"]
-    failed += [name + " does not hold" for name, c in conds.items() if not c["holds"]]
+        route = "powerlaw"
+        conds = _powerlaw_conditions(inp, inp.s, inp.g)
+    failed += [name + " does not hold" for name, c in conds.items() if c["holds"] is False]
+    undecided += [name + " undecided: shell slope within the tail band"
+                  for name, c in conds.items() if c["holds"] is None]
 
-    conditional = False
     if inp.hdr_zero is False:
         failed.append(f"de Rham condition H^{inp.k}_DR(N) = 0 does not hold")
-    elif inp.hdr_zero is None:
-        conditional = True
 
+    verdict = "HYPOTHESES-FAIL" if failed else "UNDECIDED" if undecided else "VANISHES"
     report = {
-        "verdict": "HYPOTHESES-FAIL" if failed else "VANISHES",
+        "verdict": verdict,
         "failed": failed,
-        "conditional": conditional and not failed,
+        "conditional": inp.hdr_zero is None and verdict == "VANISHES",
         "conditions": conds,
         "gates": gates,
         "n": inp.n,
         "k": inp.k,
         "p": inp.p,
         "q": inp.q,
+        "route": route,
     }
     if report["conditional"]:
         report["note"] = f"conditional on H^{inp.k}_DR(N) = 0"
-    if pbar_witnesses is not None:
-        report["pbar_witnesses"] = pbar_witnesses
+    if tail is not None:
+        report["tail"] = tail
+    if verdict == "UNDECIDED":
+        report["undecided"] = undecided
     return report
 
 

@@ -266,3 +266,44 @@ def test_criterion_7_refusal_names_condition(tmp_path):
     )
     detail = f"exit {code}, refusal: {report.get('refusal', '?')}, {dt:.2f}s"
     assert _line(7, "divergent-hypothesis refusal", ok, detail), detail
+
+
+def test_criterion_8_sampled_criterion_region_agreement():
+    # the criterion-6 sweep through fitted tails: pure, |log|-multiplied and
+    # |log|-divided laws at graded and linear t; UNDECIDED is allowed, a
+    # decided verdict that contradicts the region is not
+    t0 = time.perf_counter()
+    t_sets = {"graded": 1.0 - 2.0 ** (-12.0 * np.arange(1, 257) / 256),
+              "linear": np.linspace(0.0, 1.0, 257)[1:-1]}  # |log(1-t)| = 0 at t = 0
+    checked = undecided = 0
+    wrong = []
+    for t_name, ts in t_sets.items():
+        for log_power in (0, 1, -1):
+            for lam in (1, 2, 3):
+                warp = WeightProfile.sampled_t(
+                    ts, (1.0 - ts) ** -lam * np.abs(np.log(1.0 - ts)) ** log_power)
+                a = Fraction(1, lam)
+                for n in (2, 4):
+                    for k in range(1, n + 2):
+                        reg = admissible_region(n, k, a, a)
+                        for i in range(1, 22):
+                            for j in range(1, i + 1):
+                                p, q = Fraction(21, i), Fraction(21, j)
+                                if abs(reg.margin(p, q)) < 1e-3:
+                                    continue
+                                verdict = criterion_check(CriterionInput(
+                                    n, k, float(p), float(q), (0.0, 1.0), warp,
+                                    hdr_zero=True,
+                                ))["verdict"]
+                                checked += 1
+                                undecided += verdict == "UNDECIDED"
+                                if verdict != "UNDECIDED" and (
+                                        (verdict == "VANISHES") != reg.contains(p, q)):
+                                    wrong.append((t_name, log_power, lam, n, k, str(p), str(q),
+                                                  verdict))
+
+    dt = time.perf_counter() - t0
+    ok = checked > 30000 and not wrong and dt <= 60.0
+    detail = (f"{checked} points, {len(wrong)} wrong verdicts, {undecided} undecided, "
+              f"{dt:.0f}s")
+    assert _line(8, "sampled criterion/region agreement", ok, detail), f"{detail}: {wrong[:5]}"

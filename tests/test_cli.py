@@ -181,7 +181,23 @@ def test_vanish_sampled_warp_matches_library(tmp_path):
     rep = criterion_check(CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), warp_profiles(ts, h),
                                          hdr_zero=True))
     rep["command"] = "vanish"
-    assert code == (0 if rep["verdict"] == "VANISHES" else 2)
+    # bounded h: the fitted tail cannot tell it from |log|-growing twisting
+    assert rep["verdict"] == "UNDECIDED" and code == 2
+    assert path.read_text() == render_canonical(rep) + "\n"
+
+
+def test_readme_sampled_scenario_matches_library(tmp_path):
+    # n = 2, k = 1 and p = 2 give v = k - n/p = 0, so int g^v converges
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = [json.loads(b.split("```")[0]) for b in readme.split("```json\n")[1:]]
+    sc, = [b for b in blocks if b.get("warp", {}).get("kind") == "sampled"]
+    code, _, path = _run(tmp_path, sc)
+    h = np.asarray(sc["warp"]["values"], dtype=float).reshape(sc["warp"]["shape"])
+    rep = criterion_check(CriterionInput(sc["n"], sc["k"], sc["p"], sc["q"], (0.0, 1.0),
+                                         warp_profiles(sc["warp"]["t"], h), hdr_zero=True))
+    rep["command"] = "vanish"
+    assert code == 2 and rep["verdict"] == "HYPOTHESES-FAIL" and rep["route"] == "fitted-tail"
+    assert rep["failed"] == ["I3: int g^(k-n/p) divergent does not hold"]
     assert path.read_text() == render_canonical(rep) + "\n"
 
 

@@ -171,54 +171,110 @@ FLAT = warp_profiles(np.linspace(0.0, 1.0, 65), np.ones((65, 9)))
 
 
 def test_criterion_sampled_flat_is_conditional():
-    inp = CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), FLAT)
-    rep = criterion_check(inp)
-    assert rep["verdict"] == "VANISHES"
+    # exactly bounded twisting takes the bounded rule; sampled flat data
+    # cannot tell bounded from |log|-growing twisting
+    rep = criterion_check(CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), WeightProfile.constant(1.0)))
+    assert rep["verdict"] == "VANISHES" and rep["route"] == "bounded"
     assert rep["conditional"]
     assert rep["note"] == "conditional on H^1_DR(N) = 0"
-    assert rep["pbar_witnesses"] == 33
+    rep = criterion_check(CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), FLAT))
+    assert rep["verdict"] == "UNDECIDED" and rep["route"] == "fitted-tail"
+    assert not rep["conditional"] and "contain 0" in rep["undecided"][0]
 
 
 def test_criterion_sampled_detects_collapse():
-    # h -> 0 at b with n/p - k > 0 makes 1/min(f) blow up for every pbar
+    # h = (1-t)^2 -> 0 at b: the fitted tail is (1-t)^2 and s^u converges
     ts = np.linspace(0.0, 1.0, 257)[:-1]
     warp = WeightProfile.sampled_t(ts, (1.0 - ts) ** 2)
     inp = CriterionInput(4, 1, 2.0, 2.0, (0.0, 1.0), warp, hdr_zero=True)
     rep = criterion_check(inp)
     assert rep["verdict"] == "HYPOTHESES-FAIL"
-    assert any("for some pbar" in f for f in rep["failed"])
-    assert rep["pbar_witnesses"] == 0
+    assert rep["tail"]["s"]["mu"] == pytest.approx(-2.0, rel=1e-12)
+    assert I1 + " does not hold" in rep["failed"]
 
 
-N1 = "||max(F_{k-2,q},F_{k-1,q})||_q finite"
-N2 = "||t max(F_{k-2,q},F_{k-1,q})||_q finite"
-PBAR = "||min(f_{k-1,p},f_{k,p})^{-1}||_{p pbar/(p-pbar)} finite for some pbar"
+I1 = "I1: int s^(n/q-k+2) divergent"
+I2 = "I2: int t s^(n/q-k+2) divergent"
+I3 = "I3: int g^(k-n/p) divergent"
 LINEAR_T = np.linspace(0.0, 1.0, 257)[:-1]
 GRADED_T = 1.0 - 2.0 ** (-12.0 * np.arange(257) / 256)
-# (n, k, p, warp, hdr_zero) and the report of the loop-per-pbar sampled route
+# (n, k, p, warp, hdr_zero) and the report of the fitted-tail route:
+# verdict, failed, fitted mu and band delta of s, shell slopes of I1-I3
 SAMPLED_CASES = {
     "flat": ((2, 1, 2.0, FLAT, None),
-             "VANISHES", [], 1.0077822185373186, 0.5841117388287107, 1.0, 33, 2.0),
+             "UNDECIDED", [], 0.0, 1.0491748609389464, None),
     "collapse": ((4, 1, 2.0, WeightProfile.sampled_t(LINEAR_T, (1.0 - LINEAR_T) ** 2), True),
-                 "HYPOTHESES-FAIL", [PBAR + " does not hold"],
-                 0.3362653840770698, 0.04494665732488643, math.inf, 0, None),
+                 "HYPOTHESES-FAIL", [I1 + " does not hold", I2 + " does not hold"],
+                 -2.0, 0.42745558735023664, (-6.0, -5.9586923632137765, 2.0)),
+    # mu = 1 +- delta takes in (1-t)^-1.137 / |log(1-t)|, whose window holds p = q = 21
     "graded-lam1": ((2, 1, 21.0, WeightProfile.sampled_t(GRADED_T, (1.0 - GRADED_T) ** -1.0), True),
-                    "VANISHES", [], 5340.471933359466, 5339.125865176125,
-                    6.235373748634842, 27, 1.0),
+                    "UNDECIDED", [], 1.0, 0.13709351539256626,
+                    (1.0952380952380953, 1.1287674690644929, 0.9047619047619047)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SAMPLED_CASES))
 def test_criterion_sampled_reports_pinned(case):
-    (n, k, p, warp, hdr), verdict, failed, n1, n2, value, count, witness = SAMPLED_CASES[case]
+    (n, k, p, warp, hdr), verdict, failed, mu, delta, slopes = SAMPLED_CASES[case]
     rep = criterion_check(CriterionInput(n, k, p, p, (0.0, 1.0), warp, hdr_zero=hdr))
     assert rep["verdict"] == verdict and rep["failed"] == failed
-    conds = rep["conditions"]
-    assert conds[N1]["value"] == pytest.approx(n1, rel=1e-12)
-    assert conds[N2]["value"] == pytest.approx(n2, rel=1e-12)
-    assert conds[PBAR]["value"] == pytest.approx(value, rel=1e-12)
-    assert conds[PBAR]["witness_count"] == rep["pbar_witnesses"] == count
-    assert conds[PBAR]["witness_pbar"] == witness
+    assert rep["route"] == "fitted-tail" and "pbar_witnesses" not in rep
+    for law in rep["tail"].values():
+        assert law["mu"] == pytest.approx(mu, rel=1e-12)
+        assert law["delta"] == pytest.approx(delta, rel=1e-12)
+    if slopes is None:
+        assert rep["conditions"] == {}
+    else:
+        got = [rep["conditions"][name]["slope"] for name in (I1, I2, I3)]
+        assert got == pytest.approx(slopes, rel=1e-12)
+
+
+def _law(ts, lam, log_power=0):
+    return WeightProfile.sampled_t(ts, (1.0 - ts) ** -lam * np.abs(np.log(1.0 - ts)) ** log_power)
+
+
+def _region_sweep():
+    """(n, k, p, q) of the criterion-6 grid, as Fractions of 21."""
+    for n in (2, 4):
+        for k in range(1, n + 2):
+            for i in range(1, 22):
+                for j in range(1, i + 1):
+                    yield n, k, Fraction(21, i), Fraction(21, j)
+
+
+# |log(1-t)| is 0 at t = 0, so the log laws start one graded step in
+FIT_CASES = {
+    "lam2-times-log": (_law(GRADED_T[1:], 2, 1), (Fraction(1, 2), Fraction(1, 2))),
+    "lam2-over-log": (_law(GRADED_T[1:], 2, -1), (Fraction(1, 2), Fraction(1, 2))),
+    "pair-lam3-lam2": ((_law(GRADED_T, 3), _law(GRADED_T, 2)), (Fraction(1, 3), Fraction(1, 2))),
+    "constant": (WeightProfile.constant(1.0), "VANISHES"),
+    "flat-sampled": (FLAT, "UNDECIDED"),
+    "cut-at-half": (_law(np.linspace(0.0, 0.5, 65), 2), "UNDECIDED"),
+    # the sample at b itself is not part of the tail
+    "two-samples": (WeightProfile.sampled_t([0.5, 0.75, 1.0], [4.0, 16.0, 64.0]), "UNDECIDED"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_fitted_tail_verdicts(case):
+    warp, want = FIT_CASES[case]
+    if isinstance(want, str):
+        rep = criterion_check(CriterionInput(2, 1, 2.0, 2.0, (0.0, 1.0), warp))
+        assert rep["verdict"] == want
+        assert rep["conditional"] == (want == "VANISHES")
+        return
+    # decided verdicts agree with the exact region of the law's exponents
+    decided = 0
+    for n, k, p, q in _region_sweep():
+        reg = admissible_region(n, k, *want)
+        if abs(reg.margin(p, q)) < 1e-3:
+            continue
+        rep = criterion_check(CriterionInput(n, k, float(p), float(q), (0.0, 1.0), warp,
+                                             hdr_zero=True))
+        if rep["verdict"] != "UNDECIDED":
+            decided += 1
+            assert (rep["verdict"] == "VANISHES") == reg.contains(p, q), (n, k, p, q)
+    assert decided > 1000
 
 
 def test_criterion_de_rham_flag():
@@ -244,6 +300,11 @@ def test_criterion_input_validation():
     pair = (WeightProfile.powerlaw(1.0, 1.0), WeightProfile.powerlaw(2.0, 1.0))
     with pytest.raises(ValueError, match="dominate"):
         CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), pair)
+    # samples past b would be read as twisting the interval does not have
+    with pytest.raises(ValueError, match="outside"):
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), warp_profiles([0, 0.5, 2, 3], np.ones((4, 2))))
+    # a last sample at b itself is fine: the tail fit reads t < b only
+    assert CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), FLAT).s.tcoords[-1] == 1.0
 
 
 def test_warp_profiles_fiber_max_min():
