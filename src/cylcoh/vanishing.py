@@ -1,24 +1,25 @@
 """Vanishing criterion for twisted-cylinder cohomology.
 
-One divergence detector, the dyadic-shell slope of _shell_integral,
-decides whether s^u, t s^u and g^v diverge at b (conditions I1-I3;
-s, g the fiber max and min of the twisting).  Every profile enters it
-as a tail law (mu, delta), (b - t)^(-mu) up to slope delta: power laws
-and constants exactly, (lam, 0) and (0, 0); a sampled-t profile by the
-least-squares slope mu of log s against x = -log(b - t) over its last
-TAIL_SAMPLES samples before b, with delta = 1/mean(x), the slope a
-factor |log(b - t)|^(+-1) adds to the fit.  A condition whose slope is
-within delta*|exponent| of 1 is undecided.
+Conditions I1-I3 ask whether s^u, t s^u and g^v diverge at b (s, g the
+fiber max and min of the twisting).  Every profile enters as a tail law
+(mu, delta), (b - t)^(-mu) up to slope delta: a power law with pivot b
+is (lam, 0), a constant or a pivot beyond b (0, 0), and a sampled-t
+profile the least-squares slope mu of log s against
+x = -log((b - t)/(b - a)) over its last TAIL_SAMPLES samples before b,
+with delta = 1/mean(x), the slope a factor |log(b - t)|^(+-1) adds to
+the fit.  (b - t)^(-slope) diverges at b exactly when slope >= 1, and
+each slope is mu times the condition's exponent; a condition whose slope
+is within delta*|exponent| of 1 is undecided.
 
 Bounded rule: with s bounded above and g away from 0 the cylinder is
 bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
 invariant, and on the compact flat cylinder it is H^k(N) when the gates
-hold (Gol'dshtein-Troyanov, J. Geom. Anal. 16, 2006).  So constants and
-lam = 0 VANISH conditional on H^k_DR(N) = 0; a fitted tail whose bands
-both contain 0, or with under 3 samples before b, is UNDECIDED.
+hold (Gol'dshtein-Troyanov, J. Geom. Anal. 16, 2006).  So laws (0, 0)
+VANISH conditional on H^k_DR(N) = 0; a fitted tail whose bands both
+contain 0, or with under 3 samples before b, is UNDECIDED.
 
 The source's worked power-law example pins the exact window
-(AdmissibleRegion, over Fractions), which cross-checks the detector:
+(AdmissibleRegion, over Fractions), which cross-checks the criterion:
 (k - 2 + alpha)/n < 1/q <= 1/p < (k - beta)/n, p <= q, q(n+1-p) < np.
 """
 
@@ -27,16 +28,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .homotopy import gauss01, read_only
 from .weights import WeightProfile
 
 INF = math.inf
-SHELLS = 6
-SHELL_NODES = 64
-SHELL_RULE = read_only(gauss01(SHELL_NODES))
 SLOPE_TOL = 1e-4
 TAIL_SAMPLES = 64
-# the region's strict inequalities, the ones a quadrature has to estimate
+# the region's strict inequalities, the ones a float slope can land on
 STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
 
@@ -57,20 +54,16 @@ def sphere_hdr_zero(n, k):
 class ExponentSummary:
     """Maximal integrability exponents of the twisting profiles.
 
-    s^u is integrable on [a,b) exactly for u < alpha, t*s^u for
-    u < alpha1, and g^v for v < beta.  With b finite alpha1 = alpha.
+    s^u is integrable on [a,b) exactly for u < alpha, and g^v for
+    v < beta.  t*s^u shares alpha when b != 0 (see _powerlaw_conditions).
     """
 
-    def __init__(self, alpha, alpha1, beta):
+    def __init__(self, alpha, beta):
         self.alpha = alpha
-        self.alpha1 = alpha1
         self.beta = beta
 
-    def to_dict(self):
-        return {"alpha": self.alpha, "alpha1": self.alpha1, "beta": self.beta}
-
     def __repr__(self):
-        return f"ExponentSummary(alpha={self.alpha}, alpha1={self.alpha1}, beta={self.beta})"
+        return f"ExponentSummary(alpha={self.alpha}, beta={self.beta})"
 
 
 def powerlaw_exponents(lam_s, lam_g=None):
@@ -89,7 +82,7 @@ def powerlaw_exponents(lam_s, lam_g=None):
         raise ValueError("s must dominate g: lam_s >= lam_g required")
     alpha = 1 / lam_s if lam_s > 0 else INF
     beta = 1 / lam_g if lam_g > 0 else INF
-    return ExponentSummary(alpha, alpha, beta)
+    return ExponentSummary(alpha, beta)
 
 
 class AdmissibleRegion:
@@ -161,9 +154,9 @@ class AdmissibleRegion:
     def margin(self, p, q):
         """Smallest strict-inequality slack at (p, q), as a float.
 
-        Only the inequalities a quadrature path has to estimate count
-        (the two divergence thresholds and the gate); the order p <= q
-        is decided exactly everywhere.  Negative outside the region;
+        Only the inequalities a float verdict decides with a tolerance
+        count (the two divergence thresholds and the gate); the order
+        p <= q is decided exactly everywhere.  Negative outside the region;
         magnitudes below a band threshold flag boundary points numeric
         classification cannot be trusted on.
         """
@@ -278,36 +271,14 @@ class CriterionInput:
                     self.a <= prof.tcoords[0] and prof.tcoords[-1] <= self.b):
                 raise ValueError(f"sampled-t profile has t outside [a, b] = "
                                  f"[{self.a}, {self.b}]")
+            # written so a NaN pivot fails too; b = inf is refused by its own route
+            if prof.kind == "powerlaw" and self.b < INF and not prof.pivot >= self.b:
+                raise ValueError(f"power-law pivot {prof.pivot} is below b = {self.b}: "
+                                 "the pivot must be b or beyond")
         self.s, self.g = s_prof, g_prof
         if math.isinf(self.b) and s_prof.kind != "powerlaw":
-            raise ValueError("infinite b needs power-law profiles (symbolic mode)")
+            raise ValueError("infinite b needs power-law profiles")
         self.hdr_zero = hdr_zero
-
-
-def _shell_integral(fn, a, b):
-    """Dyadic-shell quadrature toward b: total, last slope estimate.
-
-    Shell j covers [b - eps_j, b - eps_{j+1}] with eps_j = (b-a) 2^{-j};
-    for (b - t)^(-mu) the shell mass ratio is 2^{mu-1}, so the fitted
-    slope 1 + log2(ratio) recovers mu and mu >= 1 flags divergence.  All
-    shells are one array evaluation: fn is called once, on the
-    (SHELLS, SHELL_NODES) array of every shell's nodes, and one row sum
-    gives the masses; the total adds them left to right.
-    """
-    nodes, wts = SHELL_RULE
-    ends = b - (b - a) * 0.5 ** np.arange(SHELLS + 1)
-    widths = ends[1:] - ends[:-1]
-    ts = ends[:-1, None] + widths[:, None] * nodes
-    masses = ((fn(ts) * wts).sum(axis=1) * widths).tolist()
-    total = sum(masses)
-    if masses[-2] <= 0:
-        return total, -INF
-    return total, 1.0 + math.log2(masses[-1] / masses[-2])
-
-
-def _divergent_at_b(fn, a, b):
-    total, slope = _shell_integral(fn, a, b)
-    return slope >= 1.0 - SLOPE_TOL, total, slope
 
 
 def _pq_gates(n, p, q):
@@ -316,79 +287,75 @@ def _pq_gates(n, p, q):
     return {"order": p <= q, "gate": lhs < gate, "lhs": lhs, "gate_rhs": gate}
 
 
-def _powerlaw_conditions(inp, s, g, band_s=0.0, band_g=0.0):
-    """Divergence checks for the three §-style integrals via shells.
+def _powerlaw_conditions(inp, law_s, law_g):
+    """I1-I3 of the tail laws s ~ (b - t)^(-mu_s), g ~ (b - t)^(-mu_g).
 
-    A condition whose slope lies within band*|exponent| of 1 is
-    undecided, "holds": None; exact laws have band 0.
+    Each integrand is (b - t)^(-slope) near b, with slope mu*exponent;
+    in I2 the factor |t| lies between two positive constants near b != 0,
+    so it shares I1's slope, and is b - t itself when b = 0.  A condition
+    whose slope lies within delta*|exponent| of 1 is undecided,
+    "holds": None; exact laws have delta 0.
     """
     n, k, p, q = inp.n, inp.k, inp.p, inp.q
     u = n / q - k + 2.0
     v = k - n / p
-    su = None
-
-    def s_pow(ts):  # I2 reuses the s^u that I1 takes on the same shell nodes
-        nonlocal su
-        su = s.eval_t(ts) ** u
-        return su
-
+    mu_u = law_s["mu"] * u
     rows = (
-        ("I1: int s^(n/q-k+2) divergent", s_pow, u, band_s),
-        ("I2: int t s^(n/q-k+2) divergent", lambda ts: ts * su, u, band_s),
-        ("I3: int g^(k-n/p) divergent", lambda ts: g.eval_t(ts) ** v, v, band_g),
+        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s["delta"]),
+        ("I2: int t s^(n/q-k+2) divergent", mu_u - 1.0 if inp.b == 0 else mu_u, u,
+         law_s["delta"]),
+        ("I3: int g^(k-n/p) divergent", law_g["mu"] * v, v, law_g["delta"]),
     )
     conds = {}
-    for name, fn, exponent, band in rows:
-        div, total, slope = _divergent_at_b(fn, inp.a, inp.b)
+    for name, slope, exponent, band in rows:
         # a zero exponent makes the integrand 1 whatever the law: decided
         undecided = exponent != 0 and abs(slope - 1.0) < band * abs(exponent)
-        conds[name] = {"holds": None if undecided else div, "total": total, "slope": slope,
-                       "exponent": exponent}
+        conds[name] = {"holds": None if undecided else slope >= 1.0 - SLOPE_TOL,
+                       "slope": slope, "exponent": exponent}
     return conds
 
 
-def _tail_law(prof, b):
-    """Tail law {mu, delta, rms} of a t-only profile toward b, or None
-    for a sampled-t profile with fewer than 3 samples before b."""
+def _tail_law(prof, a, b):
+    """Tail law {mu, delta, rms} of a t-only profile toward a finite b,
+    or None for a sampled-t profile with fewer than 3 samples before b
+    or whose b - t all round to one value (nothing to fit a slope to)."""
     if prof.kind != "sampled-t":
-        return {"mu": prof.lam if prof.kind == "powerlaw" else 0.0, "delta": 0.0, "rms": 0.0}
+        mu = prof.lam if prof.kind == "powerlaw" and prof.pivot == b else 0.0
+        return {"mu": mu, "delta": 0.0, "rms": 0.0}
     before = prof.tcoords < b
-    x = -np.log(b - prof.tcoords[before][-TAIL_SAMPLES:])
-    if x.size < 3:
+    # b - t in units of b - a, so delta does not depend on the unit of t
+    x = -np.log((b - prof.tcoords[before][-TAIL_SAMPLES:]) / (b - a))
+    # t >= a gives x >= 0, so x[-1] > x[0] also makes mean(x) > 0
+    if x.size < 3 or not x[-1] > x[0]:
         return None
     mean_x = float(x.mean())
     y = np.log(prof.samples[before][-TAIL_SAMPLES:])
     xc, yc = x - mean_x, y - y.mean()
     mu = float(xc @ yc / (xc @ xc))
-    return {"mu": mu, "delta": 1.0 / mean_x if mean_x > 0 else INF,
+    return {"mu": mu, "delta": 1.0 / mean_x,
             "rms": math.sqrt(float(np.mean((yc - mu * xc) ** 2)))}
 
 
-def _sampled_conditions(inp):
-    """(conditions, tail laws, undecided reasons) of a query with a
-    sampled-t profile: it enters the shell detector as (b - t)^(-mu)
-    with band delta, an exact profile as itself with band 0."""
-    tail = {"s": _tail_law(inp.s, inp.b)}
-    tail["g"] = tail["s"] if inp.g is inp.s else _tail_law(inp.g, inp.b)
+def _sampled_conditions(inp, tail):
+    """(conditions, undecided reasons) of a query with a sampled-t
+    profile, from its tail laws."""
     if None in tail.values():
-        return {}, tail, ["fewer than 3 samples before b"]
+        return {}, ["fewer than 3 samples before b, or no spread in their b - t"]
     if all(abs(law["mu"]) <= law["delta"] for law in tail.values()):
-        return {}, tail, ["tail bands of s and g contain 0: bounded and |log|-growing "
-                          "twisting cannot be told apart"]
-    s, g = (WeightProfile.powerlaw(tail[name]["mu"], inp.b) if prof.kind == "sampled-t"
-            else prof for name, prof in (("s", inp.s), ("g", inp.g)))
-    conds = _powerlaw_conditions(inp, s, g, tail["s"]["delta"], tail["g"]["delta"])
-    return conds, tail, []
+        return {}, ["tail bands of s and g contain 0: bounded and |log|-growing "
+                    "twisting cannot be told apart"]
+    return _powerlaw_conditions(inp, tail["s"], tail["g"]), []
 
 
 def criterion_check(inp):
     """Decide the vanishing hypotheses for one (n, k, p, q, twisting).
 
     report["route"] names what decided it: "b-infinite", "bounded" (the
-    bounded rule), "powerlaw" (exact laws) or "fitted-tail" (sampled
-    tail laws, under "tail").  The verdict is HYPOTHESES-FAIL when a gate
-    or condition fails, else UNDECIDED when something is undecided
-    (reasons under "undecided"), else VANISHES, with the de Rham qualifier.
+    bounded rule, every tail law (0, 0)), "powerlaw" (exact laws) or
+    "fitted-tail" (sampled tail laws, under "tail").  The verdict is
+    HYPOTHESES-FAIL when a gate or condition fails, else UNDECIDED when
+    something is undecided (reasons under "undecided"), else VANISHES,
+    with the de Rham qualifier.
     """
     gates = _pq_gates(inp.n, inp.p, inp.q)
     failed = []
@@ -401,16 +368,19 @@ def criterion_check(inp):
     if math.isinf(inp.b):
         route = "b-infinite"
         failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
-    elif all(w.kind == "constant" or w.lam == 0 for w in (inp.s, inp.g)):  # sampled: lam None
-        route = "bounded"
-    elif "sampled-t" in (inp.s.kind, inp.g.kind):
-        route = "fitted-tail"
-        conds, tail, undecided = _sampled_conditions(inp)
     else:
-        route = "powerlaw"
-        conds = _powerlaw_conditions(inp, inp.s, inp.g)
+        laws = {"s": _tail_law(inp.s, inp.a, inp.b)}
+        laws["g"] = laws["s"] if inp.g is inp.s else _tail_law(inp.g, inp.a, inp.b)
+        if "sampled-t" in (inp.s.kind, inp.g.kind):
+            route, tail = "fitted-tail", laws
+            conds, undecided = _sampled_conditions(inp, laws)
+        elif all(law["mu"] == 0 for law in laws.values()):
+            route = "bounded"
+        else:
+            route = "powerlaw"
+            conds = _powerlaw_conditions(inp, laws["s"], laws["g"])
     failed += [name + " does not hold" for name, c in conds.items() if c["holds"] is False]
-    undecided += [name + " undecided: shell slope within the tail band"
+    undecided += [name + " undecided: slope within the tail band"
                   for name, c in conds.items() if c["holds"] is None]
 
     if inp.hdr_zero is False:

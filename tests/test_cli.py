@@ -152,6 +152,15 @@ def test_vanish_infinite_b_refuses(tmp_path):
     assert any("b is infinite" in f for f in report["failed"])
 
 
+def test_vanish_pivot_below_b_reports_error(tmp_path, capsys):
+    sc = {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": 2, "interval": [0.0, 1.0],
+          "warp": {"kind": "powerlaw", "lam": 2.0, "pivot": 0.5}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "pivot 0.5 is below b" in report["error"]
+    assert "vanish failed" in capsys.readouterr().err
+
+
 def test_vanish_asymptotic_flag(tmp_path):
     sc = {
         "command": "vanish",

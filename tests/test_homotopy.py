@@ -14,7 +14,7 @@ from cylcoh import (
     check_admissible_weight,
     WeightProfile,
 )
-from cylcoh import _interp, constants, homotopy, vanishing
+from cylcoh import _interp, constants, homotopy
 from cylcoh.homotopy import (
     _box_integral,
     _box_windows,
@@ -304,7 +304,6 @@ def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
 
 def test_fixed_rules_are_read_only_and_match_fresh_builds():
     rules = [
-        (vanishing.SHELL_RULE, homotopy.gauss01(vanishing.SHELL_NODES)),
         (constants.T_NORM_RULE, constants._graded_nodes(constants.T_NORM_NODES)),
         (homotopy.EDGE_RULE, homotopy.gauss01(homotopy.EDGE_NODES)),
     ]

@@ -1,8 +1,10 @@
 """Static checks on the package sources: every imported name and every
-module constant is used, every public name has a caller, and no
-function rebuilds a fixed quadrature rule."""
+module constant is used, every public name has a caller, no function
+rebuilds a fixed quadrature rule, and every function the benchmark's
+tracer wraps exists."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -103,3 +105,17 @@ def test_no_fixed_rule_rebuilt_per_call():
         name: fns for name, tree in _sources().items() if (fns := _fixed_rule_builds(tree))
     }
     assert rebuilt == {}
+
+
+def test_tracer_sites_resolve():
+    # perfbench/run.py --trace 1 installs a wrapper at each (owner, attr) of
+    # tracing.SITES, so renaming a traced function would break it at install
+    path = Path(cylcoh.__file__).resolve().parents[2] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for _, owners, _ in tracing.SITES for owner, attr in owners
+               if not callable(getattr(owner, attr, None))]
+    assert tracing.SITES
+    assert missing == []

@@ -17,13 +17,12 @@ from cylcoh import (
     sphere_hdr_zero,
     warp_profiles,
 )
-from cylcoh.vanishing import SHELL_RULE, SHELLS, _divergent_at_b, _shell_integral
+from cylcoh.vanishing import SLOPE_TOL, _powerlaw_conditions
 
 
 def test_powerlaw_exponents_exact():
     e = powerlaw_exponents(2)
     assert e.alpha == Fraction(1, 2) and e.beta == Fraction(1, 2)
-    assert e.alpha1 == e.alpha
     e = powerlaw_exponents(1)
     assert e.alpha == 1
     e = powerlaw_exponents(3, 2)
@@ -35,46 +34,23 @@ def test_powerlaw_exponents_exact():
         powerlaw_exponents(1, 2)
 
 
-def test_shell_detector_matches_exponent_arithmetic():
-    # (1-t)^(-mu) is integrable on [0,1) iff mu < 1; the dyadic-shell
-    # slope recovers mu, so the detector must agree away from mu = 1
-    rng = np.random.default_rng(0)
-    for _ in range(40):
-        mu = float(rng.uniform(0.0, 4.0))
-        if abs(mu - 1.0) < 0.02:
-            continue
-        div, total, slope = _divergent_at_b(lambda ts: (1.0 - ts) ** -mu, 0.0, 1.0)
-        assert div == (mu >= 1.0), f"mu={mu}: divergent={div}, slope={slope}"
-
-
 @pytest.mark.parametrize("mu", [0.5, 0.9, 1.0, 1.5, 3.0])
-def test_shell_integral_closed_form(mu):
-    # shell j of (0, 1) is [1 - eps_j, 1 - eps_{j+1}] with eps_j = 2^-j, where
-    # (1-t)^(-mu) integrates to (eps_j^(1-mu) - eps_{j+1}^(1-mu))/(1-mu), or
-    # log(eps_j/eps_{j+1}) at mu = 1; successive masses differ by 2^(mu-1)
-    eps = [2.0**-j for j in range(SHELLS + 1)]
-    if mu == 1.0:
-        want = sum(math.log(eps[j] / eps[j + 1]) for j in range(SHELLS))
-    else:
-        want = sum((eps[j] ** (1 - mu) - eps[j + 1] ** (1 - mu)) / (1 - mu)
-                   for j in range(SHELLS))
-    total, slope = _shell_integral(lambda ts: (1.0 - ts) ** -mu, 0.0, 1.0)
-    assert abs(total - want) <= 1e-12 * want
-    assert abs(slope - mu) <= 1e-12
-
-
-def test_shell_integral_matches_shell_loop():
-    # reference: one shell at a time; the array evaluation does the same
-    # arithmetic per element, so the results agree exactly
-    nodes, wts = SHELL_RULE
-    for fn, a, b in [(lambda ts: (1.0 - ts) ** -1.5, 0.0, 1.0),
-                     (lambda ts: ts * (2.0 - ts) ** -0.7, -1.0, 2.0)]:
-        masses = []
-        for j in range(SHELLS):
-            lo, hi = b - (b - a) * 0.5**j, b - (b - a) * 0.5 ** (j + 1)
-            masses.append(float(np.sum(fn(lo + (hi - lo) * nodes) * wts) * (hi - lo)))
-        want = (sum(masses), 1.0 + math.log2(masses[-1] / masses[-2]))
-        assert _shell_integral(fn, a, b) == want
+def test_condition_slopes_closed_form(mu):
+    # (b-t)^(-slope) diverges at b iff slope >= 1, and s^u, t s^u, g^v of
+    # the law (b-t)^(-mu) have slope mu*exponent; near b = 0 the factor
+    # |t| = b - t takes 1 off I2's
+    law = {"mu": mu, "delta": 0.0}
+    for b in (1.0, -1.0, 0.0):
+        for n, k, p, q in [(4, 3, 2.0, 2.5), (2, 1, 2.0, 2.0), (4, 1, 3.0, 7.0)]:
+            inp = CriterionInput(n, k, p, q, (b - 1.0, b), WeightProfile.powerlaw(mu, b))
+            u, v = n / q - k + 2.0, k - n / p
+            conds = _powerlaw_conditions(inp, law, law)
+            want = (mu * u, mu * u - (b == 0), mu * v)
+            assert [c["slope"] for c in conds.values()] == list(want)
+            assert [c["exponent"] for c in conds.values()] == [u, u, v]
+            for c in conds.values():
+                assert c.keys() == {"holds", "slope", "exponent"}
+                assert c["holds"] == (c["slope"] >= 1.0 - SLOPE_TOL)
 
 
 def test_region_window_fractions():
@@ -149,13 +125,66 @@ def test_criterion_powerlaw_vanishes():
 
 
 def test_criterion_powerlaw_fails_with_region():
-    # q = p = 3 leaves the exact window, and the shell detector sees the
+    # q = p = 3 leaves the exact window, and the slope shows the
     # matching convergent integral
     warp = WeightProfile.powerlaw(2.0, 1.0)
     inp = CriterionInput(4, 3, 3.0, 3.0, (0.0, 1.0), warp, hdr_zero=True)
     rep = criterion_check(inp)
     assert rep["verdict"] == "HYPOTHESES-FAIL"
     assert any(f.startswith("I1") for f in rep["failed"])
+
+
+def test_pivot_beyond_b_is_bounded_and_below_b_raises():
+    # (1.5 - t)^-2 is bounded on [0, 1): the bounded rule decides it
+    rep = criterion_check(CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0),
+                                         WeightProfile.powerlaw(2.0, 1.5)))
+    assert rep["route"] == "bounded" and rep["conditions"] == {}
+    assert rep["verdict"] == "VANISHES" and rep["conditional"]
+    # a pivot inside [a, b) puts the singularity in the interval
+    for pivot in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=f"pivot {pivot} is below b"):
+            CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), WeightProfile.powerlaw(2.0, pivot))
+    with pytest.raises(ValueError, match="pivot 0.5 is below b"):
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0),
+                       (WeightProfile.powerlaw(2.0, 1.0), WeightProfile.powerlaw(1.0, 0.5)))
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_i2_on_intervals_left_of_zero(lam):
+    # near b != 0 the factor t of I2 is bounded away from 0, whatever its
+    # sign, so the verdict does not depend on where the interval sits
+    for n, k, p, q in _region_sweep():
+        verdicts = {criterion_check(CriterionInput(
+            n, k, float(p), float(q), (a, b), WeightProfile.powerlaw(float(lam), b),
+            hdr_zero=True))["verdict"] for a, b in ((-2.0, -1.0), (-1.0, 1.0), (1.0, 2.0))}
+        assert len(verdicts) == 1, (n, k, p, q, verdicts)
+
+
+def test_i2_at_b_zero_loses_one():
+    # on (-1, 0) |t| = b - t: int t s^u diverges iff lam*u - 1 >= 1; at
+    # u = 3/4 and lam = 2, s^u diverges (slope 3/2) and t s^u converges
+    inp = CriterionInput(4, 3, 2.0, 16 / 7, (-1.0, 0.0), WeightProfile.powerlaw(2.0, 0.0),
+                         hdr_zero=True)
+    rep = criterion_check(inp)
+    u = 4 / (16 / 7) - 1.0
+    assert rep["conditions"][I1]["slope"] == 2.0 * u
+    assert rep["conditions"][I2]["slope"] == 2.0 * u - 1.0
+    assert rep["verdict"] == "HYPOTHESES-FAIL" and rep["failed"] == [I2 + " does not hold"]
+
+
+def test_tail_band_does_not_depend_on_the_unit_of_t():
+    # the same law on the same relative grid, with t in units of 1 and of
+    # 1/1000: (b - t)/(b - a) is the same, so mu, delta and the verdict are
+    reps = []
+    for scale in (1.0, 1000.0):
+        ts = scale * GRADED_T
+        warp = WeightProfile.sampled_t(ts, (scale - ts) ** -2.0)
+        reps.append(criterion_check(CriterionInput(4, 3, 2.0, 2.5, (0.0, scale), warp)))
+    (one, law_one), (big, law_big) = ((r, r["tail"]["s"]) for r in reps)
+    assert law_one["mu"] == pytest.approx(2.0, rel=1e-12)
+    assert law_big["mu"] == pytest.approx(law_one["mu"], rel=1e-12)
+    assert law_big["delta"] == pytest.approx(law_one["delta"], rel=1e-12)
+    assert one["verdict"] == big["verdict"] == "VANISHES"
 
 
 def test_criterion_infinite_b():
@@ -199,17 +228,18 @@ I3 = "I3: int g^(k-n/p) divergent"
 LINEAR_T = np.linspace(0.0, 1.0, 257)[:-1]
 GRADED_T = 1.0 - 2.0 ** (-12.0 * np.arange(257) / 256)
 # (n, k, p, warp, hdr_zero) and the report of the fitted-tail route:
-# verdict, failed, fitted mu and band delta of s, shell slopes of I1-I3
+# verdict, failed, fitted mu and band delta of s, slopes of I1-I3; near
+# b = 1 the factor t of I2 leaves I1's slope as it is
 SAMPLED_CASES = {
     "flat": ((2, 1, 2.0, FLAT, None),
              "UNDECIDED", [], 0.0, 1.0491748609389464, None),
     "collapse": ((4, 1, 2.0, WeightProfile.sampled_t(LINEAR_T, (1.0 - LINEAR_T) ** 2), True),
                  "HYPOTHESES-FAIL", [I1 + " does not hold", I2 + " does not hold"],
-                 -2.0, 0.42745558735023664, (-6.0, -5.9586923632137765, 2.0)),
+                 -2.0, 0.42745558735023664, (-6.0, -6.0, 2.0)),
     # mu = 1 +- delta takes in (1-t)^-1.137 / |log(1-t)|, whose window holds p = q = 21
     "graded-lam1": ((2, 1, 21.0, WeightProfile.sampled_t(GRADED_T, (1.0 - GRADED_T) ** -1.0), True),
                     "UNDECIDED", [], 1.0, 0.13709351539256626,
-                    (1.0952380952380953, 1.1287674690644929, 0.9047619047619047)),
+                    (1.0952380952380953, 1.0952380952380953, 0.9047619047619047)),
 }
 
 
@@ -252,6 +282,8 @@ FIT_CASES = {
     "cut-at-half": (_law(np.linspace(0.0, 0.5, 65), 2), "UNDECIDED"),
     # the sample at b itself is not part of the tail
     "two-samples": (WeightProfile.sampled_t([0.5, 0.75, 1.0], [4.0, 16.0, 64.0]), "UNDECIDED"),
+    # b - t rounds to 1 at all three: no slope to fit
+    "no-spread": (WeightProfile.sampled_t([0.0, 1e-20, 2e-20], [1.0, 2.0, 3.0]), "UNDECIDED"),
 }
 
 
