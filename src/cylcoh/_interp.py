@@ -14,9 +14,35 @@ matrices integrate the piecewise-linear interpolant, optionally against
 the coordinate or a power-law factor, exactly; this keeps the
 uniform-weight averaging pipeline exact on multilinear coefficient
 fields.
+
+The power-law t-integrals of every weight norm live here too, on the
+window matrices' closed form _pl_primitive: powerlaw_mass, the exact
+heaviest-window mass with its symbolic divergence decisions for power
+laws, and edge_integral, a rule for smooth factors against a law
+singular at the right end.  Fixed rules are built once, read-only.
 """
 
+import math
+
 import numpy as np
+
+EDGE_NODES = 128
+
+
+def gauss01(n):
+    """Gauss-Legendre nodes and weights on (0, 1)."""
+    x, w = np.polynomial.legendre.leggauss(int(n))
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def read_only(rule):
+    """Freeze the arrays of a quadrature rule built once for a module."""
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+EDGE_RULE = read_only(gauss01(EDGE_NODES))
 
 
 def _axis_locate(domain, ax, coords):
@@ -122,13 +148,42 @@ def scaled_eval(field, mats, work):
 
 def _pl_primitive(left, right, e):
     """int_right^left u^(e-1) du, elementwise, tolerating zero endpoints
-    (an infinite value just means the divergent branch was reached)."""
-    left = np.asarray(left, dtype=float)
-    right = np.asarray(right, dtype=float)
+    in arrays (an infinite value just means the divergent branch was
+    reached); float endpoints keep Python's pow."""
     with np.errstate(divide="ignore", invalid="ignore"):
         if e == 0.0:
             return np.log(left) - np.log(right)
         return (left**e - right**e) / e
+
+
+def powerlaw_mass(e, pivot, lo, hi, width=math.inf):
+    """Heaviest integral of (pivot - s)^-e over a window of length width
+    in [lo, hi), exact; math.inf when it diverges.
+
+    The heaviest window hugs hi when e > 0, else lo; the mass diverges
+    when it reaches the pivot and e >= 1.
+    """
+    if not pivot >= hi:  # a NaN pivot fails too
+        raise ValueError(f"power-law pivot {pivot:g} is below the end of [{lo:g}, {hi:g}): "
+                         "the pivot must be the end or beyond")
+    width = min(width, hi - lo)
+    if e > 0:
+        left, right = pivot - hi + width, pivot - hi
+    else:
+        left, right = pivot - lo, pivot - lo - width
+    if right == 0.0 and e >= 1.0:
+        return math.inf
+    return float(_pl_primitive(left, right, 1.0 - e))
+
+
+def edge_integral(e, lo, hi, w):
+    """int_lo^hi (hi - t)^-e w(t) dt for e < 1 and a smooth factor w of
+    an array of t values: u = (hi - t)^(1-e) removes the edge
+    singularity, so EDGE_RULE in u converges."""
+    big_u = (hi - lo) ** (1.0 - e)
+    nodes, wts = EDGE_RULE
+    t = hi - (big_u * nodes) ** (1.0 / (1.0 - e))
+    return big_u / (1.0 - e) * float((wts * w(t)).sum())
 
 
 def _hat_integrals(domain, ax, i, theta, weight):

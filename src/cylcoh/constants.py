@@ -10,14 +10,18 @@ centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
 graded mesh and a symbolic exponent pre-check decides finiteness before
 any numbers are trusted.
+
+The power-law t-integrals in the weight norms are _interp's
+powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
 """
 
 import math
 
 import numpy as np
 
-from ._interp import apply_axis_matrix, window_matrix
-from .homotopy import check_admissible_weight, gauss01, read_only
+from ._interp import (apply_axis_matrix, edge_integral, gauss01, powerlaw_mass, read_only,
+                      window_matrix)
+from .homotopy import check_admissible_weight
 from .weights import WeightProfile
 
 GRADING = 3
@@ -118,30 +122,6 @@ def _sup_window_norm(qfield, D, q, t, pl=None):
     return max(peak, 0.0) ** (1.0 / q)
 
 
-def _powerlaw_axis_mass(beta, q, lo, hi, width):
-    """Maximal integral of beta^q over a length-`width` window of [lo, hi]
-    for a power-law beta in the axis-0 coordinate.  Exact."""
-    lam_q = beta.lam * q
-    piv = beta.pivot
-    if piv < hi:
-        raise ValueError("power-law pivot inside the domain")
-    width = min(width, hi - lo)
-    if beta.lam > 0:
-        left = piv - hi + width
-        right = piv - hi
-    else:
-        left = piv - lo
-        right = piv - lo - width
-    if lam_q == 1.0:
-        if right == 0.0:
-            return math.inf
-        return math.log(left / right)
-    e = 1.0 - lam_q
-    if right == 0.0 and e < 0:
-        return math.inf
-    return (left**e - right**e) / e
-
-
 def sup_indicator_norm(D, beta, q, t):
     """sup_z || beta(x) 1_{tx+(1-t)D}(z) ||_{L^q(D, dx)}.
 
@@ -157,26 +137,18 @@ def sup_indicator_norm(D, beta, q, t):
         raise ValueError("t must lie in [0, 1]")
     if t == 1.0:
         return 0.0
-    if t == 0.0:
-        if beta.kind == "powerlaw":
-            m = _powerlaw_axis_mass(beta, q, *D.bounds[0], width=math.inf)
-            rest = math.prod(hi - lo for lo, hi in D.bounds[1:])
-            return (m * rest) ** (1.0 / q) if math.isfinite(m) else math.inf
-        field = beta.sample_on(D) ** q
-        return D.integrate(field) ** (1.0 / q)
-
-    shrink = min(1.0, (1.0 - t) / t)
+    shrink = 1.0 if t == 0.0 else min(1.0, (1.0 - t) / t)
     if beta.kind == "constant":
         overlap = D.volume * shrink**D.dim
         return beta.value * overlap ** (1.0 / q)
     if beta.kind == "powerlaw":
         lo0, hi0 = D.bounds[0]
-        m0 = _powerlaw_axis_mass(beta, q, lo0, hi0, width=(hi0 - lo0) * shrink)
-        if not math.isfinite(m0):
-            return math.inf
+        m0 = powerlaw_mass(beta.lam * q, beta.pivot, lo0, hi0, (hi0 - lo0) * shrink)
         rest = math.prod((hi - lo) * shrink for lo, hi in D.bounds[1:])
         return (m0 * rest) ** (1.0 / q)
     qfield = beta.sample_on(D) ** q
+    if t == 0.0:
+        return D.integrate(qfield) ** (1.0 / q)
     return _sup_window_norm(qfield, D, q, t)
 
 
@@ -191,7 +163,7 @@ def _graded_nodes(t_nodes):
 T_NORM_RULE = read_only(_graded_nodes(T_NORM_NODES))
 
 
-def _c_integral_symbolic(req, moment):
+def _c_integral_symbolic(req):
     """Finiteness of the C-integral by endpoint exponent arithmetic.
 
     Near t = 1 the sup factor decays like (1-t)^(dim/q) for bounded beta;
@@ -228,24 +200,22 @@ def C_integral(req, moment="none", t_nodes=64):
         raise ValueError("C_integral needs a box domain")
     if moment not in ("none", "|x|"):
         raise ValueError("moment must be 'none' or '|x|'")
-    if not _c_integral_symbolic(req, moment):
+    if not _c_integral_symbolic(req):
         return math.inf
     k, p, q = req.k, req.p, req.q
     beta = req.beta
 
     qfield = None
     pl = None
-    if moment == "|x|" and beta.kind == "powerlaw":
-        if beta.lam * q >= 1.0 and beta.pivot <= D.bounds[0][1]:
-            return math.inf
+    if moment == "|x|":
         radius = np.sqrt(sum(c**2 for c in D.meshgrid()))
-        qfield = radius**q
-        pl = (beta.lam * q, beta.pivot)
-    elif moment == "|x|" or beta.kind in ("sampled", "sampled-t"):
-        radius = np.sqrt(sum(c**2 for c in D.meshgrid()))
+        if beta.kind == "powerlaw":
+            qfield = radius**q
+            pl = (beta.lam * q, beta.pivot)
+        else:
+            qfield = beta.sample_on(D) ** q * radius**q
+    elif beta.kind in ("sampled", "sampled-t"):
         qfield = beta.sample_on(D) ** q
-        if moment == "|x|":
-            qfield = qfield * radius**q
 
     total = 0.0
     for t, w in zip(*_graded_nodes(t_nodes)):
@@ -280,6 +250,7 @@ def Q_factor(gamma, p, pbar, D):
     """|| 1/gamma ||_{L^r(D)} with r = p*pbar/(p - pbar), sup when pbar = p.
 
     Power-law divergence is decided symbolically; math.inf signals it.
+    A pivot inside the t-interval raises powerlaw_mass's error at every pbar.
     """
     p = float(p)
     pbar = float(pbar)
@@ -289,8 +260,9 @@ def Q_factor(gamma, p, pbar, D):
     lo0, hi0 = D.bounds[0]
     if pbar == p:
         if inv.kind == "powerlaw":
+            powerlaw_mass(inv.lam, inv.pivot, lo0, hi0)  # the pivot check only
             if inv.lam > 0:
-                if inv.pivot <= hi0:
+                if inv.pivot == hi0:
                     return math.inf
                 return float((inv.pivot - hi0) ** (-inv.lam))
             return float((inv.pivot - lo0) ** (-inv.lam))
@@ -299,9 +271,7 @@ def Q_factor(gamma, p, pbar, D):
         return float(inv.samples.max())
     r = p * pbar / (p - pbar)
     if inv.kind == "powerlaw":
-        if not inv.power_integral_finite(r, lo0, hi0):
-            return math.inf
-        mass = _powerlaw_axis_mass(inv, r, lo0, hi0, width=math.inf)
+        mass = powerlaw_mass(inv.lam * r, inv.pivot, lo0, hi0)
         fiber = math.prod(hi - lo for lo, hi in D.bounds[1:])
         return float((mass * fiber) ** (1.0 / r))
     field = inv.sample_on(D) ** r
@@ -309,13 +279,20 @@ def Q_factor(gamma, p, pbar, D):
 
 
 def _t_axis_norm(beta, q, lo, hi, moment_t=False):
-    """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile."""
-    if beta.kind == "powerlaw" and beta.lam > 0:
-        if not beta.power_integral_finite(q, lo, hi):
-            return math.inf
-    if beta.kind == "powerlaw" and not moment_t:
-        mass = _powerlaw_axis_mass(beta, q, lo, hi, width=math.inf)
-        return float(mass ** (1.0 / q))
+    """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
+    exact masses for power laws, the edge rule for the t-moment of one
+    singular at hi, T_NORM_RULE for bounded profiles."""
+    if beta.kind == "powerlaw":
+        mass = powerlaw_mass(beta.lam * q, beta.pivot, lo, hi)
+        if not moment_t or not math.isfinite(mass):
+            return float(mass ** (1.0 / q))
+        if beta.lam > 0 and beta.pivot == hi:
+            # the edge rule crowds its nodes toward hi, leaving too few for
+            # |t|^q (rough at t = 0) far from it: that half is plain (e = 0)
+            e, mid = beta.lam * q, 0.5 * (lo + hi)
+            near = edge_integral(e, mid, hi, lambda t: np.abs(t) ** q)
+            far = edge_integral(0.0, lo, mid, lambda t: np.abs(t) ** q * (hi - t) ** -e)
+            return (near + far) ** (1.0 / q)
     t, w = T_NORM_RULE
     ts = lo + (hi - lo) * t
     vals = beta.eval_t(ts) ** q

@@ -152,8 +152,6 @@ def _weight_field(weight, domain):
         return None
     if isinstance(weight, WeightProfile):
         return weight.sample_on(domain)
-    if callable(weight):
-        return domain.sample(weight)
     return np.asarray(weight, dtype=float) * np.ones(domain.grid)
 
 
@@ -161,8 +159,9 @@ def lp_norm(omega, p, weight=None):
     """Weighted L^p norm by tensor trapezoid quadrature.
 
     The density is the Euclidean coefficient norm sqrt(sum_I f_I^2); the
-    weight enters as sigma^p inside the integral.  p = inf takes the
-    weighted sup instead.
+    weight sigma (None, a WeightProfile, or numbers broadcast to the grid)
+    enters as sigma^p inside the integral.  p = inf takes the weighted sup
+    instead.
     """
     p = float(p)
     if p < 1:

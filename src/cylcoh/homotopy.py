@@ -24,34 +24,16 @@ axis a folding the factor x_a - z_a into a single box integral.  The
 window matrices depend only on the axis, the t-node and the weight, so
 each axis's matrices for all t-nodes come from one build and are shared
 by every coefficient.
-Quadrature rules of fixed size are built once, at import, as read-only
-module constants.
 """
 
 import numpy as np
 
-from ._interp import apply_axis_matrix, scaled_axis_matrices, scaled_eval, window_matrix
+from ._interp import (apply_axis_matrix, edge_integral, gauss01, powerlaw_mass,
+                      scaled_axis_matrices, scaled_eval, window_matrix)
 from .forms import GridForm
 from .weights import WeightProfile
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
-EDGE_NODES = 128
-
-
-def gauss01(n):
-    """Gauss-Legendre nodes and weights on (0, 1)."""
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def read_only(rule):
-    """Freeze the arrays of a quadrature rule built once for a module."""
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
-
-
-EDGE_RULE = read_only(gauss01(EDGE_NODES))
 
 
 def _require_box(domain, who):
@@ -101,29 +83,16 @@ def K_y(omega, y, t_nodes=32):
     return out
 
 
-def _edge_moment_norm(alpha, D, pprime):
-    """||alpha(t)|y|||_{p'} for a power law whose pivot is the right t-edge.
-
-    Substituting u = (pivot - t)^(1 - e) with e = lam*p' < 1 removes the
-    edge singularity, so plain Gauss-Legendre in u converges.
-    """
-    lo0, hi0 = D.bounds[0]
-    e = alpha.lam * pprime
-    big_u = (hi0 - lo0) ** (1.0 - e)
-    nodes, wts = EDGE_RULE
-    tvals = hi0 - (big_u * nodes) ** (1.0 / (1.0 - e))
+def _fiber_moment(D, pprime, t):
+    """The fiber trapezoid integral of (t^2 + |x|^2)^(p'/2) at each t."""
     axes = [D.axis_coords(a) for a in range(1, D.dim)]
-    if axes:
-        fibersq = sum(m**2 for m in np.meshgrid(*axes, indexing="ij"))
-        g = (tvals.reshape((-1,) + (1,) * len(axes)) ** 2 + fibersq) ** (
-            pprime / 2.0
-        )
-        for a in range(D.dim - 1, 0, -1):
-            g = (g * D.quad_weights(a)).sum(axis=-1)
-    else:
-        g = np.abs(tvals) ** pprime
-    total = big_u / (1.0 - e) * float((wts * g).sum())
-    return total ** (1.0 / pprime)
+    if not axes:
+        return np.abs(t) ** pprime
+    fibersq = sum(m**2 for m in np.meshgrid(*axes, indexing="ij"))
+    g = (t.reshape((-1,) + (1,) * len(axes)) ** 2 + fibersq) ** (pprime / 2.0)
+    for a in range(D.dim - 1, 0, -1):
+        g = (g * D.quad_weights(a)).sum(axis=-1)
+    return g
 
 
 def check_admissible_weight(alpha, D, p):
@@ -132,7 +101,8 @@ def check_admissible_weight(alpha, D, p):
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
     ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) (sup norm when p = 1).
     Power-law divergence is decided symbolically, not by overflow; a power
-    law pivoting at the right t-edge is never sampled on the closed grid.
+    law pivoting at the right t-edge is never sampled on the closed grid:
+    its masses are exact and ||alpha(y)|y|||_{p'} takes the edge rule.
     """
     p = float(p)
     if p < 1:
@@ -146,18 +116,15 @@ def check_admissible_weight(alpha, D, p):
         fiber_vol *= hi - lo
 
     if alpha.kind == "powerlaw" and alpha.lam > 0 and alpha.pivot <= hi0:
-        if alpha.power_integral_finite(1.0, lo0, hi0):
-            mass = fiber_vol * (hi0 - lo0) ** (1.0 - alpha.lam) / (1.0 - alpha.lam)
-        else:
-            mass = np.inf
-        if np.isinf(pprime) or not alpha.power_integral_finite(pprime, lo0, hi0):
-            anorm = mnorm = np.inf
-        else:
-            e = alpha.lam * pprime
-            anorm = (fiber_vol * (hi0 - lo0) ** (1.0 - e) / (1.0 - e)) ** (
-                1.0 / pprime
-            )
-            mnorm = _edge_moment_norm(alpha, D, pprime)
+        mass = fiber_vol * powerlaw_mass(alpha.lam, alpha.pivot, lo0, hi0)
+        # p' = inf makes e infinite, and the mass says the sup norm diverges
+        e = alpha.lam * pprime
+        amass = powerlaw_mass(e, alpha.pivot, lo0, hi0)
+        anorm = mnorm = np.inf
+        if np.isfinite(amass):
+            anorm = (fiber_vol * amass) ** (1.0 / pprime)
+            total = edge_integral(e, lo0, hi0, lambda t: _fiber_moment(D, pprime, t))
+            mnorm = total ** (1.0 / pprime)
     else:
         field = alpha.sample_on(D)
         mass = D.integrate(field)

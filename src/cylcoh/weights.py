@@ -2,8 +2,8 @@
 
 A profile is either constant, a power law (pivot - t)^(-lam) in the axis-0
 coordinate, a 1-D table over t, or a full-grid table tied to one domain.
-Power laws keep their exponent symbolic so integrability can be decided
-exactly instead of by overflowing quadrature.
+Power laws keep their exponent symbolic, so _interp.powerlaw_mass can
+decide their integrability exactly instead of by overflowing quadrature.
 """
 
 import numpy as np
@@ -100,20 +100,6 @@ class WeightProfile:
         if self.kind == "sampled-t":
             return WeightProfile.sampled_t(self.tcoords, self.samples**e)
         return WeightProfile.sampled(self.samples**e)
-
-    def power_integral_finite(self, u, lo, hi):
-        """Is int over [lo, hi) of profile^u dt finite?
-
-        Exact for power laws whose pivot is the right endpoint; bounded
-        kinds are always integrable on a finite interval.
-        """
-        if self.kind == "powerlaw" and self.lam * u > 0:
-            if self.pivot < hi:
-                raise ValueError("power-law pivot inside the interval")
-            if self.pivot > hi:
-                return True
-            return self.lam * u < 1.0
-        return True
 
     def to_dict(self):
         d = {"kind": self.kind}

@@ -17,7 +17,8 @@ from cylcoh import (
     cylinder_constant,
     sup_indicator_norm,
 )
-from cylcoh.constants import _powerlaw_axis_mass, _window_mass_field
+from cylcoh._interp import powerlaw_mass, window_matrix
+from cylcoh.constants import _t_axis_norm, _window_mass_field
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -88,9 +89,46 @@ def test_sup_indicator_powerlaw_exact():
     )
 
 
-def test_powerlaw_axis_mass_rejects_interior_pivot():
-    with pytest.raises(ValueError, match="pivot inside"):
-        _powerlaw_axis_mass(WeightProfile.powerlaw(1.0, 0.5), 2.0, 0.0, 1.0, 1.0)
+def test_powerlaw_mass_rejects_interior_pivot():
+    with pytest.raises(ValueError, match="pivot 0.5 is below the end of"):
+        powerlaw_mass(2.0, 0.5, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.25, 0.6])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_window_matrix_row_matches_powerlaw_mass(lam, q, shift):
+    # the window matrices and the heaviest-window mass share _pl_primitive:
+    # a one-row window matrix on a constant field integrates the law over
+    # its window, and the heavier of the two edge windows is the mass
+    lo, hi = 0.0, 1.0
+    pivot = hi + shift
+    dom = box([[lo, hi]], [17])
+    for width in (0.1, 0.37, 1.0):
+        mass = powerlaw_mass(lam * q, pivot, lo, hi, width)
+        if not math.isfinite(mass):
+            assert lam * q >= 1.0 and shift == 0.0
+            continue
+        rows = [
+            window_matrix(dom, 0, np.array([a]), np.array([a + width]), (lam * q, pivot))
+            for a in (lo, hi - width)
+        ]
+        heaviest = max(float(row[0] @ np.ones(dom.grid[0])) for row in rows)
+        assert heaviest == pytest.approx(mass, rel=1e-14, abs=0.0), f"width={width}"
+
+
+@pytest.mark.parametrize("e", [0.5, 0.9, 0.98])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_t_moment_norm_matches_beta_function(e, q):
+    # ||t (1-t)^(-lam)||_{L^q[0,1)}^q = B(q + 1, 1 - lam q)
+    lam = e / q
+    exact = (math.gamma(q + 1.0) * math.gamma(1.0 - e) / math.gamma(q + 2.0 - e)) ** (1.0 / q)
+    beta = WeightProfile.powerlaw(lam, 1.0)
+    got = _t_axis_norm(beta, q, 0.0, 1.0, moment_t=True)
+    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+    sq = box([[0, 1], [0, 1]], [17, 17])
+    out = cylinder_constant(ConstantRequest(1, q, q, sq, beta=beta), t_nodes=8)
+    assert out["tbeta_norm"] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.25, 0.6])
@@ -208,6 +246,16 @@ def test_q_factor():
 
     with pytest.raises(ValueError, match="pbar"):
         Q_factor(gam, 2.0, 3.0, dom)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 1.0])
+@pytest.mark.parametrize("pbar", [1.0, 1.5, 2.0])
+def test_q_factor_rejects_interior_pivot_at_every_pbar(lam, pbar):
+    # gamma = (0.5 - t)^(-lam) on [0, 1]: one pivot rule, one message,
+    # for the sup (pbar = p) and for the L^r norms alike
+    dom = box([[0, 1]], [33])
+    with pytest.raises(ValueError, match="pivot 0.5 is below the end of"):
+        Q_factor(WeightProfile.powerlaw(lam, 0.5), 2.0, pbar, dom)
 
 
 def test_cylinder_constant_flat_beta():

@@ -305,7 +305,7 @@ def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
 def test_fixed_rules_are_read_only_and_match_fresh_builds():
     rules = [
         (constants.T_NORM_RULE, constants._graded_nodes(constants.T_NORM_NODES)),
-        (homotopy.EDGE_RULE, homotopy.gauss01(homotopy.EDGE_NODES)),
+        (_interp.EDGE_RULE, _interp.gauss01(_interp.EDGE_NODES)),
     ]
     for rule, fresh in rules:
         for arr, ref in zip(rule, fresh, strict=True):

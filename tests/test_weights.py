@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cylcoh import WeightProfile, box, cylinder
+from cylcoh._interp import powerlaw_mass
 
 
 def test_constant_profile():
@@ -54,15 +57,14 @@ def test_pow_exponent_arithmetic(lam, e):
     assert w.pivot == 1.5
 
 
-def test_power_integral_trichotomy():
+def test_powerlaw_mass_trichotomy():
     # (1-t)^(-lam u) integrable on [0,1) iff lam*u < 1
-    w = WeightProfile.powerlaw(2.0, 1.0)
-    assert w.power_integral_finite(0.49, 0.0, 1.0)
-    assert not w.power_integral_finite(0.5, 0.0, 1.0)
-    assert not w.power_integral_finite(1.0, 0.0, 1.0)
+    lam = 2.0
+    assert math.isfinite(powerlaw_mass(lam * 0.49, 1.0, 0.0, 1.0))
+    assert powerlaw_mass(lam * 0.5, 1.0, 0.0, 1.0) == math.inf
+    assert powerlaw_mass(lam * 1.0, 1.0, 0.0, 1.0) == math.inf
     # pivot beyond the interval: always finite
-    w2 = WeightProfile.powerlaw(2.0, 2.0)
-    assert w2.power_integral_finite(10.0, 0.0, 1.0)
+    assert math.isfinite(powerlaw_mass(lam * 10.0, 2.0, 0.0, 1.0))
 
 
 def test_roundtrip():
