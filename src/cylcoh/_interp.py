@@ -27,6 +27,9 @@ import math
 import numpy as np
 
 EDGE_NODES = 128
+# byte budget of one stacked window-matrix build: callers that stack the
+# windows of many t-nodes build them in blocks of t-nodes this size allows
+STACK_BYTES = 4 << 20
 
 
 def gauss01(n):

@@ -9,7 +9,10 @@ Everything reduces to the t-integral
 centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
 graded mesh and a symbolic exponent pre-check decides finiteness before
-any numbers are trusted.
+any numbers are trusted.  For sampled beta, or the |x| moment, the sup
+is a grid search over sliding-window integrals whose matrices are built
+once per block of t-nodes (one build per axis and pass), each block as
+large as _interp's STACK_BYTES allows.
 
 The power-law t-integrals in the weight norms are _interp's
 powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
@@ -19,8 +22,8 @@ import math
 
 import numpy as np
 
-from ._interp import (apply_axis_matrix, edge_integral, gauss01, powerlaw_mass, read_only,
-                      window_matrix)
+from ._interp import (STACK_BYTES, apply_axis_matrix, edge_integral, gauss01, powerlaw_mass,
+                      read_only, window_matrix)
 from .homotopy import check_admissible_weight
 from .weights import WeightProfile
 
@@ -81,45 +84,72 @@ class ConstantRequest:
         return d
 
 
-def _window_mass_field(qfield, D, t, coords_list, pl=None):
-    """Integral of the interpolant of qfield over the sliding window
+def _window_stacks(D, nodes, coords, pl=None):
+    """The window matrices of the z in coords for every t in nodes, per
+    axis stacked to shape (len(nodes), len(z), m) by one window_matrix
+    call.  The window of z is
 
         { x : z in t*x + (1-t)*D }  =  prod_a [ (z_a-(1-t)hi_a)/t, (z_a-(1-t)lo_a)/t ]
 
-    clipped to D, for every z in the tensor grid given by coords_list.
-    pl = (mu, pivot) weights axis 0 by the exact power-law factor
-    (pivot-s)^-mu instead of treating it as part of the samples."""
-    out = qfield
-    for ax in range(D.dim):
+    clipped to D.  coords[ax] is one z vector for every t-node or one row
+    per t-node.  pl = (mu, pivot) weights axis 0 by the exact power-law
+    factor (pivot-s)^-mu instead of treating it as part of the samples."""
+    t = np.asarray(nodes, dtype=float)[:, None]
+    stacks = []
+    for ax, z in enumerate(coords):
         lo, hi = D.bounds[ax]
-        z = coords_list[ax]
         wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
         wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
         weight = pl if ax == 0 else None
-        mat = window_matrix(D, ax, wl, np.maximum(wu, wl), weight)
+        mats = window_matrix(D, ax, wl.ravel(), np.maximum(wu, wl).ravel(), weight)
+        stacks.append(mats.reshape(wl.shape + (-1,)))
+    return stacks
+
+
+def _window_mass_field(qfield, mats):
+    """Integral of the interpolant of qfield over the sliding window of
+    every z of a tensor grid, given one t-node's window matrix per axis
+    (a slice of _window_stacks)."""
+    out = qfield
+    for mat in mats:
         out = apply_axis_matrix(out, mat)
     return out
 
 
-def _sup_window_norm(qfield, D, q, t, pl=None):
-    """sup_z of the window integral of qfield, to the power 1/q.
+def _sup_window_norms(qfield, D, q, nodes, pl=None):
+    """sup_z of the window integral of qfield, to the power 1/q, for every
+    t in nodes.
 
     Grid search over z at the sampling resolution plus one local
-    refinement pass around the winner.
+    refinement pass, 9 points per axis around each t-node's winner.  The
+    window matrices are built once per block of t-nodes, one build per
+    axis and pass, and a block holds as many t-nodes as STACK_BYTES
+    allows a build; each row is computed on its own, so blocking leaves
+    every sup unchanged.
     """
     coords = [D.axis_coords(ax) for ax in range(D.dim)]
-    mass = _window_mass_field(qfield, D, t, coords, pl=pl)
-    best = int(np.argmax(mass))
-    ij = np.unravel_index(best, mass.shape)
-    fine = []
-    for ax in range(D.dim):
-        lo, hi = D.bounds[ax]
-        h = D.spacing(ax)
-        c = coords[ax][ij[ax]]
-        fine.append(np.clip(np.linspace(c - h, c + h, 9), lo, hi))
-    refined = _window_mass_field(qfield, D, t, fine, pl=pl)
-    peak = max(float(mass.max()), float(refined.max()))
-    return max(peak, 0.0) ** (1.0 / q)
+    block = max(1, STACK_BYTES // max(8 * max(m, 9) * m for m in D.grid))
+    sups = []
+    for start in range(0, len(nodes), block):
+        ts = nodes[start : start + block]
+        coarse = _window_stacks(D, ts, coords, pl)
+        peaks, winners = [], []
+        for i in range(len(ts)):
+            mass = _window_mass_field(qfield, [s[i] for s in coarse])
+            peaks.append(float(mass.max()))
+            winners.append(np.unravel_index(int(np.argmax(mass)), mass.shape))
+        fine = []
+        for ax, idx in enumerate(np.array(winners).T):
+            lo, hi = D.bounds[ax]
+            h = D.spacing(ax)
+            c = coords[ax][idx]
+            fine.append(np.clip(np.linspace(c - h, c + h, 9, axis=-1), lo, hi))
+        refined = _window_stacks(D, ts, fine, pl)
+        for i, peak in enumerate(peaks):
+            mass = _window_mass_field(qfield, [s[i] for s in refined])
+            peak = max(peak, float(mass.max()))
+            sups.append(max(peak, 0.0) ** (1.0 / q))
+    return sups
 
 
 def sup_indicator_norm(D, beta, q, t):
@@ -149,7 +179,7 @@ def sup_indicator_norm(D, beta, q, t):
     qfield = beta.sample_on(D) ** q
     if t == 0.0:
         return D.integrate(qfield) ** (1.0 / q)
-    return _sup_window_norm(qfield, D, q, t)
+    return _sup_window_norms(qfield, D, q, [t])[0]
 
 
 def _graded_nodes(t_nodes):
@@ -217,12 +247,13 @@ def C_integral(req, moment="none", t_nodes=64):
     elif beta.kind in ("sampled", "sampled-t"):
         qfield = beta.sample_on(D) ** q
 
+    nodes, wts = _graded_nodes(t_nodes)
+    if qfield is None:
+        sups = [sup_indicator_norm(D, beta, q, t) for t in nodes]
+    else:
+        sups = _sup_window_norms(qfield, D, q, nodes, pl=pl)
     total = 0.0
-    for t, w in zip(*_graded_nodes(t_nodes)):
-        if qfield is None:
-            sup = sup_indicator_norm(D, beta, q, t)
-        else:
-            sup = _sup_window_norm(qfield, D, q, t, pl=pl)
+    for t, w, sup in zip(nodes, wts, sups):
         total += w * sup * t**k * (1.0 - t) ** (-D.dim / p)
     return float(total)
 
@@ -280,9 +311,13 @@ def Q_factor(gamma, p, pbar, D):
 
 def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
-    exact masses for power laws, the edge rule for the t-moment of one
-    singular at hi, T_NORM_RULE for bounded profiles."""
+    exact masses for power laws (the t-moment of one singular at hi = 0
+    is a law too), the edge rule for the t-moment of one singular at
+    another hi, T_NORM_RULE for bounded profiles."""
     if beta.kind == "powerlaw":
+        if moment_t and beta.lam > 0 and beta.pivot == hi == 0.0:
+            # t < 0, so |t|^q (0-t)^(-lam q) is the law (0-t)^(q - lam q)
+            return float(powerlaw_mass(beta.lam * q - q, 0.0, lo, hi) ** (1.0 / q))
         mass = powerlaw_mass(beta.lam * q, beta.pivot, lo, hi)
         if not moment_t or not math.isfinite(mass):
             return float(mass ** (1.0 / q))

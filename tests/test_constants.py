@@ -17,8 +17,9 @@ from cylcoh import (
     cylinder_constant,
     sup_indicator_norm,
 )
-from cylcoh._interp import powerlaw_mass, window_matrix
-from cylcoh.constants import _t_axis_norm, _window_mass_field
+from cylcoh import constants
+from cylcoh._interp import STACK_BYTES, powerlaw_mass, window_matrix
+from cylcoh.constants import _graded_nodes, _t_axis_norm, _window_mass_field, _window_stacks
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -131,6 +132,16 @@ def test_t_moment_norm_matches_beta_function(e, q):
     assert out["tbeta_norm"] == pytest.approx(exact, rel=1e-10, abs=0.0)
 
 
+def test_t_moment_norm_at_pivot_zero():
+    # on [-1, 0) the moment |t|^q (0-t)^(-lam q) is the law (0-t)^(q - lam q),
+    # finite iff lam q < q + 1: lam = 0.6, q = 2 gives (1/1.8)^(1/2)
+    got = _t_axis_norm(WeightProfile.powerlaw(0.6, 0.0), 2.0, -1.0, 0.0, moment_t=True)
+    assert got == pytest.approx((1.0 / 1.8) ** 0.5, rel=1e-12, abs=0.0)
+    for lam in (1.5, 2.0):
+        beta = WeightProfile.powerlaw(lam, 0.0)
+        assert _t_axis_norm(beta, 2.0, -1.0, 0.0, moment_t=True) == math.inf
+
+
 @pytest.mark.parametrize("mu", [0.25, 0.6])
 def test_window_mass_field_exact_for_powerlaw_weight(mu):
     # qfield = (a0 + a1 s)(c0 + c1 y): the interpolant is the field itself,
@@ -148,8 +159,10 @@ def test_window_mass_field_exact_for_powerlaw_weight(mu):
         return c0 * v + 0.5 * c1 * v * v
 
     coords = [np.linspace(0.0, 1.0, 13), np.linspace(0.0, 2.0, 7)]
-    for t in (0.2, 0.5, 0.8):
-        got = _window_mass_field(qfield, dom, t, coords, pl=(mu, 1.0))
+    nodes = (0.2, 0.5, 0.8)
+    stacks = _window_stacks(dom, nodes, coords, pl=(mu, 1.0))
+    for i, t in enumerate(nodes):
+        got = _window_mass_field(qfield, [s[i] for s in stacks])
         ends = []
         for z, (lo, hi) in zip(coords, dom.bounds):
             wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
@@ -158,6 +171,67 @@ def test_window_mass_field_exact_for_powerlaw_weight(mu):
         (sl, su), (yl, yu) = ends
         ref = np.outer(prim_s(1.0 - sl) - prim_s(1.0 - su), prim_y(yu) - prim_y(yl))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("grid", [(33, 17), (17, 12, 7)])
+def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
+    # every window row is built on its own, so the sups of a block of
+    # t-nodes equal one-node searches bitwise; split shrinks the budget
+    # to 3 t-nodes' largest build, so the 24 t-nodes take 8 blocks
+    dom = box([[0, 1], [0, 2], [-1, 1]][: len(grid)], grid)
+    if split:
+        monkeypatch.setattr(constants, "STACK_BYTES", 3 * 8 * max(grid) ** 2 + 7)
+    beta = WeightProfile.sampled(np.random.default_rng(7).uniform(0.5, 2.0, dom.grid))
+    seen = []  # the per-t sups of C_integral's window search
+    search = constants._sup_window_norms
+
+    def recorded(*args, **kwargs):
+        seen.append(search(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(constants, "_sup_window_norms", recorded)
+    nodes = _graded_nodes(24)[0]
+    C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=beta), t_nodes=24)
+    assert len(seen) == 1 and len(seen[0]) == len(nodes)
+    for t, sup in zip(nodes, seen[0]):
+        assert sup == sup_indicator_norm(dom, beta, 3.0, t), f"t={t}"
+
+    # the |x| moment of a power law, whose law enters the axis-0 windows
+    law = WeightProfile.powerlaw(0.25, 1.0)
+    seen.clear()
+    C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=law), moment="|x|", t_nodes=24)
+    qfield = np.sqrt(sum(c**2 for c in dom.meshgrid())) ** 3.0
+    for t, sup in zip(nodes, seen[0]):
+        one = search(qfield, dom, 3.0, [t], pl=(0.75, 1.0))[0]
+        assert sup == pytest.approx(one, rel=1e-14, abs=0.0), f"t={t}"
+
+
+def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
+    # one window_matrix call per axis and pass for each block of t-nodes:
+    # a single block at 33^2, and at the CLI maxima (257^2, 256 t-nodes)
+    # several blocks, none of whose builds exceeds the byte budget
+    calls = []
+    build = constants.window_matrix
+
+    def counted(domain, ax, lower, upper, weight=None):
+        calls.append(len(lower) * domain.grid[ax] * 8)
+        return build(domain, ax, lower, upper, weight)
+
+    monkeypatch.setattr(constants, "window_matrix", counted)
+    dom = box([[0, 1], [0, 1]], [33, 33])
+    req = ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(np.ones(dom.grid)))
+    for t_nodes in (16, 64):
+        calls.clear()
+        C_integral(req, t_nodes=t_nodes)
+        assert len(calls) == 2 * dom.dim, f"t_nodes={t_nodes}"
+
+    dom = box([[0, 1], [0, 1]], [257, 257])
+    req = ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(np.ones(dom.grid)))
+    calls.clear()
+    C_integral(req, t_nodes=256)
+    assert len(calls) > 2 * dom.dim
+    assert max(calls) <= STACK_BYTES
 
 
 def test_c_integral_matches_analytic_reference():
