@@ -6,14 +6,19 @@ finite differences of interpolated quantities stay second-order
 accurate; axes shorter than 4 nodes fall back to linear.  Every
 whole-grid operation is one dense matrix per axis, applied axis by axis
 (sum factorisation): the cubic stencils for evaluation at scaled points,
-and window matrices for integrals over per-point intervals.  The stencil
-matrices of every t-node of a cone come from one stencil build per axis,
-so a caller builds them once and applies them to every field, through a
-pair of reusable grid-sized buffers rather than fresh arrays.  The window
+and window matrices for integrals over per-point intervals.  The window
 matrices integrate the piecewise-linear interpolant, optionally against
 the coordinate or a power-law factor, exactly; this keeps the
 uniform-weight averaging pipeline exact on multilinear coefficient
 fields.
+
+K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
+splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
+per block, each axis's matrices for every t-node come from one build
+(scaled_axis_matrices or window_stack) and serve every field; and
+apply_axes applies them through a pair of reused buffers rather than
+fresh arrays.  Every row is built on its own, so the blocking leaves
+every value unchanged.
 
 The power-law t-integrals of every weight norm live here too, on the
 window matrices' closed form _pl_primitive: powerlaw_mass, the exact
@@ -27,8 +32,7 @@ import math
 import numpy as np
 
 EDGE_NODES = 128
-# byte budget of one stacked window-matrix build: callers that stack the
-# windows of many t-nodes build them in blocks of t-nodes this size allows
+# byte budget of one stacked build of per-t-node axis matrices
 STACK_BYTES = 4 << 20
 
 
@@ -46,6 +50,14 @@ def read_only(rule):
 
 
 EDGE_RULE = read_only(gauss01(EDGE_NODES))
+
+
+def node_blocks(count, node_bytes):
+    """Consecutive slices of range(count), each a block of t-nodes whose
+    stacked build, at node_bytes per t-node, fits in STACK_BYTES (one
+    t-node per block at least)."""
+    size = max(1, STACK_BYTES // node_bytes)
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _axis_locate(domain, ax, coords):
@@ -112,22 +124,24 @@ def scaled_axis_matrices(domain, ax, y, nodes):
     return out
 
 
-def apply_axis_matrix(values, mat, out=None):
-    """Apply a linear map to the leading axis of values.
+def apply_axes(field, mats, work):
+    """Apply one matrix per axis to field, axis by axis (sum factorisation).
 
-    mat has one column per leading-axis entry: an interpolation matrix
-    from scaled_axis_matrices or a window matrix from window_matrix.  The
+    Each matrix has one column per node of its axis: an interpolation
+    matrix from scaled_axis_matrices or a slice of a window_stack.  The
     mapped axis moves to the end, so applying the matrices of all axes in
-    turn (sum factorisation) restores the axis order, and each step is a
-    single matrix product over contiguous memory.  out, if given, is a
-    flat buffer, not overlapping values, whose leading entries receive
-    the product in place of a new array.
+    turn restores the axis order, and each step is a single matrix
+    product over contiguous memory.  The products fill the flat buffers
+    work[1] and work[0] in turn (field may sit in work[0], never in
+    work[1]), so a call allocates no field-sized array; the result is a
+    view of one of them, valid until the next call with the same work.
     """
-    flat = values.reshape(values.shape[0], -1).T
-    if out is not None:
-        out = out[: flat.shape[0] * mat.shape[0]].reshape(flat.shape[0], -1)
-    out = np.matmul(flat, mat.T, out=out)
-    return out.reshape(values.shape[1:] + (mat.shape[0],))
+    out = field
+    for i, mat in enumerate(mats, 1):
+        flat = out.reshape(out.shape[0], -1).T
+        buf = work[i % 2][: flat.shape[0] * mat.shape[0]].reshape(flat.shape[0], -1)
+        out = np.matmul(flat, mat.T, out=buf).reshape(out.shape[1:] + (mat.shape[0],))
+    return out
 
 
 def scaled_eval(field, mats, work):
@@ -135,18 +149,13 @@ def scaled_eval(field, mats, work):
     given one t-node's (mat, cols) per axis from scaled_axis_matrices.
 
     The points fill the box t*D + (1-t)*y, so the field is first cut down
-    to the nodes their stencils reach; the matrix products then cost about
-    t times the full-grid ones per axis.  work is a pair of flat buffers
-    of the grid's size that the cut field and each product take in turn,
-    so a call allocates no grid-sized array; the result is a view of one
-    of them, valid until the next call with the same work.
+    to the nodes their stencils reach, into work[0]; apply_axes then costs
+    about t times the full-grid products per axis.
     """
     crop = field[tuple(cols for _, cols in mats)]
     out = work[0][: crop.size].reshape(crop.shape)
     out[...] = crop
-    for i, (mat, _) in enumerate(mats, 1):
-        out = apply_axis_matrix(out, mat, work[i % 2])
-    return out
+    return apply_axes(out, [mat for mat, _ in mats], work)
 
 
 def _pl_primitive(left, right, e):
@@ -238,3 +247,10 @@ def window_matrix(domain, ax, lower, upper, weight=None):
         return rows
 
     return antideriv(upper) - antideriv(lower)
+
+
+def window_stack(domain, ax, lower, upper, weight=None):
+    """window_matrix over (nodes, n) arrays of window ends, one build,
+    stacked to shape (nodes, n, m): one n-row window matrix per t-node."""
+    mats = window_matrix(domain, ax, lower.ravel(), upper.ravel(), weight)
+    return mats.reshape(lower.shape + (-1,))

@@ -423,12 +423,15 @@ def main(argv=None):
 
     path = Path(args.scenario)
     try:
-        sc = json.loads(path.read_text())
-    except OSError as e:
+        sc = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read scenario: {e}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as e:
         print(f"schema error: scenario is not valid JSON: {e}", file=sys.stderr)
+        return 1
+    except RecursionError as e:
+        print(f"schema error: scenario nests too deeply: {e}", file=sys.stderr)
         return 1
     try:
         jsonschema.validate(sc, SCHEMA)
@@ -437,7 +440,11 @@ def main(argv=None):
         return 1
 
     out_dir = Path(args.out) if args.out else path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"error: cannot create output directory: {e}", file=sys.stderr)
+        return 1
 
     try:
         report, code, csv_text = HANDLERS[sc["command"]](sc, args)

@@ -10,9 +10,10 @@ centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
 graded mesh and a symbolic exponent pre-check decides finiteness before
 any numbers are trusted.  For sampled beta, or the |x| moment, the sup
-is a grid search over sliding-window integrals whose matrices are built
-once per block of t-nodes (one build per axis and pass), each block as
-large as _interp's STACK_BYTES allows.
+is a grid search over sliding-window integrals on _interp's
+stacked-operator path, as for K_y and A_alpha: one window_stack build
+per axis and pass for each block of t-nodes within _interp.STACK_BYTES,
+applied by apply_axes.
 
 The power-law t-integrals in the weight norms are _interp's
 powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
@@ -22,8 +23,8 @@ import math
 
 import numpy as np
 
-from ._interp import (STACK_BYTES, apply_axis_matrix, edge_integral, gauss01, powerlaw_mass,
-                      read_only, window_matrix)
+from ._interp import (apply_axes, edge_integral, gauss01, node_blocks, powerlaw_mass,
+                      read_only, window_stack)
 from .homotopy import check_admissible_weight
 from .weights import WeightProfile
 
@@ -86,8 +87,8 @@ class ConstantRequest:
 
 def _window_stacks(D, nodes, coords, pl=None):
     """The window matrices of the z in coords for every t in nodes, per
-    axis stacked to shape (len(nodes), len(z), m) by one window_matrix
-    call.  The window of z is
+    axis stacked to shape (len(nodes), len(z), m) by one window_stack
+    build.  The window of z is
 
         { x : z in t*x + (1-t)*D }  =  prod_a [ (z_a-(1-t)hi_a)/t, (z_a-(1-t)lo_a)/t ]
 
@@ -100,20 +101,12 @@ def _window_stacks(D, nodes, coords, pl=None):
         lo, hi = D.bounds[ax]
         wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
         wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
-        weight = pl if ax == 0 else None
-        mats = window_matrix(D, ax, wl.ravel(), np.maximum(wu, wl).ravel(), weight)
-        stacks.append(mats.reshape(wl.shape + (-1,)))
+        stacks.append(window_stack(D, ax, wl, np.maximum(wu, wl), pl if ax == 0 else None))
     return stacks
 
 
-def _window_mass_field(qfield, mats):
-    """Integral of the interpolant of qfield over the sliding window of
-    every z of a tensor grid, given one t-node's window matrix per axis
-    (a slice of _window_stacks)."""
-    out = qfield
-    for mat in mats:
-        out = apply_axis_matrix(out, mat)
-    return out
+# perfbench/tracing.py wraps _window_mass_field here: call it by this name
+_window_mass_field = apply_axes
 
 
 def _sup_window_norms(qfield, D, q, nodes, pl=None):
@@ -123,19 +116,20 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     Grid search over z at the sampling resolution plus one local
     refinement pass, 9 points per axis around each t-node's winner.  The
     window matrices are built once per block of t-nodes, one build per
-    axis and pass, and a block holds as many t-nodes as STACK_BYTES
-    allows a build; each row is computed on its own, so blocking leaves
+    axis and pass; each row is computed on its own, so blocking leaves
     every sup unchanged.
     """
     coords = [D.axis_coords(ax) for ax in range(D.dim)]
-    block = max(1, STACK_BYTES // max(8 * max(m, 9) * m for m in D.grid))
+    # the refinement's 9 rows per axis can outnumber an axis's nodes
+    rows = [max(m, 9) for m in D.grid]
+    work = (np.empty(math.prod(rows)), np.empty(math.prod(rows)))
     sups = []
-    for start in range(0, len(nodes), block):
-        ts = nodes[start : start + block]
+    for block in node_blocks(len(nodes), 8 * max(rows) * max(D.grid)):
+        ts = nodes[block]
         coarse = _window_stacks(D, ts, coords, pl)
         peaks, winners = [], []
         for i in range(len(ts)):
-            mass = _window_mass_field(qfield, [s[i] for s in coarse])
+            mass = _window_mass_field(qfield, [s[i] for s in coarse], work)
             peaks.append(float(mass.max()))
             winners.append(np.unravel_index(int(np.argmax(mass)), mass.shape))
         fine = []
@@ -146,7 +140,7 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
             fine.append(np.clip(np.linspace(c - h, c + h, 9, axis=-1), lo, hi))
         refined = _window_stacks(D, ts, fine, pl)
         for i, peak in enumerate(peaks):
-            mass = _window_mass_field(qfield, [s[i] for s in refined])
+            mass = _window_mass_field(qfield, [s[i] for s in refined], work)
             peak = max(peak, float(mass.max()))
             sups.append(max(peak, 0.0) ** (1.0 / q))
     return sups

@@ -74,9 +74,6 @@ class GridForm:
             raise ValueError(f"field shape {field.shape} != grid {self.domain.grid}")
         self.coeffs[idx] = field
 
-    def copy(self):
-        return GridForm(self.domain, self.degree, self.coeffs)
-
     def _binary(self, other, op):
         if not isinstance(other, GridForm):
             return NotImplemented
@@ -140,10 +137,11 @@ def exterior_derivative(omega):
         for ax in range(dom.dim):
             if ax in idx:
                 continue
-            pos = sum(1 for i in idx if i < ax)
-            sign = -1.0 if pos % 2 else 1.0
-            jdx = tuple(sorted(idx + (ax,)))
-            out.coeffs[jdx] += sign * _partial(field, dom, ax)
+            acc = out.coeffs[tuple(sorted(idx + (ax,)))]
+            if sum(1 for i in idx if i < ax) % 2:
+                acc -= _partial(field, dom, ax)
+            else:
+                acc += _partial(field, dom, ax)
     return out
 
 

@@ -8,11 +8,11 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
 
 and K_y omega integrates it over t in [0,1] by Gauss-Legendre.  The
 stencil matrices that evaluate a field at t*x + (1-t)*y depend only on
-the axis, the t-node and y, so K_y builds each axis's matrices for all
-t-nodes once per call, with the quadrature weight w_t t^(k-1) folded into
-the last axis's matrices, and applies them to every coefficient; the
-factor x_a - y_a multiplies the t-integral afterwards, as a 1-D array
-broadcast along axis a.
+the axis, the t-node and y, so K_y builds each axis's matrices once per
+block of t-nodes, with the quadrature weight w_t t^(k-1) folded into the
+last axis's matrices, and applies them to every coefficient; the factor
+x_a - y_a multiplies the t-integral afterwards, as a 1-D array broadcast
+along axis a.
 
 A_alpha averages K_y over centers y against a unit-mass weight; for a
 uniform weight the y-integral collapses, after the substitution
@@ -22,16 +22,20 @@ matrix per axis, applied in turn, evaluates them for every x at once,
 with the lever matrix x_a * P - M (plain and moment window matrices) on
 axis a folding the factor x_a - z_a into a single box integral.  The
 window matrices depend only on the axis, the t-node and the weight, so
-each axis's matrices for all t-nodes come from one build and are shared
-by every coefficient.
+each axis's matrices come from one build per block of t-nodes and are
+shared by every coefficient.  Both operators, like C_integral, keep each
+build within _interp.STACK_BYTES and apply it by _interp.apply_axes.
 """
 
 import numpy as np
 
-from ._interp import (apply_axis_matrix, edge_integral, gauss01, powerlaw_mass,
-                      scaled_axis_matrices, scaled_eval, window_matrix)
+from ._interp import (apply_axes, edge_integral, gauss01, node_blocks, powerlaw_mass,
+                      scaled_axis_matrices, scaled_eval, window_stack)
 from .forms import GridForm
 from .weights import WeightProfile
+
+# perfbench/tracing.py wraps scaled_eval and _box_integral here: call them by these names
+_box_integral = apply_axes
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
 
@@ -51,9 +55,10 @@ def _inside(domain, pt):
 def K_y(omega, y, t_nodes=32):
     """Cone homotopy operator: degree k -> k-1, K_y d + d K_y = id.
 
-    Each axis's stencil matrices for all t_nodes come from one build per
-    call, with the quadrature weight w_t t^(k-1) folded into the last
-    axis's, and serve every coefficient.
+    Each axis's stencil matrices come from one build per block of
+    t-nodes, with the quadrature weight w_t t^(k-1) folded into the last
+    axis's, and serve every coefficient; each coefficient's t-integral
+    runs on across the blocks.
     """
     dom = omega.domain
     _require_box(dom, "K_y")
@@ -63,22 +68,25 @@ def K_y(omega, y, t_nodes=32):
     if not _inside(dom, y):
         raise ValueError("x or y outside domain")
     nodes, wts = gauss01(t_nodes)
-    mats = [scaled_axis_matrices(dom, ax, y, nodes) for ax in range(dom.dim)]
-    for (mat, _), w in zip(mats[-1], wts * nodes ** (omega.degree - 1)):
-        mat *= w
+    wts = wts * nodes ** (omega.degree - 1)
     # reused grid-sized buffers: fresh arrays per t-node let malloc hand
     # their pages back to the system and fault them in again
     work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
-    fint = np.empty(dom.grid)
+    # (x_a - y_a) does not depend on t, so integrate f_I(psi) first; zeros_like
+    # fills a malloc'd array, where np.zeros' calloc can map fresh pages
+    fint = {idx: np.zeros_like(field, dtype=float) for idx, field in omega.coeffs.items()}
+    for block in node_blocks(len(nodes), 8 * max(dom.grid) ** 2):
+        mats = [scaled_axis_matrices(dom, ax, y, nodes[block]) for ax in range(dom.dim)]
+        for (mat, _), w in zip(mats[-1], wts[block]):
+            mat *= w
+        for idx, field in omega.coeffs.items():
+            for node_mats in zip(*mats):
+                fint[idx] += scaled_eval(field, node_mats, work)
     out = GridForm(dom, omega.degree - 1)
-    for idx, field in omega.coeffs.items():
-        # (x_a - y_a) does not depend on t, so integrate f_I(psi) first
-        fint[...] = 0.0
-        for node_mats in zip(*mats):
-            fint += scaled_eval(field, node_mats, work)
+    for idx, f in fint.items():
         for r, a in enumerate(idx):
             lever = (dom.axis_coords(a) - y[a]).reshape((-1,) + (1,) * (dom.dim - 1 - a))
-            term = np.multiply(fint, -lever if r % 2 else lever, out=work[0].reshape(dom.grid))
+            term = np.multiply(f, -lever if r % 2 else lever, out=work[0].reshape(dom.grid))
             out.coeffs[idx[:r] + idx[r + 1 :]] += term
     return out
 
@@ -153,42 +161,6 @@ def check_admissible_weight(alpha, D, p):
     }
 
 
-def _box_windows(domain, ax, nodes, weight=None):
-    """The window matrices along ax of the boxes t*x + (1-t)*D, one per
-    t in nodes, stacked to shape (len(nodes), m, m) from one build.
-
-    Separable because along each axis the box endpoints
-    t*x_a + (1-t)*lo_a and t*x_a + (1-t)*hi_a depend on x_a alone.
-    weight "moment" weights the integrand by that coordinate.
-    """
-    lo, hi = domain.bounds[ax]
-    xs = domain.axis_coords(ax)
-    t = np.asarray(nodes, dtype=float)[:, None]
-    lower = (t * xs + (1.0 - t) * lo).ravel()
-    upper = (t * xs + (1.0 - t) * hi).ravel()
-    mats = window_matrix(domain, ax, lower, upper, weight)
-    return mats.reshape(t.shape[0], xs.size, xs.size)
-
-
-def _lever_windows(domain, ax, nodes, plain):
-    """The lever matrices x_a * P - M along ax, one per t in nodes: the
-    window integrals of (x_a - s) times the interpolant, with plain the
-    _box_windows P of the same axis and nodes and M their moment
-    counterparts."""
-    xs = domain.axis_coords(ax)
-    return xs[:, None] * plain - _box_windows(domain, ax, nodes, "moment")
-
-
-def _box_integral(field, mats):
-    """Integral of the interpolant over the shrunken box t*x + (1-t)*D,
-    given one window matrix per axis (a slice of _box_windows or
-    _lever_windows); the result is a full grid field indexed by x."""
-    out = field
-    for mat in mats:
-        out = apply_axis_matrix(out, mat)
-    return out
-
-
 def _a_alpha_uniform(omega, t_nodes):
     """A_alpha for the uniform unit-mass weight, via separable box integrals.
 
@@ -197,33 +169,40 @@ def _a_alpha_uniform(omega, t_nodes):
 
         (1-t)^(-(dim+1)) / |D| * int_B (x_a - z_a) f_I(z) dz,
 
-    B = t*x + (1-t)*D.  The integrand is separable, so for each index I
-    and each a in I this is one box integral: the lever matrix of axis a
-    (scaled by the t-node's prefactor) on axis a and the plain window
-    matrix on every other axis.  Each axis's plain matrices, and the
-    lever matrices of every axis some index uses, are built for all
-    t-nodes in one call.
+    B = t*x + (1-t)*D, whose ends along each axis depend on x_a alone.
+    So for each index I and each a in I this is one box integral: the
+    lever matrix x_a * P - M (plain and moment window matrices, scaled by
+    the t-node's prefactor) on axis a and P on every other axis.  Per
+    block of t-nodes, each axis's P, and M for every axis some index
+    uses, come from one window_stack build each.
     """
     dom = omega.domain
     k = omega.degree
     nodes, wts = gauss01(t_nodes)
     pref = wts * nodes ** (k - 1) / (dom.volume * (1.0 - nodes) ** (dom.dim + 1))
-    plain = [_box_windows(dom, ax, nodes) for ax in range(dom.dim)]
-    lever = {
-        a: pref[:, None, None] * _lever_windows(dom, a, nodes, plain[a])
-        for a in {a for idx in omega.coeffs for a in idx}
-    }
+    levered = {a for idx in omega.coeffs for a in idx}
+    work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
     out = GridForm(dom, k - 1)
-    for i in range(len(nodes)):
-        for idx, field in omega.coeffs.items():
-            for r, a in enumerate(idx):
-                mats = [lever[a][i] if ax == a else plain[ax][i] for ax in range(dom.dim)]
-                box = _box_integral(field, mats)
-                acc = out.coeffs[idx[:r] + idx[r + 1 :]]
-                if r % 2:
-                    acc -= box
-                else:
-                    acc += box
+    for block in node_blocks(len(nodes), 8 * max(dom.grid) ** 2):
+        t = nodes[block, None]
+        plain, lever = [], {}
+        for ax, (lo, hi) in enumerate(dom.bounds):
+            xs = dom.axis_coords(ax)
+            ends = (t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi)
+            plain.append(window_stack(dom, ax, *ends))
+            if ax in levered:
+                moment = window_stack(dom, ax, *ends, "moment")
+                lever[ax] = pref[block, None, None] * (xs[:, None] * plain[ax] - moment)
+        for i in range(t.shape[0]):
+            for idx, field in omega.coeffs.items():
+                for r, a in enumerate(idx):
+                    mats = [lever[a][i] if ax == a else plain[ax][i] for ax in range(dom.dim)]
+                    box = _box_integral(field, mats, work)
+                    acc = out.coeffs[idx[:r] + idx[r + 1 :]]
+                    if r % 2:
+                        acc -= box
+                    else:
+                        acc += box
     return out
 
 

@@ -43,6 +43,35 @@ def test_rejects_invalid_json(tmp_path, capsys):
     assert "schema error" in capsys.readouterr().err
 
 
+def _one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def test_rejects_non_utf8_scenario(tmp_path, capsys):
+    p = tmp_path / "latin.json"
+    p.write_bytes(b'\xff\xfe{"command": "region"}')
+    assert main(["--scenario", str(p)]) == 1
+    _one_line_error(capsys, "error: cannot read scenario")
+
+
+def test_rejects_deeply_nested_json(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["--scenario", str(p)]) == 1
+    _one_line_error(capsys, "schema error: scenario nests too deeply")
+
+
+def test_out_naming_a_file_is_an_error(tmp_path, capsys):
+    p = _write(tmp_path, "scen.json", {"command": "region", "n": 2, "k": 1,
+                                      "alpha": "1", "beta": "1"})
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["--scenario", str(p), "--out", str(taken)]) == 1
+    _one_line_error(capsys, "error: cannot create output directory")
+    assert taken.read_text() == ""
+
+
 def test_rejects_unknown_command(tmp_path, capsys):
     code, _, _ = _run(tmp_path, {"command": "frobnicate"})
     assert code == 1

@@ -17,7 +17,7 @@ from cylcoh import (
     cylinder_constant,
     sup_indicator_norm,
 )
-from cylcoh import constants
+from cylcoh import _interp, constants
 from cylcoh._interp import STACK_BYTES, powerlaw_mass, window_matrix
 from cylcoh.constants import _graded_nodes, _t_axis_norm, _window_mass_field, _window_stacks
 
@@ -161,8 +161,9 @@ def test_window_mass_field_exact_for_powerlaw_weight(mu):
     coords = [np.linspace(0.0, 1.0, 13), np.linspace(0.0, 2.0, 7)]
     nodes = (0.2, 0.5, 0.8)
     stacks = _window_stacks(dom, nodes, coords, pl=(mu, 1.0))
+    work = (np.empty(qfield.size), np.empty(qfield.size))
     for i, t in enumerate(nodes):
-        got = _window_mass_field(qfield, [s[i] for s in stacks])
+        got = _window_mass_field(qfield, [s[i] for s in stacks], work)
         ends = []
         for z, (lo, hi) in zip(coords, dom.bounds):
             wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
@@ -181,7 +182,7 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
     # to 3 t-nodes' largest build, so the 24 t-nodes take 8 blocks
     dom = box([[0, 1], [0, 2], [-1, 1]][: len(grid)], grid)
     if split:
-        monkeypatch.setattr(constants, "STACK_BYTES", 3 * 8 * max(grid) ** 2 + 7)
+        monkeypatch.setattr(_interp, "STACK_BYTES", 3 * 8 * max(grid) ** 2 + 7)
     beta = WeightProfile.sampled(np.random.default_rng(7).uniform(0.5, 2.0, dom.grid))
     seen = []  # the per-t sups of C_integral's window search
     search = constants._sup_window_norms
@@ -212,13 +213,13 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
     # a single block at 33^2, and at the CLI maxima (257^2, 256 t-nodes)
     # several blocks, none of whose builds exceeds the byte budget
     calls = []
-    build = constants.window_matrix
+    build = _interp.window_matrix
 
     def counted(domain, ax, lower, upper, weight=None):
         calls.append(len(lower) * domain.grid[ax] * 8)
         return build(domain, ax, lower, upper, weight)
 
-    monkeypatch.setattr(constants, "window_matrix", counted)
+    monkeypatch.setattr(_interp, "window_matrix", counted)
     dom = box([[0, 1], [0, 1]], [33, 33])
     req = ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(np.ones(dom.grid)))
     for t_nodes in (16, 64):

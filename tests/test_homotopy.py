@@ -15,12 +15,7 @@ from cylcoh import (
     WeightProfile,
 )
 from cylcoh import _interp, constants, homotopy
-from cylcoh.homotopy import (
-    _box_integral,
-    _box_windows,
-    _lever_windows,
-    DEGREE0_MSG,
-)
+from cylcoh.homotopy import _box_integral, DEGREE0_MSG
 from cylcoh._interp import scaled_axis_matrices, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
 from oracles import cone_pullback_fiber, point_eval
@@ -252,15 +247,18 @@ def test_box_integral_exact_on_multilinear(t, axis, weight):
         for e in itertools.product(range(2), repeat=3)
     )
     mats = []
-    for a in range(3):
-        plain = _box_windows(dom, a, [t])
+    for a, (lo, hi) in enumerate(bounds):
+        xs = dom.axis_coords(a)
+        ends = (t * xs[None] + (1.0 - t) * lo, t * xs[None] + (1.0 - t) * hi)
+        plain = _interp.window_stack(dom, a, *ends)[0]
         if a != axis:
-            mats.append(plain[0])
+            mats.append(plain)
         elif weight == "moment":
-            mats.append(_box_windows(dom, a, [t], "moment")[0])
+            mats.append(_interp.window_stack(dom, a, *ends, "moment")[0])
         else:
-            mats.append(_lever_windows(dom, a, [t], plain)[0])
-    got = _box_integral(field, mats)
+            mats.append(xs[:, None] * plain - _interp.window_stack(dom, a, *ends, "moment")[0])
+    work = (np.empty(field.size), np.empty(field.size))
+    got = _box_integral(field, mats, work)
 
     def power(a, n):
         low = t * mesh[a] + (1.0 - t) * bounds[a][0]
@@ -287,19 +285,71 @@ def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
     # axis and the moment matrices of every axis that some index uses
     # (all three for degree 2 in 3-D)
     calls = []
-    build = homotopy.window_matrix
+    build = _interp.window_matrix
 
     def counted(*args, **kwargs):
         calls.append(args)
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(homotopy, "window_matrix", counted)
+    monkeypatch.setattr(_interp, "window_matrix", counted)
     dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
     om = random_form(dom, 2, np.random.default_rng(3))
     for t_nodes in (4, 16):
         calls.clear()
         A_alpha(om, WeightProfile.constant(1.0), t_nodes=t_nodes)
         assert len(calls) == 2 * dom.dim, f"t_nodes={t_nodes}"
+
+
+@pytest.mark.parametrize("grid", [(17, 12), (9, 8, 7)])
+def test_blocked_K_y_and_A_alpha_match_one_block(monkeypatch, grid):
+    # every stencil and window row is built on its own and each t-integral
+    # keeps its node order, so blocks of 3 of the 16 t-nodes (6 blocks)
+    # give what one block gives, bitwise
+    dom = box([[0, 1], [-0.5, 1.5], [0.2, 0.9]][: len(grid)], grid)
+    uniform = WeightProfile.constant(1.0 / dom.volume)
+    y = [0.3, 0.7, 0.5][: len(grid)]
+    rng = np.random.default_rng(17)
+    oms = [random_form(dom, k, rng) for k in range(1, dom.dim + 1)]
+
+    def run():
+        return [(K_y(om, y, t_nodes=16), A_alpha(om, uniform, t_nodes=16)) for om in oms]
+
+    whole = run()
+    monkeypatch.setattr(_interp, "STACK_BYTES", 3 * 8 * max(grid) ** 2 + 7)
+    assert len(_interp.node_blocks(16, 8 * max(grid) ** 2)) == 6
+    for pair, ref in zip(run(), whole):
+        for got, want in zip(pair, ref):
+            for idx, field in want.coeffs.items():
+                assert np.array_equal(got[idx], field), f"{got!r} {idx}"
+
+
+def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
+    # at the CLI maxima (257^2, 256 t-nodes) K_y's stencil matrices and
+    # A_alpha's window stacks come in several blocks, no build above the
+    # budget; the products are skipped, only the builds matter here
+    stencils, windows = [], []
+    stencil_build, window_build = homotopy.scaled_axis_matrices, _interp.window_matrix
+
+    def stencil_counted(*args):
+        out = stencil_build(*args)
+        stencils.append(sum(mat.nbytes for mat, _ in out))
+        return out
+
+    def window_counted(domain, ax, lower, upper, weight=None):
+        windows.append(len(lower) * domain.grid[ax] * 8)
+        return window_build(domain, ax, lower, upper, weight)
+
+    monkeypatch.setattr(homotopy, "scaled_axis_matrices", stencil_counted)
+    monkeypatch.setattr(_interp, "window_matrix", window_counted)
+    monkeypatch.setattr(homotopy, "scaled_eval", lambda field, mats, work: 0.0)
+    monkeypatch.setattr(homotopy, "_box_integral", lambda field, mats, work: 0.0)
+    dom = box([[0, 1], [0, 1]], [257, 257])
+    om = GridForm(dom, 1)
+    K_y(om, [0.5, 0.5], t_nodes=256)
+    A_alpha(om, WeightProfile.constant(1.0), t_nodes=256)
+    for builds in (stencils, windows):
+        assert len(builds) > 2 * dom.dim
+        assert max(builds) <= _interp.STACK_BYTES
 
 
 def test_fixed_rules_are_read_only_and_match_fresh_builds():

@@ -1,7 +1,7 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
-rebuilds a fixed quadrature rule, and every function the benchmark's
-tracer wraps exists."""
+rebuilds a fixed quadrature rule, the t-node block rule stays in
+_interp, and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -105,6 +105,22 @@ def test_no_fixed_rule_rebuilt_per_call():
         name: fns for name, tree in _sources().items() if (fns := _fixed_rule_builds(tree))
     }
     assert rebuilt == {}
+
+
+BLOCK_RULE = {"STACK_BYTES", "window_matrix"}
+
+
+def test_block_rule_stays_in_interp():
+    # the byte budget and the unstacked window builder are _interp's own:
+    # every other module builds its per-t-node matrices through
+    # node_blocks and window_stack, so one rule bounds every stacked build
+    found = {}
+    for name, tree in _sources().items():
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for a in node.names}
+        if name != "_interp.py" and (names := (_read_names([tree]) | imported) & BLOCK_RULE):
+            found[name] = sorted(names)
+    assert found == {}
 
 
 def test_tracer_sites_resolve():
