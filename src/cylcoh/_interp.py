@@ -24,9 +24,11 @@ The power-law t-integrals of every weight norm live here too, on the
 window matrices' closed form _pl_primitive: powerlaw_mass, the exact
 heaviest-window mass with its symbolic divergence decisions for power
 laws, and edge_integral, a rule for smooth factors against a law
-singular at the right end.  Fixed rules are built once, read-only.
+singular at the right end.  Every quadrature rule is built once,
+read-only: gauss01 keeps one rule per node count.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,10 +38,12 @@ EDGE_NODES = 128
 STACK_BYTES = 4 << 20
 
 
+@functools.cache
 def gauss01(n):
-    """Gauss-Legendre nodes and weights on (0, 1)."""
+    """Gauss-Legendre nodes and weights on (0, 1), read-only: built once
+    per node count and shared by every later call."""
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return 0.5 * (x + 1.0), 0.5 * w
+    return read_only((0.5 * (x + 1.0), 0.5 * w))
 
 
 def read_only(rule):
@@ -49,7 +53,7 @@ def read_only(rule):
     return rule
 
 
-EDGE_RULE = read_only(gauss01(EDGE_NODES))
+EDGE_RULE = gauss01(EDGE_NODES)
 
 
 def node_blocks(count, node_bytes):

@@ -456,13 +456,17 @@ def main(argv=None):
         report = {"command": sc["command"], "error": str(e)}
         code, csv_text = 1, None
 
-    report_path = out_dir / sc.get("report", path.stem + ".report.json")
-    report_path.write_text(render_canonical(report) + "\n")
-    artifacts = [str(report_path)]
+    outputs = [(out_dir / sc.get("report", path.stem + ".report.json"),
+                render_canonical(report) + "\n")]
     if csv_text is not None:
-        csv_path = out_dir / sc.get("csv", path.stem + ".csv")
-        csv_path.write_text(csv_text)
-        artifacts.append(str(csv_path))
+        outputs.append((out_dir / sc.get("csv", path.stem + ".csv"), csv_text))
+    for out_path, text in outputs:
+        try:
+            out_path.write_text(text)
+        except OSError as e:
+            print(f"error: cannot write output: {e}", file=sys.stderr)
+            return 1
+    artifacts = [str(out_path) for out_path, _ in outputs]
 
     status = report.get("verdict", "ok" if code == 0 else "failed")
     print(f"{sc['command']}: {status} -> " + ", ".join(artifacts))

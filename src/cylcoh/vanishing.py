@@ -7,7 +7,9 @@ is (lam, 0), a constant or a pivot beyond b (0, 0), and a sampled-t
 profile the least-squares slope mu of log s against
 x = -log((b - t)/(b - a)) over its last TAIL_SAMPLES samples before b,
 with delta = 1/mean(x), the slope a factor |log(b - t)|^(+-1) adds to
-the fit.  (b - t)^(-slope) diverges at b exactly when slope >= 1, and
+the fit.  A profile is immutable, so its tail law is fitted once per
+profile and interval (a, b) and serves every (n, k, p, q) queried
+against it.  (b - t)^(-slope) diverges at b exactly when slope >= 1, and
 each slope is mu times the condition's exponent; a condition whose slope
 is within delta*|exponent| of 1 is undecided.
 
@@ -24,6 +26,7 @@ The source's worked power-law example pins the exact window
 """
 
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +36,8 @@ from .weights import WeightProfile
 INF = math.inf
 SLOPE_TOL = 1e-4
 TAIL_SAMPLES = 64
+# per profile, its tail laws keyed by (a, b); see _tail_law
+_TAIL_LAWS = weakref.WeakKeyDictionary()
 # the region's strict inequalities, the ones a float slope can land on
 STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
 
@@ -316,6 +321,20 @@ def _powerlaw_conditions(inp, law_s, law_g):
 
 
 def _tail_law(prof, a, b):
+    """The tail law of a t-only profile toward (a, b), fitted once.
+
+    A profile is immutable, so its law is a pure function of (prof, a,
+    b): _TAIL_LAWS keeps it per profile, keyed by (a, b), for as long as
+    the profile lives.  The memo's dicts are shared; copy before handing
+    one out.
+    """
+    laws = _TAIL_LAWS.setdefault(prof, {})
+    if (a, b) not in laws:
+        laws[a, b] = _fit_tail_law(prof, a, b)
+    return laws[a, b]
+
+
+def _fit_tail_law(prof, a, b):
     """Tail law {mu, delta, rms} of a t-only profile toward a finite b,
     or None for a sampled-t profile with fewer than 3 samples before b
     or whose b - t all round to one value (nothing to fit a slope to)."""
@@ -369,10 +388,11 @@ def criterion_check(inp):
         route = "b-infinite"
         failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
     else:
-        laws = {"s": _tail_law(inp.s, inp.a, inp.b)}
-        laws["g"] = laws["s"] if inp.g is inp.s else _tail_law(inp.g, inp.a, inp.b)
+        laws = {"s": _tail_law(inp.s, inp.a, inp.b), "g": _tail_law(inp.g, inp.a, inp.b)}
         if "sampled-t" in (inp.s.kind, inp.g.kind):
-            route, tail = "fitted-tail", laws
+            # the report's own dicts: the memo's stay unchanged
+            route = "fitted-tail"
+            tail = {name: None if law is None else dict(law) for name, law in laws.items()}
             conds, undecided = _sampled_conditions(inp, laws)
         elif all(law["mu"] == 0 for law in laws.values()):
             route = "bounded"

@@ -4,11 +4,24 @@ A profile is either constant, a power law (pivot - t)^(-lam) in the axis-0
 coordinate, a 1-D table over t, or a full-grid table tied to one domain.
 Power laws keep their exponent symbolic, so _interp.powerlaw_mass can
 decide their integrability exactly instead of by overflowing quadrature.
+Profiles are immutable: no attribute can be reassigned and no array
+written through the profile.  A 1-D table holds read-only copies, so a
+t-only profile's tail law (vanishing._tail_law) is a pure function of
+it; a full-grid table is a read-only view of the caller's samples, so it
+keeps no second grid in memory.
 """
 
 import numpy as np
 
 KINDS = ("constant", "powerlaw", "sampled-t", "sampled")
+
+
+def _read_only_array(values, copy):
+    """values as a read-only float array: a copy, or a view of the
+    caller's array, which stays writable."""
+    arr = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float).view()
+    arr.flags.writeable = False
+    return arr
 
 
 class WeightProfile:
@@ -19,8 +32,9 @@ class WeightProfile:
         self.value = None if value is None else float(value)
         self.lam = None if lam is None else float(lam)
         self.pivot = None if pivot is None else float(pivot)
-        self.tcoords = None if tcoords is None else np.asarray(tcoords, dtype=float)
-        self.samples = None if samples is None else np.asarray(samples, dtype=float)
+        self.tcoords = None if tcoords is None else _read_only_array(tcoords, copy=True)
+        self.samples = (None if samples is None
+                        else _read_only_array(samples, copy=kind != "sampled"))
         if kind == "constant":
             if self.value is None or self.value <= 0:
                 raise ValueError("constant weight must be positive")
@@ -42,6 +56,12 @@ class WeightProfile:
                 raise ValueError("sampled weight needs samples")
             if not (self.samples > 0).all():
                 raise ValueError("weight samples must be positive")
+        self._frozen = True
+
+    def __setattr__(self, name, value):
+        if "_frozen" in self.__dict__:
+            raise AttributeError("WeightProfile is immutable")
+        super().__setattr__(name, value)
 
     @classmethod
     def constant(cls, value):

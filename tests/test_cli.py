@@ -72,6 +72,17 @@ def test_out_naming_a_file_is_an_error(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("field", [{"report": "nosuch/x.json"}, {"csv": "nosuch/x.csv"},
+                                   {"report": ""}], ids=["report", "csv", "report-empty"])
+def test_unwritable_output_is_an_error(tmp_path, capsys, field):
+    # a missing directory, or a report path naming the output directory itself
+    p = _write(tmp_path, "scen.json", {"command": "region", "n": 2, "k": 1,
+                                      "alpha": "1", "beta": "1", **field})
+    assert main(["--scenario", str(p), "--out", str(tmp_path)]) == 1
+    _one_line_error(capsys, "error: cannot write output")
+    assert not (tmp_path / "nosuch").exists()
+
+
 def test_rejects_unknown_command(tmp_path, capsys):
     code, _, _ = _run(tmp_path, {"command": "frobnicate"})
     assert code == 1

@@ -1,7 +1,8 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
-rebuilds a fixed quadrature rule, the t-node block rule stays in
-_interp, and every function the benchmark's tracer wraps exists."""
+rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, the
+t-node block rule stays in _interp, and every function the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -78,6 +79,11 @@ def test_public_names_have_callers():
 RULE_BUILDERS = {"gauss01", "_graded_nodes"}
 
 
+def _call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _fixed_rule_builds(tree):
     """Functions that build a quadrature rule of fixed size on every call:
     a rule builder called with an integer literal or an UPPERCASE module
@@ -89,9 +95,7 @@ def _fixed_rule_builds(tree):
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in RULE_BUILDERS and any(
+            if _call_name(node) in RULE_BUILDERS and any(
                 (isinstance(a, ast.Constant) and type(a.value) is int)
                 or (isinstance(a, ast.Name) and a.id.isupper())
                 for a in node.args
@@ -105,6 +109,30 @@ def test_no_fixed_rule_rebuilt_per_call():
         name: fns for name, tree in _sources().items() if (fns := _fixed_rule_builds(tree))
     }
     assert rebuilt == {}
+
+
+def _callers(tree, name):
+    """The innermost function around each call of name (None at module level)."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, ast.Call) and _call_name(node) == name:
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_gauss01_builds_gauss_rules():
+    # gauss01 keeps one read-only rule per node count; a leggauss call
+    # anywhere else would build a rule per call again
+    callers = {(name, fn) for name, tree in _sources().items()
+               for fn in _callers(tree, "leggauss")}
+    assert callers == {("_interp.py", "gauss01")}
 
 
 BLOCK_RULE = {"STACK_BYTES", "window_matrix"}

@@ -1,5 +1,6 @@
 """Admissible exponent regions and the vanishing criterion."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from cylcoh import (
     sphere_hdr_zero,
     warp_profiles,
 )
+from cylcoh import _interp, vanishing
 from cylcoh.vanishing import SLOPE_TOL, _powerlaw_conditions
 
 
@@ -387,3 +389,70 @@ def test_sphere_hdr_table():
     assert sphere_hdr_zero(3, 1)
     assert sphere_hdr_zero(3, 2)
     assert sphere_hdr_zero(4, 3)
+
+
+def _counted_fits(monkeypatch):
+    calls = []
+    fit = vanishing._fit_tail_law
+
+    def counted(prof, a, b):
+        calls.append((prof, a, b))
+        return fit(prof, a, b)
+
+    monkeypatch.setattr(vanishing, "_fit_tail_law", counted)
+    return calls
+
+
+def test_tail_law_fitted_once_per_profile_and_interval(monkeypatch):
+    calls = _counted_fits(monkeypatch)
+    ts = np.linspace(0.0, 1.0, 257)[1:-1]
+    warp = WeightProfile.sampled_t(ts, (1.0 - ts) ** -2.0)
+    queries = [(n, k, p, q) for n in (2, 3, 4, 5) for k in range(1, n + 2)
+               for p in np.linspace(1.0, 4.0, 10) for q in np.linspace(4.0, 9.0, 6)][:1000]
+    assert len(queries) == 1000
+    for n, k, p, q in queries:
+        criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp))
+    assert len(calls) == 1
+    criterion_check(CriterionInput(2, 1, 2.0, 3.0, (-1.0, 1.0), warp))
+    assert len(calls) == 2
+
+
+def _criterion_8_profiles():
+    t_sets = (1.0 - 2.0 ** (-12.0 * np.arange(1, 257) / 256), np.linspace(0.0, 1.0, 257)[1:-1])
+    return [(ts, (1.0 - ts) ** -lam * np.abs(np.log(1.0 - ts)) ** log_power)
+            for ts in t_sets for log_power in (0, 1, -1) for lam in (1, 2, 3)]
+
+
+def test_memo_hit_reports_match_fresh_profiles():
+    queries = [(2, 1, 2.0, 2.0), (4, 2, 1.5, 3.0), (4, 3, 4.0, 8.0), (2, 3, 1.2, 1.4)]
+    for ts, vals in _criterion_8_profiles():
+        warp = WeightProfile.sampled_t(ts, vals)
+        for n, k, p, q in queries:
+            first = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp))
+            hit = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp))
+            fresh = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0),
+                                                   WeightProfile.sampled_t(ts, vals)))
+            want = json.dumps(fresh, sort_keys=True)
+            assert json.dumps(first, sort_keys=True) == want
+            assert json.dumps(hit, sort_keys=True) == want
+
+
+def test_report_tail_is_not_the_memo():
+    ts = np.linspace(0.0, 1.0, 257)[1:-1]
+    warp = WeightProfile.sampled_t(ts, 1.0 - np.log(1.0 - ts))
+    inp = CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), warp)
+    rep = criterion_check(inp)
+    want = json.dumps(rep, sort_keys=True)
+    rep["tail"]["s"]["mu"] = 99.0
+    assert rep["tail"]["g"]["mu"] != 99.0
+    assert json.dumps(criterion_check(inp), sort_keys=True) == want
+
+
+def test_gauss01_built_once_per_node_count():
+    for n in (2, 16, 32, 64, _interp.EDGE_NODES):
+        rule = _interp.gauss01(n)
+        assert _interp.gauss01(n) is rule
+        x, w = np.polynomial.legendre.leggauss(n)
+        for arr, ref in zip(rule, (0.5 * (x + 1.0), 0.5 * w), strict=True):
+            assert arr.flags.writeable is False
+            assert arr.tobytes() == ref.tobytes()

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cylcoh import WeightProfile, box, cylinder
 from cylcoh._interp import powerlaw_mass
+from cylcoh.vanishing import _fit_tail_law
 
 
 def test_constant_profile():
@@ -87,3 +88,46 @@ def test_full_grid_sampled():
     assert np.allclose(w.sample_on(dom), vals)
     with pytest.raises(ValueError):
         w.sample_on(box([[0, 1], [0, 1]], [7, 7]))
+
+
+def _profiles_with_arrays():
+    """(profile, caller's arrays) for every constructor that stores arrays."""
+    ts, vals = np.linspace(0.0, 0.9, 16), np.linspace(1.0, 2.0, 16)
+    grid = np.full((5, 5), 1.5)
+    out = [(WeightProfile.sampled_t(ts, vals), (ts, vals)),
+           (WeightProfile.sampled(grid), (grid,))]
+    out += [(prof**2.0, arrays) for prof, arrays in out]
+    out += [(WeightProfile.from_dict(prof.to_dict()), arrays) for prof, arrays in out]
+    return out
+
+
+def test_profile_arrays_are_read_only():
+    for prof, arrays in _profiles_with_arrays():
+        for arr in (prof.samples, prof.tcoords):
+            if arr is None:
+                continue
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 7.0
+        for arr in arrays:
+            assert arr.flags.writeable
+    # sample_on hands out the grid itself, read-only, not a writable alias
+    field = WeightProfile.sampled(np.full((5, 5), 1.5)).sample_on(box([[0, 1], [0, 1]], [5, 5]))
+    with pytest.raises(ValueError, match="read-only"):
+        field[0, 0] = 7.0
+
+
+def test_profile_attributes_cannot_be_reassigned():
+    w = WeightProfile.powerlaw(2.0, 1.0)
+    with pytest.raises(AttributeError, match="immutable"):
+        w.lam = 3.0
+    assert w.lam == 2.0
+
+
+def test_caller_mutation_leaves_sampled_t_fit_unchanged():
+    ts = np.linspace(0.0, 1.0, 129)[:-1]
+    vals = (1.0 - ts) ** -2.0
+    w = WeightProfile.sampled_t(ts, vals)
+    before = _fit_tail_law(w, 0.0, 1.0)
+    ts[-5:] *= 0.5
+    vals[:] = 1.0
+    assert _fit_tail_law(w, 0.0, 1.0) == before
