@@ -7,9 +7,12 @@ Cochains are stored per (index tuple, connected component) at every
 depth, the global form being the depth-0 cochain on the one component of
 the empty index tuple; deeper components are boxes, so every local solve
 is a cone-operator call on a box chart.
+
+The nerve itself, which cell is a face of which and the index arrays
+between them, is the cover's cell table (GoodCover.cells), built once
+with the cover; this module only does arithmetic on it.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -69,38 +72,24 @@ class CechCochain:
             {key: f - other.data[key] for key, f in self.data.items()},
         )
 
-    def components_of(self, I):
-        return [comp for (J, comp) in self.data if J == I]
-
     def __repr__(self):
         return f"CechCochain(depth={self.depth}, degree={self.degree}, entries={len(self.data)})"
-
-
-def _restrict_between(cover, form, parent_comp, child_comp):
-    dom = cover.component_domain(child_comp)
-    ix = cover.index_between(parent_comp, child_comp)
-    coeffs = {idx: arr[ix] for idx, arr in form.coeffs.items()}
-    return GridForm(dom, form.degree, coeffs)
 
 
 def coboundary(lam):
     """Alternating sum of restrictions, one Cech depth up; at depth 0 it
     restricts the global form to every patch."""
-    cover = lam.cover
-    l = len(cover)
     data = {}
-    for J in itertools.combinations(range(l), lam.depth + 1):
-        for comp in cover.components(J):
-            acc = None
-            for r in range(len(J)):
-                sub = J[:r] + J[r + 1 :]
-                parent = cover.find_parent(lam.components_of(sub), comp)
-                piece = _restrict_between(cover, lam.data[(sub, parent)], parent, comp)
-                if r % 2:
-                    piece = -piece
-                acc = piece if acc is None else acc + piece
-            data[(J, comp)] = acc
-    return CechCochain(cover, lam.depth + 1, lam.degree, data)
+    for key, chart, faces, _ in lam.cover.cells(lam.depth + 1):
+        acc = None
+        for sign, _, parent, ix in faces:
+            src = lam.data[parent]
+            piece = GridForm(chart, src.degree, {idx: arr[ix] for idx, arr in src.coeffs.items()})
+            if sign < 0:
+                piece = -piece
+            acc = piece if acc is None else acc + piece
+        data[key] = acc
+    return CechCochain(lam.cover, lam.depth + 1, lam.degree, data)
 
 
 def _cocycle_residual(lam):
@@ -145,28 +134,16 @@ def solve_coboundary(lam, pou, tol=1e-8):
     res = _cocycle_residual(lam)
     if res > tol:
         raise ValueError(f"input is not a cocycle: coboundary residual {res:.3e}")
-    l = len(cover)
-    data = {}
-    for I in itertools.combinations(range(l), lam.depth - 1):
-        for comp in cover.components(I):
-            dom = cover.component_domain(comp)
-            acc = GridForm.zeros(dom, lam.degree)
-            for j in range(l):
-                if j in I:
-                    continue
-                K = tuple(sorted(I + (j,)))
-                sign = (-1) ** K.index(j)
-                for kcomp in lam.components_of(K):
-                    try:
-                        ix = cover.index_between(comp, kcomp)
-                    except ValueError:
-                        continue
-                    field = pou.fields[j]
-                    rho = field[cover.index_between(cover.full, kcomp, field.shape)]
-                    form = lam.data[(K, kcomp)]
-                    for idx, arr in form.coeffs.items():
-                        acc.coeffs[idx][ix] += sign * rho * arr
-            data[(I, comp)] = acc
+    data = {key: GridForm.zeros(chart, lam.degree)
+            for key, chart, _, _ in cover.cells(lam.depth - 1)}
+    # each cell (K, kcomp) feeds its faces' parents, so every kappa_I sums
+    # its terms in K order, then components(K) order
+    for key, _, faces, rho_ix in cover.cells(lam.depth):
+        form = lam.data[key]
+        for sign, j, parent, ix in faces:
+            rho = pou.fields[j][rho_ix]
+            for idx, arr in form.coeffs.items():
+                data[parent].coeffs[idx][ix] += sign * rho * arr
     return CechCochain(cover, lam.depth - 1, lam.degree, data), res
 
 
@@ -221,21 +198,19 @@ def constant_correction(xi_last, tol=1e-8):
     """
     cover = xi_last.cover
     lam = coboundary(xi_last)
-    unknowns = sorted(xi_last.data.keys())
-    col = {key: i for i, key in enumerate(unknowns)}
-    rows = lam.entries()
+    unknowns = cover.cells(xi_last.depth)
+    col = {key: i for i, (key, *_) in enumerate(unknowns)}
+    rows = cover.cells(lam.depth)
     A = np.zeros((len(rows), len(unknowns)))
     b = np.zeros(len(rows))
     drift = 0.0
-    for rix, ((J, comp), form) in enumerate(rows):
-        vals = form.coeffs[()]
+    for rix, (key, _, faces, _) in enumerate(rows):
+        vals = lam.data[key].coeffs[()]
         mean = float(vals.mean())
         drift = max(drift, float(np.max(np.abs(vals - mean))))
         b[rix] = mean
-        for r in range(len(J)):
-            sub = J[:r] + J[r + 1 :]
-            parent = cover.find_parent(xi_last.components_of(sub), comp)
-            A[rix, col[(sub, parent)]] += (-1) ** r
+        for sign, _, parent, _ in faces:
+            A[rix, col[parent]] += sign
     if rows:
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         res = float(np.max(np.abs(A @ sol - b)))
@@ -245,10 +220,9 @@ def constant_correction(xi_last, tol=1e-8):
     if res > tol * max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0):
         raise ValueError(f"cover cocycle obstruction: residual {res:.3e}")
     data = {}
-    for key in unknowns:
-        dom = cover.component_domain(key[1])
-        c = GridForm.zeros(dom, 0)
-        c.coeffs[()] += sol[col[key]]
+    for i, (key, chart, _, _) in enumerate(unknowns):
+        c = GridForm.zeros(chart, 0)
+        c.coeffs[()] += sol[i]
         data[key] = c
     out = CechCochain(cover, xi_last.depth, 0, data)
     return out, {"lstsq_residual": res, "constancy_drift": drift}

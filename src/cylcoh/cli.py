@@ -139,7 +139,7 @@ def _scale_domain(domain, scale):
     """Refine or coarsen a grid; periodic axes snap to multiples of 16.
 
     Non-periodic axes scale the cell count: m -> round((m-1)*scale)+1.
-    The snap keeps the standard covers constructible after scaling.  A
+    The snap keeps the standard covers' multiple-of-16 rule.  A
     scaled axis above GRID_MAX is a ValueError, raised before any field
     is sampled.
     """
@@ -305,13 +305,7 @@ def _cmd_glue(sc, args):
         "norm_ratio_max": max(r["norm_ratio"] for r in runs),
     }
     report["pass"] = report["residual_max"] <= tol
-    code = 0 if report["pass"] else 1
-    if args.strict:
-        qs = [r["Q"] for r in runs if "Q" in r and math.isfinite(r.get("Q", math.inf))]
-        if qs and report["norm_ratio_max"] > max(qs):
-            report["strict_violation"] = "norm ratio exceeds the computed constant"
-            code = 1
-    return report, code, None
+    return report, 0 if report["pass"] else 1, None
 
 
 def _parse_warp(sc):
@@ -417,8 +411,6 @@ def main(argv=None):
                     help="refine/coarsen grids by this factor")
     ap.add_argument("--seed", type=int, default=None,
                     help="override the scenario seed for random test forms")
-    ap.add_argument("--strict", action="store_true",
-                    help="treat recorded norm-ratio checks as assertions")
     args = ap.parse_args(argv)
 
     path = Path(args.scenario)

@@ -1,4 +1,4 @@
-"""Fiber covers of periodic cylinders and their partitions of unity.
+"""Fiber covers of periodic cylinders, their nerves and partitions of unity.
 
 Patches are products of node-index runs (arcs) on the periodic fiber
 axes.  A run (start, count) means nodes start .. start+count-1 taken mod
@@ -6,6 +6,10 @@ the axis size; unrolling a run gives a plain box chart, so every patch
 and every intersection component is a box on which the cone-type
 operators apply.  All restrictions are exact index selections, which is
 what keeps the gluing recursion free of resampling error.
+
+A cover builds its Cech nerve once, when it is constructed: the cells
+(index tuple, component) of every depth with their charts, faces and
+index arrays (GoodCover.cells), which is all the gluing in cech reads.
 """
 
 import itertools
@@ -108,6 +112,7 @@ class GoodCover:
         self.patch_labels = list(itertools.product(*choices))
         self.full = tuple((0, m) for m in domain.grid)
         self._check_interior_coverage()
+        self._cells = self._build_cells()
 
     def __len__(self):
         return len(self.patch_labels)
@@ -165,12 +170,20 @@ class GoodCover:
                 bounds.append((lo, hi))
                 grid.append(self.domain.grid[ax])
                 continue
-            if c < 2:
-                raise ValueError("component has no interior; refine the grid")
+            if c < 3:
+                raise ValueError(f"a component has {c} nodes on axis {ax} and a box "
+                                 "chart needs 3; refine the grid")
             h = self.domain.spacing(ax)
             bounds.append((lo + s * h, lo + (s + c - 1) * h))
             grid.append(c)
         return box(bounds, tuple(grid))
+
+    def _contains(self, parent, child):
+        for ax, ((ps, pc), (cs, cc)) in enumerate(zip(parent, child)):
+            m = self.domain.grid[ax]
+            if pc < m and (cs - ps) % m + cc > pc:
+                return False
+        return True
 
     def index_between(self, parent, child, shape=None):
         """np.ix_ index arrays picking the child component out of an array
@@ -180,27 +193,49 @@ class GoodCover:
         Axes where shape has size 1 stay size 1, so partition fields keep
         broadcasting.
         """
+        if not self._contains(parent, child):
+            raise ValueError("component is not contained in the parent")
         idxs = []
-        for ax, ((ps, pc), (cs, cc)) in enumerate(zip(parent, child)):
-            m = self.domain.grid[ax]
-            off = (cs - ps) % m
-            if pc < m and off + cc > pc:
-                raise ValueError("component is not contained in the parent")
+        for ax, ((ps, _), (cs, cc)) in enumerate(zip(parent, child)):
             if shape is not None and shape[ax] == 1:
                 idxs.append(np.zeros(1, dtype=int))
             else:
-                idxs.append((off + np.arange(cc)) % m)
+                m = self.domain.grid[ax]
+                idxs.append(((cs - ps) % m + np.arange(cc)) % m)
         return np.ix_(*idxs)
 
-    def find_parent(self, parents, child):
-        """The unique component among `parents` containing `child`."""
-        for par in parents:
-            try:
-                self.index_between(par, child)
-            except ValueError:
-                continue
-            return par
-        raise ValueError("no parent component contains the child")
+    def _build_cells(self):
+        l = len(self)
+        # partition fields are the grid on periodic axes and size 1 elsewhere
+        rho_shape = tuple(m if per else 1 for m, per in zip(self.domain.grid, self.domain.periodic))
+        comps = {}
+        table = []
+        for depth in range(l + 1):
+            cells = []
+            for J in itertools.combinations(range(l), depth):
+                comps[J] = self.components(J)
+                for comp in comps[J]:
+                    faces = []
+                    for r in range(depth):
+                        sub = J[:r] + J[r + 1 :]
+                        parent = next(p for p in comps[sub] if self._contains(p, comp))
+                        faces.append(((-1) ** r, J[r], (sub, parent),
+                                      self.index_between(parent, comp)))
+                    cells.append(((J, comp), self.component_domain(comp), tuple(faces),
+                                  self.index_between(self.full, comp, rho_shape)))
+            table.append(tuple(cells))
+        return tuple(table)
+
+    def cells(self, depth):
+        """The Cech cells (key, chart, faces, rho_index) at one depth, in
+        combinations x components order; none past the top depth len(self).
+
+        key = (J, comp) is the cochain key, chart comp's unrolled box and
+        rho_index picks comp out of a partition field.  Face r is (sign,
+        patch, parent, index): (-1)**r, J[r], the key of the component of
+        J minus J[r] containing comp, and index_between(parent, comp).
+        """
+        return self._cells[depth] if depth <= len(self) else ()
 
     def partition_of_unity(self):
         dim = self.domain.dim

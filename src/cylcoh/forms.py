@@ -107,10 +107,6 @@ class GridForm:
             return 0.0
         return float(max(np.abs(f).max() for f in self.coeffs.values()))
 
-    def allclose(self, other, atol=1e-12):
-        diff = self - other
-        return diff.max_abs() <= atol
-
     def __repr__(self):
         return f"GridForm(degree={self.degree}, grid={self.domain.grid})"
 

@@ -267,7 +267,8 @@ class CriterionInput:
             raise ValueError("twisting profiles must be functions of t")
         if s_prof.kind == g_prof.kind == "powerlaw" and s_prof.lam < g_prof.lam:
             raise ValueError("s must dominate g: lam_s >= lam_g required")
-        if (s_prof.kind == g_prof.kind == "sampled-t"
+        # a profile dominates itself, so one profile for s and g skips the compare
+        if (s_prof is not g_prof and s_prof.kind == g_prof.kind == "sampled-t"
                 and np.array_equal(s_prof.tcoords, g_prof.tcoords)
                 and (s_prof.samples < g_prof.samples - 1e-12).any()):
             raise ValueError("s must dominate g pointwise")

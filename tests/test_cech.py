@@ -20,6 +20,7 @@ from cylcoh.cech import (
     descend_xi,
     solve_coboundary,
 )
+from cylcoh.cover import GoodCover
 from cylcoh.forms import random_form
 
 
@@ -181,6 +182,19 @@ def test_glue_exact_two_form_torus():
     for st in report["stages"]:
         assert 0.0 < st["patch_residual_max"] <= 1e-6
         assert 0.0 <= st["cocycle_residual"] <= 1e-6
+    assert (exterior_derivative(xi) - om).max_abs() <= report["residual"] + 1e-15
+
+
+def test_glue_top_degree_on_two_arc_cover():
+    # two arcs: the nerve stops at depth 2, and the constant correction of a
+    # 2-form reads depth 3, which has no cells
+    dom = cylinder([0, 1], [[0, 1]], [17, 32])
+    cov = GoodCover(dom, [None, [(0, 19), (16, 19)]])
+    assert cov.cells(3) == ()
+    eta = random_form(dom, 1, np.random.default_rng(14), amplitude=3e-6)
+    om = exterior_derivative(eta)
+    xi, report = glue_primitive(om, cov, t_nodes=16, tol=1e-4)
+    assert report["relative_residual"] <= 1e-4
     assert (exterior_derivative(xi) - om).max_abs() <= report["residual"] + 1e-15
 
 

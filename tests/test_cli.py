@@ -409,6 +409,21 @@ def test_glue_small_scenario(tmp_path):
     assert len(report["runs"][0]["stages"]) == 1
 
 
+@pytest.mark.parametrize("surface, grid",
+                         [("cylinder-s1", [33, 16]), ("cylinder-t2", [9, 16, 16])])
+def test_glue_too_coarse_for_the_cover_is_an_error(tmp_path, capsys, surface, grid):
+    # 16 nodes give the cover's arcs 2-node overlaps: refused when the cover
+    # is built, before any descent
+    sc = {"command": "glue", "surface": surface, "grid": grid, "degree": 1, "count": 1,
+          "tolerance": 1e-2, "amplitude": 1e-7}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "refine the grid" in report["error"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: glue failed:") and err.count("\n") == 1, err
+    assert "refine the grid" in err
+
+
 def test_glue_divergent_beta_refuses(tmp_path):
     sc = {
         "command": "glue",

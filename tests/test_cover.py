@@ -76,13 +76,11 @@ def test_index_between_broadcast():
     assert rho[cov.index_between(cov.full, comp, rho.shape)].shape == (1, 3)
 
 
-def test_index_between_and_find_parent():
+def test_index_between_containment():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
-    parents = cov.components((2,))
+    par = cov.components((2,))[0]
     child = cov.components((1, 2))[0]
-    par = cov.find_parent(parents, child)
-    assert par == parents[0]
     rows, cols = cov.index_between(par, child)
     assert np.array_equal(rows.ravel(), np.arange(9))
     assert np.array_equal(cols.ravel(), np.arange(3))
@@ -90,14 +88,52 @@ def test_index_between_and_find_parent():
     other = cov.components((0,))[0]
     with pytest.raises(ValueError, match="not contained"):
         cov.index_between(child, other)
-    with pytest.raises(ValueError, match="no parent"):
-        cov.find_parent([child], other)
+
+
+@pytest.mark.parametrize("make, grid, counts", [
+    (circle_cover, [9, 32], [1, 3, 3, 0]),
+    (torus_cover, [5, 32, 32], [1, 4, 16, 16, 4]),
+])
+def test_cell_table(make, grid, counts):
+    dom = cylinder([0, 1], [[0, 1]] * (len(grid) - 1), grid)
+    cov = make(dom)
+    assert [len(cov.cells(d)) for d in range(len(cov) + 1)] == counts
+    assert cov.cells(len(cov) + 1) == ()
+    (key, chart, faces, _), = cov.cells(0)
+    assert key == ((), cov.full) and chart is dom and faces == ()
+    rho_shape = tuple(m if per else 1 for m, per in zip(dom.grid, dom.periodic))
+    for d in range(1, len(cov) + 1):
+        for (J, comp), chart, faces, rho_index in cov.cells(d):
+            assert chart == cov.component_domain(comp)
+            full_ix = cov.index_between(cov.full, comp, rho_shape)
+            assert all(np.array_equal(a, b) for a, b in zip(rho_index, full_ix))
+            assert len(faces) == d
+            for r, (sign, patch, (sub, parent), ix) in enumerate(faces):
+                assert (sign, patch, sub) == ((-1) ** r, J[r], J[:r] + J[r + 1 :])
+                accepted = []
+                for cand in cov.components(sub):
+                    try:
+                        cov.index_between(cand, comp)
+                    except ValueError:
+                        continue
+                    accepted.append(cand)
+                assert accepted == [parent]
+                want = cov.index_between(parent, comp)
+                assert all(np.array_equal(a, b) for a, b in zip(ix, want))
+
+
+@pytest.mark.parametrize("make, fiber_axes", [(circle_cover, 1), (torus_cover, 2)])
+def test_covers_refuse_a_16_node_axis(make, fiber_axes):
+    # the standard arcs overlap in 2 nodes at 16 per axis, too few for a box chart
+    with pytest.raises(ValueError, match="refine the grid"):
+        make(cylinder([0, 1], [[0, 1]] * fiber_axes, [9] + [16] * fiber_axes))
+    make(cylinder([0, 1], [[0, 1]] * fiber_axes, [9] + [32] * fiber_axes))
 
 
 def test_partition_of_unity():
     for dom, make in [
         (cylinder([0, 1], [[0, 1]], [9, 32]), circle_cover),
-        (cylinder([0, 1], [[0, 1], [0, 1]], [5, 16, 16]), torus_cover),
+        (cylinder([0, 1], [[0, 1], [0, 1]], [5, 32, 32]), torus_cover),
     ]:
         cov = make(dom)
         pou = cov.partition_of_unity()

@@ -1,8 +1,8 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, the
-t-node block rule stays in _interp, and every function the benchmark's
-tracer wraps exists."""
+t-node block rule stays in _interp, the Cech nerve stays in cover, and
+every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -149,6 +149,21 @@ def test_block_rule_stays_in_interp():
         if name != "_interp.py" and (names := (_read_names([tree]) | imported) & BLOCK_RULE):
             found[name] = sorted(names)
     assert found == {}
+
+
+NERVE_CALLS = {"index_between", "component_domain", "components"}
+
+
+def test_nerve_stays_in_cover():
+    # the cover builds its cell table once; cech reads it and works out no
+    # face, containment or chart itself
+    trees = _sources()
+    calls = {_call_name(node) for node in ast.walk(trees["cech.py"])
+             if isinstance(node, ast.Call)}
+    assert sorted(calls & NERVE_CALLS) == []
+    defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "find_parent"}
+    assert defined == set()
 
 
 def test_tracer_sites_resolve():

@@ -318,6 +318,18 @@ def test_criterion_de_rham_flag():
     assert "de Rham condition H^1_DR(N) = 0 does not hold" in rep["failed"]
 
 
+def test_one_sampled_profile_is_not_compared_with_itself(monkeypatch):
+    ts = np.linspace(0.0, 0.9, 257)
+    prof = WeightProfile.sampled_t(ts, (1.0 - ts) ** -2.0)
+
+    def refuse(*args):
+        raise AssertionError("a profile was compared with itself")
+
+    monkeypatch.setattr(np, "array_equal", refuse)
+    inp = CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), prof)
+    assert inp.s is inp.g is prof
+
+
 def test_criterion_input_validation():
     warp = WeightProfile.powerlaw(2.0, 1.0)
     with pytest.raises(ValueError, match="q >= p"):
@@ -334,6 +346,11 @@ def test_criterion_input_validation():
     pair = (WeightProfile.powerlaw(1.0, 1.0), WeightProfile.powerlaw(2.0, 1.0))
     with pytest.raises(ValueError, match="dominate"):
         CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), pair)
+    ts = np.linspace(0.0, 0.9, 9)
+    low, high = (WeightProfile.sampled_t(ts, (1.0 - ts) ** -lam) for lam in (1.0, 2.0))
+    with pytest.raises(ValueError, match="dominate g pointwise"):
+        CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), (low, high))
+    CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), (high, low))
     # samples past b would be read as twisting the interval does not have
     with pytest.raises(ValueError, match="outside"):
         CriterionInput(4, 3, 2.0, 2.0, (0.0, 1.0), warp_profiles([0, 0.5, 2, 3], np.ones((4, 2))))
