@@ -139,16 +139,16 @@ def _scale_domain(domain, scale):
     """Refine or coarsen a grid; periodic axes snap to multiples of 16.
 
     Non-periodic axes scale the cell count: m -> round((m-1)*scale)+1.
-    The snap keeps the standard covers' multiple-of-16 rule.  A
-    scaled axis above GRID_MAX is a ValueError, raised before any field
-    is sampled.
+    The snap keeps the standard covers' multiple-of-16 rule, and the
+    floor of 32 the fewest nodes they accept.  A scaled axis above
+    GRID_MAX is a ValueError, raised before any field is sampled.
     """
     if scale is None or scale == 1.0:
         return domain
     new = []
     for m, per in zip(domain.grid, domain.periodic):
         if per:
-            mm = max(16, int(round(m * scale / 16.0)) * 16)
+            mm = max(32, int(round(m * scale / 16.0)) * 16)
         else:
             mm = max(3, int(round((m - 1) * scale)) + 1)
         new.append(mm)
@@ -338,7 +338,7 @@ def _cmd_vanish(sc, args):
     if hdr is None and sc.get("fiber") == "sphere":
         hdr = sphere_hdr_zero(sc["n"], sc["k"])
     inp = CriterionInput(
-        sc["n"], sc["k"], float(_parse_frac(sc["p"])), float(_parse_frac(sc["q"])),
+        sc["n"], sc["k"], _parse_frac(sc["p"]), _parse_frac(sc["q"]),
         (a, b), _parse_warp(sc), hdr_zero=hdr,
     )
     if sc.get("asymptotic", False):

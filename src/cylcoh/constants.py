@@ -20,12 +20,14 @@ powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from ._interp import (apply_axes, edge_integral, gauss01, node_blocks, powerlaw_mass,
                       read_only, window_stack)
 from .homotopy import check_admissible_weight
+from .vanishing import _frac, _window
 from .weights import WeightProfile
 
 GRADING = 3
@@ -58,14 +60,15 @@ class ConstantRequest:
         """Both regime gates, recorded side by side.
 
         The convex-set route needs 1/p - 1/q < 1/dim(D); the cylinder
-        route needs 1/p - 1/q < (q-1)/(q(n+1)).  Scenarios report which
-        of the two they pass.
+        route needs 1/p - 1/q < (q-1)/(q(n+1)), the vanishing criterion's
+        gate.  Both are decided exactly at the request's p and q.
+        Scenarios report which of the two they pass.
         """
-        lhs = 1.0 / self.p - 1.0 / self.q
+        _, _, cylinder_gate = _window(self.n, self.k, self.p, self.q)
         return {
-            "prop-convex": lhs < 1.0 / self.D.dim,
-            "thm-cylinder": lhs < (self.q - 1.0) / (self.q * (self.n + 1.0)),
-            "lhs": lhs,
+            "prop-convex": _convex_gate(self.D.dim, self.p, self.q),
+            "thm-cylinder": cylinder_gate,
+            "lhs": 1.0 / self.p - 1.0 / self.q,
         }
 
     def to_dict(self):
@@ -187,6 +190,11 @@ def _graded_nodes(t_nodes):
 T_NORM_RULE = read_only(_graded_nodes(T_NORM_NODES))
 
 
+def _convex_gate(dim, p, q):
+    """1/p - 1/q < 1/dim, exactly at the p and q given."""
+    return 1 / _frac(p) - 1 / _frac(q) < Fraction(1, dim)
+
+
 def _c_integral_symbolic(req):
     """Finiteness of the C-integral by endpoint exponent arithmetic.
 
@@ -197,17 +205,12 @@ def _c_integral_symbolic(req):
     """
     nd = req.D.dim
     beta = req.beta
-    singular = (
-        beta.kind == "powerlaw"
-        and beta.lam > 0
-        and beta.pivot <= req.D.bounds[0][1]
-    )
-    if singular:
-        if beta.lam * req.q >= 1.0:
-            return False
-        decay = (1.0 - beta.lam * req.q) / req.q + (nd - 1) / req.q
-    else:
-        decay = nd / req.q
+    if not (beta.kind == "powerlaw" and beta.lam > 0 and beta.pivot <= req.D.bounds[0][1]):
+        # decay dim/q - dim/p > -1 is the convex gate
+        return _convex_gate(nd, req.p, req.q)
+    if beta.lam * req.q >= 1.0:
+        return False
+    decay = (1.0 - beta.lam * req.q) / req.q + (nd - 1) / req.q
     return decay - nd / req.p > -1.0
 
 
@@ -260,7 +263,7 @@ def corollary_box_bound(D, k, p, q, t_nodes=64):
     with n = dim(D); finite exactly when 1/p - 1/q < 1/n.
     """
     n = D.dim
-    if 1.0 / p - 1.0 / q >= 1.0 / n:
+    if not _convex_gate(n, p, q):
         return math.inf
     t, w = _graded_nodes(t_nodes)
     vals = (

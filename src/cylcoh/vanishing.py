@@ -9,9 +9,18 @@ x = -log((b - t)/(b - a)) over its last TAIL_SAMPLES samples before b,
 with delta = 1/mean(x), the slope a factor |log(b - t)|^(+-1) adds to
 the fit.  A profile is immutable, so its tail law is fitted once per
 profile and interval (a, b) and serves every (n, k, p, q) queried
-against it.  (b - t)^(-slope) diverges at b exactly when slope >= 1, and
-each slope is mu times the condition's exponent; a condition whose slope
-is within delta*|exponent| of 1 is undecided.
+against it.  Each slope is mu times the condition's exponent, and a
+condition whose slope is within delta*|exponent| of 1 is undecided.
+
+The verdict needs slope > 1, the strict threshold of the source's
+window (below).  int (b - t)^(-1) diverges, but slope 1 lies outside
+that window, and with the strict threshold every VANISHES stands under
+either reading of the source.  The decision is exact: CriterionInput
+keeps u = n/q - k + 2, v = k - n/p and the gate as integers from p and
+q as given (_window), and _exceeds compares mu*exponent with 1 by
+integer cross-multiplication; AdmissibleRegion.contains applies the
+same rule with mu = 1/alpha and 1/beta.  Only the fitted tail's delta
+band is a float test, being a tolerance by nature.
 
 Bounded rule: with s bounded above and g away from 0 the cylinder is
 bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
@@ -34,21 +43,43 @@ import numpy as np
 from .weights import WeightProfile
 
 INF = math.inf
-SLOPE_TOL = 1e-4
 TAIL_SAMPLES = 64
 # per profile, its tail laws keyed by (a, b); see _tail_law
 _TAIL_LAWS = weakref.WeakKeyDictionary()
-# the region's strict inequalities, the ones a float slope can land on
-STRICT_CHECKS = ("(k-2+alpha)/n < 1/q", "1/p < (k-beta)/n", "gate q(n+1-p) < np")
+
+
+def _ratio(x):
+    """(num, den > 0) of an int, float, numpy scalar or Fraction, exactly."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return int(x), 1
 
 
 def _frac(x):
-    """Exact rational from int/Fraction/float; floats convert exactly."""
+    """Exact rational of x (see _ratio); a float inf stays inf."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float) and math.isinf(x):
         return INF
-    return Fraction(x)
+    return Fraction(*_ratio(x))
+
+
+def _window(n, k, p, q):
+    """u = n/q - k + 2 and v = k - n/p as (num, den > 0) pairs, and the
+    gate q(n+1-p) < np, exactly at the p, q >= 1 given.  Integer
+    arithmetic throughout, so a query builds no Fraction."""
+    (pn, pd), (qn, qd) = _ratio(p), _ratio(q)
+    gate = qn * ((n + 1) * pd - pn) < n * pn * qd
+    return (n * qd + (2 - k) * qn, qn), (k * pn - n * pd, pn), gate
+
+
+def _exceeds(mu, exponent, bound=1):
+    """mu * exponent > bound exactly, for a float or Fraction mu and an
+    exponent (num, den > 0): a slope strictly above the divergence
+    threshold (module docstring)."""
+    num, den = mu.as_integer_ratio()
+    return num * exponent[0] > bound * den * exponent[1]
 
 
 def sphere_hdr_zero(n, k):
@@ -93,11 +124,15 @@ def powerlaw_exponents(lam_s, lam_g=None):
 class AdmissibleRegion:
     """Exact (1/p, 1/q) window for fixed n, k and exponents alpha, beta.
 
-    Membership and the per-p q-interval are decided over Fractions, so
-    rational inputs get tolerance-free answers.
+    Membership is the criterion's own exact rule, and the per-p
+    q-interval is computed over Fractions, so rational inputs get
+    tolerance-free answers.
     """
 
     def __init__(self, n, k, alpha, beta, b_infinite=False):
+        alpha, beta = _frac(alpha), _frac(beta)
+        if not (alpha > 0 and beta > 0):
+            raise ValueError("integrability exponents alpha and beta must be positive")
         self.n = int(n)
         self.k = int(k)
         self.alpha = alpha
@@ -128,47 +163,41 @@ class AdmissibleRegion:
     def empty(self):
         return self.reason is not None
 
-    def _checks(self, p, q):
-        """The four inequality slacks at (p, q); positive means satisfied."""
-        p = _frac(p)
-        q = _frac(q)
+    @staticmethod
+    def _exact(p, q):
+        p, q = _frac(p), _frac(q)
         if p < 1 or q < 1:
             raise ValueError("p and q must be >= 1")
-        inv_p, inv_q = 1 / p, 1 / q
-        return {
-            "order p <= q": inv_p - inv_q,
-            "(k-2+alpha)/n < 1/q": INF if self.left == INF else inv_q - self.left,
-            "1/p < (k-beta)/n": -INF if self.right == -INF else self.right - inv_p,
-            "gate q(n+1-p) < np": (q - 1) / (q * (self.n + 1)) - (inv_p - inv_q),
-        }
+        return p, q
 
     def contains(self, p, q):
+        """(p, q) in the window, by the criterion's exact rule:
+        (k-2+alpha)/n < 1/q is alpha < u, the slope u/alpha > 1 of the
+        law mu = 1/alpha, and 1/p < (k-beta)/n is v/beta > 1."""
         if self.b_infinite:
             return False
-        checks = self._checks(p, q)
-        for name, slack in checks.items():
-            if slack in (INF, -INF):
-                return False
-            if name in STRICT_CHECKS:
-                if not slack > 0:
-                    return False
-            elif slack < 0:
-                return False
-        return True
+        p, q = self._exact(p, q)
+        if INF in (self.alpha, self.beta):
+            return False
+        u, v, gate = _window(self.n, self.k, p, q)
+        return p <= q and gate and _exceeds(1 / self.alpha, u) and _exceeds(1 / self.beta, v)
 
     def margin(self, p, q):
         """Smallest strict-inequality slack at (p, q), as a float.
 
-        Only the inequalities a float verdict decides with a tolerance
-        count (the two divergence thresholds and the gate); the order
-        p <= q is decided exactly everywhere.  Negative outside the region;
-        magnitudes below a band threshold flag boundary points numeric
-        classification cannot be trusted on.
+        The slacks of the two divergence thresholds and the gate count;
+        the order p <= q does not.  Negative outside the region; a
+        magnitude below a band threshold flags a point near the boundary.
         """
         if self.b_infinite:
             return -INF
-        checks = self._checks(p, q)
-        return min(float(checks[name]) for name in STRICT_CHECKS)
+        p, q = self._exact(p, q)
+        inv_p, inv_q = 1 / p, 1 / q
+        return min(float(slack) for slack in (
+            INF if self.left == INF else inv_q - self.left,
+            -INF if self.right == -INF else self.right - inv_p,
+            (q - 1) / (q * (self.n + 1)) - (inv_p - inv_q),
+        ))
 
     def q_interval(self, p):
         """The q's admissible at this p: a pair (lo, hi) meaning [lo, hi), or None.
@@ -213,8 +242,7 @@ class AdmissibleRegion:
 
 
 def admissible_region(n, k, alpha, beta, b_infinite=False):
-    return AdmissibleRegion(n, k, _frac(alpha) if alpha != INF else INF,
-                            _frac(beta) if beta != INF else INF, b_infinite)
+    return AdmissibleRegion(n, k, alpha, beta, b_infinite)
 
 
 def warp_profiles(t, h):
@@ -242,16 +270,22 @@ class CriterionInput:
     (s, g) pair of them; warp_profiles(t, h) turns a sampled h into the
     pair.  A sampled-t profile's t must lie in [a, b].  b = interval[1]
     may be inf only with power-law profiles.
+
+    p and q are read exactly as given (a Fraction stays itself, a float
+    is its own rational): the exponents u, v and the gate are kept exact
+    (see _window), and the floats p and q serve the slopes and the report.
     """
 
     def __init__(self, n, k, p, q, interval, warp, hdr_zero=None):
         self.n = int(n)
         self.k = int(k)
+        # compared as given: exact for ints, floats and Fractions
+        if not 1 <= p <= q < INF:
+            raise ValueError("need finite q >= p >= 1")
         self.p = float(p)
         self.q = float(q)
+        self.u, self.v, self.gate = _window(self.n, self.k, p, q)
         self.a, self.b = float(interval[0]), float(interval[1])
-        if not 1 <= self.p <= self.q:
-            raise ValueError("need q >= p >= 1")
         if self.n < 1:
             raise ValueError("fiber dimension must be >= 1")
         if not self.a < self.b:
@@ -287,10 +321,13 @@ class CriterionInput:
         self.hdr_zero = hdr_zero
 
 
-def _pq_gates(n, p, q):
-    lhs = 1.0 / p - 1.0 / q
-    gate = (q - 1.0) / (q * (n + 1.0))
-    return {"order": p <= q, "gate": lhs < gate, "lhs": lhs, "gate_rhs": gate}
+def _pq_gates(inp):
+    """The gates of a query: the exact order and gate, with the float
+    sides of the gate for the report."""
+    return {"order": True,  # CriterionInput refuses p > q
+            "gate": inp.gate,
+            "lhs": 1.0 / inp.p - 1.0 / inp.q,
+            "gate_rhs": (inp.q - 1.0) / (inp.q * (inp.n + 1.0))}
 
 
 def _powerlaw_conditions(inp, law_s, law_g):
@@ -298,25 +335,29 @@ def _powerlaw_conditions(inp, law_s, law_g):
 
     Each integrand is (b - t)^(-slope) near b, with slope mu*exponent;
     in I2 the factor |t| lies between two positive constants near b != 0,
-    so it shares I1's slope, and is b - t itself when b = 0.  A condition
-    whose slope lies within delta*|exponent| of 1 is undecided,
-    "holds": None; exact laws have delta 0.
+    so it shares I1's slope, and is b - t itself when b = 0, where I2
+    asks mu*u > 2.  "holds" is decided exactly by _exceeds; "slope" and
+    "exponent" are floats.  A condition whose slope lies within
+    delta*|exponent| of 1 is undecided, "holds": None; exact laws have
+    delta 0.
     """
     n, k, p, q = inp.n, inp.k, inp.p, inp.q
     u = n / q - k + 2.0
     v = k - n / p
     mu_u = law_s["mu"] * u
+    b_zero = inp.b == 0
+    i1 = _exceeds(law_s["mu"], inp.u)
     rows = (
-        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s["delta"]),
-        ("I2: int t s^(n/q-k+2) divergent", mu_u - 1.0 if inp.b == 0 else mu_u, u,
-         law_s["delta"]),
-        ("I3: int g^(k-n/p) divergent", law_g["mu"] * v, v, law_g["delta"]),
+        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s, i1),
+        ("I2: int t s^(n/q-k+2) divergent", mu_u - 1.0 if b_zero else mu_u, u, law_s,
+         _exceeds(law_s["mu"], inp.u, 2) if b_zero else i1),
+        ("I3: int g^(k-n/p) divergent", law_g["mu"] * v, v, law_g, _exceeds(law_g["mu"], inp.v)),
     )
     conds = {}
-    for name, slope, exponent, band in rows:
+    for name, slope, exponent, law, holds in rows:
         # a zero exponent makes the integrand 1 whatever the law: decided
-        undecided = exponent != 0 and abs(slope - 1.0) < band * abs(exponent)
-        conds[name] = {"holds": None if undecided else slope >= 1.0 - SLOPE_TOL,
+        undecided = exponent != 0 and abs(slope - 1.0) < law["delta"] * abs(exponent)
+        conds[name] = {"holds": None if undecided else holds,
                        "slope": slope, "exponent": exponent}
     return conds
 
@@ -377,12 +418,8 @@ def criterion_check(inp):
     something is undecided (reasons under "undecided"), else VANISHES,
     with the de Rham qualifier.
     """
-    gates = _pq_gates(inp.n, inp.p, inp.q)
-    failed = []
-    if not gates["order"]:
-        failed.append("order p <= q violated")
-    if not gates["gate"]:
-        failed.append("gate 1/p - 1/q < (q-1)/(q(n+1)) violated")
+    gates = _pq_gates(inp)
+    failed = [] if gates["gate"] else ["gate 1/p - 1/q < (q-1)/(q(n+1)) violated"]
 
     conds, tail, undecided = {}, None, []
     if math.isinf(inp.b):

@@ -225,11 +225,8 @@ def test_criterion_6_criterion_region_agreement():
                 for i in range(1, 22):
                     for j in range(1, i + 1):
                         p, q = Fraction(21, i), Fraction(21, j)
-                        if abs(reg.margin(p, q)) < 1e-3:
-                            continue
                         rep = criterion_check(CriterionInput(
-                            n, k, float(p), float(q), (0.0, 1.0), warp,
-                            hdr_zero=True,
+                            n, k, p, q, (0.0, 1.0), warp, hdr_zero=True,
                         ))
                         checked += 1
                         if (rep["verdict"] == "VANISHES") != reg.contains(p, q):
@@ -292,8 +289,7 @@ def test_criterion_8_sampled_criterion_region_agreement():
                                 if abs(reg.margin(p, q)) < 1e-3:
                                     continue
                                 verdict = criterion_check(CriterionInput(
-                                    n, k, float(p), float(q), (0.0, 1.0), warp,
-                                    hdr_zero=True,
+                                    n, k, p, q, (0.0, 1.0), warp, hdr_zero=True,
                                 ))["verdict"]
                                 checked += 1
                                 undecided += verdict == "UNDECIDED"

@@ -175,6 +175,21 @@ def test_vanish_powerlaw(tmp_path):
     assert report["failed"] == []
 
 
+def test_vanish_and_region_agree_on_the_boundary(tmp_path):
+    # p = q = 8/3 puts 1/q on the window's lower bound 3/8: I1's slope is
+    # exactly 1, outside the strict window, and the exact exponents reach
+    # the criterion as parsed
+    sc = {"command": "vanish", "n": 4, "k": 3, "p": "8/3", "q": "8/3",
+          "warp": {"kind": "powerlaw", "lam": 2.0}, "hdr_zero": True}
+    code, report, _ = _run(tmp_path, sc, name="vanish.json")
+    assert code == 2 and report["verdict"] == "HYPOTHESES-FAIL"
+    assert report["conditions"]["I1: int s^(n/q-k+2) divergent"]["slope"] == 1.0
+    assert report["conditions"]["I1: int s^(n/q-k+2) divergent"]["holds"] is False
+    sc = {"command": "region", "n": 4, "k": 3, "lambda": 2, "p": "8/3"}
+    code, report, _ = _run(tmp_path, sc, name="region.json")
+    assert code == 0 and report["regions"]["3"]["q_interval"] is None
+
+
 def test_vanish_infinite_b_refuses(tmp_path):
     sc = {
         "command": "vanish",
@@ -422,6 +437,16 @@ def test_glue_too_coarse_for_the_cover_is_an_error(tmp_path, capsys, surface, gr
     err = capsys.readouterr().err
     assert err.startswith("error: glue failed:") and err.count("\n") == 1, err
     assert "refine the grid" in err
+
+
+def test_glue_grid_scale_keeps_the_cover_fine_enough(tmp_path):
+    # halving the README's 33x32 glue keeps 32 nodes on the periodic axis,
+    # the fewest the circle cover accepts
+    sc = {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
+          "count": 1, "amplitude": 3e-6, "tolerance": 1e-4, "seed": 5}
+    code, report, _ = _run(tmp_path, sc, extra=["--grid-scale", "0.5"])
+    assert code == 0 and report["pass"] is True
+    assert report["grid"] == [17, 32]
 
 
 def test_glue_divergent_beta_refuses(tmp_path):

@@ -1,6 +1,7 @@
 """Sup-window norms, the C-integrals, and the assembled cylinder constant."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +301,21 @@ def test_request_validation_and_gates():
     assert g["prop-convex"] and g["thm-cylinder"] and g["lhs"] == 0.0
     g = ConstantRequest(1, 1.0, 2.0, sq).gates()
     assert not g["prop-convex"] and not g["thm-cylinder"]
+    # both gates are strict and exact: q(n+1-p) = np at n = 2, p = 1.5,
+    # q = 2 (the float sides give 0.16666666666666663 < 0.16666666666666666),
+    # and 1/p - 1/q = 1/2 at p = 1.5, q = 6
+    g = ConstantRequest(2, 1.5, 2.0, sq, n=2).gates()
+    assert g["prop-convex"] and not g["thm-cylinder"]
+    g = ConstantRequest(2, 1.5, 6.0, sq).gates()
+    assert not g["prop-convex"]
+    assert corollary_box_bound(sq, 2, 1.5, 6.0) == math.inf
+    assert math.isfinite(corollary_box_bound(sq, 2, 1.5, 5.0))
+    # C_integral's finiteness for bounded beta is the same exact gate, also
+    # at floats within rounding of 1/p - 1/q = 1/2
+    for i in range(1, 37):
+        p = 1 + Fraction(i, 37)
+        req = ConstantRequest(1, float(p), float(1 / (1 / p - Fraction(1, 2))), sq)
+        assert constants._c_integral_symbolic(req) == req.gates()["prop-convex"], p
 
 
 def test_q_factor():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cylcoh import (
     CriterionInput,
@@ -19,7 +20,7 @@ from cylcoh import (
     warp_profiles,
 )
 from cylcoh import _interp, vanishing
-from cylcoh.vanishing import SLOPE_TOL, _powerlaw_conditions
+from cylcoh.vanishing import _powerlaw_conditions
 
 
 def test_powerlaw_exponents_exact():
@@ -38,9 +39,11 @@ def test_powerlaw_exponents_exact():
 
 @pytest.mark.parametrize("mu", [0.5, 0.9, 1.0, 1.5, 3.0])
 def test_condition_slopes_closed_form(mu):
-    # (b-t)^(-slope) diverges at b iff slope >= 1, and s^u, t s^u, g^v of
-    # the law (b-t)^(-mu) have slope mu*exponent; near b = 0 the factor
-    # |t| = b - t takes 1 off I2's
+    # s^u, t s^u, g^v of the law (b-t)^(-mu) have slope mu*exponent; near
+    # b = 0 the factor |t| = b - t takes 1 off I2's.  A condition holds
+    # when its exact slope exceeds 1: mu = 0.5 puts I1 at slope exactly 1
+    # for (n, k, p, q) = (2, 1, 2, 2), where int (b-t)^(-1) diverges but
+    # the strict window excludes the point
     law = {"mu": mu, "delta": 0.0}
     for b in (1.0, -1.0, 0.0):
         for n, k, p, q in [(4, 3, 2.0, 2.5), (2, 1, 2.0, 2.0), (4, 1, 3.0, 7.0)]:
@@ -50,9 +53,13 @@ def test_condition_slopes_closed_form(mu):
             want = (mu * u, mu * u - (b == 0), mu * v)
             assert [c["slope"] for c in conds.values()] == list(want)
             assert [c["exponent"] for c in conds.values()] == [u, u, v]
-            for c in conds.values():
+            exact_u = n / Fraction(q) - k + 2
+            exact_v = k - n / Fraction(p)
+            exact = (Fraction(mu) * exact_u, Fraction(mu) * exact_u - (b == 0),
+                     Fraction(mu) * exact_v)
+            for c, slope in zip(conds.values(), exact, strict=True):
                 assert c.keys() == {"holds", "slope", "exponent"}
-                assert c["holds"] == (c["slope"] >= 1.0 - SLOPE_TOL)
+                assert c["holds"] == (slope > 1)
 
 
 def test_region_window_fractions():
@@ -69,6 +76,73 @@ def test_region_window_fractions():
 
     assert reg.q_interval(2) == (Fraction(2), Fraction(8, 3))
     assert reg.q_interval(Fraction(8, 5)) is None
+
+
+# (lam, n, k, p, q) where a float criterion with a 1e-4 slope tolerance
+# said VANISHES and the exact window says no, with the conditions that
+# fail: slopes exactly 1 (the first and the last), the gate at slack
+# exactly 0, an I1 slope of 0.99994, and a window slack of -3.5e-17
+BOUNDARY_POINTS = {
+    "slopes-1": ((1, 2, 2, 2, 2), ["I1", "I2", "I3"]),
+    "gate-slack-0": ((2, 2, 2, 1.5, 2), ["gate"]),
+    "slope-0.99994": ((2, 4, 3, 2.5, 2.66672), ["I1", "I2"]),
+    "slack-minus-3.5e-17": ((2, 4, 4, 1.5, 1.6), ["I1", "I2"]),
+    "slope-1-at-8/3": ((2, 4, 3, Fraction(8, 3), Fraction(8, 3)), ["I1", "I2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_POINTS))
+def test_boundary_points_agree_with_region(case):
+    (lam, n, k, p, q), failed = BOUNDARY_POINTS[case]
+    e = powerlaw_exponents(lam)
+    assert not admissible_region(n, k, e.alpha, e.beta).contains(p, q)
+    rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0),
+                                         WeightProfile.powerlaw(float(lam), 1.0), hdr_zero=True))
+    assert rep["verdict"] == "HYPOTHESES-FAIL"
+    assert [f.split()[0].rstrip(":") for f in rep["failed"]] == failed
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+@st.composite
+def _window_queries(draw):
+    """(lam_s, lam_g, n, k, p, q): exact p <= q on the I1 threshold, the
+    I3 threshold or the gate of the window, or off all three.  A
+    power-law profile holds float(lam), so each lam is drawn as the exact
+    rational of a float."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n + 1))
+    lam_s = Fraction(float(draw(st.fractions(Fraction(1, 4), 4, max_denominator=12))))
+    lam_g = Fraction(float(lam_s * draw(st.fractions(Fraction(1, 4), 1, max_denominator=8))))
+    where = draw(st.sampled_from(["I1", "I3", "gate", "off"]))
+    if where == "I1":
+        inv_q = (k - 2 + 1 / lam_s) / n  # mu_s u = 1
+        assume(0 < inv_q <= 1)
+        q = 1 / inv_q
+        p = 1 + (q - 1) * draw(UNIT)
+    elif where == "I3":
+        inv_p = (k - 1 / lam_g) / n  # mu_g v = 1
+        assume(0 < inv_p <= 1)
+        p = 1 / inv_p
+        q = p * (1 + 4 * draw(UNIT))
+    elif where == "gate":
+        p = 1 + n * draw(UNIT.filter(lambda f: f < 1))
+        q = n * p / (n + 1 - p)  # q(n + 1 - p) = np
+    else:
+        p = 1 + 5 * draw(UNIT)
+        q = p * (1 + 4 * draw(UNIT))
+    return lam_s, lam_g, n, k, p, q
+
+
+@settings(max_examples=500, deadline=None)
+@given(_window_queries())
+def test_powerlaw_verdict_equals_region(query):
+    lam_s, lam_g, n, k, p, q = query
+    e = powerlaw_exponents(lam_s, lam_g)
+    warp = (WeightProfile.powerlaw(float(lam_s), 1.0), WeightProfile.powerlaw(float(lam_g), 1.0))
+    rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp, hdr_zero=True))
+    assert (rep["verdict"] == "VANISHES") == admissible_region(n, k, e.alpha, e.beta).contains(p, q)
 
 
 def test_region_members_by_rate():
@@ -96,6 +170,11 @@ def test_region_empty_reasons():
     # rate 1 at k=1, n=2 collapses both bounds to 0: no (1/q, 1/p] left
     reg = admissible_region(2, 1, Fraction(1), Fraction(1))
     assert reg.empty and "window" in reg.reason
+
+    # membership reads alpha and beta as the rates 1/alpha, 1/beta of a law
+    for alpha, beta in ((0, Fraction(1, 2)), (Fraction(1, 2), -1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            admissible_region(4, 3, alpha, beta)
 
 
 def test_region_margin_sign():
@@ -334,6 +413,16 @@ def test_criterion_input_validation():
     warp = WeightProfile.powerlaw(2.0, 1.0)
     with pytest.raises(ValueError, match="q >= p"):
         CriterionInput(4, 3, 3.0, 2.0, (0.0, 1.0), warp)
+    # p and q are compared exactly as given: 8/3 + 1e-30 rounds to the
+    # float of 8/3 but exceeds it
+    with pytest.raises(ValueError, match="q >= p"):
+        CriterionInput(4, 3, Fraction(8, 3) + Fraction(1, 10**30), Fraction(8, 3), (0.0, 1.0),
+                       warp)
+    with pytest.raises(ValueError, match="finite"):
+        CriterionInput(4, 3, 2.0, math.inf, (0.0, 1.0), warp)
+    # numpy scalars convert exactly, like the floats and ints they hold
+    inp = CriterionInput(4, 3, np.int64(2), np.float32(2.5), (0.0, 1.0), warp)
+    assert (Fraction(*inp.u), Fraction(*inp.v)) == (Fraction(3, 5), Fraction(1))
     with pytest.raises(ValueError, match="interval"):
         CriterionInput(4, 3, 2.0, 2.0, (1.0, 1.0), warp)
     # a bare h array has no t-coordinates; warp_profiles gives them
