@@ -24,7 +24,6 @@ from .cech import CechCochain, HypothesisFailure, coboundary, glue_primitive
 from .vanishing import (
     AdmissibleRegion,
     CriterionInput,
-    admissible_region,
     asymptotic_delegate,
     criterion_check,
     powerlaw_exponents,
@@ -59,7 +58,6 @@ __all__ = [
     "glue_primitive",
     "AdmissibleRegion",
     "CriterionInput",
-    "admissible_region",
     "asymptotic_delegate",
     "criterion_check",
     "powerlaw_exponents",

@@ -22,14 +22,16 @@ every value unchanged.
 
 The power-law t-integrals of every weight norm live here too, on the
 window matrices' closed form _pl_primitive: powerlaw_mass, the exact
-heaviest-window mass with its symbolic divergence decisions for power
-laws, and edge_integral, a rule for smooth factors against a law
-singular at the right end.  Every quadrature rule is built once,
-read-only: gauss01 keeps one rule per node count.
+heaviest-window mass, and edge_integral, a rule for smooth factors
+against a law singular at the right end.  Every quadrature rule is
+built once, read-only: gauss01 keeps one rule per node count.  So does
+the package's one exponent rule (_exceeds, diverges), exact on p, q and
+pbar as given and on a profile's lam at the binary value of its float.
 """
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -162,44 +164,90 @@ def scaled_eval(field, mats, work):
     return apply_axes(out, [mat for mat, _ in mats], work)
 
 
+def _ratio(x):
+    """(num, den > 0) of an int, float, numpy scalar or Fraction, exactly."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return int(x), 1
+
+
+def _frac(x):
+    """Exact rational of x (see _ratio); a float inf stays inf."""
+    if isinstance(x, Fraction) or isinstance(x, float) and math.isinf(x):
+        return x
+    return Fraction(*_ratio(x))
+
+
+def law_exponent(lam, x):
+    """lam * x exactly: the law (pivot - t)^(-lam) to the power x (q, p', r)."""
+    return _frac(lam) * _frac(x)
+
+
+def _exceeds(mu, exponent, m=0, pivot=None, reach=False):
+    """The exponent rule: is mu*exponent - m*[pivot = 0], the exponent of
+    |t|^m (pivot - t)^(-mu*exponent) at its pivot, > 1 (>= 1 with reach)?
+    Exact, by integer cross-multiplication; exponent is (num, den > 0)."""
+    try:
+        num, den = mu.as_integer_ratio()
+    except OverflowError:  # an infinite mu
+        return mu > 0
+    lhs, rhs = num * exponent[0], den * exponent[1]
+    if m and pivot == 0:
+        mn, md = _ratio(m)
+        lhs, rhs = lhs * md, rhs * (md + mn)
+    return lhs > rhs or reach and lhs == rhs
+
+
+def diverges(e, pivot, hi, m=0):
+    """int^hi |t|^m (pivot - t)^-e dt diverges: hi is the pivot and the
+    exponent there is >= 1 (the vanishing conditions ask for > 1)."""
+    return pivot == hi and _exceeds(e, (1, 1), m, pivot, reach=True)
+
+
 def _pl_primitive(left, right, e):
-    """int_right^left u^(e-1) du, elementwise, tolerating zero endpoints
-    in arrays (an infinite value just means the divergent branch was
-    reached); float endpoints keep Python's pow."""
+    """int_right^left u^(e-1) du for left > 0, elementwise (inf at right =
+    0 is the divergent branch), as left^e (1 - (right/left)^e)/e by log1p
+    and expm1: exact to rounding for right near left or 0 and e near 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.log1p((right - left) / left)  # log(right/left)
         if e == 0.0:
-            return np.log(left) - np.log(right)
-        return (left**e - right**e) / e
+            return -log_ratio
+        return left**e * -np.expm1(e * log_ratio) / e
 
 
-def powerlaw_mass(e, pivot, lo, hi, width=math.inf):
-    """Heaviest integral of (pivot - s)^-e over a window of length width
-    in [lo, hi), exact; math.inf when it diverges.
-
-    The heaviest window hugs hi when e > 0, else lo; the mass diverges
-    when it reaches the pivot and e >= 1.
+def powerlaw_mass(e, pivot, lo, hi, width=math.inf, m=0):
+    """Heaviest integral of |s|^m (pivot - s)^-e over a window of length
+    width in [lo, hi), exact; math.inf when it diverges.  At pivot 0,
+    |s|^m = (0 - s)^m joins the law; at another pivot a finite mass with
+    m != 0 is None (edge_integral takes that factor).  The heaviest window
+    hugs hi when the law's exponent is > 0, else lo.
     """
     if not pivot >= hi:  # a NaN pivot fails too
         raise ValueError(f"power-law pivot {pivot:g} is below the end of [{lo:g}, {hi:g}): "
                          "the pivot must be the end or beyond")
+    if diverges(e, pivot, hi, m):
+        return math.inf
+    if m and pivot != 0:
+        return None
+    e = _frac(e) - _frac(m)
     width = min(width, hi - lo)
     if e > 0:
         left, right = pivot - hi + width, pivot - hi
     else:
         left, right = pivot - lo, pivot - lo - width
-    if right == 0.0 and e >= 1.0:
-        return math.inf
-    return float(_pl_primitive(left, right, 1.0 - e))
+    return float(_pl_primitive(left, right, float(1 - e)))
 
 
 def edge_integral(e, lo, hi, w):
-    """int_lo^hi (hi - t)^-e w(t) dt for e < 1 and a smooth factor w of
-    an array of t values: u = (hi - t)^(1-e) removes the edge
-    singularity, so EDGE_RULE in u converges."""
-    big_u = (hi - lo) ** (1.0 - e)
+    """int_lo^hi (hi - t)^-e w(t) dt for an exact e < 1 and a smooth
+    factor w of an array of t values: u = (hi - t)^(1-e) removes the edge
+    singularity, so EDGE_RULE in u converges.  1 - e is exact."""
+    g = float(1 - _frac(e))
+    big_u = (hi - lo) ** g
     nodes, wts = EDGE_RULE
-    t = hi - (big_u * nodes) ** (1.0 / (1.0 - e))
-    return big_u / (1.0 - e) * float((wts * w(t)).sum())
+    t = hi - (big_u * nodes) ** (1.0 / g)
+    return big_u / g * float((wts * w(t)).sum())
 
 
 def _hat_integrals(domain, ax, i, theta, weight):
@@ -215,10 +263,10 @@ def _hat_integrals(domain, ax, i, theta, weight):
         whole = h * theta * (x + 0.5 * h * theta)
         up = h * theta * theta * (0.5 * x + h * theta / 3.0)
     else:
-        mu, piv = weight
+        mu, piv = _frac(weight[0]), weight[1]
         far, near = piv - x, piv - x - h * theta
-        whole = _pl_primitive(far, near, 1.0 - mu)
-        up = (far * whole - _pl_primitive(far, near, 2.0 - mu)) / h
+        whole = _pl_primitive(far, near, float(1 - mu))
+        up = (far * whole - _pl_primitive(far, near, float(2 - mu))) / h
     return whole - up, up
 
 

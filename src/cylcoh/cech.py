@@ -262,7 +262,7 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
     beta_norm, tbeta_norm, failures = _beta_norms(beta, q, lo0, hi0)
     q_factor = None
     if gamma is not None:
-        pbar_tried = sorted({1.0, 0.5 * (1.0 + p), p})
+        pbar_tried = sorted({1, (1 + p) / 2, p})
         q_vals = {pb: Q_factor(gamma, p, pb, domain) for pb in pbar_tried}
         finite = {pb: v for pb, v in q_vals.items() if math.isfinite(v)}
         if finite:

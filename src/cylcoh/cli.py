@@ -23,7 +23,7 @@ from .homotopy import K_y, A_alpha, check_admissible_weight
 from .constants import ConstantRequest, C_integral, corollary_box_bound, cylinder_constant
 from .cover import circle_cover, torus_cover
 from .cech import glue_primitive, HypothesisFailure
-from .vanishing import (admissible_region, powerlaw_exponents, CriterionInput,
+from .vanishing import (AdmissibleRegion, powerlaw_exponents, CriterionInput,
                         criterion_check, asymptotic_delegate, region_grid,
                         sphere_hdr_zero, warp_profiles)
 
@@ -198,7 +198,7 @@ def _cmd_homotopy(sc, args):
         alpha = _weight(sc, "weight")
         if alpha is None:
             alpha = WeightProfile.constant(1.0 / dom.volume)
-        adm = check_admissible_weight(alpha, dom, float(sc.get("p", 2.0)))
+        adm = check_admissible_weight(alpha, dom, _parse_frac(sc.get("p", 2)))
         report["weight_check"] = adm
         if not adm["admissible"]:
             raise HypothesisFailure(
@@ -213,8 +213,8 @@ def _cmd_homotopy(sc, args):
             residuals.append(float(resid))
             if "p" in sc and "q" in sc:
                 beta = _weight(sc, "beta")
-                num = lp_norm(prim, float(sc["q"]), beta)
-                den = max(lp_norm(om, float(sc["p"])), 1e-30)
+                num = lp_norm(prim, _parse_frac(sc["q"]), beta)
+                den = max(lp_norm(om, _parse_frac(sc["p"])), 1e-30)
                 ratios.append(num / den)
         if ratios:
             report["norm_ratio_max"] = max(ratios)
@@ -228,8 +228,8 @@ def _cmd_homotopy(sc, args):
 def _cmd_constant(sc, args):
     dom = _scale_domain(DomainSpec.from_dict(sc["domain"]), args.grid_scale)
     req = ConstantRequest(
-        sc["k"], float(_parse_frac(sc["p"])), float(_parse_frac(sc["q"])), dom,
-        n=sc.get("n"), pbar=sc.get("pbar"),
+        sc["k"], _parse_frac(sc["p"]), _parse_frac(sc["q"]), dom,
+        n=sc.get("n"), pbar=_parse_frac(sc["pbar"]) if "pbar" in sc else None,
         beta=_weight(sc, "beta"), gamma=_weight(sc, "gamma"), alpha=_weight(sc, "alpha"),
     )
     route = sc.get("route", "box")
@@ -246,7 +246,7 @@ def _cmd_constant(sc, args):
         c2 = C_integral(req, moment="|x|", t_nodes=t_nodes)
         report.update({"C1": c1, "C2": c2, "finite": math.isfinite(c1) and math.isfinite(c2)})
     elif route == "corollary":
-        val = corollary_box_bound(dom, req.k, req.p, req.q, t_nodes=t_nodes)
+        val = corollary_box_bound(dom, req.k, *req.exact[:2], t_nodes=t_nodes)
         report.update({"bound": val, "finite": math.isfinite(val)})
     else:
         out = cylinder_constant(req, t_nodes=t_nodes)
@@ -275,8 +275,7 @@ def _cmd_glue(sc, args):
     amplitude = sc.get("amplitude", 1e-3)
     seed = args.seed if args.seed is not None else sc.get("seed", 0)
     rng = np.random.default_rng(seed)
-    p = float(_parse_frac(sc.get("p", 2.0)))
-    q = float(_parse_frac(sc.get("q", 2.0)))
+    p, q = _parse_frac(sc.get("p", 2)), _parse_frac(sc.get("q", 2))
     beta = _weight(sc, "beta")
     gamma = _weight(sc, "gamma")
 
@@ -365,7 +364,7 @@ def _cmd_region(sc, args):
     rows = []
     per_k = {}
     for k in ks:
-        reg = admissible_region(n, k, alpha, beta, b_infinite=b_inf)
+        reg = AdmissibleRegion(n, k, alpha, beta, b_infinite=b_inf)
         entry = reg.to_dict()
         if "p" in sc:
             iv = reg.q_interval(_parse_frac(sc["p"]))

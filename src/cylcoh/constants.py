@@ -8,7 +8,7 @@ Everything reduces to the t-integral
 (optionally with an |x| moment on beta) plus the dual norms of the
 centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
-graded mesh and a symbolic exponent pre-check decides finiteness before
+graded mesh and _interp's exact exponent rule decides finiteness before
 any numbers are trusted.  For sampled beta, or the |x| moment, the sup
 is a grid search over sliding-window integrals on _interp's
 stacked-operator path, as for K_y and A_alpha: one window_stack build
@@ -20,14 +20,13 @@ powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
-from ._interp import (apply_axes, edge_integral, gauss01, node_blocks, powerlaw_mass,
-                      read_only, window_stack)
+from ._interp import (_frac, apply_axes, diverges, edge_integral, gauss01, law_exponent,
+                      node_blocks, powerlaw_mass, read_only, window_stack)
 from .homotopy import check_admissible_weight
-from .vanishing import _frac, _window
+from .vanishing import _window
 from .weights import WeightProfile
 
 GRADING = 3
@@ -38,20 +37,21 @@ class ConstantRequest:
     """Inputs for the constant evaluations.
 
     n is the fiber dimension used by the cylinder gate; the integrals
-    themselves run over D and use its ambient dimension.
+    themselves run over D and use its ambient dimension.  exact holds p, q
+    and pbar as given (gates, exponent rule); p, q, pbar are their floats.
     """
 
     def __init__(self, k, p, q, D, n=None, pbar=None, beta=None, gamma=None, alpha=None):
         self.k = int(k)
-        self.p = float(p)
-        self.q = float(q)
-        if not 1 <= self.p <= self.q:
+        pbar = p if pbar is None else pbar
+        if not 1 <= p <= q:
             raise ValueError("need q >= p >= 1")
+        if not 1 <= pbar <= p:
+            raise ValueError("need 1 <= pbar <= p")
+        self.exact = (p, q, pbar)
+        self.p, self.q, self.pbar = float(p), float(q), float(pbar)
         self.D = D
         self.n = D.dim - 1 if n is None else int(n)
-        self.pbar = self.p if pbar is None else float(pbar)
-        if not 1 <= self.pbar <= self.p:
-            raise ValueError("need 1 <= pbar <= p")
         self.beta = beta if beta is not None else WeightProfile.constant(1.0)
         self.gamma = gamma
         self.alpha = alpha
@@ -64,9 +64,10 @@ class ConstantRequest:
         gate.  Both are decided exactly at the request's p and q.
         Scenarios report which of the two they pass.
         """
-        _, _, cylinder_gate = _window(self.n, self.k, self.p, self.q)
+        p, q, _ = self.exact
+        _, _, cylinder_gate = _window(self.n, self.k, p, q)
         return {
-            "prop-convex": _convex_gate(self.D.dim, self.p, self.q),
+            "prop-convex": _convex_gate(self.D.dim, p, q),
             "thm-cylinder": cylinder_gate,
             "lhs": 1.0 / self.p - 1.0 / self.q,
         }
@@ -159,7 +160,7 @@ def sup_indicator_norm(D, beta, q, t):
     """
     if D.kind != "box" or any(D.periodic):
         raise ValueError("sup_indicator_norm needs a box domain")
-    q = float(q)
+    fq = float(q)
     if t < 0.0 or t > 1.0:
         raise ValueError("t must lie in [0, 1]")
     if t == 1.0:
@@ -167,16 +168,16 @@ def sup_indicator_norm(D, beta, q, t):
     shrink = 1.0 if t == 0.0 else min(1.0, (1.0 - t) / t)
     if beta.kind == "constant":
         overlap = D.volume * shrink**D.dim
-        return beta.value * overlap ** (1.0 / q)
+        return beta.value * overlap ** (1.0 / fq)
     if beta.kind == "powerlaw":
         lo0, hi0 = D.bounds[0]
-        m0 = powerlaw_mass(beta.lam * q, beta.pivot, lo0, hi0, (hi0 - lo0) * shrink)
+        m0 = powerlaw_mass(law_exponent(beta.lam, q), beta.pivot, lo0, hi0, (hi0 - lo0) * shrink)
         rest = math.prod((hi - lo) * shrink for lo, hi in D.bounds[1:])
-        return (m0 * rest) ** (1.0 / q)
-    qfield = beta.sample_on(D) ** q
+        return (m0 * rest) ** (1.0 / fq)
+    qfield = beta.sample_on(D) ** fq
     if t == 0.0:
-        return D.integrate(qfield) ** (1.0 / q)
-    return _sup_window_norms(qfield, D, q, [t])[0]
+        return D.integrate(qfield) ** (1.0 / fq)
+    return _sup_window_norms(qfield, D, fq, [t])[0]
 
 
 def _graded_nodes(t_nodes):
@@ -190,28 +191,21 @@ def _graded_nodes(t_nodes):
 T_NORM_RULE = read_only(_graded_nodes(T_NORM_NODES))
 
 
-def _convex_gate(dim, p, q):
-    """1/p - 1/q < 1/dim, exactly at the p and q given."""
-    return 1 / _frac(p) - 1 / _frac(q) < Fraction(1, dim)
+def _convex_gate(dim, p, q, lam=0):
+    """Near t = 1 the C-integrand is the law (1-t)^-(lam + dim(1/p - 1/q)):
+    is it integrable, at p and q as given?  lam = 0 gives 1/p - 1/q < 1/dim."""
+    return not diverges(_frac(lam) + dim * (1 / _frac(p) - 1 / _frac(q)), 1.0, 1.0)
 
 
 def _c_integral_symbolic(req):
-    """Finiteness of the C-integral by endpoint exponent arithmetic.
-
-    Near t = 1 the sup factor decays like (1-t)^(dim/q) for bounded beta;
-    a power-law axis weight (b-t)^(-lam) replaces its axis contribution
-    (1-t)^(1/q) by (1-t)^((1-lam*q)/q) and needs lam*q < 1 at all.  The
-    |x| moment is bounded on D and changes nothing.
+    """Finiteness of the C-integral by two exact tests of the exponent rule:
+    a power-law beta (b-t)^(-lam) singular at the t-edge b needs lam*q < 1,
+    and slows the sup factor's decay (1-t)^(dim/q) at t = 1 by (1-t)^-lam;
+    bounded beta has lam = 0.  The |x| moment is bounded and changes nothing.
     """
-    nd = req.D.dim
-    beta = req.beta
-    if not (beta.kind == "powerlaw" and beta.lam > 0 and beta.pivot <= req.D.bounds[0][1]):
-        # decay dim/q - dim/p > -1 is the convex gate
-        return _convex_gate(nd, req.p, req.q)
-    if beta.lam * req.q >= 1.0:
-        return False
-    decay = (1.0 - beta.lam * req.q) / req.q + (nd - 1) / req.q
-    return decay - nd / req.p > -1.0
+    beta, hi, (p, q, _) = req.beta, req.D.bounds[0][1], req.exact
+    lam = beta.lam if beta.kind == "powerlaw" and beta.lam > 0 and beta.pivot <= hi else 0.0
+    return not diverges(law_exponent(lam, q), beta.pivot, hi) and _convex_gate(req.D.dim, p, q, lam)
 
 
 def C_integral(req, moment="none", t_nodes=64):
@@ -238,7 +232,7 @@ def C_integral(req, moment="none", t_nodes=64):
         radius = np.sqrt(sum(c**2 for c in D.meshgrid()))
         if beta.kind == "powerlaw":
             qfield = radius**q
-            pl = (beta.lam * q, beta.pivot)
+            pl = (law_exponent(beta.lam, req.exact[1]), beta.pivot)
         else:
             qfield = beta.sample_on(D) ** q * radius**q
     elif beta.kind in ("sampled", "sampled-t"):
@@ -246,7 +240,7 @@ def C_integral(req, moment="none", t_nodes=64):
 
     nodes, wts = _graded_nodes(t_nodes)
     if qfield is None:
-        sups = [sup_indicator_norm(D, beta, q, t) for t in nodes]
+        sups = [sup_indicator_norm(D, beta, req.exact[1], t) for t in nodes]
     else:
         sups = _sup_window_norms(qfield, D, q, nodes, pl=pl)
     total = 0.0
@@ -260,11 +254,12 @@ def corollary_box_bound(D, k, p, q, t_nodes=64):
 
         |D|^(1/q) int_0^1 t^(k-n/q) (1-t)^(-n/p) min(t^(n/q),(1-t)^(n/q)) dt
 
-    with n = dim(D); finite exactly when 1/p - 1/q < 1/n.
+    with n = dim(D); finite exactly when 1/p - 1/q < 1/n (p, q as given).
     """
     n = D.dim
     if not _convex_gate(n, p, q):
         return math.inf
+    p, q = float(p), float(q)
     t, w = _graded_nodes(t_nodes)
     vals = (
         t ** (k - n / q)
@@ -277,60 +272,54 @@ def corollary_box_bound(D, k, p, q, t_nodes=64):
 def Q_factor(gamma, p, pbar, D):
     """|| 1/gamma ||_{L^r(D)} with r = p*pbar/(p - pbar), sup when pbar = p.
 
-    Power-law divergence is decided symbolically; math.inf signals it.
-    A pivot inside the t-interval raises powerlaw_mass's error at every pbar.
+    r comes exactly from p and pbar as given, and math.inf signals a
+    divergence by the exponent rule.  A pivot inside the t-interval raises
+    powerlaw_mass's error at every pbar.
     """
-    p = float(p)
-    pbar = float(pbar)
-    if not 1.0 <= pbar <= p:
+    if not 1 <= pbar <= p:
         raise ValueError("need 1 <= pbar <= p")
     inv = gamma**-1.0
     lo0, hi0 = D.bounds[0]
     if pbar == p:
         if inv.kind == "powerlaw":
             powerlaw_mass(inv.lam, inv.pivot, lo0, hi0)  # the pivot check only
-            if inv.lam > 0:
-                if inv.pivot == hi0:
-                    return math.inf
-                return float((inv.pivot - hi0) ** (-inv.lam))
-            return float((inv.pivot - lo0) ** (-inv.lam))
+            end = hi0 if inv.lam > 0 else lo0
+            return math.inf if inv.pivot == end else float((inv.pivot - end) ** (-inv.lam))
         if inv.kind == "constant":
             return inv.value
         return float(inv.samples.max())
-    r = p * pbar / (p - pbar)
+    r = _frac(p) * _frac(pbar) / (_frac(p) - _frac(pbar))
     if inv.kind == "powerlaw":
-        mass = powerlaw_mass(inv.lam * r, inv.pivot, lo0, hi0)
+        mass = powerlaw_mass(law_exponent(inv.lam, r), inv.pivot, lo0, hi0)
         fiber = math.prod(hi - lo for lo, hi in D.bounds[1:])
-        return float((mass * fiber) ** (1.0 / r))
-    field = inv.sample_on(D) ** r
-    return float(D.integrate(field) ** (1.0 / r))
+        return float((mass * fiber) ** (1.0 / float(r)))
+    field = inv.sample_on(D) ** float(r)
+    return float(D.integrate(field) ** (1.0 / float(r)))
 
 
 def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
-    exact masses for power laws (the t-moment of one singular at hi = 0
-    is a law too), the edge rule for the t-moment of one singular at
-    another hi, T_NORM_RULE for bounded profiles."""
+    exact masses for power laws (the t-moment's |t|^q is m = q), the edge
+    rule for a t-moment that is no law, T_NORM_RULE for bounded profiles."""
+    fq = float(q)
     if beta.kind == "powerlaw":
-        if moment_t and beta.lam > 0 and beta.pivot == hi == 0.0:
-            # t < 0, so |t|^q (0-t)^(-lam q) is the law (0-t)^(q - lam q)
-            return float(powerlaw_mass(beta.lam * q - q, 0.0, lo, hi) ** (1.0 / q))
-        mass = powerlaw_mass(beta.lam * q, beta.pivot, lo, hi)
-        if not moment_t or not math.isfinite(mass):
-            return float(mass ** (1.0 / q))
-        if beta.lam > 0 and beta.pivot == hi:
+        e = law_exponent(beta.lam, q)
+        mass = powerlaw_mass(e, beta.pivot, lo, hi, m=q if moment_t else 0)
+        if mass is not None:
+            return float(mass ** (1.0 / fq))
+        if e > 0 and beta.pivot == hi:
             # the edge rule crowds its nodes toward hi, leaving too few for
             # |t|^q (rough at t = 0) far from it: that half is plain (e = 0)
-            e, mid = beta.lam * q, 0.5 * (lo + hi)
-            near = edge_integral(e, mid, hi, lambda t: np.abs(t) ** q)
-            far = edge_integral(0.0, lo, mid, lambda t: np.abs(t) ** q * (hi - t) ** -e)
-            return (near + far) ** (1.0 / q)
+            mid = 0.5 * (lo + hi)
+            near = edge_integral(e, mid, hi, lambda t: np.abs(t) ** fq)
+            far = edge_integral(0, lo, mid, lambda t: np.abs(t) ** fq * (hi - t) ** -float(e))
+            return (near + far) ** (1.0 / fq)
     t, w = T_NORM_RULE
     ts = lo + (hi - lo) * t
-    vals = beta.eval_t(ts) ** q
+    vals = beta.eval_t(ts) ** fq
     if moment_t:
-        vals = vals * np.abs(ts) ** q
-    return float(((hi - lo) * np.sum(w * vals)) ** (1.0 / q))
+        vals = vals * np.abs(ts) ** fq
+    return float(((hi - lo) * np.sum(w * vals)) ** (1.0 / fq))
 
 
 def _beta_norms(beta, q, lo, hi):
@@ -363,11 +352,12 @@ def cylinder_constant(req, t_nodes=64):
     lo0, hi0 = D.bounds[0]
     fiber_measure = math.prod(hi - lo for lo, hi in D.bounds[1:])
 
-    beta_norm, tbeta_norm, failures = _beta_norms(beta, req.q, lo0, hi0)
+    p, q, pbar = req.exact
+    beta_norm, tbeta_norm, failures = _beta_norms(beta, q, lo0, hi0)
     bound = fiber_measure ** (1.0 / req.q) * beta_norm
 
     alpha = req.alpha if req.alpha is not None else WeightProfile.constant(1.0 / D.volume)
-    adm = check_admissible_weight(alpha, D, req.p)
+    adm = check_admissible_weight(alpha, D, p)
     anorm, amoment = float(adm["alpha_norm"]), float(adm["moment_norm"])
     # the constant needs finite alpha norms, not unit mass
     failures += [v for v in adm["violations"] if v.endswith("divergent")]
@@ -392,7 +382,7 @@ def cylinder_constant(req, t_nodes=64):
         "hypothesis_failures": failures,
     }
     if req.gamma is not None:
-        out["Q"] = Q_factor(req.gamma, req.p, req.pbar, D)
+        out["Q"] = Q_factor(req.gamma, p, pbar, D)
         if not math.isfinite(out["Q"]):
             failures.append("||1/gamma|| divergent for requested pbar")
     return out

@@ -27,10 +27,12 @@ shared by every coefficient.  Both operators, like C_integral, keep each
 build within _interp.STACK_BYTES and apply it by _interp.apply_axes.
 """
 
+import math
+
 import numpy as np
 
-from ._interp import (apply_axes, edge_integral, gauss01, node_blocks, powerlaw_mass,
-                      scaled_axis_matrices, scaled_eval, window_stack)
+from ._interp import (_frac, apply_axes, edge_integral, gauss01, law_exponent, node_blocks,
+                      powerlaw_mass, scaled_axis_matrices, scaled_eval, window_stack)
 from .forms import GridForm
 from .weights import WeightProfile
 
@@ -107,26 +109,25 @@ def check_admissible_weight(alpha, D, p):
     """Admissibility of a centering weight: unit mass and finite dual norms.
 
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
-    ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) (sup norm when p = 1).
-    Power-law divergence is decided symbolically, not by overflow; a power
-    law pivoting at the right t-edge is never sampled on the closed grid:
-    its masses are exact and ||alpha(y)|y|||_{p'} takes the edge rule.
+    ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) exactly (sup norm when
+    p = 1).  Power-law divergence is decided by the exponent rule, not by
+    overflow; a power law pivoting at the right t-edge is never sampled on
+    the closed grid: its masses are exact and ||alpha(y)|y|||_{p'} takes
+    the edge rule.
     """
-    p = float(p)
     if p < 1:
         raise ValueError("p must be >= 1")
-    pprime = np.inf if p == 1.0 else p / (p - 1.0)
+    exact_pprime = np.inf if p == 1 else _frac(p) / (_frac(p) - 1)
+    pprime = float(exact_pprime)
 
     violations = []
     lo0, hi0 = D.bounds[0]
-    fiber_vol = 1.0
-    for lo, hi in D.bounds[1:]:
-        fiber_vol *= hi - lo
+    fiber_vol = math.prod(hi - lo for lo, hi in D.bounds[1:])
 
     if alpha.kind == "powerlaw" and alpha.lam > 0 and alpha.pivot <= hi0:
         mass = fiber_vol * powerlaw_mass(alpha.lam, alpha.pivot, lo0, hi0)
         # p' = inf makes e infinite, and the mass says the sup norm diverges
-        e = alpha.lam * pprime
+        e = law_exponent(alpha.lam, exact_pprime)
         amass = powerlaw_mass(e, alpha.pivot, lo0, hi0)
         anorm = mnorm = np.inf
         if np.isfinite(amass):
@@ -157,7 +158,7 @@ def check_admissible_weight(alpha, D, p):
         "mass": mass,
         "alpha_norm": anorm,
         "moment_norm": mnorm,
-        "pprime": float(pprime),
+        "pprime": pprime,
     }
 
 

@@ -17,10 +17,10 @@ window (below).  int (b - t)^(-1) diverges, but slope 1 lies outside
 that window, and with the strict threshold every VANISHES stands under
 either reading of the source.  The decision is exact: CriterionInput
 keeps u = n/q - k + 2, v = k - n/p and the gate as integers from p and
-q as given (_window), and _exceeds compares mu*exponent with 1 by
-integer cross-multiplication; AdmissibleRegion.contains applies the
-same rule with mu = 1/alpha and 1/beta.  Only the fitted tail's delta
-band is a float test, being a tolerance by nature.
+q as given (_window), and _interp's exponent rule _exceeds compares
+mu*exponent with 1 by integer cross-multiplication, as
+AdmissibleRegion.contains does with mu = 1/alpha and 1/beta.  Only the
+fitted tail's delta band is a float test, being a tolerance by nature.
 
 Bounded rule: with s bounded above and g away from 0 the cylinder is
 bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
@@ -40,29 +40,13 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._interp import _exceeds, _frac, _ratio
 from .weights import WeightProfile
 
 INF = math.inf
 TAIL_SAMPLES = 64
 # per profile, its tail laws keyed by (a, b); see _tail_law
 _TAIL_LAWS = weakref.WeakKeyDictionary()
-
-
-def _ratio(x):
-    """(num, den > 0) of an int, float, numpy scalar or Fraction, exactly."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:  # numpy integers
-        return int(x), 1
-
-
-def _frac(x):
-    """Exact rational of x (see _ratio); a float inf stays inf."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float) and math.isinf(x):
-        return INF
-    return Fraction(*_ratio(x))
 
 
 def _window(n, k, p, q):
@@ -72,14 +56,6 @@ def _window(n, k, p, q):
     (pn, pd), (qn, qd) = _ratio(p), _ratio(q)
     gate = qn * ((n + 1) * pd - pn) < n * pn * qd
     return (n * qd + (2 - k) * qn, qn), (k * pn - n * pd, pn), gate
-
-
-def _exceeds(mu, exponent, bound=1):
-    """mu * exponent > bound exactly, for a float or Fraction mu and an
-    exponent (num, den > 0): a slope strictly above the divergence
-    threshold (module docstring)."""
-    num, den = mu.as_integer_ratio()
-    return num * exponent[0] > bound * den * exponent[1]
 
 
 def sphere_hdr_zero(n, k):
@@ -241,10 +217,6 @@ class AdmissibleRegion:
         return f"AdmissibleRegion({self.left} < 1/q <= 1/p < {self.right}, n={self.n}, k={self.k})"
 
 
-def admissible_region(n, k, alpha, beta, b_infinite=False):
-    return AdmissibleRegion(n, k, alpha, beta, b_infinite)
-
-
 def warp_profiles(t, h):
     """Twisting pair (s, g) of a sampled warp h(t, x) > 0.
 
@@ -321,23 +293,14 @@ class CriterionInput:
         self.hdr_zero = hdr_zero
 
 
-def _pq_gates(inp):
-    """The gates of a query: the exact order and gate, with the float
-    sides of the gate for the report."""
-    return {"order": True,  # CriterionInput refuses p > q
-            "gate": inp.gate,
-            "lhs": 1.0 / inp.p - 1.0 / inp.q,
-            "gate_rhs": (inp.q - 1.0) / (inp.q * (inp.n + 1.0))}
-
-
 def _powerlaw_conditions(inp, law_s, law_g):
     """I1-I3 of the tail laws s ~ (b - t)^(-mu_s), g ~ (b - t)^(-mu_g).
 
     Each integrand is (b - t)^(-slope) near b, with slope mu*exponent;
     in I2 the factor |t| lies between two positive constants near b != 0,
-    so it shares I1's slope, and is b - t itself when b = 0, where I2
-    asks mu*u > 2.  "holds" is decided exactly by _exceeds; "slope" and
-    "exponent" are floats.  A condition whose slope lies within
+    so it shares I1's slope, and is b - t itself when b = 0: the rule's
+    m = 1, a slope mu*u - 1.  "holds" is decided exactly by _exceeds;
+    "slope" and "exponent" are floats.  A condition whose slope lies within
     delta*|exponent| of 1 is undecided, "holds": None; exact laws have
     delta 0.
     """
@@ -345,12 +308,10 @@ def _powerlaw_conditions(inp, law_s, law_g):
     u = n / q - k + 2.0
     v = k - n / p
     mu_u = law_s["mu"] * u
-    b_zero = inp.b == 0
-    i1 = _exceeds(law_s["mu"], inp.u)
     rows = (
-        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s, i1),
-        ("I2: int t s^(n/q-k+2) divergent", mu_u - 1.0 if b_zero else mu_u, u, law_s,
-         _exceeds(law_s["mu"], inp.u, 2) if b_zero else i1),
+        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s, _exceeds(law_s["mu"], inp.u)),
+        ("I2: int t s^(n/q-k+2) divergent", mu_u - (inp.b == 0), u, law_s,
+         _exceeds(law_s["mu"], inp.u, 1, inp.b)),
         ("I3: int g^(k-n/p) divergent", law_g["mu"] * v, v, law_g, _exceeds(law_g["mu"], inp.v)),
     )
     conds = {}
@@ -368,12 +329,12 @@ def _tail_law(prof, a, b):
     A profile is immutable, so its law is a pure function of (prof, a,
     b): _TAIL_LAWS keeps it per profile, keyed by (a, b), for as long as
     the profile lives.  The memo's dicts are shared; copy before handing
-    one out.
+    one out.  Only a miss inserts.
     """
-    laws = _TAIL_LAWS.setdefault(prof, {})
-    if (a, b) not in laws:
-        laws[a, b] = _fit_tail_law(prof, a, b)
-    return laws[a, b]
+    try:
+        return _TAIL_LAWS[prof][a, b]
+    except KeyError:
+        return _TAIL_LAWS.setdefault(prof, {}).setdefault((a, b), _fit_tail_law(prof, a, b))
 
 
 def _fit_tail_law(prof, a, b):
@@ -418,8 +379,11 @@ def criterion_check(inp):
     something is undecided (reasons under "undecided"), else VANISHES,
     with the de Rham qualifier.
     """
-    gates = _pq_gates(inp)
-    failed = [] if gates["gate"] else ["gate 1/p - 1/q < (q-1)/(q(n+1)) violated"]
+    gates = {"order": True,  # CriterionInput refuses p > q
+             "gate": inp.gate,
+             "lhs": 1.0 / inp.p - 1.0 / inp.q,
+             "gate_rhs": (inp.q - 1.0) / (inp.q * (inp.n + 1.0))}
+    failed = [] if inp.gate else ["gate 1/p - 1/q < (q-1)/(q(n+1)) violated"]
 
     conds, tail, undecided = {}, None, []
     if math.isinf(inp.b):

@@ -33,8 +33,8 @@ from cylcoh.cover import circle_cover, torus_cover
 from cylcoh.forms import draw_form_params, sample_form
 from cylcoh.homotopy import A_alpha, K_y
 from cylcoh.vanishing import (
+    AdmissibleRegion,
     CriterionInput,
-    admissible_region,
     criterion_check,
     powerlaw_exponents,
 )
@@ -196,14 +196,14 @@ def test_criterion_5_exact_region_values():
     es = powerlaw_exponents(2)
     ok = es.alpha == half and es.beta == half
 
-    reg = admissible_region(4, 3, half, half)
+    reg = AdmissibleRegion(4, 3, half, half)
     ok = ok and reg.q_interval(Fraction(2)) == (Fraction(2), Fraction(8, 3))
 
     for ell in (2, 3, 4):
-        r = admissible_region(2 * ell, ell + 1, Fraction(1, ell), Fraction(1, ell))
+        r = AdmissibleRegion(2 * ell, ell + 1, Fraction(1, ell), Fraction(1, ell))
         ok = ok and r.contains(2, 2)
 
-    rinf = admissible_region(4, 3, half, half, b_infinite=True)
+    rinf = AdmissibleRegion(4, 3, half, half, b_infinite=True)
     ok = ok and rinf.empty and "b is infinite" in rinf.reason
 
     dt = time.perf_counter() - t0
@@ -221,7 +221,7 @@ def test_criterion_6_criterion_region_agreement():
         a = Fraction(1, lam)
         for n in (2, 4):
             for k in range(1, n + 2):
-                reg = admissible_region(n, k, a, a)
+                reg = AdmissibleRegion(n, k, a, a)
                 for i in range(1, 22):
                     for j in range(1, i + 1):
                         p, q = Fraction(21, i), Fraction(21, j)
@@ -282,7 +282,7 @@ def test_criterion_8_sampled_criterion_region_agreement():
                 a = Fraction(1, lam)
                 for n in (2, 4):
                     for k in range(1, n + 2):
-                        reg = admissible_region(n, k, a, a)
+                        reg = AdmissibleRegion(n, k, a, a)
                         for i in range(1, 22):
                             for j in range(1, i + 1):
                                 p, q = Fraction(21, i), Fraction(21, j)

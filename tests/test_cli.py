@@ -190,6 +190,22 @@ def test_vanish_and_region_agree_on_the_boundary(tmp_path):
     assert code == 0 and report["regions"]["3"]["q_interval"] is None
 
 
+def test_constant_and_vanish_agree_on_the_gate(tmp_path):
+    # q(n+1-p) = np exactly at n = 2, p = 9/5, q = 3: the gate fails for
+    # both commands, which read p and q as parsed
+    sq = {"kind": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [9, 9]}
+    sc = {"command": "constant", "k": 1, "p": "9/5", "q": 3, "n": 2, "route": "cylinder",
+          "domain": sq}
+    code, constant, _ = _run(tmp_path, sc, name="constant.json")
+    assert code == 0
+    sc = {"command": "vanish", "n": 2, "k": 1, "p": "9/5", "q": 3,
+          "warp": {"kind": "powerlaw", "lam": 2.0}}
+    code, vanish, _ = _run(tmp_path, sc, name="vanish.json")
+    assert code == 2
+    assert constant["gates"]["thm-cylinder"] is False
+    assert vanish["gates"]["gate"] is False
+
+
 def test_vanish_infinite_b_refuses(tmp_path):
     sc = {
         "command": "vanish",
@@ -499,6 +515,17 @@ def test_homotopy_check_draws_from_forms_family(tmp_path):
     y = [0.5, 0.5]
     recon = K_y(exterior_derivative(om), y) + exterior_derivative(K_y(om, y))
     assert report["residuals"] == [(recon - om).max_abs() / om.max_abs()]
+
+
+def test_homotopy_averaged_reads_fraction_exponents(tmp_path):
+    sc = {"command": "homotopy-check", "degree": 1, "count": 2, "mode": "averaged",
+          "p": "3/2", "q": "5/2", "amplitude": 5e-5, "tolerance": 1e-3,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [17, 17]}}
+    code, exact, _ = _run(tmp_path, sc, name="fractions.json")
+    assert code == 0
+    code, floats, _ = _run(tmp_path, dict(sc, p=1.5, q=2.5), name="floats.json")
+    assert code == 0
+    assert exact["norm_ratio_max"] == floats["norm_ratio_max"]
 
 
 def test_homotopy_inadmissible_weight_refuses(tmp_path):

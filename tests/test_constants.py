@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cylcoh import (
     C_integral,
     ConstantRequest,
+    CriterionInput,
     Q_factor,
     WeightProfile,
     box,
@@ -316,6 +318,67 @@ def test_request_validation_and_gates():
         p = 1 + Fraction(i, 37)
         req = ConstantRequest(1, float(p), float(1 / (1 / p - Fraction(1, 2))), sq)
         assert constants._c_integral_symbolic(req) == req.gates()["prop-convex"], p
+
+
+@pytest.mark.parametrize("lam, p, q, finite", [
+    (0.25, Fraction(20, 13), Fraction(5, 2), False),
+    (0.5, Fraction(18, 13), Fraction(9, 5), False),
+    (0.25, Fraction(77, 50), Fraction(5, 2), True),
+])
+def test_c_integral_exact_at_the_t_edge(lam, p, q, finite):
+    # on the unit cube the t-integrand near t = 1 is the law
+    # (1-t)^-(lam + 3(1/p - 1/q)); the first two points put that exponent
+    # exactly at 1, a divergent integral that floats of p and q missed
+    cube = box([[0, 1]] * 3, (9, 9, 9))
+    req = ConstantRequest(1, p, q, cube, beta=WeightProfile.powerlaw(lam, 1.0))
+    for moment in ("none", "|x|"):
+        assert math.isfinite(C_integral(req, moment=moment, t_nodes=16)) == finite, moment
+
+
+# a dyadic lam, so the test's Fraction is the lam the profile holds
+LAMS = st.integers(0, 8).map(lambda i: Fraction(i, 8))
+NUDGES = st.sampled_from([Fraction(0), Fraction(1, 997), Fraction(-1, 997)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_c_integral_finiteness_is_the_exponent_rule(data):
+    # p and q on or near both boundaries, lam*q = 1 and
+    # lam + dim(1/p - 1/q) = 1, and off them
+    dim, lam = data.draw(st.sampled_from([1, 2, 3])), data.draw(LAMS)
+    if lam and data.draw(st.booleans()):
+        q = 1 / lam + data.draw(NUDGES)
+    else:
+        q = Fraction(data.draw(st.integers(10, 80)), 10)
+    if data.draw(st.booleans()):
+        p = 1 / ((1 - lam) / dim + 1 / q + data.draw(NUDGES))
+    else:
+        p = 1 + (q - 1) * Fraction(data.draw(st.integers(0, 20)), 20)
+    assume(1 <= p <= q)
+    n = data.draw(st.integers(1, 4))
+    beta = WeightProfile.powerlaw(float(lam), 1.0) if lam else WeightProfile.constant(1.0)
+    req = ConstantRequest(1, p, q, box([[0, 1]] * dim, (3,) * dim), n=n, beta=beta)
+    finite = lam * q < 1 and lam + dim * (1 / p - 1 / q) < 1
+    for moment in ("none", "|x|"):
+        c = C_integral(req, moment=moment, t_nodes=8)
+        assert not math.isnan(c) and math.isfinite(c) == finite, moment
+    assert req.gates()["thm-cylinder"] == CriterionInput(n, 1, p, q, (0.0, 1.0), beta).gate
+
+
+def test_law_within_rounding_of_the_threshold_is_finite():
+    # 0.3 is stored below 3/10, so lam*q < 1 at q = 10/3: every norm is a
+    # large finite one, where floats round lam*q to 1.0 and call it divergent
+    sq = box([[0, 1], [0, 1]], [9, 9])
+    req = ConstantRequest(1, 2, Fraction(10, 3), sq, beta=WeightProfile.powerlaw(0.3, 1.0))
+    out = cylinder_constant(req, t_nodes=16)
+    failure = {"beta_norm": "||beta||_{L^q[a,b)} divergent",
+               "tbeta_norm": "||t beta(t)||_{L^q[a,b)} divergent",
+               "C1": "C1 integral divergent", "C2": "C2 integral divergent"}
+    for key, name in failure.items():
+        assert not math.isnan(out[key]), key
+        assert math.isfinite(out[key]) == (name not in out["hypothesis_failures"]), key
+    assert out["hypothesis_failures"] == [] and math.isfinite(out["C"])
+    assert out["beta_norm"] > 1e4
 
 
 def test_q_factor():

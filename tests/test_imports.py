@@ -1,8 +1,8 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, the
-t-node block rule stays in _interp, the Cech nerve stays in cover, and
-every function the benchmark's tracer wraps exists."""
+t-node block rule and the exponent rule stay in _interp, the Cech nerve
+stays in cover, and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -149,6 +149,31 @@ def test_block_rule_stays_in_interp():
         if name != "_interp.py" and (names := (_read_names([tree]) | imported) & BLOCK_RULE):
             found[name] = sorted(names)
     assert found == {}
+
+
+EXPONENT_RULE = {"_ratio", "_frac", "_exceeds"}
+
+
+def _lam_products(tree):
+    """Lines where a product takes a .lam attribute as a factor."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and any(isinstance(side, ast.Attribute) and side.attr == "lam"
+                          for side in (node.left, node.right)))
+
+
+def test_exponent_rule_stays_in_interp():
+    # every power-law divergence and exponent gate is decided by _interp's
+    # exact rule: no module keeps its own copy of the exact helpers, and
+    # lam times an exponent is formed by law_exponent (weights.py scales a
+    # profile's own lam under a power)
+    trees = _sources()
+    defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in EXPONENT_RULE}
+    assert defined == {("_interp.py", fn) for fn in EXPONENT_RULE}
+    products = {name: lines for name, tree in trees.items()
+                if name not in ("_interp.py", "weights.py") and (lines := _lam_products(tree))}
+    assert products == {}
 
 
 NERVE_CALLS = {"index_between", "component_domain", "components"}

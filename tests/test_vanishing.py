@@ -9,9 +9,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cylcoh import (
+    AdmissibleRegion,
     CriterionInput,
     WeightProfile,
-    admissible_region,
     asymptotic_delegate,
     criterion_check,
     powerlaw_exponents,
@@ -64,7 +64,7 @@ def test_condition_slopes_closed_form(mu):
 
 def test_region_window_fractions():
     # n=4, k=3, warp rate 2: 3/8 < 1/q <= 1/p < 5/8
-    reg = admissible_region(4, 3, Fraction(1, 2), Fraction(1, 2))
+    reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
     assert not reg.empty
     assert reg.left == Fraction(3, 8)
     assert reg.right == Fraction(5, 8)
@@ -95,7 +95,7 @@ BOUNDARY_POINTS = {
 def test_boundary_points_agree_with_region(case):
     (lam, n, k, p, q), failed = BOUNDARY_POINTS[case]
     e = powerlaw_exponents(lam)
-    assert not admissible_region(n, k, e.alpha, e.beta).contains(p, q)
+    assert not AdmissibleRegion(n, k, e.alpha, e.beta).contains(p, q)
     rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0),
                                          WeightProfile.powerlaw(float(lam), 1.0), hdr_zero=True))
     assert rep["verdict"] == "HYPOTHESES-FAIL"
@@ -142,50 +142,50 @@ def test_powerlaw_verdict_equals_region(query):
     e = powerlaw_exponents(lam_s, lam_g)
     warp = (WeightProfile.powerlaw(float(lam_s), 1.0), WeightProfile.powerlaw(float(lam_g), 1.0))
     rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp, hdr_zero=True))
-    assert (rep["verdict"] == "VANISHES") == admissible_region(n, k, e.alpha, e.beta).contains(p, q)
+    assert (rep["verdict"] == "VANISHES") == AdmissibleRegion(n, k, e.alpha, e.beta).contains(p, q)
 
 
 def test_region_members_by_rate():
     # at p = q = 2, n = 4, k = 3 the window contains every rate above 1
     for lam in (2, 3, 4):
         e = powerlaw_exponents(lam)
-        reg = admissible_region(4, 3, e.alpha, e.beta)
+        reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
         assert reg.contains(2, 2), f"rate {lam}"
 
 
 def test_region_empty_reasons():
-    reg = admissible_region(4, 3, Fraction(1, 2), Fraction(1, 2), b_infinite=True)
+    reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2), b_infinite=True)
     assert reg.empty and "b is infinite" in reg.reason
     assert not reg.contains(2, 2)
     assert reg.margin(2, 2) == -math.inf
 
     e = powerlaw_exponents(0)
-    reg = admissible_region(4, 3, e.alpha, e.beta)
+    reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
     assert reg.empty and "bounded twisting" in reg.reason
 
     e = powerlaw_exponents(Fraction(9, 10))
-    reg = admissible_region(4, 3, e.alpha, e.beta)
+    reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
     assert reg.empty and "alpha + beta exceeds 2" in reg.reason
 
     # rate 1 at k=1, n=2 collapses both bounds to 0: no (1/q, 1/p] left
-    reg = admissible_region(2, 1, Fraction(1), Fraction(1))
+    reg = AdmissibleRegion(2, 1, Fraction(1), Fraction(1))
     assert reg.empty and "window" in reg.reason
 
     # membership reads alpha and beta as the rates 1/alpha, 1/beta of a law
     for alpha, beta in ((0, Fraction(1, 2)), (Fraction(1, 2), -1)):
         with pytest.raises(ValueError, match="must be positive"):
-            admissible_region(4, 3, alpha, beta)
+            AdmissibleRegion(4, 3, alpha, beta)
 
 
 def test_region_margin_sign():
-    reg = admissible_region(4, 3, Fraction(1, 2), Fraction(1, 2))
+    reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
     assert reg.margin(2, 2) > 0
     assert reg.margin(Fraction(8, 3), Fraction(8, 3)) == 0.0
     assert reg.margin(3, 3) < 0
 
 
 def test_region_grid_nests_under_refinement():
-    reg = admissible_region(4, 3, Fraction(1, 2), Fraction(1, 2))
+    reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
     coarse = {(ip, iq) for ip, iq, m in region_grid(reg, 8) if m}
     fine = {(ip, iq) for ip, iq, m in region_grid(reg, 16) if m}
     assert coarse, "coarse scan found no members"
@@ -379,7 +379,7 @@ def test_fitted_tail_verdicts(case):
     # decided verdicts agree with the exact region of the law's exponents
     decided = 0
     for n, k, p, q in _region_sweep():
-        reg = admissible_region(n, k, *want)
+        reg = AdmissibleRegion(n, k, *want)
         if abs(reg.margin(p, q)) < 1e-3:
             continue
         rep = criterion_check(CriterionInput(n, k, float(p), float(q), (0.0, 1.0), warp,
