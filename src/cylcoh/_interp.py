@@ -8,9 +8,9 @@ whole-grid operation is one dense matrix per axis, applied axis by axis
 (sum factorisation): the cubic stencils for evaluation at scaled points,
 and window matrices for integrals over per-point intervals.  The window
 matrices integrate the piecewise-linear interpolant, optionally against
-the coordinate or a power-law factor, exactly; this keeps the
-uniform-weight averaging pipeline exact on multilinear coefficient
-fields.
+a power-law factor or a power of the distance to each hat's own node,
+exactly; this keeps the averaging pipeline exact on multilinear
+coefficient fields.
 
 K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
 splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
@@ -253,17 +253,19 @@ def edge_integral(e, lo, hi, w):
 def _hat_integrals(domain, ax, i, theta, weight):
     """(int w*(1-u), int w*u) over the first fraction theta of cell i
     along ax: the weight w against the cell's two hat functions, with u
-    the position in the cell in units of the spacing h."""
+    the position in the cell in units of the spacing h.  An int weight n
+    is (s - node)^n about each hat's own node; (u-1)^2 u = u(1-u) - u^2(1-u)."""
     h = domain.spacing(ax)
-    x = domain.bounds[ax][0] + h * i
+    if weight in (1, 2):
+        down = h * h * theta * theta * (0.5 - theta / 3.0)
+        down2 = h**3 * theta**3 * (1.0 / 3.0 - 0.25 * theta)
+        return (down, -down) if weight == 1 else (down2, h * down - down2)
     if weight is None:
         whole = h * theta
         up = 0.5 * h * theta * theta
-    elif weight == "moment":
-        whole = h * theta * (x + 0.5 * h * theta)
-        up = h * theta * theta * (0.5 * x + h * theta / 3.0)
     else:
         mu, piv = _frac(weight[0]), weight[1]
+        x = domain.bounds[ax][0] + h * i
         far, near = piv - x, piv - x - h * theta
         whole = _pl_primitive(far, near, float(1 - mu))
         up = (far * whole - _pl_primitive(far, near, float(2 - mu))) / h
@@ -275,11 +277,11 @@ def window_matrix(domain, ax, lower, upper, weight=None):
 
     Row r maps the node values along ax to the exact integral of
     weight(s) times their piecewise-linear interpolant over
-    [lower[r], upper[r]].  weight is None (1), "moment" (the coordinate
-    s) or (mu, pivot) for (pivot - s)^-mu.  Row i of the running matrix
-    integrates from the axis lower bound to node i; each window end adds
-    its partial cell to that row, so a window row holds only the cells it
-    covers.
+    [lower[r], upper[r]].  weight is None (1), (mu, pivot) for
+    (pivot - s)^-mu, or an int n: column i then takes (s - x_i)^n.  Row
+    i of the running matrix integrates from the axis lower bound to node
+    i; each window end adds its partial cell to that row, so a window row
+    holds only the cells it covers.
     """
     m = domain.grid[ax]
     cells = np.arange(m - 1)

@@ -14,16 +14,13 @@ last axis's matrices, and applies them to every coefficient; the factor
 x_a - y_a multiplies the t-integral afterwards, as a 1-D array broadcast
 along axis a.
 
-A_alpha averages K_y over centers y against a unit-mass weight; for a
-uniform weight the y-integral collapses, after the substitution
-z = t*x + (1-t)*y, to box integrals of (x_a - z_a) f_I(z) over
-t*x + (1-t)*D.  Those are separable: one window
-matrix per axis, applied in turn, evaluates them for every x at once,
-with the lever matrix x_a * P - M (plain and moment window matrices) on
-axis a folding the factor x_a - z_a into a single box integral.  The
-window matrices depend only on the axis, the t-node and the weight, so
-each axis's matrices come from one build per block of t-nodes and are
-shared by every coefficient.  Both operators, like C_integral, keep each
+A_alpha averages K_y over centers y against a unit-mass weight
+alpha(y) = a(y_0), piecewise linear in y_0.  After z = t*x + (1-t)*y it
+is a sum of box integrals of a((z_0 - t*x_0)/(1-t)) (x_a - z_a) f_I(z)
+over t*x + (1-t)*D, which are separable: one window matrix per axis,
+applied in turn, evaluates them for every x at once.  Each axis's
+matrices come from one build per block of t-nodes (and piece of a) and
+serve every coefficient.  Both operators, like C_integral, keep each
 build within _interp.STACK_BYTES and apply it by _interp.apply_axes.
 """
 
@@ -40,6 +37,7 @@ from .weights import WeightProfile
 _box_integral = apply_axes
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
+PIECEWISE_LINEAR = ("constant", "sampled-t")
 
 
 def _require_box(domain, who):
@@ -110,10 +108,11 @@ def check_admissible_weight(alpha, D, p):
 
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
     ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) exactly (sup norm when
-    p = 1).  Power-law divergence is decided by the exponent rule, not by
-    overflow; a power law pivoting at the right t-edge is never sampled on
-    the closed grid: its masses are exact and ||alpha(y)|y|||_{p'} takes
-    the edge rule.
+    p = 1).  A constant or sampled-t alpha's mass is the exact integral
+    that A_alpha reads (_pieces).  Power-law divergence is decided by the
+    exponent rule, not by overflow; a power law pivoting at the right
+    t-edge is never sampled on the closed grid: its masses are exact and
+    ||alpha(y)|y|||_{p'} takes the edge rule.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -136,7 +135,7 @@ def check_admissible_weight(alpha, D, p):
             mnorm = total ** (1.0 / pprime)
     else:
         field = alpha.sample_on(D)
-        mass = D.integrate(field)
+        mass = _pieces(alpha, D)[2] if alpha.kind in PIECEWISE_LINEAR else D.integrate(field)
         moment = np.sqrt(sum(c**2 for c in D.meshgrid()))
         if np.isinf(pprime):
             anorm = float(field.max())
@@ -162,86 +161,85 @@ def check_admissible_weight(alpha, D, p):
     }
 
 
-def _a_alpha_uniform(omega, t_nodes):
-    """A_alpha for the uniform unit-mass weight, via separable box integrals.
+def _pieces(alpha, D):
+    """The breakpoints u of a constant or sampled-t alpha on axis 0 of D,
+    between which it is linear, alpha at u, and its exact mass."""
+    (lo, hi), fiber = D.bounds[0], D.bounds[1:]
+    knots = alpha.tcoords if alpha.kind == "sampled-t" else np.empty(0)
+    u = np.union1d([lo, hi], knots[(knots > lo) & (knots < hi)])
+    a = alpha.eval_t(u)
+    return u, a, math.prod(b - c for c, b in fiber) * float(np.diff(u) @ (a[1:] + a[:-1])) / 2.0
 
-    With alpha = 1/|D| the substitution z = t*x + (1-t)*y turns the
-    y-average of K_y into
 
-        (1-t)^(-(dim+1)) / |D| * int_B (x_a - z_a) f_I(z) dz,
+def _window_rows(dom, ax, t, cuts, vals, lever_scale=None):
+    """Axis ax's rows for the t-nodes t over the windows
+    t*x_r + (1-t)*[cuts[0], cuts[-1]]: the integrals of w(z) phi_i(z) and,
+    unless lever_scale is None, lever_scale times those of
+    (x_r - z) w(z) phi_i(z), for the hat phi_i of node x_i and w linear
+    between the images of cuts, where it is vals.  About x_i, w is
+    w(x_i) + c1 (z - x_i); the local moments of (z - x_i)^n phi_i keep the
+    rounding small where c1 = slope / (1-t) is large, near t = 1."""
+    xs = dom.axis_coords(ax)
+    dx = xs[:, None] - xs
+    plain = lever = None
+    for j in range(len(cuts) - 1):
+        lower, upper = (t * xs + (1.0 - t) * c for c in cuts[j : j + 2])
+        slope = (vals[j + 1] - vals[j]) / (cuts[j + 1] - cuts[j])
+        coefs = [vals[j]]
+        if slope:
+            c1 = (slope / (1.0 - t))[..., None]
+            coefs = [vals[j] + c1 * (xs - lower[..., None]), c1]
+        rows = [window_stack(dom, ax, lower, upper, n)
+                for n in (None, 1, 2)[: len(coefs) + (lever_scale is not None)]]
+        for n, c in enumerate(coefs):
+            if lever_scale is not None:
+                term = dx * rows[n]
+                term -= rows[n + 1]
+                term *= c * lever_scale
+                lever = term if lever is None else lever + term
+            rows[n] *= c  # in place: the lever above was the last reader
+            plain = rows[n] if plain is None else plain + rows[n]
+    return plain, lever
 
-    B = t*x + (1-t)*D, whose ends along each axis depend on x_a alone.
-    So for each index I and each a in I this is one box integral: the
-    lever matrix x_a * P - M (plain and moment window matrices, scaled by
-    the t-node's prefactor) on axis a and P on every other axis.  Per
-    block of t-nodes, each axis's P, and M for every axis some index
-    uses, come from one window_stack build each.
+
+def A_alpha(omega, alpha, t_nodes=16):
+    """Averaged homotopy operator A_alpha omega = int alpha(y) K_y omega dy.
+
+    alpha is a unit-mass constant or sampled-t weight, taken exactly as
+    its piecewise-linear interpolant (clamped ends included); full-grid
+    and power-law weights are refused.  Per t-node, each index I and each
+    a in I give one box integral: the lever rows of x_a - z_a, scaled by
+    w_t t^(k-1) (1-t)^-(dim+1), on axis a and the plain rows elsewhere.
+    Exact on multilinear coefficient fields at each t-node.
     """
     dom = omega.domain
-    k = omega.degree
+    _require_box(dom, "A_alpha")
+    if omega.degree == 0:
+        raise ValueError(DEGREE0_MSG)
+    if not isinstance(alpha, WeightProfile) or alpha.kind not in PIECEWISE_LINEAR:
+        raise ValueError(f"A_alpha takes a constant or sampled-t centering weight, not {alpha!r}")
+    cuts, vals, mass = _pieces(alpha, dom)
+    if abs(mass - 1.0) > 1e-8:
+        raise ValueError(f"alpha is not unit mass (got {mass:.6g})")
     nodes, wts = gauss01(t_nodes)
-    pref = wts * nodes ** (k - 1) / (dom.volume * (1.0 - nodes) ** (dom.dim + 1))
+    pref = wts * nodes ** (omega.degree - 1) / (1.0 - nodes) ** (dom.dim + 1)
     levered = {a for idx in omega.coeffs for a in idx}
     work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
-    out = GridForm(dom, k - 1)
+    out = GridForm(dom, omega.degree - 1)
     for block in node_blocks(len(nodes), 8 * max(dom.grid) ** 2):
         t = nodes[block, None]
-        plain, lever = [], {}
-        for ax, (lo, hi) in enumerate(dom.bounds):
-            xs = dom.axis_coords(ax)
-            ends = (t * xs + (1.0 - t) * lo, t * xs + (1.0 - t) * hi)
-            plain.append(window_stack(dom, ax, *ends))
-            if ax in levered:
-                moment = window_stack(dom, ax, *ends, "moment")
-                lever[ax] = pref[block, None, None] * (xs[:, None] * plain[ax] - moment)
+        plain, lever = [], []
+        for ax, ends in enumerate(dom.bounds):
+            knots = (cuts, vals) if ax == 0 else (ends, (1.0, 1.0))
+            scale = pref[block, None, None] if ax in levered else None
+            rows, levers = _window_rows(dom, ax, t, *knots, scale)
+            plain.append(rows)
+            lever.append(levers)
         for i in range(t.shape[0]):
             for idx, field in omega.coeffs.items():
                 for r, a in enumerate(idx):
                     mats = [lever[a][i] if ax == a else plain[ax][i] for ax in range(dom.dim)]
                     box = _box_integral(field, mats, work)
                     acc = out.coeffs[idx[:r] + idx[r + 1 :]]
-                    if r % 2:
-                        acc -= box
-                    else:
-                        acc += box
-    return out
-
-
-def A_alpha(omega, alpha, t_nodes=16, y_grid=None):
-    """Averaged homotopy operator A_alpha omega = int alpha(y) K_y omega dy.
-
-    alpha must be a unit-mass weight on the (box) domain.  The uniform
-    weight takes the separable box-integral path; other weights fall
-    back to a tensor-trapezoid y-integration of K_y on a y_grid (default
-    at most 9 points per axis), which is markedly slower.
-    """
-    dom = omega.domain
-    _require_box(dom, "A_alpha")
-    if omega.degree == 0:
-        raise ValueError(DEGREE0_MSG)
-    if not isinstance(alpha, WeightProfile):
-        raise TypeError("alpha must be a WeightProfile")
-
-    uniform = alpha.kind == "constant" and abs(alpha.value * dom.volume - 1.0) <= 1e-12
-    if uniform and y_grid is None:
-        return _a_alpha_uniform(omega, t_nodes)
-
-    if y_grid is None:
-        y_grid = [min(m, 9) for m in dom.grid]
-    ydom = dom.with_grid(tuple(int(m) for m in y_grid))
-    aw = alpha.sample_on(ydom)
-    wts = np.ones(ydom.grid)
-    for ax in range(ydom.dim):
-        shape = [1] * ydom.dim
-        shape[ax] = -1
-        wts = wts * ydom.quad_weights(ax).reshape(shape)
-    mass = float((aw * wts).sum())
-    if abs(mass - 1.0) > 1e-8:
-        raise ValueError(f"alpha is not unit mass on the y-grid (got {mass:.6g})")
-    out = GridForm(dom, omega.degree - 1)
-    ypts = np.stack([c.ravel() for c in ydom.meshgrid()], axis=-1)
-    for yw, y in zip((aw * wts).ravel(), ypts):
-        if yw == 0.0:
-            continue
-        out = out + yw * K_y(omega, y, t_nodes=t_nodes)
+                    (np.subtract if r % 2 else np.add)(acc, box, out=acc)
     return out

@@ -1,8 +1,9 @@
 """Pointwise oracles for the whole-grid kernels of cylcoh.
 
-point_eval applies the cubic stencils of _interp point by point, and
-cone_pullback_fiber evaluates the cone pullback at a single point; the
-tests hold scaled_eval and K_y against them.
+point_eval applies the cubic stencils of _interp point by point,
+cone_pullback_fiber evaluates the cone pullback at a single point, and
+gauss_averaged_K sums K_y over Gauss centers; the tests hold
+scaled_eval, K_y and A_alpha against them.
 """
 
 import itertools
@@ -10,7 +11,8 @@ import itertools
 import numpy as np
 
 from cylcoh._interp import _axis_stencil
-from cylcoh.homotopy import DEGREE0_MSG, _inside, _require_box
+from cylcoh.forms import GridForm
+from cylcoh.homotopy import DEGREE0_MSG, K_y, _inside, _require_box
 
 
 def point_eval(field, domain, pts):
@@ -53,4 +55,31 @@ def cone_pullback_fiber(omega, y, x, t):
             sign = -1.0 if r % 2 else 1.0
             jdx = idx[:r] + idx[r + 1 :]
             out[jdx] = out.get(jdx, 0.0) + sign * tk * val * (x[a] - y[a])
+    return out
+
+
+def gauss_averaged_K(omega, alpha, t_nodes):
+    """A_alpha omega for a constant or sampled-t alpha, as K_y summed over
+    centers y at the 2-point Gauss rule of each interval between alpha's
+    knots on axis 0 (its clamped ends included) and of each fiber axis,
+    weighted by alpha(y_0).  For multilinear coefficients the y-integrand
+    at each t-node is a polynomial of degree <= 3 on each such cell, so
+    the sum is exact."""
+    dom = omega.domain
+    x, w = np.polynomial.legendre.leggauss(2)
+    rules = []
+    for ax, (lo, hi) in enumerate(dom.bounds):
+        cuts = [lo, hi]
+        if ax == 0 and alpha.kind == "sampled-t":
+            cuts = sorted({lo, hi} | {c for c in alpha.tcoords if lo < c < hi})
+        pts, wts = [], []
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            pts += list(0.5 * (a + b) + 0.5 * (b - a) * x)
+            wts += list(0.5 * (b - a) * w)
+        rules.append(list(zip(pts, wts)))
+    out = GridForm(dom, omega.degree - 1)
+    for center in itertools.product(*rules):
+        y = [c for c, _ in center]
+        weight = np.prod([wt for _, wt in center]) * alpha.eval_t(y[0])
+        out = out + weight * K_y(omega, y, t_nodes=t_nodes)
     return out

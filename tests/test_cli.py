@@ -541,6 +541,18 @@ def test_homotopy_inadmissible_weight_refuses(tmp_path):
     assert "inadmissible centering weight" in report["refusal"]
 
 
+def test_homotopy_averaged_refuses_full_grid_weight(tmp_path, capsys):
+    # a unit-mass full-grid weight passes the admissibility check, and
+    # A_alpha refuses it: it takes constant and sampled-t weights only
+    sc = {"command": "homotopy-check", "degree": 1, "count": 1, "mode": "averaged",
+          "domain": BOX33,
+          "weight": {"kind": "sampled", "values": [1.0] * 33 * 33, "shape": [33, 33]}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "constant or sampled-t centering weight" in report["error"]
+    _one_line_error(capsys, "error: homotopy-check failed: A_alpha takes a constant or sampled-t")
+
+
 def test_grid_scale_flag(tmp_path):
     sc = {
         "command": "homotopy-check",

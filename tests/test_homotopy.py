@@ -18,7 +18,7 @@ from cylcoh import _interp, constants, homotopy
 from cylcoh.homotopy import _box_integral, DEGREE0_MSG
 from cylcoh._interp import scaled_axis_matrices, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
-from oracles import cone_pullback_fiber, point_eval
+from oracles import cone_pullback_fiber, gauss_averaged_K, point_eval
 
 
 def test_pullback_one_form():
@@ -229,14 +229,16 @@ def test_degree0_message():
     "axis, weight",
     [pytest.param(None, None, id="None")]
     + [pytest.param(a, "moment", id=str(a)) for a in range(3)]
-    + [pytest.param(a, "lever", id=f"lever{a}") for a in range(3)],
+    + [pytest.param(a, "lever", id=f"lever{a}") for a in range(3)]
+    + [pytest.param(a, "moment2", id=f"second{a}") for a in range(3)],
 )
 @pytest.mark.parametrize("t", [0.03, 0.5, 0.97])
 def test_box_integral_exact_on_multilinear(t, axis, weight):
     # the window integrals are exact for the piecewise-linear interpolant,
     # which reproduces a multilinear field: compare with the closed form
     # sum_e c_e prod_a int_{L_a}^{U_a} w_a(s) s^e_a ds, where w_a is 1,
-    # or s (moment) or x_a - s (lever) on the weighted axis
+    # or s (moment), s^2 (moment2) or x_a - s (lever) on the weighted axis,
+    # each put together from the local moments r_n of (s - x_i)^n
     rng = np.random.default_rng(11)
     bounds = [[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]]
     dom = box(bounds, [9, 7, 5])
@@ -250,13 +252,10 @@ def test_box_integral_exact_on_multilinear(t, axis, weight):
     for a, (lo, hi) in enumerate(bounds):
         xs = dom.axis_coords(a)
         ends = (t * xs[None] + (1.0 - t) * lo, t * xs[None] + (1.0 - t) * hi)
-        plain = _interp.window_stack(dom, a, *ends)[0]
-        if a != axis:
-            mats.append(plain)
-        elif weight == "moment":
-            mats.append(_interp.window_stack(dom, a, *ends, "moment")[0])
-        else:
-            mats.append(xs[:, None] * plain - _interp.window_stack(dom, a, *ends, "moment")[0])
+        r0, r1, r2 = (_interp.window_stack(dom, a, *ends, n)[0] for n in (None, 1, 2))
+        rows = {"moment": xs * r0 + r1, "moment2": xs**2 * r0 + 2.0 * xs * r1 + r2,
+                "lever": (xs[:, None] - xs) * r0 - r1}
+        mats.append(rows[weight] if a == axis else r0)
     work = (np.empty(field.size), np.empty(field.size))
     got = _box_integral(field, mats, work)
 
@@ -274,6 +273,8 @@ def test_box_integral_exact_on_multilinear(t, axis, weight):
                 term = term * power(a, n)
             elif weight == "moment":
                 term = term * power(a, n + 1)
+            elif weight == "moment2":
+                term = term * power(a, n + 2)
             else:
                 term = term * (mesh[a] * power(a, n) - power(a, n + 1))
         ref = ref + term
@@ -381,15 +382,85 @@ def test_A_uniform_one_form_barycenter():
 
 
 def test_A_nonuniform_matches_moment():
-    # A_alpha dx1 = x1 - m1 with m1 the alpha-average of y1
+    # A_alpha dx1 = x1 - m1 with m1 the alpha-average of y1: for
+    # alpha = 1 + a (y1 - 1/2) on the unit square, m1 = 1/2 + a/12
     dom = box([[0, 1], [0, 1]], [17, 17])
     a = 0.8
-    alpha = WeightProfile.sampled(dom.sample(lambda x, y: 1.0 + a * (x - 0.5)))
+    knots = np.linspace(0.0, 1.0, 9)
+    alpha = WeightProfile.sampled_t(knots, 1.0 + a * (knots - 0.5))
     om = GridForm(dom, 1, {(0,): 1.0})
-    prim = A_alpha(om, alpha, y_grid=(17, 17))
+    prim = A_alpha(om, alpha)
     x1 = dom.meshgrid()[0]
-    m1 = dom.integrate(dom.sample(lambda x, y: x * (1.0 + a * (x - 0.5))))
-    assert np.abs(prim[()] - (x1 - m1)).max() <= 1e-8
+    assert np.abs(prim[()] - (x1 - 0.5 - a / 12.0)).max() <= 1e-12
+
+
+def _multilinear_form(dom, k, rng):
+    mesh = dom.meshgrid()
+    om = GridForm(dom, k)
+    for idx in increasing_indices(dom.dim, k):
+        om.coeffs[idx] = sum(
+            rng.standard_normal() * np.prod([mesh[a] ** e[a] for a in range(dom.dim)], axis=0)
+            for e in itertools.product(range(2), repeat=dom.dim)
+        ) * np.ones(dom.grid)
+    return om
+
+
+def _unit_sampled_t(dom, knots, values):
+    # scaled to unit mass by the integral of the interpolant, clamped ends
+    # included, on its own breakpoints
+    lo, hi = dom.bounds[0]
+    u = np.array(sorted({lo, hi} | {c for c in knots if lo < c < hi}))
+    a = np.interp(u, knots, values)
+    mass = dom.volume / (hi - lo) * float(np.sum(np.diff(u) * (a[1:] + a[:-1]) / 2.0))
+    return WeightProfile.sampled_t(knots, np.asarray(values) / mass)
+
+
+@pytest.mark.parametrize("knots", [[0.05, 0.37, 0.61, 0.9], [-1.0, 0.2, 0.5, 3.0], None],
+                         ids=["clamped", "beyond", "constant"])
+@pytest.mark.parametrize("bounds, grid, k", [
+    pytest.param([[-0.3, 1.1], [0.2, 2.0]], (17, 13), k, id=f"2d-k{k}") for k in (1, 2)
+] + [
+    pytest.param([[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]], (9, 7, 5), k, id=f"3d-k{k}")
+    for k in (1, 2, 3)
+])
+def test_A_alpha_matches_gauss_oracle(bounds, grid, k, knots):
+    # off-grid knots inside the axis (clamped ends) or past both ends: the
+    # window path matches K_y summed at Gauss centers, exactly up to rounding
+    dom = box(bounds, grid)
+    rng = np.random.default_rng(len(grid) * 10 + k)
+    if knots is None:
+        alpha = WeightProfile.constant(1.0 / dom.volume)
+    else:
+        alpha = _unit_sampled_t(dom, knots, rng.uniform(0.5, 2.0, len(knots)))
+    om = _multilinear_form(dom, k, rng)
+    got = A_alpha(om, alpha, t_nodes=16)
+    want = gauss_averaged_K(om, alpha, 16)
+    scale = max(np.abs(f).max() for f in want.coeffs.values())
+    for idx, f in want.coeffs.items():
+        assert np.abs(got[idx] - f).max() <= 1e-10 * scale, idx
+
+
+def test_piecewise_linear_alpha_mass_is_exact():
+    # knots [0, 0.3, 1] off the 33-node grid: the exact mass is 1, where
+    # trapezoids on the domain grid or a y-grid read below it
+    dom = box([[0, 1], [0, 1]], [33, 33])
+    alpha = WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5])
+    res = check_admissible_weight(alpha, dom, 2.0)
+    assert res["admissible"] and abs(res["mass"] - 1.0) <= 1e-15
+    A_alpha(GridForm(dom, 1, {(0,): 1.0}), alpha, t_nodes=4)
+    with pytest.raises(ValueError, match="not unit mass"):
+        A_alpha(GridForm(dom, 1, {(0,): 1.0}), WeightProfile.constant(0.5), t_nodes=4)
+
+
+@pytest.mark.parametrize("alpha", [WeightProfile.sampled(np.ones((9, 9))),
+                                   WeightProfile.powerlaw(0.5, 1.5625)],
+                         ids=["sampled", "powerlaw"])
+def test_A_alpha_refuses_other_weight_kinds(alpha):
+    # both have unit mass on the unit square (the power law exactly), and
+    # neither is a piecewise-linear function of t
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    with pytest.raises(ValueError, match="constant or sampled-t centering weight"):
+        A_alpha(GridForm(dom, 1, {(0,): 1.0}), alpha)
 
 
 def test_A_identity_random_exact():

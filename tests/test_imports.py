@@ -2,7 +2,8 @@
 module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, the
 t-node block rule and the exponent rule stay in _interp, the Cech nerve
-stays in cover, and every function the benchmark's tracer wraps exists."""
+stays in cover, A_alpha calls no K_y, and every function the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -133,6 +134,12 @@ def test_only_gauss01_builds_gauss_rules():
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "leggauss")}
     assert callers == {("_interp.py", "gauss01")}
+
+
+def test_a_alpha_averages_no_K_y():
+    # A_alpha is one exact window path: no function of homotopy sums K_y
+    # over centers
+    assert _callers(_sources()["homotopy.py"], "K_y") == set()
 
 
 BLOCK_RULE = {"STACK_BYTES", "window_matrix"}
