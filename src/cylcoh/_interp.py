@@ -15,10 +15,12 @@ coefficient fields.
 K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
 splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
 per block, each axis's matrices for every t-node come from one build
-(scaled_axis_matrices or window_stack) and serve every field; and
-apply_axes applies them through a pair of reused buffers rather than
-fresh arrays.  Every row is built on its own, so the blocking leaves
-every value unchanged.
+(scaled_axis_matrices, window_stack, or window_rows for A_alpha) and
+serve every field; and every product is an axis_product, one matmul
+into a reused buffer rather than a fresh array (apply_axes chains one
+per axis).  Every row is built on its own, so the blocking leaves every
+value unchanged.  window_rows keeps its read-only stacks in a memo
+bounded by MEMO_BYTES, so charts that share an axis build its rows once.
 
 The power-law t-integrals of every weight norm live here too, on the
 window matrices' closed form _pl_primitive: powerlaw_mass, the exact
@@ -56,6 +58,11 @@ def read_only(rule):
 
 
 EDGE_RULE = gauss01(EDGE_NODES)
+
+# byte bound of the window-row memo of window_rows
+MEMO_BYTES = 4 * STACK_BYTES
+# window_rows' read-only stacks, least recently used first
+_ROW_MEMO = {}
 
 
 def node_blocks(count, node_bytes):
@@ -130,23 +137,44 @@ def scaled_axis_matrices(domain, ax, y, nodes):
     return out
 
 
+def axis_product(field, mat, ax, out, rotate=False):
+    """One single-axis product: mat, with one column per node of axis ax,
+    applied along axis ax of field as one matmul into the flat buffer out
+    (never field's own memory).  The result, a view of out, keeps the
+    axis order: axis 0 and the last axis take one matrix product over
+    contiguous memory, a middle axis one batched product over the axes
+    before it.  With rotate (ax = 0 only) the mapped axis moves to the
+    end instead, so products on axis 0 in turn, one per axis, restore the
+    axis order (apply_axes); each is one matrix product as well.
+    """
+    shape, m = field.shape, mat.shape[0]
+    if rotate:
+        flat = field.reshape(shape[0], -1).T
+        buf = out[: flat.shape[0] * m].reshape(-1, m)
+        return np.matmul(flat, mat.T, out=buf).reshape(shape[1:] + (m,))
+    new = shape[:ax] + (m,) + shape[ax + 1 :]
+    buf = out[: math.prod(new)]
+    if ax == len(shape) - 1:
+        return np.matmul(field.reshape(-1, shape[ax]), mat.T, out=buf.reshape(-1, m)).reshape(new)
+    lead = math.prod(shape[:ax])
+    return np.matmul(mat, field.reshape(lead, shape[ax], -1),
+                     out=buf.reshape(lead, m, -1)).reshape(new)
+
+
 def apply_axes(field, mats, work):
     """Apply one matrix per axis to field, axis by axis (sum factorisation).
 
     Each matrix has one column per node of its axis: an interpolation
-    matrix from scaled_axis_matrices or a slice of a window_stack.  The
-    mapped axis moves to the end, so applying the matrices of all axes in
-    turn restores the axis order, and each step is a single matrix
-    product over contiguous memory.  The products fill the flat buffers
-    work[1] and work[0] in turn (field may sit in work[0], never in
-    work[1]), so a call allocates no field-sized array; the result is a
-    view of one of them, valid until the next call with the same work.
+    matrix from scaled_axis_matrices or a slice of a window_stack.  Each
+    step is a rotating axis_product, so the axis order comes back after
+    the last.  The products fill the flat buffers work[1] and work[0] in
+    turn (field may sit in work[0], never in work[1]), so a call
+    allocates no field-sized array; the result is a view of one of them,
+    valid until the next call with the same work.
     """
     out = field
     for i, mat in enumerate(mats, 1):
-        flat = out.reshape(out.shape[0], -1).T
-        buf = work[i % 2][: flat.shape[0] * mat.shape[0]].reshape(flat.shape[0], -1)
-        out = np.matmul(flat, mat.T, out=buf).reshape(out.shape[1:] + (mat.shape[0],))
+        out = axis_product(out, mat, 0, work[i % 2], rotate=True)
     return out
 
 
@@ -308,3 +336,53 @@ def window_stack(domain, ax, lower, upper, weight=None):
     stacked to shape (nodes, n, m): one n-row window matrix per t-node."""
     mats = window_matrix(domain, ax, lower.ravel(), upper.ravel(), weight)
     return mats.reshape(lower.shape + (-1,))
+
+
+def _window_rows(domain, ax, t, cuts, vals):
+    """window_rows' build: one window_stack per local moment and piece.
+    About each hat's node x_i, w is w(x_i) + c1 (z - x_i); the local
+    moments of (z - x_i)^n phi_i keep the rounding small where
+    c1 = slope / (1-t) is large, near t = 1."""
+    xs = domain.axis_coords(ax)
+    dx = xs[:, None] - xs
+    plain = lever = None
+    for j in range(len(cuts) - 1):
+        lower, upper = (t * xs + (1.0 - t) * c for c in cuts[j : j + 2])
+        slope = (vals[j + 1] - vals[j]) / (cuts[j + 1] - cuts[j])
+        coefs = [vals[j]]
+        if slope:
+            c1 = (slope / (1.0 - t))[..., None]
+            coefs = [vals[j] + c1 * (xs - lower[..., None]), c1]
+        rows = [window_stack(domain, ax, lower, upper, n) for n in (None, 1, 2)[: len(coefs) + 1]]
+        for n, c in enumerate(coefs):
+            term = dx * rows[n]
+            term -= rows[n + 1]
+            term *= c
+            lever = term if lever is None else lever + term
+            rows[n] *= c  # in place: the lever above was the last reader
+            plain = rows[n] if plain is None else plain + rows[n]
+    return plain, lever
+
+
+def window_rows(domain, ax, t, cuts, vals):
+    """Axis ax's rows for the t-nodes t, shape (nodes, 1), over the
+    windows t*x_r + (1-t)*[cuts[0], cuts[-1]]: read-only (nodes, m, m)
+    stacks (plain, lever) of the integrals of w(z) phi_i(z) and of
+    (x_r - z) w(z) phi_i(z), for the hat phi_i of node x_i and w linear
+    between the images of cuts, where it is vals.
+
+    Built once per axis (lo, hi, m), t-node block and pieces (cuts,
+    vals), and kept in _ROW_MEMO within MEMO_BYTES, least recently used
+    out first.  The rows carry no factor of a form's degree or of the
+    domain's volume, so charts that share an axis share its rows.
+    """
+    cuts, vals = np.asarray(cuts, dtype=float), np.asarray(vals, dtype=float)
+    key = (domain.bounds[ax], domain.grid[ax], domain.periodic[ax],
+           t.tobytes(), cuts.tobytes(), vals.tobytes())
+    rows = _ROW_MEMO.pop(key, None)
+    if rows is None:
+        rows = read_only(_window_rows(domain, ax, t, cuts, vals))
+    _ROW_MEMO[key] = rows
+    while sum(a.nbytes for pair in _ROW_MEMO.values() for a in pair) > MEMO_BYTES:
+        del _ROW_MEMO[next(iter(_ROW_MEMO))]
+    return rows

@@ -58,29 +58,44 @@ def _bump_values(run, m):
 
 
 class PartitionOfUnity:
-    """Normalized bump functions rho_j subordinate to the cover patches,
-    sampled on the fiber grid and lifted t-independently (the arrays
-    broadcast along every non-periodic axis)."""
+    """Normalized bump functions rho_j subordinate to the cover patches.
 
-    def __init__(self, cover, fields):
+    Bump j is the product of its per-axis profiles, profiles[j][ax]: a
+    profile of the node values on each periodic axis, None on the others,
+    which every patch spans.  fields[j] is bump j over the sum of all
+    bumps, sampled on the fiber grid and lifted t-independently (the
+    arrays broadcast along every non-periodic axis)."""
+
+    def __init__(self, cover, profiles):
+        dim = cover.domain.dim
+        bumps = []
+        for prof in profiles:
+            f = np.ones([1] * dim)
+            for ax, vals in enumerate(prof):
+                if vals is not None:
+                    f = f * vals.reshape([-1 if a == ax else 1 for a in range(dim)])
+            bumps.append(f)
+        total = sum(bumps)
+        if total.min() <= 0:
+            raise ValueError("cover bumps leave part of the fiber uncovered")
         self.cover = cover
-        self.fields = fields
+        self.profiles = profiles
+        self.fields = [f / total for f in bumps]
 
     def validate(self):
+        """Checks the sum and, per axis, each bump's profile: nonnegative
+        and zero off its patch's arc, which is where the bump vanishes."""
         total = sum(self.fields)
         if np.max(np.abs(total - 1.0)) > 1e-10:
             raise ValueError("partition does not sum to 1")
-        for i, f in enumerate(self.fields):
-            if f.min() < 0:
-                raise ValueError("negative bump value")
+        for i, prof in enumerate(self.profiles):
             runs = self.cover.patch_runs(i)
-            for ax in range(self.cover.domain.dim):
-                if not self.cover.domain.periodic[ax]:
+            for ax, vals in enumerate(prof):
+                if vals is None:
                     continue
-                m = self.cover.domain.grid[ax]
-                outside = ~_run_mask(runs[ax], m)
-                prof = np.max(np.abs(f), axis=tuple(a for a in range(f.ndim) if a != ax))
-                if np.any(prof[outside] > 0):
+                if vals.min() < 0:
+                    raise ValueError("negative bump value")
+                if np.any(vals[~_run_mask(runs[ax], vals.size)] != 0):
                     raise ValueError(f"bump {i} leaks outside its patch on axis {ax}")
         return True
 
@@ -238,27 +253,12 @@ class GoodCover:
         return self._cells[depth] if depth <= len(self) else ()
 
     def partition_of_unity(self):
-        dim = self.domain.dim
-        bump_tables = []
-        for ax, arcs in enumerate(self.axis_arcs):
-            if arcs is None:
-                bump_tables.append(None)
-                continue
-            bump_tables.append([_bump_values(run, self.domain.grid[ax]) for run in arcs])
-        fields = []
-        for label in self.patch_labels:
-            f = np.ones([1] * dim)
-            for ax in range(dim):
-                if label[ax] is None:
-                    continue
-                shape = [1] * dim
-                shape[ax] = -1
-                f = f * bump_tables[ax][label[ax]].reshape(shape)
-            fields.append(f)
-        total = sum(fields)
-        if total.min() <= 0:
-            raise ValueError("cover bumps leave part of the fiber uncovered")
-        return PartitionOfUnity(self, [f / total for f in fields])
+        tables = [None if arcs is None else [_bump_values(run, m) for run in arcs]
+                  for arcs, m in zip(self.axis_arcs, self.domain.grid)]
+        return PartitionOfUnity(self, [
+            [None if arc is None else tables[ax][arc] for ax, arc in enumerate(label)]
+            for label in self.patch_labels
+        ])
 
 
 def _granularity(domain, ax):

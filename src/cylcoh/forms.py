@@ -111,33 +111,50 @@ class GridForm:
         return f"GridForm(degree={self.degree}, grid={self.domain.grid})"
 
 
-def _partial(field, domain, ax):
-    """Finite-difference d/dx_ax: order-2 central, one-sided at closed ends."""
+def _partial(field, domain, ax, out):
+    """Finite-difference d/dx_ax into the grid-sized buffer out: order-2
+    central inside, one-sided at closed ends and wrapped on a periodic
+    axis, with np.gradient's (edge_order=2) and np.roll's operations in
+    their order, so the values are theirs bitwise."""
     h = domain.spacing(ax)
+    f, d = np.moveaxis(field, ax, 0), np.moveaxis(out, ax, 0)
+    np.subtract(f[2:], f[:-2], out=d[1:-1])
     if domain.periodic[ax]:
-        return (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * h)
-    return np.gradient(field, h, axis=ax, edge_order=2)
+        np.subtract(f[1], f[-1], out=d[0])
+        np.subtract(f[0], f[-2], out=d[-1])
+        d /= 2.0 * h
+        return out
+    d[1:-1] /= 2.0 * h
+    for end, taps in ((0, ((0, -1.5), (1, 2.0), (2, -0.5))), (-1, ((-3, 0.5), (-2, -2.0), (-1, 1.5)))):
+        (i, w), *rest = taps
+        np.multiply(w / h, f[i], out=d[end])
+        for i, w in rest:
+            d[end] += w / h * f[i]
+    return out
 
 
 def exterior_derivative(omega):
     """Finite-difference exterior derivative, degree k -> k+1.
 
     d(f dx_I) = sum over axes a not in I of sign * (df/dx_a) dx_{sort(I+a)},
-    sign = (-1)^(number of entries of I below a).
+    sign = (-1)^(number of entries of I below a).  Each partial goes
+    through one reused grid-sized buffer, so a call allocates no
+    grid-sized temporary beyond its output.
     """
     dom = omega.domain
     if omega.degree >= dom.dim:
         raise ValueError("top degree form has no exterior derivative")
     out = GridForm(dom, omega.degree + 1)
+    buf = np.empty(dom.grid)
     for idx, field in omega.coeffs.items():
         for ax in range(dom.dim):
             if ax in idx:
                 continue
             acc = out.coeffs[tuple(sorted(idx + (ax,)))]
             if sum(1 for i in idx if i < ax) % 2:
-                acc -= _partial(field, dom, ax)
+                acc -= _partial(field, dom, ax, buf)
             else:
-                acc += _partial(field, dom, ax)
+                acc += _partial(field, dom, ax, buf)
     return out
 
 

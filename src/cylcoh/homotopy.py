@@ -18,23 +18,31 @@ A_alpha averages K_y over centers y against a unit-mass weight
 alpha(y) = a(y_0), piecewise linear in y_0.  After z = t*x + (1-t)*y it
 is a sum of box integrals of a((z_0 - t*x_0)/(1-t)) (x_a - z_a) f_I(z)
 over t*x + (1-t)*D, which are separable: one window matrix per axis,
-applied in turn, evaluates them for every x at once.  Each axis's
-matrices come from one build per block of t-nodes (and piece of a) and
-serve every coefficient.  Both operators, like C_integral, keep each
-build within _interp.STACK_BYTES and apply it by _interp.apply_axes.
+applied in turn, evaluates them for every x at once (sum
+factorisation).  The terms share their factors: the output for J sums,
+over a not in J, the lever rows on axis a times the plain rows on every
+other axis applied to f_{J+a}.  So per t-node A_alpha applies the plain
+rows outside I to each f_I once, one lever product per term, and the
+plain rows of J to each sum once, every product one single-axis
+_box_integral.  Each axis's rows come from one build per block of
+t-nodes (and piece of a), memoised in _interp.window_rows without the
+degree's and the volume's factors, so every chart with that axis reuses
+them.  Both operators, like C_integral, keep each build within
+_interp.STACK_BYTES.
 """
 
 import math
 
 import numpy as np
 
-from ._interp import (_frac, apply_axes, edge_integral, gauss01, law_exponent, node_blocks,
-                      powerlaw_mass, scaled_axis_matrices, scaled_eval, window_stack)
+from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, node_blocks,
+                      powerlaw_mass, scaled_axis_matrices, scaled_eval, window_rows)
 from .forms import GridForm
 from .weights import WeightProfile
 
-# perfbench/tracing.py wraps scaled_eval and _box_integral here: call them by these names
-_box_integral = apply_axes
+# perfbench/tracing.py wraps scaled_eval and _box_integral here: call them by
+# these names; _box_integral is one single-axis product of A_alpha
+_box_integral = axis_product
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
 PIECEWISE_LINEAR = ("constant", "sampled-t")
@@ -109,10 +117,11 @@ def check_admissible_weight(alpha, D, p):
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
     ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) exactly (sup norm when
     p = 1).  A constant or sampled-t alpha's mass is the exact integral
-    that A_alpha reads (_pieces).  Power-law divergence is decided by the
-    exponent rule, not by overflow; a power law pivoting at the right
-    t-edge is never sampled on the closed grid: its masses are exact and
-    ||alpha(y)|y|||_{p'} takes the edge rule.
+    that A_alpha reads (_pieces), and so is a power law's (powerlaw_mass),
+    its pivot at the right t-edge or past it.  Power-law divergence is
+    decided by the exponent rule, not by overflow; a power law pivoting at
+    the right t-edge is never sampled on the closed grid: its norms are
+    exact too and ||alpha(y)|y|||_{p'} takes the edge rule.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -123,8 +132,16 @@ def check_admissible_weight(alpha, D, p):
     lo0, hi0 = D.bounds[0]
     fiber_vol = math.prod(hi - lo for lo, hi in D.bounds[1:])
 
-    if alpha.kind == "powerlaw" and alpha.lam > 0 and alpha.pivot <= hi0:
+    law = alpha.kind == "powerlaw" and alpha.lam > 0
+    # a law pivoting at the right t-edge is infinite on the closed grid
+    field = None if law and alpha.pivot <= hi0 else alpha.sample_on(D)
+    if law:
         mass = fiber_vol * powerlaw_mass(alpha.lam, alpha.pivot, lo0, hi0)
+    elif alpha.kind in PIECEWISE_LINEAR:
+        mass = _pieces(alpha, D)[2]
+    else:
+        mass = D.integrate(field)
+    if field is None:
         # p' = inf makes e infinite, and the mass says the sup norm diverges
         e = law_exponent(alpha.lam, exact_pprime)
         amass = powerlaw_mass(e, alpha.pivot, lo0, hi0)
@@ -134,8 +151,6 @@ def check_admissible_weight(alpha, D, p):
             total = edge_integral(e, lo0, hi0, lambda t: _fiber_moment(D, pprime, t))
             mnorm = total ** (1.0 / pprime)
     else:
-        field = alpha.sample_on(D)
-        mass = _pieces(alpha, D)[2] if alpha.kind in PIECEWISE_LINEAR else D.integrate(field)
         moment = np.sqrt(sum(c**2 for c in D.meshgrid()))
         if np.isinf(pprime):
             anorm = float(field.max())
@@ -171,35 +186,47 @@ def _pieces(alpha, D):
     return u, a, math.prod(b - c for c, b in fiber) * float(np.diff(u) @ (a[1:] + a[:-1])) / 2.0
 
 
-def _window_rows(dom, ax, t, cuts, vals, lever_scale=None):
-    """Axis ax's rows for the t-nodes t over the windows
-    t*x_r + (1-t)*[cuts[0], cuts[-1]]: the integrals of w(z) phi_i(z) and,
-    unless lever_scale is None, lever_scale times those of
-    (x_r - z) w(z) phi_i(z), for the hat phi_i of node x_i and w linear
-    between the images of cuts, where it is vals.  About x_i, w is
-    w(x_i) + c1 (z - x_i); the local moments of (z - x_i)^n phi_i keep the
-    rounding small where c1 = slope / (1-t) is large, near t = 1."""
-    xs = dom.axis_coords(ax)
-    dx = xs[:, None] - xs
-    plain = lever = None
-    for j in range(len(cuts) - 1):
-        lower, upper = (t * xs + (1.0 - t) * c for c in cuts[j : j + 2])
-        slope = (vals[j + 1] - vals[j]) / (cuts[j + 1] - cuts[j])
-        coefs = [vals[j]]
-        if slope:
-            c1 = (slope / (1.0 - t))[..., None]
-            coefs = [vals[j] + c1 * (xs - lower[..., None]), c1]
-        rows = [window_stack(dom, ax, lower, upper, n)
-                for n in (None, 1, 2)[: len(coefs) + (lever_scale is not None)]]
-        for n, c in enumerate(coefs):
-            if lever_scale is not None:
-                term = dx * rows[n]
-                term -= rows[n + 1]
-                term *= c * lever_scale
-                lever = term if lever is None else lever + term
-            rows[n] *= c  # in place: the lever above was the last reader
-            plain = rows[n] if plain is None else plain + rows[n]
-    return plain, lever
+def _chained_terms(coeffs, plain, lever, out, bufs):
+    """One t-node's terms when none shares a factor (k = 1 or k = dim):
+    per index I and a in I, the lever rows on axis a and the plain rows
+    elsewhere, as dim rotating products in turn.  Each is one matrix
+    product, where a middle axis in place is a batched one: on thin
+    charts (65 x 37 x 5) a 1-form took about 30% longer that way."""
+    for idx, field in coeffs.items():
+        for r, a in enumerate(idx):
+            box = field
+            for ax in range(len(plain)):
+                mat = (-lever[a] if r % 2 else lever[a]) if ax == a else plain[ax]
+                box = _box_integral(box, mat, 0, bufs[(ax + 1) % 2], rotate=True)
+            out[idx[:r] + idx[r + 1 :]] += box
+
+
+def _plain_chain(x, plain, axes, pair):
+    """The plain rows of axes applied to x in turn; the last product
+    lands in pair[0], the others alternate with pair[1]."""
+    for n, ax in enumerate(axes):
+        x = _box_integral(x, plain[ax], ax, pair[(len(axes) - 1 - n) % 2])
+    return x
+
+
+def _factored_terms(coeffs, plain, lever, out, bufs):
+    """One t-node's terms for 1 < k < dim, each shared product once:
+    g_I = (plain rows outside I) f_I, then S_J = sum over a not in J of
+    +-(lever rows on a) g_{J+a}, and out_J += (plain rows on J) S_J.
+    The products keep the axis order, so the sums are elementwise; bufs
+    holds one buffer per I, then the sum's and a pair of work buffers."""
+    dim = len(plain)
+    *kept, total, w0, w1 = bufs
+    g = {idx: _plain_chain(field, plain, [ax for ax in range(dim) if ax not in idx], (buf, w0))
+         for (idx, field), buf in zip(coeffs.items(), kept)}
+    for J, acc in out.items():
+        s = None
+        for a in sorted(set(range(dim)) - set(J)):
+            idx = tuple(sorted(J + (a,)))
+            mat = -lever[a] if idx.index(a) % 2 else lever[a]
+            y = _box_integral(g[idx], mat, a, total if s is None else w0)
+            s = y if s is None else np.add(s, y, out=s)
+        acc += _plain_chain(s, plain, J, (w0, w1))
 
 
 def A_alpha(omega, alpha, t_nodes=16):
@@ -207,10 +234,16 @@ def A_alpha(omega, alpha, t_nodes=16):
 
     alpha is a unit-mass constant or sampled-t weight, taken exactly as
     its piecewise-linear interpolant (clamped ends included); full-grid
-    and power-law weights are refused.  Per t-node, each index I and each
-    a in I give one box integral: the lever rows of x_a - z_a, scaled by
-    w_t t^(k-1) (1-t)^-(dim+1), on axis a and the plain rows elsewhere.
-    Exact on multilinear coefficient fields at each t-node.
+    and power-law weights are refused.  Per t-node the coefficient of J
+    is the sum over a not in J of +-(lever rows on axis a) x (plain rows
+    on every other axis) f_{J+a}, times w_t t^(k-1) (1-t)^-(dim+1) and,
+    for a constant alpha, its value.  Those scalars multiply the lever
+    rows at use, so the memoised window_rows serve every degree and
+    volume.  For 1 < k < dim the terms share factors and each product is
+    computed once (_factored_terms: 12 single-axis products per t-node
+    for a 2-form in 3-D, where term by term takes 18); otherwise each term
+    is one chain of dim products (_chained_terms).  Exact on multilinear
+    coefficient fields at each t-node.
     """
     dom = omega.domain
     _require_box(dom, "A_alpha")
@@ -221,25 +254,22 @@ def A_alpha(omega, alpha, t_nodes=16):
     cuts, vals, mass = _pieces(alpha, dom)
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"alpha is not unit mass (got {mass:.6g})")
+    level = vals[0] if alpha.kind == "constant" else 1.0
     nodes, wts = gauss01(t_nodes)
-    pref = wts * nodes ** (omega.degree - 1) / (1.0 - nodes) ** (dom.dim + 1)
-    levered = {a for idx in omega.coeffs for a in idx}
-    work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
+    scale = level * wts * nodes ** (omega.degree - 1) / (1.0 - nodes) ** (dom.dim + 1)
+    if 1 < omega.degree < dom.dim:
+        terms, nbufs = _factored_terms, len(omega.coeffs) + 3
+    else:
+        terms, nbufs = _chained_terms, 2
+    # reused grid-sized buffers: fresh arrays per t-node let malloc hand
+    # their pages back to the system and fault them in again
+    bufs = [np.empty(dom.grid).ravel() for _ in range(nbufs)]
     out = GridForm(dom, omega.degree - 1)
     for block in node_blocks(len(nodes), 8 * max(dom.grid) ** 2):
         t = nodes[block, None]
-        plain, lever = [], []
-        for ax, ends in enumerate(dom.bounds):
-            knots = (cuts, vals) if ax == 0 else (ends, (1.0, 1.0))
-            scale = pref[block, None, None] if ax in levered else None
-            rows, levers = _window_rows(dom, ax, t, *knots, scale)
-            plain.append(rows)
-            lever.append(levers)
-        for i in range(t.shape[0]):
-            for idx, field in omega.coeffs.items():
-                for r, a in enumerate(idx):
-                    mats = [lever[a][i] if ax == a else plain[ax][i] for ax in range(dom.dim)]
-                    box = _box_integral(field, mats, work)
-                    acc = out.coeffs[idx[:r] + idx[r + 1 :]]
-                    (np.subtract if r % 2 else np.add)(acc, box, out=acc)
+        rows = [window_rows(dom, ax, t, *((cuts, vals / level) if ax == 0 else (ends, (1.0, 1.0))))
+                for ax, ends in enumerate(dom.bounds)]
+        for i, s in enumerate(scale[block]):
+            terms(omega.coeffs, [plain[i] for plain, _ in rows],
+                  [lever[i] * s for _, lever in rows], out.coeffs, bufs)
     return out

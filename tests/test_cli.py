@@ -553,6 +553,17 @@ def test_homotopy_averaged_refuses_full_grid_weight(tmp_path, capsys):
     _one_line_error(capsys, "error: homotopy-check failed: A_alpha takes a constant or sampled-t")
 
 
+def test_homotopy_averaged_admits_unit_mass_powerlaw_past_the_edge(tmp_path, capsys):
+    # the weight check takes the law's exact mass, 1, so the weight is not
+    # refused as inadmissible (exit 2); A_alpha then refuses the power law
+    sc = {"command": "homotopy-check", "degree": 1, "count": 1, "mode": "averaged",
+          "domain": BOX33, "weight": {"kind": "powerlaw", "lam": 0.5, "pivot": 1.5625}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert "constant or sampled-t centering weight" in report["error"]
+    _one_line_error(capsys, "error: homotopy-check failed: A_alpha takes a constant or sampled-t")
+
+
 def test_grid_scale_flag(tmp_path):
     sc = {
         "command": "homotopy-check",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cylcoh import circle_cover, cylinder, torus_cover
-from cylcoh.cover import GoodCover
+from cylcoh.cover import GoodCover, PartitionOfUnity
 
 
 def test_circle_cover_three_arcs():
@@ -143,6 +143,20 @@ def test_partition_of_unity():
         for f in pou.fields:
             assert f.min() >= 0.0
             assert f.shape[0] == 1, "bumps must broadcast along t"
+
+
+@pytest.mark.parametrize("ax", [1, 2])
+def test_partition_refuses_a_bump_leaking_off_its_arc(ax):
+    # each bump is a product of per-axis profiles: one profile nonzero at a
+    # node off its arc, on one periodic axis, leaks the bump there
+    cov = torus_cover(cylinder([0, 1], [[0, 1], [0, 1]], [5, 32, 32]))
+    profiles = [list(prof) for prof in cov.partition_of_unity().profiles]
+    s, c = cov.patch_runs(0)[ax]
+    leaky = profiles[0][ax].copy()
+    leaky[(s + c) % 32] = 1e-3
+    profiles[0][ax] = leaky
+    with pytest.raises(ValueError, match=f"bump 0 leaks outside its patch on axis {ax}"):
+        PartitionOfUnity(cov, profiles).validate()
 
 
 def test_bumps_vanish_at_arc_endpoints():

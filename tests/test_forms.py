@@ -58,6 +58,44 @@ def test_lp_norm_flat_cases():
     assert om.max_abs() == 4.0
 
 
+def _gradient_roll_d(om):
+    # the exterior derivative from fresh np.gradient / np.roll partials
+    dom = om.domain
+    out = GridForm(dom, om.degree + 1)
+    for idx, field in om.coeffs.items():
+        for ax in range(dom.dim):
+            if ax in idx:
+                continue
+            h = dom.spacing(ax)
+            if dom.periodic[ax]:
+                part = (np.roll(field, -1, axis=ax) - np.roll(field, 1, axis=ax)) / (2.0 * h)
+            else:
+                part = np.gradient(field, h, axis=ax, edge_order=2)
+            acc = out.coeffs[tuple(sorted(idx + (ax,)))]
+            if sum(1 for i in idx if i < ax) % 2:
+                acc -= part
+            else:
+                acc += part
+    return out
+
+
+@pytest.mark.parametrize("dom", [box([[0, 1.3], [-0.2, 0.5]], [9, 11]),
+                                 box([[0, 1], [0, 2], [-1, 0.3]], [5, 6, 7]),
+                                 cylinder([0, 1], [[0, 1], [0, 1]], [7, 16, 32])],
+                         ids=["box2", "box3", "torus"])
+def test_d_buffered_partials_match_gradient_and_roll(dom):
+    # the buffered partials repeat np.gradient's and np.roll's operations
+    # in their order, on closed and periodic axes, at every degree
+    rng = np.random.default_rng(dom.dim)
+    for k in range(dom.dim):
+        om = GridForm(dom, k)
+        for idx in om.coeffs:
+            om.coeffs[idx] = rng.standard_normal(dom.grid)
+        got, want = exterior_derivative(om), _gradient_roll_d(om)
+        for idx, field in want.coeffs.items():
+            assert np.array_equal(got[idx], field), (k, idx)
+
+
 def test_top_degree_d_raises():
     dom = box([[0, 1], [0, 1]], [9, 9])
     om = GridForm(dom, 2, {(0, 1): 1.0})

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -256,8 +257,13 @@ def test_box_integral_exact_on_multilinear(t, axis, weight):
         rows = {"moment": xs * r0 + r1, "moment2": xs**2 * r0 + 2.0 * xs * r1 + r2,
                 "lever": (xs[:, None] - xs) * r0 - r1}
         mats.append(rows[weight] if a == axis else r0)
+    # single-axis products in place (axis 0, the middle axis, the last)
+    # and the rotating chain of apply_axes
     work = (np.empty(field.size), np.empty(field.size))
-    got = _box_integral(field, mats, work)
+    in_place = field
+    for a, mat in enumerate(mats):
+        in_place = _box_integral(in_place, mat, a, work[a % 2])
+    rotated = _interp.apply_axes(field, mats, (np.empty(field.size), np.empty(field.size)))
 
     def power(a, n):
         low = t * mesh[a] + (1.0 - t) * bounds[a][0]
@@ -278,7 +284,8 @@ def test_box_integral_exact_on_multilinear(t, axis, weight):
             else:
                 term = term * (mesh[a] * power(a, n) - power(a, n + 1))
         ref = ref + term
-    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    for got in (in_place, rotated):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
@@ -293,6 +300,7 @@ def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(_interp, "window_matrix", counted)
+    monkeypatch.setattr(_interp, "_ROW_MEMO", {})  # cold: no rows from earlier tests
     dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
     om = random_form(dom, 2, np.random.default_rng(3))
     for t_nodes in (4, 16):
@@ -327,7 +335,8 @@ def test_blocked_K_y_and_A_alpha_match_one_block(monkeypatch, grid):
 def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
     # at the CLI maxima (257^2, 256 t-nodes) K_y's stencil matrices and
     # A_alpha's window stacks come in several blocks, no build above the
-    # budget; the products are skipped, only the builds matter here
+    # budget, and the window-row memo stays within MEMO_BYTES; the
+    # products are skipped, only the builds matter here
     stencils, windows = [], []
     stencil_build, window_build = homotopy.scaled_axis_matrices, _interp.window_matrix
 
@@ -343,7 +352,8 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
     monkeypatch.setattr(homotopy, "scaled_axis_matrices", stencil_counted)
     monkeypatch.setattr(_interp, "window_matrix", window_counted)
     monkeypatch.setattr(homotopy, "scaled_eval", lambda field, mats, work: 0.0)
-    monkeypatch.setattr(homotopy, "_box_integral", lambda field, mats, work: 0.0)
+    monkeypatch.setattr(homotopy, "_box_integral", lambda field, mat, ax, out, rotate=False: field)
+    monkeypatch.setattr(_interp, "_ROW_MEMO", {})
     dom = box([[0, 1], [0, 1]], [257, 257])
     om = GridForm(dom, 1)
     K_y(om, [0.5, 0.5], t_nodes=256)
@@ -351,6 +361,96 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
     for builds in (stencils, windows):
         assert len(builds) > 2 * dom.dim
         assert max(builds) <= _interp.STACK_BYTES
+    held = [a.nbytes for rows in _interp._ROW_MEMO.values() for a in rows]
+    assert held and sum(held) <= _interp.MEMO_BYTES
+
+
+# single-axis products per t-node of the factored plan; term by term takes
+# dim products for each of the C(dim, k) * k terms
+FACTORED_PRODUCTS = {(1, 1): 1, (2, 1): 4, (2, 2): 4, (3, 1): 9, (3, 2): 12, (3, 3): 9}
+
+
+@pytest.mark.parametrize("dim, k", sorted(FACTORED_PRODUCTS))
+def test_A_alpha_computes_each_shared_product_once(monkeypatch, dim, k):
+    axes = []
+    product = homotopy._box_integral
+
+    def counted(field, mat, ax, out, rotate=False):
+        axes.append(ax)
+        return product(field, mat, ax, out, rotate)
+
+    monkeypatch.setattr(homotopy, "_box_integral", counted)
+    dom = box([[0, 1], [0, 2], [0, 0.5]][:dim], [9, 8, 7][:dim])
+    A_alpha(random_form(dom, k, np.random.default_rng(dim + k)), WeightProfile.constant(1.0 / dom.volume),
+            t_nodes=4)
+    assert len(axes) == 4 * FACTORED_PRODUCTS[dim, k]
+    assert FACTORED_PRODUCTS[dim, k] <= math.comb(dim, k) * k * dim
+
+
+def _term_by_term_A(om, alpha, t_nodes):
+    # one box integral per (I, a in I), the lever rows on axis a scaled by
+    # w_t t^(k-1) (1-t)^-(dim+1) and the plain rows elsewhere, alpha's level
+    # kept inside axis 0's rows
+    dom, k = om.domain, om.degree
+    cuts, vals, _ = homotopy._pieces(alpha, dom)
+    nodes, wts = _interp.gauss01(t_nodes)
+    rows = [_interp.window_rows(dom, ax, nodes[:, None], *((cuts, vals) if ax == 0 else (ends, (1.0, 1.0))))
+            for ax, ends in enumerate(dom.bounds)]
+    pref = wts * nodes ** (k - 1) / (1.0 - nodes) ** (dom.dim + 1)
+    work = (np.empty(np.prod(dom.grid)), np.empty(np.prod(dom.grid)))
+    out = GridForm(dom, k - 1)
+    for i in range(t_nodes):
+        for idx, field in om.coeffs.items():
+            for r, a in enumerate(idx):
+                mats = [rows[ax][1][i] * pref[i] if ax == a else rows[ax][0][i] for ax in range(dom.dim)]
+                out.coeffs[idx[:r] + idx[r + 1 :]] += (-1) ** r * _interp.apply_axes(field, mats, work)
+    return out
+
+
+@pytest.mark.parametrize("alpha", ["constant", "sloped"])
+@pytest.mark.parametrize("bounds, grid", [([[-0.3, 1.1], [0.2, 2.0]], (17, 13)),
+                                          ([[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]], (13, 9, 7))],
+                         ids=["2d", "3d"])
+def test_factored_A_alpha_matches_term_by_term(bounds, grid, alpha):
+    dom = box(bounds, grid)
+    rng = np.random.default_rng(len(grid))
+    if alpha == "constant":
+        weight = WeightProfile.constant(1.0 / dom.volume)
+    else:
+        weight = _unit_sampled_t(dom, [-0.3, 0.1, 0.6, 1.1], [0.5, 2.0, 0.8, 1.6])
+    for k in range(1, dom.dim + 1):
+        om = random_form(dom, k, rng)
+        got = A_alpha(om, weight, t_nodes=16)
+        want = _term_by_term_A(om, weight, 16)
+        scale = want.max_abs()
+        for idx, field in want.coeffs.items():
+            assert np.abs(got[idx] - field).max() <= 1e-13 * scale, (k, idx)
+
+
+def test_second_A_alpha_call_on_a_chart_builds_no_window_rows(monkeypatch):
+    # the memoised rows hold no factor of the degree or the volume: another
+    # degree on the same chart builds nothing, and a chart that changes one
+    # axis builds that axis's plain and lever rows only
+    calls = []
+    build = _interp.window_matrix
+
+    def counted(domain, ax, *args, **kwargs):
+        calls.append(domain.bounds[ax])
+        return build(domain, ax, *args, **kwargs)
+
+    monkeypatch.setattr(_interp, "window_matrix", counted)
+    monkeypatch.setattr(_interp, "_ROW_MEMO", {})
+    dom = box([[0, 1], [0, 0.5625], [0, 0.5625]], [17, 9, 9])
+    rng = np.random.default_rng(5)
+    A_alpha(random_form(dom, 2, rng), WeightProfile.constant(1.0 / dom.volume))
+    assert len(calls) == 4  # axes 1 and 2 are the same axis
+    calls.clear()
+    A_alpha(random_form(dom, 1, rng), WeightProfile.constant(1.0 / dom.volume))
+    A_alpha(random_form(dom, 3, rng), WeightProfile.constant(1.0 / dom.volume))
+    assert calls == []
+    thin = box([[0, 1], [0, 0.5625], [0.5, 0.5625]], [17, 9, 3])
+    A_alpha(random_form(thin, 1, rng), WeightProfile.constant(1.0 / thin.volume))
+    assert calls == [(0.5, 0.5625)] * 2
 
 
 def test_fixed_rules_are_read_only_and_match_fresh_builds():
@@ -450,6 +550,15 @@ def test_piecewise_linear_alpha_mass_is_exact():
     A_alpha(GridForm(dom, 1, {(0,): 1.0}), alpha, t_nodes=4)
     with pytest.raises(ValueError, match="not unit mass"):
         A_alpha(GridForm(dom, 1, {(0,): 1.0}), WeightProfile.constant(0.5), t_nodes=4)
+
+
+@pytest.mark.parametrize("m", [9, 33])
+def test_powerlaw_alpha_pivoting_past_the_edge_has_exact_mass(m):
+    # (1.5625 - t)^(-1/2) has mass 2 (1.25 - 0.75) = 1 on the unit square,
+    # where the grid trapezoid reads 1.00121 on 9^2 and 1.00008 on 33^2
+    res = check_admissible_weight(WeightProfile.powerlaw(0.5, 1.5625), box([[0, 1], [0, 1]], [m, m]), 2.0)
+    assert abs(res["mass"] - 1.0) <= 1e-12
+    assert res["admissible"], res["violations"]
 
 
 @pytest.mark.parametrize("alpha", [WeightProfile.sampled(np.ones((9, 9))),
