@@ -268,14 +268,30 @@ def powerlaw_mass(e, pivot, lo, hi, width=math.inf, m=0):
 
 
 def edge_integral(e, lo, hi, w):
-    """int_lo^hi (hi - t)^-e w(t) dt for an exact e < 1 and a smooth
-    factor w of an array of t values: u = (hi - t)^(1-e) removes the edge
-    singularity, so EDGE_RULE in u converges.  1 - e is exact."""
+    """int_lo^hi (hi - t)^-e w(t) dt for an exact e < 1 and a factor w of
+    an array of t values, smooth but for a kink at t = 0 (its |t|^m):
+    u = (hi - t)^(1-e) removes the edge singularity, so EDGE_RULE in u
+    converges.  An interval that straddles 0 is split at 0 and at hi/2:
+    the two pieces next to 0 take the law into w and the rule graded
+    toward 0 (_kink_integral), the piece from hi/2 to hi keeps the edge
+    rule.  1 - e is exact."""
+    if lo < 0.0 < hi:
+        law, mid = -float(e), 0.5 * hi
+        return (_kink_integral(lo, lambda t: w(t) * (hi - t) ** law)
+                + _kink_integral(-mid, lambda s: w(-s) * (hi + s) ** law)
+                + edge_integral(e, mid, hi, w))
     g = float(1 - _frac(e))
     big_u = (hi - lo) ** g
     nodes, wts = EDGE_RULE
     t = hi - (big_u * nodes) ** (1.0 / g)
     return big_u / g * float((wts * w(t)).sum())
+
+
+def _kink_integral(a, f):
+    """int_a^0 f(t) dt for a < 0 and f with a kink at 0: the edge rule
+    at e = 2/3, u = (-t)^(1/3), grades its nodes cubically toward 0, so
+    a |t|^m factor becomes u^(3m + 2)."""
+    return edge_integral(Fraction(2, 3), a, 0.0, lambda t: f(t) * (-t) ** (2.0 / 3.0))
 
 
 def _hat_integrals(domain, ax, i, theta, weight):

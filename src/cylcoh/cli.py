@@ -35,6 +35,31 @@ GRID_ITEMS = {"type": "integer", "minimum": 3, "maximum": GRID_MAX}
 EXPONENT = {"anyOf": [{"type": "number", "minimum": 1},
                       {"type": "string", "pattern": r"^[0-9]+(\.[0-9]+|/[0-9]+)?$"}]}
 
+NUMBER = {"type": "number"}
+
+
+def _warp_kind(kind, required, optional=()):
+    """The keys of one warp kind: each name in required must be there,
+    and no key beyond them, optional and "kind" is allowed."""
+    keys = {"kind": {"const": kind}, **dict(required), **dict(optional)}
+    return {"if": {"required": ["kind"], "properties": {"kind": {"const": kind}}},
+            "then": {"required": [name for name, _ in required], "properties": keys,
+                     "additionalProperties": False}}
+
+
+WARP = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": ["powerlaw", "powerlaw-pair", "sampled", "profile"]}},
+    "allOf": [
+        _warp_kind("powerlaw", [("lam", NUMBER)], [("pivot", NUMBER)]),
+        _warp_kind("powerlaw-pair", [("lam_s", NUMBER), ("lam_g", NUMBER)], [("pivot", NUMBER)]),
+        _warp_kind("sampled", [("t", {"type": "array", "items": NUMBER}), ("values", {"type": "array"})],
+                   [("shape", {"type": "array", "items": {"type": "integer", "minimum": 1}})]),
+        _warp_kind("profile", [("profile", {"type": "object"})]),
+    ],
+}
+
 SCHEMA = {
     "type": "object",
     "required": ["command"],
@@ -62,6 +87,7 @@ SCHEMA = {
         "mode": {"enum": ["identity", "averaged"]},
         "route": {"enum": ["box", "corollary", "cylinder"]},
         "interval": {"type": "array", "minItems": 2, "maxItems": 2},
+        "warp": WARP,
         "asymptotic": {"type": "boolean"},
     },
     "allOf": [
@@ -308,10 +334,11 @@ def _cmd_glue(sc, args):
 
 
 def _parse_warp(sc):
+    """The warp's profiles; WARP has checked its keys for its kind."""
     d = sc["warp"]
     interval = sc.get("interval", [0.0, 1.0])
     b = _parse_bound(interval[1])
-    kind = d.get("kind")
+    kind = d["kind"]
     if kind == "powerlaw":
         return WeightProfile.powerlaw(float(d["lam"]), float(d.get("pivot", b)))
     if kind == "powerlaw-pair":
@@ -319,15 +346,11 @@ def _parse_warp(sc):
         return (WeightProfile.powerlaw(float(d["lam_s"]), pivot),
                 WeightProfile.powerlaw(float(d["lam_g"]), pivot))
     if kind == "sampled":
-        if "t" not in d:
-            raise ValueError('sampled warp needs a "t" array, one entry per row of "values"')
         h = np.asarray(d["values"], dtype=float)
         if "shape" in d:
             h = h.reshape(d["shape"])
         return warp_profiles(d["t"], h)
-    if kind == "profile":
-        return WeightProfile.from_dict(d["profile"])
-    raise ValueError(f"unknown warp kind {kind!r}")
+    return WeightProfile.from_dict(d["profile"])
 
 
 def _cmd_vanish(sc, args):
@@ -427,7 +450,8 @@ def main(argv=None):
     try:
         jsonschema.validate(sc, SCHEMA)
     except jsonschema.ValidationError as e:
-        print(f"schema error: {e.message}", file=sys.stderr)
+        where = "/".join(map(str, e.absolute_path))
+        print(f"schema error: {e.message}" + (f" (at {where})" if where else ""), file=sys.stderr)
         return 1
 
     out_dir = Path(args.out) if args.out else path.parent

@@ -12,11 +12,14 @@ graded mesh and _interp's exact exponent rule decides finiteness before
 any numbers are trusted.  For sampled beta, or the |x| moment, the sup
 is a grid search over sliding-window integrals on _interp's
 stacked-operator path, as for K_y and A_alpha: one window_stack build
-per axis and pass for each block of t-nodes within _interp.STACK_BYTES,
-applied by apply_axes.
+per distinct axis and pass for each block of t-nodes within
+_interp.STACK_BYTES, applied by apply_axes.  A t-node where a grid
+node's window covers the whole box searches nothing: the integrand is
+nonnegative, so its sup is the whole-box mass, computed once per call.
 
 The power-law t-integrals in the weight norms are _interp's
-powerlaw_mass and edge_integral; bounded profiles take T_NORM_RULE.
+powerlaw_mass and edge_integral, which splits an interval that
+straddles the kink of |t|^m at 0; bounded profiles take T_NORM_RULE.
 """
 
 import math
@@ -89,24 +92,41 @@ class ConstantRequest:
         return d
 
 
+def _window_ends(D, ax, t, z):
+    """The window of each z along axis ax for each t (a column),
+
+        { x_a : z in t*x_a + (1-t)*[lo, hi] }  =  [ (z-(1-t)hi)/t, (z-(1-t)lo)/t ]
+
+    clipped to [lo, hi] = D.bounds[ax]: its (lower, upper) ends."""
+    lo, hi = D.bounds[ax]
+    wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
+    wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
+    return wl, np.maximum(wu, wl)
+
+
+def _axis_stacks(D, ends, pl=None):
+    """One window_stack per axis over that axis's (lower, upper) ends,
+    built once per distinct (bounds, m, ends, weight): the axes of a cube
+    share one build.  pl = (mu, pivot) weights axis 0 by the exact
+    power-law factor (pivot-s)^-mu instead of treating it as part of the
+    samples."""
+    built, stacks = {}, []
+    for ax, (wl, wu) in enumerate(ends):
+        weight = pl if ax == 0 else None
+        key = (D.bounds[ax], D.grid[ax], wl.shape, wl.tobytes(), wu.tobytes(), weight)
+        if key not in built:
+            built[key] = window_stack(D, ax, wl, wu, weight)
+        stacks.append(built[key])
+    return stacks
+
+
 def _window_stacks(D, nodes, coords, pl=None):
     """The window matrices of the z in coords for every t in nodes, per
-    axis stacked to shape (len(nodes), len(z), m) by one window_stack
-    build.  The window of z is
-
-        { x : z in t*x + (1-t)*D }  =  prod_a [ (z_a-(1-t)hi_a)/t, (z_a-(1-t)lo_a)/t ]
-
-    clipped to D.  coords[ax] is one z vector for every t-node or one row
-    per t-node.  pl = (mu, pivot) weights axis 0 by the exact power-law
-    factor (pivot-s)^-mu instead of treating it as part of the samples."""
+    axis stacked to shape (len(nodes), len(z), m), from _axis_stacks.  The
+    window of z is the product of its _window_ends.  coords[ax] is one z
+    vector for every t-node or one row per t-node."""
     t = np.asarray(nodes, dtype=float)[:, None]
-    stacks = []
-    for ax, z in enumerate(coords):
-        lo, hi = D.bounds[ax]
-        wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
-        wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
-        stacks.append(window_stack(D, ax, wl, np.maximum(wu, wl), pl if ax == 0 else None))
-    return stacks
+    return _axis_stacks(D, [_window_ends(D, ax, t, z) for ax, z in enumerate(coords)], pl)
 
 
 # perfbench/tracing.py wraps _window_mass_field here: call it by this name
@@ -117,25 +137,41 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     """sup_z of the window integral of qfield, to the power 1/q, for every
     t in nodes.
 
-    Grid search over z at the sampling resolution plus one local
-    refinement pass, 9 points per axis around each t-node's winner.  The
-    window matrices are built once per block of t-nodes, one build per
-    axis and pass; each row is computed on its own, so blocking leaves
-    every sup unchanged.
+    A t-node where some grid node's window is the whole box on every axis
+    (t <= 1/2, with a node near the middle) takes the whole-box mass: the
+    integrand is nonnegative, so no window holds more.  That mass comes
+    once per call from the [lo, hi] row of each axis.  Every other t-node
+    is a grid search over z at the sampling resolution plus one local
+    refinement pass, 9 points per axis around its winner.  The window
+    matrices are built once per block of searched t-nodes, one build per
+    distinct axis and pass (_axis_stacks); each row is computed on its
+    own, so blocking leaves every sup unchanged.
     """
+    nodes = np.asarray(nodes, dtype=float)
     coords = [D.axis_coords(ax) for ax in range(D.dim)]
     # the refinement's 9 rows per axis can outnumber an axis's nodes
     rows = [max(m, 9) for m in D.grid]
     work = (np.empty(math.prod(rows)), np.empty(math.prod(rows)))
-    sups = []
-    for block in node_blocks(len(nodes), 8 * max(rows) * max(D.grid)):
-        ts = nodes[block]
+    sups = np.empty(len(nodes))
+    covered = np.ones(len(nodes), dtype=bool)
+    for ax, z in enumerate(coords):
+        lo, hi = D.bounds[ax]
+        wl, wu = _window_ends(D, ax, nodes[:, None], z)
+        covered &= ((wl == lo) & (wu == hi)).any(axis=1)
+    if covered.any():
+        full = _axis_stacks(D, [(np.array([[lo]]), np.array([[hi]])) for lo, hi in D.bounds], pl)
+        whole = _window_mass_field(qfield, [s[0] for s in full], work).item()
+        sups[covered] = max(whole, 0.0) ** (1.0 / q)
+    search = np.flatnonzero(~covered)
+    for block in node_blocks(len(search), 8 * max(rows) * max(D.grid)):
+        ts = nodes[search[block]]
         coarse = _window_stacks(D, ts, coords, pl)
         peaks, winners = [], []
         for i in range(len(ts)):
             mass = _window_mass_field(qfield, [s[i] for s in coarse], work)
-            peaks.append(float(mass.max()))
-            winners.append(np.unravel_index(int(np.argmax(mass)), mass.shape))
+            j = int(np.argmax(mass))
+            peaks.append(float(mass.flat[j]))
+            winners.append(np.unravel_index(j, mass.shape))
         fine = []
         for ax, idx in enumerate(np.array(winners).T):
             lo, hi = D.bounds[ax]
@@ -143,11 +179,10 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
             c = coords[ax][idx]
             fine.append(np.clip(np.linspace(c - h, c + h, 9, axis=-1), lo, hi))
         refined = _window_stacks(D, ts, fine, pl)
-        for i, peak in enumerate(peaks):
+        for i, n in enumerate(search[block]):
             mass = _window_mass_field(qfield, [s[i] for s in refined], work)
-            peak = max(peak, float(mass.max()))
-            sups.append(max(peak, 0.0) ** (1.0 / q))
-    return sups
+            sups[n] = max(peaks[i], float(mass.max()), 0.0) ** (1.0 / q)
+    return sups.tolist()
 
 
 def sup_indicator_norm(D, beta, q, t):
@@ -156,7 +191,10 @@ def sup_indicator_norm(D, beta, q, t):
     The window t*x + (1-t)*D ni z has per-axis length L_a*(1-t)/t, so the
     overlap with D never exceeds L_a*min(1, (1-t)/t) per axis; constant
     and power-law weights get the exact sliding-window answer, sampled
-    weights a grid search.  t = 0 gives ||beta||_{L^q(D)}, t = 1 gives 0.
+    weights _sup_window_norms: the whole-box mass where a grid node's
+    window covers D, else a grid search, its window matrices built once
+    per distinct axis and pass.  t = 0 gives ||beta||_{L^q(D)}, t = 1
+    gives 0.
     """
     if D.kind != "box" or any(D.periodic):
         raise ValueError("sup_indicator_norm needs a box domain")
@@ -300,7 +338,9 @@ def Q_factor(gamma, p, pbar, D):
 def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
     exact masses for power laws (the t-moment's |t|^q is m = q), the edge
-    rule for a t-moment that is no law, T_NORM_RULE for bounded profiles."""
+    rule for a t-moment that is no law, T_NORM_RULE for bounded profiles.
+    A t-moment on an interval that straddles 0, where |t|^q kinks, takes
+    the edge rule, which splits there."""
     fq = float(q)
     if beta.kind == "powerlaw":
         e = law_exponent(beta.lam, q)
@@ -314,6 +354,9 @@ def _t_axis_norm(beta, q, lo, hi, moment_t=False):
             near = edge_integral(e, mid, hi, lambda t: np.abs(t) ** fq)
             far = edge_integral(0, lo, mid, lambda t: np.abs(t) ** fq * (hi - t) ** -float(e))
             return (near + far) ** (1.0 / fq)
+    if moment_t and lo < 0.0 < hi:
+        mass = edge_integral(0, lo, hi, lambda t: beta.eval_t(t) ** fq * np.abs(t) ** fq)
+        return float(mass ** (1.0 / fq))
     t, w = T_NORM_RULE
     ts = lo + (hi - lo) * t
     vals = beta.eval_t(ts) ** fq

@@ -143,7 +143,8 @@ def test_malformed_bounds_reports_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "sc",
     [
-        {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": 2, "warp": 5},
+        {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": 2,
+         "warp": {"kind": "sampled", "t": [0.0, 0.5], "values": [1.0] * 6, "shape": [4, 2]}},
         {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
          "fiber_bounds": 5},
         {"command": "homotopy-check", "degree": 1,
@@ -285,9 +286,42 @@ def test_vanish_sampled_warp_needs_t(tmp_path, capsys):
     sc = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 2,
           "warp": {"kind": "sampled", "values": [1.0] * 12, "shape": [4, 3]}}
     code, report, _ = _run(tmp_path, sc)
-    assert code == 1
-    assert '"t" array' in report["error"]
-    assert "vanish failed" in capsys.readouterr().err
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "schema error: 't' is a required property (at warp)\n"
+
+
+# one warp of each kind that the schema accepts, and the key it requires
+WARPS = {
+    "powerlaw": ({"lam": 0.5, "pivot": 1.0}, "lam"),
+    "powerlaw-pair": ({"lam_s": 0.5, "lam_g": 0.25, "pivot": 1.0}, "lam_g"),
+    "sampled": ({"t": [0.0, 0.5], "values": [1.0] * 4, "shape": [2, 2]}, "t"),
+    "profile": ({"profile": {"kind": "powerlaw", "lam": 0.5, "pivot": 1.0}}, "profile"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WARPS))
+def test_warp_schema_per_kind(tmp_path, capsys, kind):
+    # each kind names its required keys and refuses any other, before the
+    # handler runs: no report is written
+    keys, required = WARPS[kind]
+    sc = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 2, "warp": {"kind": kind, **keys}}
+    jsonschema.validate(sc, SCHEMA)
+    missing = {key: v for key, v in sc["warp"].items() if key != required}
+    code, report, _ = _run(tmp_path, {**sc, "warp": {**missing, required + "_x": 0.5}})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"schema error: {required!r} is a required property (at warp)\n"
+    code, report, _ = _run(tmp_path, {**sc, "warp": {**sc["warp"], "lam_x": 0.5}})
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert "'lam_x' was unexpected" in err and err.endswith("(at warp)\n")
+
+
+def test_warp_schema_refuses_unknown_kind(tmp_path, capsys):
+    for warp in ({"kind": "spline", "lam": 0.5}, {"lam": 0.5}, 5):
+        sc = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 2, "warp": warp}
+        code, report, _ = _run(tmp_path, sc)
+        assert code == 1 and report is None
+        assert capsys.readouterr().err.startswith("schema error: ")
 
 
 def test_twisted_cylinder_domain_is_an_error(tmp_path):

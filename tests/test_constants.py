@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -145,6 +146,30 @@ def test_t_moment_norm_at_pivot_zero():
         assert _t_axis_norm(beta, 2.0, -1.0, 0.0, moment_t=True) == math.inf
 
 
+def test_t_moment_norms_straddling_zero():
+    # |t|^q kinks at t = 0 inside [-1, 1.5), and every t-rule splits there:
+    # ||t (1.5-t)^-0.3||_{L^1.5} against mpmath, split at 0, with u =
+    # (1.5-t)^(1-e) taking the law's edge singularity out of its quadrature
+    e = _interp.law_exponent(0.3, 1.5)
+    with mpmath.workdps(30):
+        q, e = mpmath.mpf(1.5), mpmath.mpf(e.numerator) / e.denominator
+        g = 1 - e
+        ref = (mpmath.quad(lambda t: (-t) ** q * (1.5 - t) ** -e, [-1, 0])
+               + mpmath.quad(lambda u: (1.5 - u ** (1 / g)) ** q / g, [0, mpmath.mpf(1.5) ** g]))
+        ref = float(ref ** (1 / q))
+    law = WeightProfile.powerlaw(0.3, 1.5)
+    got = _t_axis_norm(law, 1.5, -1.0, 1.5, moment_t=True)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # the same law as a centering weight, p' = 3/2, takes the edge rule
+    adm = check_admissible_weight(law, box([[-1.0, 1.5]], [17]), 3)
+    assert adm["moment_norm"] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # a bounded profile: int |t|^q = (1 + 1.5^(q+1)) / (q+1)
+    for q in (1.1, 1.5, 3.0):
+        want = ((1.0 + 1.5 ** (q + 1.0)) / (q + 1.0)) ** (1.0 / q)
+        got = _t_axis_norm(WeightProfile.constant(1.0), q, -1.0, 1.5, moment_t=True)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
+
+
 @pytest.mark.parametrize("mu", [0.25, 0.6])
 def test_window_mass_field_exact_for_powerlaw_weight(mu):
     # qfield = (a0 + a1 s)(c0 + c1 y): the interpolant is the field itself,
@@ -211,31 +236,142 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
         assert sup == pytest.approx(one, rel=1e-14, abs=0.0), f"t={t}"
 
 
+def _covered(D, nodes):
+    """Per t-node: is some grid node's window, clipped to D, all of D on
+    every axis?"""
+    t = np.asarray(nodes, dtype=float)[:, None]
+    hit = np.ones(len(t), dtype=bool)
+    for ax, (lo, hi) in enumerate(D.bounds):
+        z = D.axis_coords(ax)
+        wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
+        wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
+        hit &= ((wl == lo) & (wu == hi)).any(axis=1)
+    return hit
+
+
+def _searched_sups(qfield, D, q, nodes, pl=None):
+    """The sup search at every t-node, none skipped: the grid search over
+    z, then 9 points per axis around its winner, with each window mass
+    summed axis by axis by tensordot."""
+    def mass(mats):
+        out = qfield
+        for ax, mat in enumerate(mats):
+            out = np.moveaxis(np.tensordot(mat, out, axes=(1, ax)), 0, ax)
+        return out
+
+    coords = [D.axis_coords(ax) for ax in range(D.dim)]
+    sups = []
+    for t in nodes:
+        coarse = mass([s[0] for s in _window_stacks(D, [t], coords, pl)])
+        winner = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
+        fine = [np.clip(np.linspace(c[i] - D.spacing(ax), c[i] + D.spacing(ax), 9), *D.bounds[ax])
+                for ax, (c, i) in enumerate(zip(coords, winner))]
+        refined = mass([s[0] for s in _window_stacks(D, [t], fine, pl)])
+        sups.append(max(coarse.max(), refined.max(), 0.0) ** (1.0 / q))
+    return sups
+
+
+@pytest.mark.parametrize("field", ["sampled", "law-moment", "sampled-law"])
+@pytest.mark.parametrize("bounds, grid", [
+    ([[0.3, 1.4]], (17,)),
+    ([[0.3, 1.4]], (16,)),
+    ([[0.5, 1.5], [-1.0, 0.25]], (9, 12)),
+    ([[1.0, 2.0], [-0.5, 0.5], [0.2, 0.9]], (7, 8, 9)),
+])
+def test_sup_window_norms_match_exhaustive_search(monkeypatch, field, bounds, grid):
+    # a t-node whose window covers the box takes the whole-box mass, which
+    # no window exceeds: the sups of the search at every t-node, to rounding
+    dom = box(bounds, grid)
+    q, pl = 2.5, None
+    if field == "law-moment":
+        qfield = np.sqrt(sum(c**2 for c in dom.meshgrid())) ** q
+    else:
+        qfield = np.random.default_rng(len(grid)).uniform(0.5, 2.0, grid) ** q
+    if field != "sampled":
+        pl = (_interp.law_exponent(0.3, q), bounds[0][1])
+    # graded nodes, and one just below 1/2, where an even axis has no
+    # node whose window covers it
+    nodes = np.append(_graded_nodes(16)[0], np.nextafter(0.5, 0.0))
+    covered = _covered(dom, nodes)
+    assert covered.any() and covered[-1] == all(m % 2 for m in grid)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].size)
+        return _window_mass_field(*args)
+
+    monkeypatch.setattr(constants, "_window_mass_field", counted)
+    got = constants._sup_window_norms(qfield, dom, q, nodes, pl=pl)
+    # two fields per searched t-node, one 1-row mass for the covered ones
+    assert len(calls) == 2 * int((~covered).sum()) + 1
+    want = _searched_sups(qfield, dom, q, nodes, pl)
+    for t, a, b in zip(nodes, got, want):
+        assert a == pytest.approx(b, rel=1e-13, abs=0.0), f"t={t}"
+
+    # the node below 1/2 alone: covered on an odd grid, searched on an even one
+    calls.clear()
+    got = constants._sup_window_norms(qfield, dom, q, nodes[-1:], pl=pl)
+    assert len(calls) == (1 if covered[-1] else 2)
+    assert got[0] == pytest.approx(want[-1], rel=1e-13, abs=0.0)
+
+
+def test_sup_window_search_skips_covered_nodes(monkeypatch):
+    # on the unit square 19 of the 64 graded t-nodes are covered: the
+    # search runs 2 x 45 + 1 window-mass fields instead of 2 x 64
+    dom = box([[0, 1], [0, 1]], [33, 33])
+    nodes = _graded_nodes(64)[0]
+    assert _covered(dom, nodes).sum() == 19 and nodes[18] < 0.5 < nodes[19]
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _window_mass_field(*args)
+
+    monkeypatch.setattr(constants, "_window_mass_field", counted)
+    beta = WeightProfile.sampled(np.random.default_rng(5).uniform(0.5, 2.0, dom.grid))
+    C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=beta))
+    assert len(calls) == 91
+
+
 def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
-    # one window_matrix call per axis and pass for each block of t-nodes:
-    # a single block at 33^2, and at the CLI maxima (257^2, 256 t-nodes)
-    # several blocks, none of whose builds exceeds the byte budget
+    # one window_matrix call per distinct axis and pass for each block of
+    # searched t-nodes: the coarse search, the refinement, and once per
+    # call the whole-box rows.  beta = (1+x)(3-y)(1+z) is separable, so
+    # the x and z winners sit on the same node, y's elsewhere: the
+    # refinement shares x's rows with z, never with y.  At the CLI maxima
+    # (257^2, 256 t-nodes) the blocks' builds stay within the byte budget
     calls = []
     build = _interp.window_matrix
 
     def counted(domain, ax, lower, upper, weight=None):
-        calls.append(len(lower) * domain.grid[ax] * 8)
+        calls.append(len(lower))
         return build(domain, ax, lower, upper, weight)
 
-    monkeypatch.setattr(_interp, "window_matrix", counted)
-    dom = box([[0, 1], [0, 1]], [33, 33])
-    req = ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(np.ones(dom.grid)))
-    for t_nodes in (16, 64):
+    def run(dom, t_nodes):
+        c = dom.meshgrid()
+        beta = (1.0 + c[0]) * (3.0 - c[1]) * (1.0 + c[2] if dom.dim > 2 else 1.0)
         calls.clear()
-        C_integral(req, t_nodes=t_nodes)
-        assert len(calls) == 2 * dom.dim, f"t_nodes={t_nodes}"
+        C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(beta)),
+                   t_nodes=t_nodes)
+        return sorted(calls), int((~_covered(dom, _graded_nodes(t_nodes)[0])).sum())
+
+    monkeypatch.setattr(_interp, "window_matrix", counted)
+    for t_nodes in (16, 64):
+        for bounds, grid in [([[0, 1]] * 2, (33, 33)), ([[0, 1], [0, 2]], (33, 17)),
+                             ([[0, 1]] * 3, (17, 17, 17))]:
+            dom = box(bounds, grid)
+            got, searched = run(dom, t_nodes)
+            distinct = set(zip(dom.bounds, dom.grid))
+            # whole box, refinement of x (and z) and of y, coarse search
+            assert got == sorted([1] * len(distinct) + [searched * 9] * 2
+                                 + [searched * m for _, m in distinct]), (grid, t_nodes)
 
     dom = box([[0, 1], [0, 1]], [257, 257])
-    req = ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(np.ones(dom.grid)))
-    calls.clear()
-    C_integral(req, t_nodes=256)
-    assert len(calls) > 2 * dom.dim
-    assert max(calls) <= STACK_BYTES
+    got, searched = run(dom, 256)
+    blocks = -(-searched // (STACK_BYTES // (8 * 257 * 257)))
+    assert blocks > 1 and got.count(1) == 1 and got.count(9 * searched) == 0
+    assert len(got) == 1 + 3 * blocks and sum(got) == 1 + searched * (257 + 2 * 9)
+    assert max(got) * 257 * 8 <= STACK_BYTES
 
 
 def test_c_integral_matches_analytic_reference():
