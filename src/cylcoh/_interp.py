@@ -24,11 +24,13 @@ bounded by MEMO_BYTES, so charts that share an axis build its rows once.
 
 The power-law t-integrals of every weight norm live here too, on the
 window matrices' closed form _pl_primitive: powerlaw_mass, the exact
-heaviest-window mass, and edge_integral, a rule for smooth factors
-against a law singular at the right end.  Every quadrature rule is
-built once, read-only: gauss01 keeps one rule per node count.  So does
-the package's one exponent rule (_exceeds, diverges), exact on p, q and
-pbar as given and on a profile's lam at the binary value of its float.
+heaviest-window mass, and edge_integral, the one rule for every other
+t-integral of a weight norm: tanh-sinh pieces cut at 0 and at the
+caller's breakpoints, against a law singular at the right end.  Every
+quadrature rule is built once, read-only: gauss01 keeps one rule per
+node count, and TANH_SINH is built at import.  So does the package's
+one exponent rule (_exceeds, diverges), exact on p, q and pbar as given
+and on a profile's lam at the binary value of its float.
 """
 
 import functools
@@ -37,7 +39,6 @@ from fractions import Fraction
 
 import numpy as np
 
-EDGE_NODES = 128
 # byte budget of one stacked build of per-t-node axis matrices
 STACK_BYTES = 4 << 20
 
@@ -57,7 +58,18 @@ def read_only(rule):
     return rule
 
 
-EDGE_RULE = gauss01(EDGE_NODES)
+def tanh_sinh01(step, reach):
+    """The tanh-sinh rule on (0, 1) at x_k = 1/(1 + exp(-pi sinh(k step)))
+    for |k| <= reach, read-only.  The nodes are their distances from 0,
+    so the nodes next to it keep their relative precision; the weight is
+    step * pi cosh(k step) x_k (1 - x_k), with 1 - x_k = x_(-k)."""
+    kh = step * np.arange(-reach, reach + 1)
+    x = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(kh)))
+    return read_only((x, step * np.pi * np.cosh(kh) * x * x[::-1]))
+
+
+# exact to rounding on analytic pieces with algebraic ends or kinks there
+TANH_SINH = tanh_sinh01(1.0 / 16.0, 60)
 
 # byte bound of the window-row memo of window_rows
 MEMO_BYTES = 4 * STACK_BYTES
@@ -267,31 +279,23 @@ def powerlaw_mass(e, pivot, lo, hi, width=math.inf, m=0):
     return float(_pl_primitive(left, right, float(1 - e)))
 
 
-def edge_integral(e, lo, hi, w):
+def edge_integral(e, lo, hi, w, cuts=()):
     """int_lo^hi (hi - t)^-e w(t) dt for an exact e < 1 and a factor w of
-    an array of t values, smooth but for a kink at t = 0 (its |t|^m):
-    u = (hi - t)^(1-e) removes the edge singularity, so EDGE_RULE in u
-    converges.  An interval that straddles 0 is split at 0 and at hi/2:
-    the two pieces next to 0 take the law into w and the rule graded
-    toward 0 (_kink_integral), the piece from hi/2 to hi keeps the edge
-    rule.  1 - e is exact."""
-    if lo < 0.0 < hi:
-        law, mid = -float(e), 0.5 * hi
-        return (_kink_integral(lo, lambda t: w(t) * (hi - t) ** law)
-                + _kink_integral(-mid, lambda s: w(-s) * (hi + s) ** law)
-                + edge_integral(e, mid, hi, w))
+    a 1-D array of t values, smooth on each piece between lo, 0, the cuts
+    inside (lo, hi), and hi.  Every piece takes TANH_SINH, which keeps
+    its accuracy at a kink or an algebraic singularity at a piece's end.
+    The last piece takes it in u = (hi - t)^(1-e), which removes the
+    law's edge singularity; the others fold the law into w.  1 - e is
+    exact."""
+    ends = np.unique([lo, hi] + [c for c in (0.0, *cuts) if lo < c < hi])
+    x, wts = TANH_SINH
     g = float(1 - _frac(e))
-    big_u = (hi - lo) ** g
-    nodes, wts = EDGE_RULE
-    t = hi - (big_u * nodes) ** (1.0 / g)
-    return big_u / g * float((wts * w(t)).sum())
-
-
-def _kink_integral(a, f):
-    """int_a^0 f(t) dt for a < 0 and f with a kink at 0: the edge rule
-    at e = 2/3, u = (-t)^(1/3), grades its nodes cubically toward 0, so
-    a |t|^m factor becomes u^(3m + 2)."""
-    return edge_integral(Fraction(2, 3), a, 0.0, lambda t: f(t) * (-t) ** (2.0 / 3.0))
+    big_u = (hi - ends[-2]) ** g
+    width = np.diff(ends)[:-1, None]
+    inner = ends[:-2, None] + width * x
+    t = np.concatenate((inner.ravel(), hi - (big_u * x) ** (1.0 / g)))
+    scale = np.concatenate((width * wts * (hi - inner) ** -float(e), big_u / g * wts[None]), axis=None)
+    return float((scale * w(t)).sum())
 
 
 def _hat_integrals(domain, ax, i, theta, weight):

@@ -72,8 +72,7 @@ SCHEMA = {
         # reaches the handler and gets an error report
         "domain": {"type": "object", "properties": {"grid": {"items": GRID_ITEMS}}},
         "degree": {"type": "integer", "minimum": 0},
-        # the maxima bound the work of one scenario; 256 is the largest
-        # quadrature rule the package builds (constants.T_NORM_NODES)
+        # the maxima bound the work of one scenario
         "count": {"type": "integer", "minimum": 1, "maximum": 100},
         "t_nodes": {"type": "integer", "minimum": 2, "maximum": 256},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},

@@ -17,9 +17,10 @@ _interp.STACK_BYTES, applied by apply_axes.  A t-node where a grid
 node's window covers the whole box searches nothing: the integrand is
 nonnegative, so its sup is the whole-box mass, computed once per call.
 
-The power-law t-integrals in the weight norms are _interp's
-powerlaw_mass and edge_integral, which splits an interval that
-straddles the kink of |t|^m at 0; bounded profiles take T_NORM_RULE.
+The t-integrals in the weight norms are _interp's: the exact
+powerlaw_mass of a power law where it has one, else one edge_integral,
+tanh-sinh pieces cut at 0 (the kink of |t|^m) and at a sampled-t
+profile's knots.
 """
 
 import math
@@ -27,13 +28,12 @@ import math
 import numpy as np
 
 from ._interp import (_frac, apply_axes, diverges, edge_integral, gauss01, law_exponent,
-                      node_blocks, powerlaw_mass, read_only, window_stack)
+                      node_blocks, powerlaw_mass, window_stack)
 from .homotopy import check_admissible_weight
 from .vanishing import _window
 from .weights import WeightProfile
 
 GRADING = 3
-T_NORM_NODES = 256
 
 
 class ConstantRequest:
@@ -142,7 +142,8 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     integrand is nonnegative, so no window holds more.  That mass comes
     once per call from the [lo, hi] row of each axis.  Every other t-node
     is a grid search over z at the sampling resolution plus one local
-    refinement pass, 9 points per axis around its winner.  The window
+    refinement pass, 9 points per axis around its winner; the middle one
+    is the winner itself, so the refined max is the sup.  The window
     matrices are built once per block of searched t-nodes, one build per
     distinct axis and pass (_axis_stacks); each row is computed on its
     own, so blocking leaves every sup unchanged.
@@ -166,12 +167,10 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     for block in node_blocks(len(search), 8 * max(rows) * max(D.grid)):
         ts = nodes[search[block]]
         coarse = _window_stacks(D, ts, coords, pl)
-        peaks, winners = [], []
+        winners = []
         for i in range(len(ts)):
             mass = _window_mass_field(qfield, [s[i] for s in coarse], work)
-            j = int(np.argmax(mass))
-            peaks.append(float(mass.flat[j]))
-            winners.append(np.unravel_index(j, mass.shape))
+            winners.append(np.unravel_index(int(np.argmax(mass)), mass.shape))
         fine = []
         for ax, idx in enumerate(np.array(winners).T):
             lo, hi = D.bounds[ax]
@@ -181,7 +180,7 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
         refined = _window_stacks(D, ts, fine, pl)
         for i, n in enumerate(search[block]):
             mass = _window_mass_field(qfield, [s[i] for s in refined], work)
-            sups[n] = max(peaks[i], float(mass.max()), 0.0) ** (1.0 / q)
+            sups[n] = max(float(mass.max()), 0.0) ** (1.0 / q)
     return sups.tolist()
 
 
@@ -224,9 +223,6 @@ def _graded_nodes(t_nodes):
     t = 1.0 - (1.0 - u) ** GRADING
     jac = GRADING * (1.0 - u) ** (GRADING - 1)
     return t, w * jac
-
-
-T_NORM_RULE = read_only(_graded_nodes(T_NORM_NODES))
 
 
 def _convex_gate(dim, p, q, lam=0):
@@ -337,32 +333,27 @@ def Q_factor(gamma, p, pbar, D):
 
 def _t_axis_norm(beta, q, lo, hi, moment_t=False):
     """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
-    exact masses for power laws (the t-moment's |t|^q is m = q), the edge
-    rule for a t-moment that is no law, T_NORM_RULE for bounded profiles.
-    A t-moment on an interval that straddles 0, where |t|^q kinks, takes
-    the edge rule, which splits there."""
+    the exact mass of a power law where it has one (the t-moment's |t|^q
+    is m = q), else one edge_integral, cut at a sampled-t profile's knots.
+    A law that pivots at hi keeps its exponent there; any other profile
+    is bounded on [lo, hi] and goes into the integrand with e = 0."""
     fq = float(q)
+    e, law_at_hi = 0, False
     if beta.kind == "powerlaw":
-        e = law_exponent(beta.lam, q)
-        mass = powerlaw_mass(e, beta.pivot, lo, hi, m=q if moment_t else 0)
+        exponent = law_exponent(beta.lam, q)
+        mass = powerlaw_mass(exponent, beta.pivot, lo, hi, m=q if moment_t else 0)
         if mass is not None:
             return float(mass ** (1.0 / fq))
-        if e > 0 and beta.pivot == hi:
-            # the edge rule crowds its nodes toward hi, leaving too few for
-            # |t|^q (rough at t = 0) far from it: that half is plain (e = 0)
-            mid = 0.5 * (lo + hi)
-            near = edge_integral(e, mid, hi, lambda t: np.abs(t) ** fq)
-            far = edge_integral(0, lo, mid, lambda t: np.abs(t) ** fq * (hi - t) ** -float(e))
-            return (near + far) ** (1.0 / fq)
-    if moment_t and lo < 0.0 < hi:
-        mass = edge_integral(0, lo, hi, lambda t: beta.eval_t(t) ** fq * np.abs(t) ** fq)
-        return float(mass ** (1.0 / fq))
-    t, w = T_NORM_RULE
-    ts = lo + (hi - lo) * t
-    vals = beta.eval_t(ts) ** fq
-    if moment_t:
-        vals = vals * np.abs(ts) ** fq
-    return float(((hi - lo) * np.sum(w * vals)) ** (1.0 / fq))
+        if beta.pivot == hi:
+            e, law_at_hi = exponent, True
+
+    def w(t):
+        # a law at hi leaves only the t-moment's |t|^q (its mass is closed)
+        vals = np.abs(t) ** fq if moment_t else 1.0
+        return vals if law_at_hi else vals * beta.eval_t(t) ** fq
+
+    cuts = beta.tcoords if beta.kind == "sampled-t" else ()
+    return edge_integral(e, lo, hi, w, cuts) ** (1.0 / fq)
 
 
 def _beta_norms(beta, q, lo, hi):

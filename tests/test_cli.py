@@ -176,6 +176,30 @@ def test_vanish_powerlaw(tmp_path):
     assert report["failed"] == []
 
 
+@pytest.mark.parametrize("lam_g, verdict, code", [(1.5, "VANISHES", 0), (1.0, "HYPOTHESES-FAIL", 2)])
+def test_vanish_powerlaw_pair(tmp_path, lam_g, verdict, code):
+    # u = n/q - k + 2 = 3/5 and v = k - n/p = 1: s = (1-t)^-2 meets I1 and I2
+    # (slope 6/5), and g meets I3 only when lam_g * v > 1
+    sc = {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": "5/2", "interval": [0.0, 1.0],
+          "warp": {"kind": "powerlaw-pair", "lam_s": 2.0, "lam_g": lam_g}, "fiber": "sphere"}
+    got, report, _ = _run(tmp_path, sc)
+    assert (got, report["verdict"]) == (code, verdict)
+    assert report["conditions"]["I1: int s^(n/q-k+2) divergent"]["slope"] == pytest.approx(1.2)
+    assert report["conditions"]["I3: int g^(k-n/p) divergent"]["slope"] == lam_g
+    assert report["failed"] == ([] if code == 0 else ["I3: int g^(k-n/p) divergent does not hold"])
+
+
+def test_vanish_profile_warp_matches_powerlaw_warp(tmp_path):
+    # a profile warp given as a dict reaches the same law as the powerlaw kind
+    sc = {"command": "vanish", "n": 4, "k": 3, "p": 2, "q": "5/2", "interval": [0.0, 1.0],
+          "fiber": "sphere"}
+    law = {"kind": "powerlaw", "lam": 2.0, "pivot": 1.0}
+    code, report, _ = _run(tmp_path, {**sc, "warp": {"kind": "profile", "profile": law}})
+    assert (code, report["verdict"]) == (0, "VANISHES")
+    _, direct, _ = _run(tmp_path, {**sc, "warp": law}, name="direct.json")
+    assert report == direct
+
+
 def test_vanish_and_region_agree_on_the_boundary(tmp_path):
     # p = q = 8/3 puts 1/q on the window's lower bound 3/8: I1's slope is
     # exactly 1, outside the strict window, and the exact exponents reach
@@ -487,6 +511,19 @@ def test_glue_too_coarse_for_the_cover_is_an_error(tmp_path, capsys, surface, gr
     err = capsys.readouterr().err
     assert err.startswith("error: glue failed:") and err.count("\n") == 1, err
     assert "refine the grid" in err
+
+
+@pytest.mark.parametrize("field, message", [({"grid": [33, 32, 32]}, "grid needs 2 axes for cylinder-s1"),
+                                            ({"degree": 0}, "glue needs degree >= 1")],
+                         ids=["grid-length", "degree-0"])
+def test_glue_malformed_scenario_is_an_error(tmp_path, capsys, field, message):
+    # both pass the schema and are refused by the handler, with one error line
+    sc = {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
+          "count": 1, **field}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1
+    assert report == {"command": "glue", "error": message}
+    assert capsys.readouterr().err == f"error: glue failed: {message}\n"
 
 
 def test_glue_grid_scale_keeps_the_cover_fine_enough(tmp_path):

@@ -1,5 +1,6 @@
 """Sup-window norms, the C-integrals, and the assembled cylinder constant."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -130,10 +131,10 @@ def test_t_moment_norm_matches_beta_function(e, q):
     exact = (math.gamma(q + 1.0) * math.gamma(1.0 - e) / math.gamma(q + 2.0 - e)) ** (1.0 / q)
     beta = WeightProfile.powerlaw(lam, 1.0)
     got = _t_axis_norm(beta, q, 0.0, 1.0, moment_t=True)
-    assert got == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
     sq = box([[0, 1], [0, 1]], [17, 17])
     out = cylinder_constant(ConstantRequest(1, q, q, sq, beta=beta), t_nodes=8)
-    assert out["tbeta_norm"] == pytest.approx(exact, rel=1e-10, abs=0.0)
+    assert out["tbeta_norm"] == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_t_moment_norm_at_pivot_zero():
@@ -168,6 +169,64 @@ def test_t_moment_norms_straddling_zero():
         want = ((1.0 + 1.5 ** (q + 1.0)) / (q + 1.0)) ** (1.0 / q)
         got = _t_axis_norm(WeightProfile.constant(1.0), q, -1.0, 1.5, moment_t=True)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
+
+
+@pytest.mark.parametrize("lam, pivot, q, lo", [(0.1, 0.5, 1.5, -0.3), (0.3, 1.0, 1.1, -1.0)])
+def test_t_moment_norm_at_the_edge_matches_mpmath(lam, pivot, q, lo):
+    # ||t (pivot-t)^-lam||_{L^q[lo, pivot)}: the law is singular at the edge,
+    # where u = (pivot-t)^(1-lam q) is not smooth unless 1/(1-lam q) is an
+    # integer, and |t|^q kinks at 0 inside the interval
+    e = _interp.law_exponent(lam, q)
+    with mpmath.workdps(30):
+        mq, me = mpmath.mpf(q), mpmath.mpf(e.numerator) / e.denominator
+        ref = mpmath.quad(lambda t: abs(t) ** mq * (pivot - t) ** -me, [lo, 0, pivot])
+        ref = float(ref ** (1 / mq))
+    got = _t_axis_norm(WeightProfile.powerlaw(lam, pivot), q, lo, pivot, moment_t=True)
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def _interpolant_norms(knots, samples, q, lo, hi):
+    """Both L^q[lo, hi) norms, of beta and of t beta, of the piecewise-linear
+    interpolant of (knots, samples), constant past its end knots: exact
+    on each piece between lo, 0, the knots and hi, in mpmath."""
+    with mpmath.workdps(20):
+        ts, vs = ([mpmath.mpf(float(v)) for v in arr] for arr in (knots, samples))
+
+        def beta(t):
+            i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
+            return vs[i] + (vs[i + 1] - vs[i]) * (min(max(t, ts[0]), ts[-1]) - ts[i]) / (ts[i + 1] - ts[i])
+
+        inner = [t for t in [mpmath.mpf(0), *ts] if lo < t < hi]
+        ends = sorted({mpmath.mpf(lo), mpmath.mpf(hi), *inner})
+        q, plain, moment = mpmath.mpf(q), 0, 0
+        for c0, c1 in zip(ends, ends[1:]):
+            b0, b1 = beta(c0), beta(c1)
+            # beta is linear in t on the piece, so int beta^q dt is closed
+            plain += (c1 - c0) * (b0**q if b0 == b1 else
+                                  (b1 ** (q + 1) - b0 ** (q + 1)) / ((q + 1) * (b1 - b0)))
+            moment += mpmath.quad(lambda t: abs(t) ** q * (b0 + (b1 - b0) * (t - c0) / (c1 - c0)) ** q,
+                                  [c0, c1])
+        return float(plain ** (1 / q)), float(moment ** (1 / q))
+
+
+GRADED_T = 1.0 - 2.0 ** (-12.0 * np.arange(257) / 256)
+NINE_KNOTS = np.random.default_rng(7).uniform([[-1.2] * 9, [0.5] * 9], [[1.1] * 9, [3.0] * 9])
+# (knots, samples, q, lo) on [lo, 1): the criterion benchmark's sampled law
+# (1-t)^-1 at t_i = 1 - 2^(-12 i/256), and 9 random knots on [-1, 1),
+# which straddles 0, the first knot below -1
+SAMPLED_T_CASES = {
+    "graded-257": (GRADED_T, 1.0 / (1.0 - GRADED_T), 2.5, 0.0),
+    "random-9": (np.sort(NINE_KNOTS[0]), NINE_KNOTS[1], 1.5, -1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAMPLED_T_CASES))
+def test_sampled_t_norms_match_exact_interpolant(case):
+    knots, samples, q, lo = SAMPLED_T_CASES[case]
+    beta = WeightProfile.sampled_t(knots, samples)
+    want = _interpolant_norms(knots, samples, q, lo, 1.0)
+    got = (_t_axis_norm(beta, q, lo, 1.0), _t_axis_norm(beta, q, lo, 1.0, moment_t=True))
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("mu", [0.25, 0.6])
@@ -538,6 +597,17 @@ def test_q_factor():
         Q_factor(gam, 2.0, 3.0, dom)
 
 
+def test_q_factor_full_grid_gamma():
+    # 1/gamma = ((1+x)(2+y))^(1/2): its sup on the unit square is 6^(1/2), and
+    # at p = 2, pbar = 1 (r = 2) its r-th power is bilinear, which the
+    # trapezoid integrates exactly: ||1/gamma||_2^2 = (3/2)(5/2)
+    dom = box([[0, 1], [0, 1]], [9, 5])
+    x, y = dom.meshgrid()
+    gam = WeightProfile.sampled(((1.0 + x) * (2.0 + y)) ** -0.5)
+    assert Q_factor(gam, 2.0, 2.0, dom) == pytest.approx(6.0**0.5, rel=1e-14)
+    assert Q_factor(gam, 2.0, 1.0, dom) == pytest.approx(3.75**0.5, rel=1e-14)
+
+
 @pytest.mark.parametrize("lam", [-1.0, 1.0])
 @pytest.mark.parametrize("pbar", [1.0, 1.5, 2.0])
 def test_q_factor_rejects_interior_pivot_at_every_pbar(lam, pbar):
@@ -572,7 +642,7 @@ def test_cylinder_constant_powerlaw_beta_norms():
     beta = WeightProfile.powerlaw(0.25, 1.0)
     out = cylinder_constant(ConstantRequest(1, 2.0, 2.0, sq, beta=beta))
     assert out["beta_norm"] == pytest.approx(2.0**0.5, rel=1e-9)
-    assert out["tbeta_norm"] == pytest.approx((16.0 / 15.0) ** 0.5, rel=1e-5)
+    assert out["tbeta_norm"] == pytest.approx((16.0 / 15.0) ** 0.5, rel=1e-14)
     assert out["hypothesis_failures"] == []
 
     # just under / at the integrability edge lam*q = 1

@@ -15,7 +15,7 @@ from cylcoh import (
     check_admissible_weight,
     WeightProfile,
 )
-from cylcoh import _interp, constants, homotopy
+from cylcoh import _interp, homotopy
 from cylcoh.homotopy import _box_integral, DEGREE0_MSG
 from cylcoh._interp import scaled_axis_matrices, scaled_eval
 from cylcoh.forms import increasing_indices, random_form
@@ -454,14 +454,14 @@ def test_second_A_alpha_call_on_a_chart_builds_no_window_rows(monkeypatch):
 
 
 def test_fixed_rules_are_read_only_and_match_fresh_builds():
-    rules = [
-        (constants.T_NORM_RULE, constants._graded_nodes(constants.T_NORM_NODES)),
-        (_interp.EDGE_RULE, _interp.gauss01(_interp.EDGE_NODES)),
-    ]
-    for rule, fresh in rules:
-        for arr, ref in zip(rule, fresh, strict=True):
-            assert arr.flags.writeable is False
-            assert np.array_equal(arr, ref)
+    x, w = _interp.TANH_SINH
+    for arr, ref in zip((x, w), _interp.tanh_sinh01(1.0 / 16.0, 60), strict=True):
+        assert arr.flags.writeable is False
+        assert np.array_equal(arr, ref)
+    # symmetric on (0, 1), its nodes next to 0 kept to full relative precision
+    assert np.allclose(x + x[::-1], 1.0, rtol=0.0, atol=2.3e-16)
+    assert np.allclose(w, w[::-1], rtol=1e-15, atol=0.0)
+    assert 0.0 < x[0] < 1e-28 and w.sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_A_uniform_volume_form():

@@ -555,7 +555,7 @@ def test_report_tail_is_not_the_memo():
 
 
 def test_gauss01_built_once_per_node_count():
-    for n in (2, 16, 32, 64, _interp.EDGE_NODES):
+    for n in (2, 16, 32, 64, 256):
         rule = _interp.gauss01(n)
         assert _interp.gauss01(n) is rule
         x, w = np.polynomial.legendre.leggauss(n)
