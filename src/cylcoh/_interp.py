@@ -22,15 +22,15 @@ per axis).  Every row is built on its own, so the blocking leaves every
 value unchanged.  window_rows keeps its read-only stacks in a memo
 bounded by MEMO_BYTES, so charts that share an axis build its rows once.
 
-The power-law t-integrals of every weight norm live here too, on the
-window matrices' closed form _pl_primitive: powerlaw_mass, the exact
-heaviest-window mass, and edge_integral, the one rule for every other
-t-integral of a weight norm: tanh-sinh pieces cut at 0 and at the
-caller's breakpoints, against a law singular at the right end.  Every
-quadrature rule is built once, read-only: gauss01 keeps one rule per
-node count, and TANH_SINH is built at import.  So does the package's
-one exponent rule (_exceeds, diverges), exact on p, q and pbar as given
-and on a profile's lam at the binary value of its float.
+Every weight norm of alpha, beta and gamma lives here too: weight_norm
+over a box, a t-only profile's t_norm times the fiber measure.  t_norm
+takes a closed mass where there is one (powerlaw_mass, on the window
+matrices' _pl_primitive), else edge_integral: tanh-sinh pieces cut at 0
+and at a profile's knots, against a law singular at the right end.
+Every quadrature rule is built once, read-only: gauss01 keeps one rule
+per node count, and TANH_SINH is built at import.  So does the
+package's one exponent rule (_exceeds, diverges), exact on p, q and
+pbar as given and on a profile's lam at the binary value of its float.
 """
 
 import functools
@@ -296,6 +296,64 @@ def edge_integral(e, lo, hi, w, cuts=()):
     t = np.concatenate((inner.ravel(), hi - (big_u * x) ** (1.0 / g)))
     scale = np.concatenate((width * wts * (hi - inner) ** -float(e), big_u / g * wts[None]), axis=None)
     return float((scale * w(t)).sum())
+
+
+def linear_pieces(weight, lo, hi):
+    """The breakpoints u in [lo, hi] of a constant or sampled-t profile,
+    between which it is linear, and its values there."""
+    knots = weight.tcoords if weight.kind == "sampled-t" else np.empty(0)
+    u = np.union1d([lo, hi], knots[(knots > lo) & (knots < hi)])
+    return u, weight.eval_t(u)
+
+
+def t_norm(weight, q, lo, hi, moment_t=False, measure=1.0):
+    """(measure int_lo^hi |w(t)|^q dt)^(1/q), or of t*w(t) with moment_t,
+    for a t-only profile w: closed for a law's powerlaw_mass and for the
+    mass (q = 1) of a piecewise-linear profile, else one edge_integral,
+    cut at a sampled-t profile's knots, with a law's exponent kept where
+    it pivots at hi.  q = inf gives the exact sup on [lo, hi], no moment."""
+    if q == math.inf:
+        if moment_t:
+            raise ValueError("t_norm takes no t-moment at q = inf")
+        if weight.kind != "powerlaw":
+            return float(linear_pieces(weight, lo, hi)[1].max())
+        powerlaw_mass(weight.lam, weight.pivot, lo, hi)  # the pivot check only
+        end = hi if weight.lam > 0 else lo
+        return math.inf if weight.pivot == end else float((weight.pivot - end) ** (-weight.lam))
+    fq = float(q)
+    e, law_at_hi = 0, False
+    if weight.kind == "powerlaw":
+        exponent = law_exponent(weight.lam, q)
+        mass = powerlaw_mass(exponent, weight.pivot, lo, hi, m=q if moment_t else 0)
+        if mass is not None:
+            return float((measure * mass) ** (1.0 / fq))
+        if weight.pivot == hi:
+            e, law_at_hi = exponent, True
+    elif q == 1 and not moment_t:
+        u, v = linear_pieces(weight, lo, hi)
+        return measure * float(np.diff(u) @ (v[1:] + v[:-1])) / 2.0
+
+    def w(t):
+        # a law at hi leaves only the t-moment's |t|^q (its mass is closed)
+        vals = np.abs(t) ** fq if moment_t else 1.0
+        return vals if law_at_hi else vals * weight.eval_t(t) ** fq
+
+    cuts = weight.tcoords if weight.kind == "sampled-t" else ()
+    return float((measure * edge_integral(e, lo, hi, w, cuts)) ** (1.0 / fq))
+
+
+def weight_norm(weight, q, D):
+    """||w||_{L^q(D)} of a weight on a box D: its mass at q = 1 and its
+    sup at q = inf.  A t-only profile takes its t_norm on D's t-axis
+    times the fiber measure; a full-grid sampled weight takes D's
+    trapezoid rule, or its largest sample."""
+    if weight.t_only:
+        fiber = math.prod(hi - lo for lo, hi in D.bounds[1:])
+        return t_norm(weight, q, *D.bounds[0], measure=fiber)
+    samples = weight.sample_on(D)
+    if q == math.inf:
+        return float(samples.max())
+    return float(D.integrate(samples ** float(q)) ** (1.0 / float(q)))
 
 
 def _hat_integrals(domain, ax, i, theta, weight):

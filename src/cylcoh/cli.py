@@ -103,6 +103,9 @@ SCHEMA = {
     ],
 }
 
+# removed keys and their replacements, refused rather than read as unset
+REMOVED_KEYS = {"lam": "lambda", "patch_tol": "tolerance"}
+
 
 def render_canonical(obj, indent=0):
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
@@ -310,7 +313,7 @@ def _cmd_glue(sc, args):
         om = exterior_derivative(eta)
         xi, rep = glue_primitive(
             om, cover, beta=beta, gamma=gamma, p=p, q=q,
-            t_nodes=sc.get("t_nodes", 32), tol=sc.get("patch_tol", tol),
+            t_nodes=sc.get("t_nodes", 32), tol=tol,
         )
         runs.append(rep)
 
@@ -374,8 +377,8 @@ def _cmd_region(sc, args):
     n = sc["n"]
     ks = sc["k"] if isinstance(sc["k"], list) else [sc["k"]]
     b_inf = bool(sc.get("b_infinite", False))
-    if "lambda" in sc or "lam" in sc:
-        es = powerlaw_exponents(_parse_frac(sc.get("lambda", sc.get("lam"))),
+    if "lambda" in sc:
+        es = powerlaw_exponents(_parse_frac(sc["lambda"]),
                                 _parse_frac(sc["lam_g"]) if "lam_g" in sc else None)
         alpha, beta = es.alpha, es.beta
     else:
@@ -451,6 +454,10 @@ def main(argv=None):
     except jsonschema.ValidationError as e:
         where = "/".join(map(str, e.absolute_path))
         print(f"schema error: {e.message}" + (f" (at {where})" if where else ""), file=sys.stderr)
+        return 1
+    gone = sorted(REMOVED_KEYS.keys() & sc.keys())
+    if gone:
+        print(f"schema error: {gone[0]!r} was removed; use {REMOVED_KEYS[gone[0]]!r}", file=sys.stderr)
         return 1
 
     out_dir = Path(args.out) if args.out else path.parent

@@ -17,18 +17,18 @@ _interp.STACK_BYTES, applied by apply_axes.  A t-node where a grid
 node's window covers the whole box searches nothing: the integrand is
 nonnegative, so its sup is the whole-box mass, computed once per call.
 
-The t-integrals in the weight norms are _interp's: the exact
-powerlaw_mass of a power law where it has one, else one edge_integral,
-tanh-sinh pieces cut at 0 (the kink of |t|^m) and at a sampled-t
-profile's knots.
+The weight norms are _interp's t_norm and weight_norm, the same for
+beta, gamma and alpha: the exact powerlaw_mass of a power law where it
+has one, else one edge_integral, tanh-sinh pieces cut at 0 (the kink of
+|t|^m) and at a sampled-t profile's knots.
 """
 
 import math
 
 import numpy as np
 
-from ._interp import (_frac, apply_axes, diverges, edge_integral, gauss01, law_exponent,
-                      node_blocks, powerlaw_mass, window_stack)
+from ._interp import (_frac, apply_axes, diverges, gauss01, law_exponent, node_blocks,
+                      powerlaw_mass, t_norm, weight_norm, window_stack)
 from .homotopy import check_admissible_weight
 from .vanishing import _window
 from .weights import WeightProfile
@@ -312,56 +312,16 @@ def Q_factor(gamma, p, pbar, D):
     """
     if not 1 <= pbar <= p:
         raise ValueError("need 1 <= pbar <= p")
-    inv = gamma**-1.0
-    lo0, hi0 = D.bounds[0]
-    if pbar == p:
-        if inv.kind == "powerlaw":
-            powerlaw_mass(inv.lam, inv.pivot, lo0, hi0)  # the pivot check only
-            end = hi0 if inv.lam > 0 else lo0
-            return math.inf if inv.pivot == end else float((inv.pivot - end) ** (-inv.lam))
-        if inv.kind == "constant":
-            return inv.value
-        return float(inv.samples.max())
-    r = _frac(p) * _frac(pbar) / (_frac(p) - _frac(pbar))
-    if inv.kind == "powerlaw":
-        mass = powerlaw_mass(law_exponent(inv.lam, r), inv.pivot, lo0, hi0)
-        fiber = math.prod(hi - lo for lo, hi in D.bounds[1:])
-        return float((mass * fiber) ** (1.0 / float(r)))
-    field = inv.sample_on(D) ** float(r)
-    return float(D.integrate(field) ** (1.0 / float(r)))
-
-
-def _t_axis_norm(beta, q, lo, hi, moment_t=False):
-    """|| beta ||_{L^q([lo,hi))} (or of t*beta(t)) for a t-only profile:
-    the exact mass of a power law where it has one (the t-moment's |t|^q
-    is m = q), else one edge_integral, cut at a sampled-t profile's knots.
-    A law that pivots at hi keeps its exponent there; any other profile
-    is bounded on [lo, hi] and goes into the integrand with e = 0."""
-    fq = float(q)
-    e, law_at_hi = 0, False
-    if beta.kind == "powerlaw":
-        exponent = law_exponent(beta.lam, q)
-        mass = powerlaw_mass(exponent, beta.pivot, lo, hi, m=q if moment_t else 0)
-        if mass is not None:
-            return float(mass ** (1.0 / fq))
-        if beta.pivot == hi:
-            e, law_at_hi = exponent, True
-
-    def w(t):
-        # a law at hi leaves only the t-moment's |t|^q (its mass is closed)
-        vals = np.abs(t) ** fq if moment_t else 1.0
-        return vals if law_at_hi else vals * beta.eval_t(t) ** fq
-
-    cuts = beta.tcoords if beta.kind == "sampled-t" else ()
-    return edge_integral(e, lo, hi, w, cuts) ** (1.0 / fq)
+    r = math.inf if pbar == p else _frac(p) * _frac(pbar) / (_frac(p) - _frac(pbar))
+    return weight_norm(gamma**-1.0, r, D)
 
 
 def _beta_norms(beta, q, lo, hi):
     """(||beta||_{L^q[lo,hi)}, ||t beta(t)||_{L^q[lo,hi)}, failures): the
     beta hypotheses of the cylinder constant and of gluing, with each
     divergent norm named in failures."""
-    beta_norm = _t_axis_norm(beta, q, lo, hi)
-    tbeta_norm = _t_axis_norm(beta, q, lo, hi, moment_t=True)
+    beta_norm = t_norm(beta, q, lo, hi)
+    tbeta_norm = t_norm(beta, q, lo, hi, moment_t=True)
     failures = []
     if not math.isfinite(beta_norm):
         failures.append("||beta||_{L^q[a,b)} divergent")

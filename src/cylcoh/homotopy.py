@@ -35,8 +35,8 @@ import math
 
 import numpy as np
 
-from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, node_blocks,
-                      powerlaw_mass, scaled_axis_matrices, scaled_eval, window_rows)
+from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, linear_pieces,
+                      node_blocks, scaled_axis_matrices, scaled_eval, weight_norm, window_rows)
 from .forms import GridForm
 from .weights import WeightProfile
 
@@ -116,48 +116,31 @@ def check_admissible_weight(alpha, D, p):
 
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
     ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) exactly (sup norm when
-    p = 1).  A constant or sampled-t alpha's mass is the exact integral
-    that A_alpha reads (_pieces), and so is a power law's (powerlaw_mass),
-    its pivot at the right t-edge or past it.  Power-law divergence is
-    decided by the exponent rule, not by overflow; a power law pivoting at
-    the right t-edge is never sampled on the closed grid: its norms are
-    exact too and ||alpha(y)|y|||_{p'} takes the edge rule.
+    p = 1).  The mass and ||alpha||_{p'} are _interp.weight_norm's, as
+    for beta and gamma.  ||alpha(y)|y|||_{p'} is the grid trapezoid (or
+    the largest sample), except for a law pivoting at the right t-edge,
+    which takes the edge rule.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    exact_pprime = np.inf if p == 1 else _frac(p) / (_frac(p) - 1)
+    exact_pprime = math.inf if p == 1 else _frac(p) / (_frac(p) - 1)
     pprime = float(exact_pprime)
 
     violations = []
     lo0, hi0 = D.bounds[0]
-    fiber_vol = math.prod(hi - lo for lo, hi in D.bounds[1:])
-
-    law = alpha.kind == "powerlaw" and alpha.lam > 0
-    # a law pivoting at the right t-edge is infinite on the closed grid
-    field = None if law and alpha.pivot <= hi0 else alpha.sample_on(D)
-    if law:
-        mass = fiber_vol * powerlaw_mass(alpha.lam, alpha.pivot, lo0, hi0)
-    elif alpha.kind in PIECEWISE_LINEAR:
-        mass = _pieces(alpha, D)[2]
-    else:
-        mass = D.integrate(field)
-    if field is None:
-        # p' = inf makes e infinite, and the mass says the sup norm diverges
+    mass = weight_norm(alpha, 1, D)
+    anorm = weight_norm(alpha, exact_pprime, D)
+    if alpha.kind == "powerlaw" and alpha.lam > 0 and alpha.pivot <= hi0:
+        # infinite on the closed grid: the moment takes the edge rule
         e = law_exponent(alpha.lam, exact_pprime)
-        amass = powerlaw_mass(e, alpha.pivot, lo0, hi0)
-        anorm = mnorm = np.inf
-        if np.isfinite(amass):
-            anorm = (fiber_vol * amass) ** (1.0 / pprime)
-            total = edge_integral(e, lo0, hi0, lambda t: _fiber_moment(D, pprime, t))
-            mnorm = total ** (1.0 / pprime)
+        mnorm = math.inf if math.isinf(anorm) else edge_integral(
+            e, lo0, hi0, lambda t: _fiber_moment(D, pprime, t)) ** (1.0 / pprime)
     else:
-        moment = np.sqrt(sum(c**2 for c in D.meshgrid()))
+        field = alpha.sample_on(D) * np.sqrt(sum(c**2 for c in D.meshgrid()))
         if np.isinf(pprime):
-            anorm = float(field.max())
-            mnorm = float((field * moment).max())
+            mnorm = float(field.max())
         else:
-            anorm = D.integrate(field**pprime) ** (1.0 / pprime)
-            mnorm = D.integrate((field * moment) ** pprime) ** (1.0 / pprime)
+            mnorm = D.integrate(field**pprime) ** (1.0 / pprime)
 
     if not (np.isfinite(mass) and abs(mass - 1.0) <= 1e-8):
         violations.append(f"unit mass (got {mass:.6g})")
@@ -174,16 +157,6 @@ def check_admissible_weight(alpha, D, p):
         "moment_norm": mnorm,
         "pprime": pprime,
     }
-
-
-def _pieces(alpha, D):
-    """The breakpoints u of a constant or sampled-t alpha on axis 0 of D,
-    between which it is linear, alpha at u, and its exact mass."""
-    (lo, hi), fiber = D.bounds[0], D.bounds[1:]
-    knots = alpha.tcoords if alpha.kind == "sampled-t" else np.empty(0)
-    u = np.union1d([lo, hi], knots[(knots > lo) & (knots < hi)])
-    a = alpha.eval_t(u)
-    return u, a, math.prod(b - c for c, b in fiber) * float(np.diff(u) @ (a[1:] + a[:-1])) / 2.0
 
 
 def _chained_terms(coeffs, plain, lever, out, bufs):
@@ -251,9 +224,10 @@ def A_alpha(omega, alpha, t_nodes=16):
         raise ValueError(DEGREE0_MSG)
     if not isinstance(alpha, WeightProfile) or alpha.kind not in PIECEWISE_LINEAR:
         raise ValueError(f"A_alpha takes a constant or sampled-t centering weight, not {alpha!r}")
-    cuts, vals, mass = _pieces(alpha, dom)
+    mass = weight_norm(alpha, 1, dom)
     if abs(mass - 1.0) > 1e-8:
         raise ValueError(f"alpha is not unit mass (got {mass:.6g})")
+    cuts, vals = linear_pieces(alpha, *dom.bounds[0])
     level = vals[0] if alpha.kind == "constant" else 1.0
     nodes, wts = gauss01(t_nodes)
     scale = level * wts * nodes ** (omega.degree - 1) / (1.0 - nodes) ** (dom.dim + 1)

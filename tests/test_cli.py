@@ -526,6 +526,18 @@ def test_glue_malformed_scenario_is_an_error(tmp_path, capsys, field, message):
     assert capsys.readouterr().err == f"error: glue failed: {message}\n"
 
 
+@pytest.mark.parametrize("sc, key, use",
+                         [({"command": "region", "n": 4, "k": 3, "lam": 2, "p": 2}, "lam", "lambda"),
+                          ({"command": "glue", "surface": "cylinder-s1", "grid": [33, 32],
+                            "degree": 1, "patch_tol": 1e-9}, "patch_tol", "tolerance")],
+                         ids=["lam", "patch_tol"])
+def test_removed_keys_are_refused(tmp_path, capsys, sc, key, use):
+    # a removed key is refused with one error line, not run as if unset
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"schema error: {key!r} was removed; use {use!r}\n"
+
+
 def test_glue_grid_scale_keeps_the_cover_fine_enough(tmp_path):
     # halving the README's 33x32 glue keeps 32 nodes on the periodic axis,
     # the fewest the circle cover accepts
@@ -674,3 +686,23 @@ def test_constant_routes(tmp_path):
     assert code == 2
     assert report["verdict"] == "HYPOTHESES-FAIL"
     assert "||beta||_{L^q[a,b)} divergent" in report["hypothesis_failures"]
+
+
+def test_constant_cylinder_echoes_two_weights(tmp_path):
+    # a sampled-t alpha, a sampled-t gamma and pbar through the cylinder
+    # route: the request echoes all three, and 1/gamma and alpha are the
+    # same interpolant of (0.5, 1.5, 0.5) at the knots (0, 0.3, 1), whose
+    # L^2 norm is (13/12)^(1/2) and mass 1
+    alpha = {"kind": "sampled-t", "t": [0.0, 0.3, 1.0], "values": [0.5, 1.5, 0.5]}
+    gamma = {"kind": "sampled-t", "t": [0.0, 0.3, 1.0], "values": [2.0, 2.0 / 3.0, 2.0]}
+    sq = {"kind": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [9, 9]}
+    sc = {"command": "constant", "domain": sq, "k": 1, "p": 2, "q": 2, "pbar": 1,
+          "route": "cylinder", "alpha": alpha, "gamma": gamma, "t_nodes": 8}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 0 and report["hypothesis_failures"] == []
+    assert report["request"]["alpha"] == alpha
+    assert report["request"]["gamma"] == gamma
+    assert report["request"]["pbar"] == 1.0
+    norm = (13.0 / 12.0) ** 0.5
+    assert abs(report["Q"] - norm) <= 1e-13
+    assert abs(report["alpha_norm"] - norm) <= 1e-13

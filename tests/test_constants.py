@@ -23,8 +23,8 @@ from cylcoh import (
     sup_indicator_norm,
 )
 from cylcoh import _interp, constants
-from cylcoh._interp import STACK_BYTES, powerlaw_mass, window_matrix
-from cylcoh.constants import _graded_nodes, _t_axis_norm, _window_mass_field, _window_stacks
+from cylcoh._interp import STACK_BYTES, powerlaw_mass, t_norm, window_matrix
+from cylcoh.constants import _graded_nodes, _window_mass_field, _window_stacks
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -59,6 +59,15 @@ def test_sup_indicator_halfway_square():
     flat = WeightProfile.sampled(np.ones(dom.grid))
     got = sup_indicator_norm(dom, flat, 1.0, 0.5)
     assert abs(got - 1.0) <= 1e-9, f"grid-search sup {got} != 1"
+
+
+def test_sup_indicator_sampled_t_whole_box_is_one_rule():
+    # for t <= 1/2 a window covers the whole box, so the sup is the same
+    # at t = 0 as at t = 0.25: both take the grid mass of beta^q
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    beta = WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5])
+    at0 = sup_indicator_norm(dom, beta, 2.0, 0.0)
+    assert sup_indicator_norm(dom, beta, 2.0, 0.25) == pytest.approx(at0, rel=1e-15, abs=0.0)
 
 
 def test_sup_indicator_sampled_matches_constant():
@@ -130,7 +139,7 @@ def test_t_moment_norm_matches_beta_function(e, q):
     lam = e / q
     exact = (math.gamma(q + 1.0) * math.gamma(1.0 - e) / math.gamma(q + 2.0 - e)) ** (1.0 / q)
     beta = WeightProfile.powerlaw(lam, 1.0)
-    got = _t_axis_norm(beta, q, 0.0, 1.0, moment_t=True)
+    got = t_norm(beta, q, 0.0, 1.0, moment_t=True)
     assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
     sq = box([[0, 1], [0, 1]], [17, 17])
     out = cylinder_constant(ConstantRequest(1, q, q, sq, beta=beta), t_nodes=8)
@@ -140,11 +149,11 @@ def test_t_moment_norm_matches_beta_function(e, q):
 def test_t_moment_norm_at_pivot_zero():
     # on [-1, 0) the moment |t|^q (0-t)^(-lam q) is the law (0-t)^(q - lam q),
     # finite iff lam q < q + 1: lam = 0.6, q = 2 gives (1/1.8)^(1/2)
-    got = _t_axis_norm(WeightProfile.powerlaw(0.6, 0.0), 2.0, -1.0, 0.0, moment_t=True)
+    got = t_norm(WeightProfile.powerlaw(0.6, 0.0), 2.0, -1.0, 0.0, moment_t=True)
     assert got == pytest.approx((1.0 / 1.8) ** 0.5, rel=1e-12, abs=0.0)
     for lam in (1.5, 2.0):
         beta = WeightProfile.powerlaw(lam, 0.0)
-        assert _t_axis_norm(beta, 2.0, -1.0, 0.0, moment_t=True) == math.inf
+        assert t_norm(beta, 2.0, -1.0, 0.0, moment_t=True) == math.inf
 
 
 def test_t_moment_norms_straddling_zero():
@@ -159,7 +168,7 @@ def test_t_moment_norms_straddling_zero():
                + mpmath.quad(lambda u: (1.5 - u ** (1 / g)) ** q / g, [0, mpmath.mpf(1.5) ** g]))
         ref = float(ref ** (1 / q))
     law = WeightProfile.powerlaw(0.3, 1.5)
-    got = _t_axis_norm(law, 1.5, -1.0, 1.5, moment_t=True)
+    got = t_norm(law, 1.5, -1.0, 1.5, moment_t=True)
     assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
     # the same law as a centering weight, p' = 3/2, takes the edge rule
     adm = check_admissible_weight(law, box([[-1.0, 1.5]], [17]), 3)
@@ -167,7 +176,7 @@ def test_t_moment_norms_straddling_zero():
     # a bounded profile: int |t|^q = (1 + 1.5^(q+1)) / (q+1)
     for q in (1.1, 1.5, 3.0):
         want = ((1.0 + 1.5 ** (q + 1.0)) / (q + 1.0)) ** (1.0 / q)
-        got = _t_axis_norm(WeightProfile.constant(1.0), q, -1.0, 1.5, moment_t=True)
+        got = t_norm(WeightProfile.constant(1.0), q, -1.0, 1.5, moment_t=True)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), q
 
 
@@ -181,7 +190,7 @@ def test_t_moment_norm_at_the_edge_matches_mpmath(lam, pivot, q, lo):
         mq, me = mpmath.mpf(q), mpmath.mpf(e.numerator) / e.denominator
         ref = mpmath.quad(lambda t: abs(t) ** mq * (pivot - t) ** -me, [lo, 0, pivot])
         ref = float(ref ** (1 / mq))
-    got = _t_axis_norm(WeightProfile.powerlaw(lam, pivot), q, lo, pivot, moment_t=True)
+    got = t_norm(WeightProfile.powerlaw(lam, pivot), q, lo, pivot, moment_t=True)
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
@@ -225,7 +234,7 @@ def test_sampled_t_norms_match_exact_interpolant(case):
     knots, samples, q, lo = SAMPLED_T_CASES[case]
     beta = WeightProfile.sampled_t(knots, samples)
     want = _interpolant_norms(knots, samples, q, lo, 1.0)
-    got = (_t_axis_norm(beta, q, lo, 1.0), _t_axis_norm(beta, q, lo, 1.0, moment_t=True))
+    got = (t_norm(beta, q, lo, 1.0), t_norm(beta, q, lo, 1.0, moment_t=True))
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -606,6 +615,19 @@ def test_q_factor_full_grid_gamma():
     gam = WeightProfile.sampled(((1.0 + x) * (2.0 + y)) ** -0.5)
     assert Q_factor(gam, 2.0, 2.0, dom) == pytest.approx(6.0**0.5, rel=1e-14)
     assert Q_factor(gam, 2.0, 1.0, dom) == pytest.approx(3.75**0.5, rel=1e-14)
+
+
+def test_q_factor_sampled_t_gamma_is_exact():
+    # 1/gamma interpolates (0.5, 1.5, 0.5) at the knots (0, 0.3, 1): its
+    # L^2 norm is (13/12)^(1/2), which the 9^2 grid trapezoid read 6.7e-3
+    # low, and its sup is its peak between grid nodes
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    gam = WeightProfile.sampled_t([0.0, 0.3, 1.0], [2.0, 2.0 / 3.0, 2.0])
+    assert abs(Q_factor(gam, 2.0, 1.0, dom) - 1.040832999733066) <= 1e-13
+    assert Q_factor(gam, 2.0, 2.0, dom) == pytest.approx(1.5, rel=1e-15)
+    # the sup is taken on [0, 1] only, not over the knots outside it
+    wide = WeightProfile.sampled_t([-1.0, 0.0, 1.0, 2.0], [0.1, 1.0, 1.0, 0.1])
+    assert Q_factor(wide, 2.0, 2.0, dom) == 1.0
 
 
 @pytest.mark.parametrize("lam", [-1.0, 1.0])

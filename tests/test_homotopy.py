@@ -392,7 +392,7 @@ def _term_by_term_A(om, alpha, t_nodes):
     # w_t t^(k-1) (1-t)^-(dim+1) and the plain rows elsewhere, alpha's level
     # kept inside axis 0's rows
     dom, k = om.domain, om.degree
-    cuts, vals, _ = homotopy._pieces(alpha, dom)
+    cuts, vals = _interp.linear_pieces(alpha, *dom.bounds[0])
     nodes, wts = _interp.gauss01(t_nodes)
     rows = [_interp.window_rows(dom, ax, nodes[:, None], *((cuts, vals) if ax == 0 else (ends, (1.0, 1.0))))
             for ax, ends in enumerate(dom.bounds)]
@@ -559,6 +559,20 @@ def test_powerlaw_alpha_pivoting_past_the_edge_has_exact_mass(m):
     res = check_admissible_weight(WeightProfile.powerlaw(0.5, 1.5625), box([[0, 1], [0, 1]], [m, m]), 2.0)
     assert abs(res["mass"] - 1.0) <= 1e-12
     assert res["admissible"], res["violations"]
+
+
+def test_t_only_alpha_norms_are_exact():
+    # alpha's norms take beta's t-rule.  On a 9^2 box the grid trapezoid
+    # read ||alpha||_2 = (13/12)^(1/2) of this profile 6.7e-3 low, its sup
+    # as 1.39 (the largest grid sample: the peak at t = 0.3 lies between
+    # nodes), and the law's norm, ln(1.5625/0.5625)^(1/2), 1.7e-3 high
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    alpha = WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5])
+    res = check_admissible_weight(alpha, dom, 2.0)
+    assert res["admissible"] and abs(res["alpha_norm"] - 1.040832999733066) <= 1e-13
+    assert check_admissible_weight(alpha, dom, 1)["alpha_norm"] == 1.5
+    law = check_admissible_weight(WeightProfile.powerlaw(0.5, 1.5625), dom, 2.0)
+    assert abs(law["alpha_norm"] - math.log(1.5625 / 0.5625) ** 0.5) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", [WeightProfile.sampled(np.ones((9, 9))),

@@ -1,9 +1,10 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
-rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, the
+rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, only
+t_norm (and a law alpha's |y| moment) integrates weights in t, the
 t-node block rule and the exponent rule stay in _interp, the Cech nerve
-stays in cover, A_alpha calls no K_y, and every function the benchmark's
-tracer wraps exists."""
+stays in cover, A_alpha calls no K_y, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -134,6 +135,15 @@ def test_only_gauss01_builds_gauss_rules():
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "leggauss")}
     assert callers == {("_interp.py", "gauss01")}
+
+
+def test_only_t_norm_integrates_weights():
+    # every t-integral of a weight norm is _interp.t_norm's, so alpha,
+    # beta and gamma take one rule; the one other caller of edge_integral
+    # is the |y| moment of a law alpha pivoting at the right t-edge
+    callers = {(name, fn) for name, tree in _sources().items()
+               for fn in _callers(tree, "edge_integral")}
+    assert callers == {("_interp.py", "t_norm"), ("homotopy.py", "check_admissible_weight")}
 
 
 def test_a_alpha_averages_no_K_y():
