@@ -88,7 +88,12 @@ SCHEMA = {
         "interval": {"type": "array", "minItems": 2, "maxItems": 2},
         "warp": WARP,
         "asymptotic": {"type": "boolean"},
+        # read by the handlers and checked there
+        **{key: {} for key in ("y", "k", "pbar", "alpha", "beta", "gamma", "weight", "t_bounds",
+                               "fiber_bounds", "hdr_zero", "fiber", "lambda", "lam_g",
+                               "b_infinite")},
     },
+    "additionalProperties": False,
     "allOf": [
         {"if": {"properties": {"command": {"const": "homotopy-check"}}},
          "then": {"required": ["domain", "degree"]}},
@@ -103,7 +108,8 @@ SCHEMA = {
     ],
 }
 
-# removed keys and their replacements, refused rather than read as unset
+# removed keys and their replacements, refused before the schema names
+# them as unknown
 REMOVED_KEYS = {"lam": "lambda", "patch_tol": "tolerance"}
 
 
@@ -449,15 +455,15 @@ def main(argv=None):
     except RecursionError as e:
         print(f"schema error: scenario nests too deeply: {e}", file=sys.stderr)
         return 1
+    gone = sorted(REMOVED_KEYS.keys() & sc.keys()) if isinstance(sc, dict) else []
+    if gone:
+        print(f"schema error: {gone[0]!r} was removed; use {REMOVED_KEYS[gone[0]]!r}", file=sys.stderr)
+        return 1
     try:
         jsonschema.validate(sc, SCHEMA)
     except jsonschema.ValidationError as e:
         where = "/".join(map(str, e.absolute_path))
         print(f"schema error: {e.message}" + (f" (at {where})" if where else ""), file=sys.stderr)
-        return 1
-    gone = sorted(REMOVED_KEYS.keys() & sc.keys())
-    if gone:
-        print(f"schema error: {gone[0]!r} was removed; use {REMOVED_KEYS[gone[0]]!r}", file=sys.stderr)
         return 1
 
     out_dir = Path(args.out) if args.out else path.parent

@@ -9,13 +9,14 @@ Everything reduces to the t-integral
 centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
 graded mesh and _interp's exact exponent rule decides finiteness before
-any numbers are trusted.  For sampled beta, or the |x| moment, the sup
-is a grid search over sliding-window integrals on _interp's
-stacked-operator path, as for K_y and A_alpha: one window_stack build
-per distinct axis and pass for each block of t-nodes within
-_interp.STACK_BYTES, applied by apply_axes.  A t-node where a grid
-node's window covers the whole box searches nothing: the integrand is
-nonnegative, so its sup is the whole-box mass, computed once per call.
+any numbers are trusted.  One function, _sup_norms, gives the sup at
+every t-node to C_integral and sup_indicator_norm.  For sampled beta, or
+the |x| moment, it is a grid search over sliding-window integrals on
+_interp's stacked-operator path, as for K_y and A_alpha: one
+window_stack build per distinct axis and pass for each block of t-nodes
+within _interp.STACK_BYTES, applied by apply_axes.  t = 0, and a t-node
+where a grid node's window covers the box, search nothing: the integrand
+is nonnegative, so the sup is the whole-box mass, computed once a call.
 
 The weight norms are _interp's t_norm and weight_norm, the same for
 beta, gamma and alpha: the exact powerlaw_mass of a power law where it
@@ -137,16 +138,17 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     """sup_z of the window integral of qfield, to the power 1/q, for every
     t in nodes.
 
-    A t-node where some grid node's window is the whole box on every axis
-    (t <= 1/2, with a node near the middle) takes the whole-box mass: the
-    integrand is nonnegative, so no window holds more.  That mass comes
-    once per call from the [lo, hi] row of each axis.  Every other t-node
-    is a grid search over z at the sampling resolution plus one local
-    refinement pass, 9 points per axis around its winner; the middle one
-    is the winner itself, so the refined max is the sup.  The window
-    matrices are built once per block of searched t-nodes, one build per
-    distinct axis and pass (_axis_stacks); each row is computed on its
-    own, so blocking leaves every sup unchanged.
+    t = 0, where every window is the whole box, and a t-node where some
+    grid node's window is the whole box on every axis (t <= 1/2, with a
+    node near the middle) take the whole-box mass: the integrand is
+    nonnegative, so no window holds more.  That mass comes once per call
+    from the [lo, hi] row of each axis.  Every other t-node is a grid
+    search over z at the sampling resolution plus one local refinement
+    pass, 9 points per axis around its winner; the middle one is the
+    winner itself, so the refined max is the sup.  The window matrices
+    are built once per block of searched t-nodes, one build per distinct
+    axis and pass (_axis_stacks); each row is computed on its own, so
+    blocking leaves every sup unchanged.
     """
     nodes = np.asarray(nodes, dtype=float)
     coords = [D.axis_coords(ax) for ax in range(D.dim)]
@@ -154,11 +156,12 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     rows = [max(m, 9) for m in D.grid]
     work = (np.empty(math.prod(rows)), np.empty(math.prod(rows)))
     sups = np.empty(len(nodes))
+    live = nodes > 0.0  # at t = 0 every window is the whole box
     covered = np.ones(len(nodes), dtype=bool)
     for ax, z in enumerate(coords):
         lo, hi = D.bounds[ax]
-        wl, wu = _window_ends(D, ax, nodes[:, None], z)
-        covered &= ((wl == lo) & (wu == hi)).any(axis=1)
+        wl, wu = _window_ends(D, ax, nodes[live, None], z)
+        covered[live] &= ((wl == lo) & (wu == hi)).any(axis=1)
     if covered.any():
         full = _axis_stacks(D, [(np.array([[lo]]), np.array([[hi]])) for lo, hi in D.bounds], pl)
         whole = _window_mass_field(qfield, [s[0] for s in full], work).item()
@@ -184,37 +187,47 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     return sups.tolist()
 
 
+def _sup_norms(D, beta, q, nodes, moment="none"):
+    """sup_z || beta(x) 1_{tx+(1-t)D}(z) ||_{L^q(D, dx)} for every t < 1 in
+    nodes, with |x|beta for beta when moment is "|x|"; q as given.
+
+    The window t*x + (1-t)*D ni z has per-axis length L_a*(1-t)/t, so the
+    overlap with D never exceeds L_a*min(1, (1-t)/t) per axis: constant
+    and power-law beta get that exact sliding-window answer.  Every other
+    case is one _sup_window_norms call on beta^q (times |x|^q), a law's
+    exact factor entering the axis-0 windows.
+    """
+    fq = float(q)
+    law = beta.kind == "powerlaw"
+    if moment == "none" and beta.kind in ("constant", "powerlaw"):
+        shrinks = [1.0 if t == 0.0 else min(1.0, (1.0 - t) / t) for t in nodes]
+        if not law:
+            return [beta.value * (D.volume * s**D.dim) ** (1.0 / fq) for s in shrinks]
+        (lo0, hi0), mu = D.bounds[0], law_exponent(beta.lam, q)
+        return [(powerlaw_mass(mu, beta.pivot, lo0, hi0, (hi0 - lo0) * s)
+                 * math.prod((hi - lo) * s for lo, hi in D.bounds[1:])) ** (1.0 / fq)
+                for s in shrinks]
+    qfield = 1.0 if law else beta.sample_on(D) ** fq
+    if moment == "|x|":
+        qfield = qfield * np.sqrt(sum(c**2 for c in D.meshgrid())) ** fq
+    pl = (law_exponent(beta.lam, q), beta.pivot) if law else None
+    return _sup_window_norms(qfield, D, fq, nodes, pl=pl)
+
+
 def sup_indicator_norm(D, beta, q, t):
     """sup_z || beta(x) 1_{tx+(1-t)D}(z) ||_{L^q(D, dx)}.
 
-    The window t*x + (1-t)*D ni z has per-axis length L_a*(1-t)/t, so the
-    overlap with D never exceeds L_a*min(1, (1-t)/t) per axis; constant
-    and power-law weights get the exact sliding-window answer, sampled
-    weights _sup_window_norms: the whole-box mass where a grid node's
-    window covers D, else a grid search, its window matrices built once
-    per distinct axis and pass.  t = 0 gives ||beta||_{L^q(D)}, t = 1
-    gives 0.
+    C_integral's sup rule, _sup_norms, at this t.  t = 0 gives
+    ||beta||_{L^q(D)} (for sampled beta the whole-box mass of its
+    window rows), t = 1 gives 0.
     """
     if D.kind != "box" or any(D.periodic):
         raise ValueError("sup_indicator_norm needs a box domain")
-    fq = float(q)
-    if t < 0.0 or t > 1.0:
+    if not 0.0 <= t <= 1.0:  # a NaN t fails too
         raise ValueError("t must lie in [0, 1]")
     if t == 1.0:
         return 0.0
-    shrink = 1.0 if t == 0.0 else min(1.0, (1.0 - t) / t)
-    if beta.kind == "constant":
-        overlap = D.volume * shrink**D.dim
-        return beta.value * overlap ** (1.0 / fq)
-    if beta.kind == "powerlaw":
-        lo0, hi0 = D.bounds[0]
-        m0 = powerlaw_mass(law_exponent(beta.lam, q), beta.pivot, lo0, hi0, (hi0 - lo0) * shrink)
-        rest = math.prod((hi - lo) * shrink for lo, hi in D.bounds[1:])
-        return (m0 * rest) ** (1.0 / fq)
-    qfield = beta.sample_on(D) ** fq
-    if t == 0.0:
-        return D.integrate(qfield) ** (1.0 / fq)
-    return _sup_window_norms(qfield, D, fq, [t])[0]
+    return _sup_norms(D, beta, q, [t])[0]
 
 
 def _graded_nodes(t_nodes):
@@ -257,26 +270,9 @@ def C_integral(req, moment="none", t_nodes=64):
         raise ValueError("moment must be 'none' or '|x|'")
     if not _c_integral_symbolic(req):
         return math.inf
-    k, p, q = req.k, req.p, req.q
-    beta = req.beta
-
-    qfield = None
-    pl = None
-    if moment == "|x|":
-        radius = np.sqrt(sum(c**2 for c in D.meshgrid()))
-        if beta.kind == "powerlaw":
-            qfield = radius**q
-            pl = (law_exponent(beta.lam, req.exact[1]), beta.pivot)
-        else:
-            qfield = beta.sample_on(D) ** q * radius**q
-    elif beta.kind in ("sampled", "sampled-t"):
-        qfield = beta.sample_on(D) ** q
-
+    k, p = req.k, req.p
     nodes, wts = _graded_nodes(t_nodes)
-    if qfield is None:
-        sups = [sup_indicator_norm(D, beta, req.exact[1], t) for t in nodes]
-    else:
-        sups = _sup_window_norms(qfield, D, q, nodes, pl=pl)
+    sups = _sup_norms(D, req.beta, req.exact[1], nodes, moment)
     total = 0.0
     for t, w, sup in zip(nodes, wts, sups):
         total += w * sup * t**k * (1.0 - t) ** (-D.dim / p)

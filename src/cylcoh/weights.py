@@ -91,8 +91,9 @@ class WeightProfile:
             return np.full(t.shape, self.value)
         if self.kind == "powerlaw":
             gap = self.pivot - t
-            if (gap <= 0).any():
-                raise ValueError("power-law weight evaluated at or past its pivot")
+            # at the pivot the law is bounded when lam <= 0
+            if (gap < 0).any() or (self.lam > 0 and (gap == 0).any()):
+                raise ValueError("power-law weight evaluated past its pivot, or at a singular one")
             return gap**-self.lam
         if self.kind == "sampled-t":
             return np.interp(t, self.tcoords, self.samples)

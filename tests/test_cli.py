@@ -538,6 +538,15 @@ def test_removed_keys_are_refused(tmp_path, capsys, sc, key, use):
     assert capsys.readouterr().err == f"schema error: {key!r} was removed; use {use!r}\n"
 
 
+def test_unknown_key_is_refused(tmp_path, capsys):
+    # a misspelled key is a schema error, not a scenario run as if it were unset
+    sc = {"command": "region", "n": 4, "k": 3, "lamda": 2, "p": 2}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("schema error: ") and "'lamda'" in err
+
+
 def test_glue_grid_scale_keeps_the_cover_fine_enough(tmp_path):
     # halving the README's 33x32 glue keeps 32 nodes on the periodic axis,
     # the fewest the circle cover accepts

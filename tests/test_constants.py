@@ -63,11 +63,22 @@ def test_sup_indicator_halfway_square():
 
 def test_sup_indicator_sampled_t_whole_box_is_one_rule():
     # for t <= 1/2 a window covers the whole box, so the sup is the same
-    # at t = 0 as at t = 0.25: both take the grid mass of beta^q
+    # at t = 0 as at t = 0.25: both take the whole-box mass of beta^q
     dom = box([[0, 1], [0, 1]], [9, 9])
-    beta = WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5])
-    at0 = sup_indicator_norm(dom, beta, 2.0, 0.0)
-    assert sup_indicator_norm(dom, beta, 2.0, 0.25) == pytest.approx(at0, rel=1e-15, abs=0.0)
+    grid = np.random.default_rng(11).uniform(0.5, 2.0, dom.grid)
+    for beta in (WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5]),
+                 WeightProfile.sampled(grid)):
+        for q in (1.0, 2.0):
+            assert sup_indicator_norm(dom, beta, q, 0.25) == sup_indicator_norm(dom, beta, q, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, -0.0625, 1.0625])
+def test_sup_indicator_refuses_t_outside_unit_interval(t):
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    for beta in (WeightProfile.constant(1.0), WeightProfile.powerlaw(0.25, 1.0),
+                 WeightProfile.sampled(np.ones(dom.grid))):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            sup_indicator_norm(dom, beta, 2.0, t)
 
 
 def test_sup_indicator_sampled_matches_constant():
@@ -302,6 +313,22 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
     for t, sup in zip(nodes, seen[0]):
         one = search(qfield, dom, 3.0, [t], pl=(0.75, 1.0))[0]
         assert sup == pytest.approx(one, rel=1e-14, abs=0.0), f"t={t}"
+
+    # constant and power-law beta take the closed form, no window search:
+    # C_integral's per-t sups are sup_indicator_norm's, bitwise
+    sup_norms = constants._sup_norms
+
+    def closed(*args, **kwargs):
+        seen.append(sup_norms(*args, **kwargs))
+        return seen[-1]
+
+    betas = (WeightProfile.constant(1.5), law, WeightProfile.powerlaw(-1.0, 2.0))
+    wants = [[sup_indicator_norm(dom, b, 3.0, t) for t in nodes] for b in betas]
+    monkeypatch.setattr(constants, "_sup_norms", closed)
+    for beta, want in zip(betas, wants):
+        seen.clear()
+        C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=beta), t_nodes=24)
+        assert seen == [want], beta
 
 
 def _covered(D, nodes):

@@ -1,10 +1,10 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, only
-t_norm (and a law alpha's |y| moment) integrates weights in t, the
-t-node block rule and the exponent rule stay in _interp, the Cech nerve
-stays in cover, A_alpha calls no K_y, and every function the
-benchmark's tracer wraps exists."""
+t_norm (and a law alpha's |y| moment) integrates weights in t, one
+function gives the C-integral's sups, the t-node block rule and the
+exponent rule stay in _interp, the Cech nerve stays in cover, A_alpha
+calls no K_y, and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -144,6 +144,15 @@ def test_only_t_norm_integrates_weights():
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "edge_integral")}
     assert callers == {("_interp.py", "t_norm"), ("homotopy.py", "check_admissible_weight")}
+
+
+def test_one_sup_rule_for_the_c_integral():
+    # C_integral and sup_indicator_norm take every sup from _sup_norms,
+    # the one caller of the window search, which takes t = 0 as a covered
+    # node: no function of constants integrates beta on the grid itself
+    tree = _sources()["constants.py"]
+    assert _callers(tree, "_sup_window_norms") == {"_sup_norms"}
+    assert _callers(tree, "integrate") == set()
 
 
 def test_a_alpha_averages_no_K_y():

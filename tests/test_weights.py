@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylcoh import WeightProfile, box, cylinder
+from cylcoh import WeightProfile, box, check_admissible_weight, cylinder
 from cylcoh._interp import powerlaw_mass
 from cylcoh.vanishing import _fit_tail_law
 
@@ -19,6 +19,20 @@ def test_powerlaw_eval():
     w = WeightProfile.powerlaw(2.0, 1.0)
     ts = np.array([0.0, 0.5, 0.75])
     assert np.allclose(w.eval_t(ts), (1.0 - ts) ** -2)
+
+
+def test_powerlaw_at_its_pivot_is_refused_only_when_singular():
+    # (1-t)^(1/2) is bounded at its pivot: alpha = that law has finite norms
+    # on the unit square, its |y| moment sampled at the pivot node
+    dom = box([[0, 1], [0, 1]], [9, 9])
+    adm = check_admissible_weight(WeightProfile.powerlaw(-0.5, 1.0), dom, 2)
+    assert adm["mass"] == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert adm["alpha_norm"] == pytest.approx(0.5**0.5, rel=1e-12)
+    assert math.isfinite(adm["moment_norm"])
+    assert list(WeightProfile.powerlaw(0.0, 1.0).eval_t([0.5, 1.0])) == [1.0, 1.0]
+    for lam, t in ((0.5, 1.0), (-0.5, 1.5), (0.0, 1.5)):
+        with pytest.raises(ValueError, match="past its pivot, or at a singular one"):
+            WeightProfile.powerlaw(lam, 1.0).eval_t([0.0, t])
 
 
 def test_sampled_t_interpolates():
