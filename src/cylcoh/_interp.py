@@ -10,7 +10,10 @@ and window matrices for integrals over per-point intervals.  The window
 matrices integrate the piecewise-linear interpolant, optionally against
 a power-law factor or a power of the distance to each hat's own node,
 exactly; this keeps the averaging pipeline exact on multilinear
-coefficient fields.
+coefficient fields.  One local rule builds every window row: each cell
+the window overlaps adds its two hat integrals over the overlap alone
+(GAUSS2, or _pl_primitive for a law), so a narrow window is exact to
+rounding too.
 
 K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
 splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
@@ -19,8 +22,11 @@ per block, each axis's matrices for every t-node come from one build
 serve every field; and every product is an axis_product, one matmul
 into a reused buffer rather than a fresh array (apply_axes chains one
 per axis).  Every row is built on its own, so the blocking leaves every
-value unchanged.  window_rows keeps its read-only stacks in a memo
-bounded by MEMO_BYTES, so charts that share an axis build its rows once.
+value unchanged.  One memo, bounded by MEMO_BYTES and least recently
+used out first, keeps every built window stack read-only: window_rows'
+for A_alpha, so charts that share an axis build its rows once, and the
+C-integral's grid windows, so a repeated constant builds only its
+refinement's.
 
 Every weight norm of alpha, beta and gamma lives here too: weight_norm
 over a box, a t-only profile's t_norm times the fiber measure.  t_norm
@@ -70,10 +76,12 @@ def tanh_sinh01(step, reach):
 
 # exact to rounding on analytic pieces with algebraic ends or kinks there
 TANH_SINH = tanh_sinh01(1.0 / 16.0, 60)
+# window_matrix's rule, exact on its hat integrands of degree <= 3
+GAUSS2 = gauss01(2)
 
-# byte bound of the window-row memo of window_rows
+# byte bound of memo, which holds every retained window matrix
 MEMO_BYTES = 4 * STACK_BYTES
-# window_rows' read-only stacks, least recently used first
+# memo's read-only arrays, least recently used first
 _ROW_MEMO = {}
 
 
@@ -85,31 +93,20 @@ def node_blocks(count, node_bytes):
     return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
-def _axis_locate(domain, ax, coords):
-    """Per-axis cell index and fraction, clamped to the axis."""
-    lo, hi = domain.bounds[ax]
-    m = domain.grid[ax]
-    h = domain.spacing(ax)
-    c = np.asarray(coords, dtype=float)
-    u = (np.clip(c, lo, hi) - lo) / h
-    i = np.clip(u.astype(int), 0, m - 2)
-    return i, i + 1, u - i
-
-
 def _axis_stencil(domain, ax, coords):
     """Interpolation taps along one axis: (indices, weights), shape (taps, n).
 
     Cubic Lagrange on 4 consecutive nodes where the axis allows it,
-    otherwise the 2-point linear stencil.
+    otherwise the 2-point linear stencil; coords are clamped to the axis.
     """
-    m = domain.grid[ax]
-    if m < 4:
-        i, ip1, frac = _axis_locate(domain, ax, coords)
-        return np.stack([i, ip1]), np.stack([1.0 - frac, frac])
     lo, hi = domain.bounds[ax]
+    m = domain.grid[ax]
     h = domain.spacing(ax)
-    c = np.asarray(coords, dtype=float)
-    u = (np.clip(c, lo, hi) - lo) / h
+    u = (np.clip(np.asarray(coords, dtype=float), lo, hi) - lo) / h
+    if m < 4:
+        i = np.clip(u.astype(int), 0, m - 2)
+        frac = u - i
+        return np.stack([i, i + 1]), np.stack([1.0 - frac, frac])
     b = np.minimum(u.astype(int), m - 2)
     start = np.clip(b - 1, 0, m - 4)
     idx = np.stack([start + r for r in range(4)])
@@ -245,12 +242,14 @@ def diverges(e, pivot, hi, m=0):
     return pivot == hi and _exceeds(e, (1, 1), m, pivot, reach=True)
 
 
-def _pl_primitive(left, right, e):
-    """int_right^left u^(e-1) du for left > 0, elementwise (inf at right =
-    0 is the divergent branch), as left^e (1 - (right/left)^e)/e by log1p
-    and expm1: exact to rounding for right near left or 0 and e near 0."""
+def _pl_primitive(left, gap, e):
+    """int_(left-gap)^left u^(e-1) du for 0 <= gap <= left, elementwise
+    (inf at gap = left is the divergent branch), as left^e (1 - (1 -
+    gap/left)^e)/e by log1p and expm1: exact to rounding for any gap and
+    for e near 0.  A zero gap gives 0, at left = 0 too (a zero-width cell
+    at the pivot)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.log1p((right - left) / left)  # log(right/left)
+        log_ratio = np.log1p(np.divide(-gap, left, out=np.zeros(np.shape(gap)), where=gap != 0))
         if e == 0.0:
             return -log_ratio
         return left**e * -np.expm1(e * log_ratio) / e
@@ -258,10 +257,11 @@ def _pl_primitive(left, right, e):
 
 def powerlaw_mass(e, pivot, lo, hi, width=math.inf, m=0):
     """Heaviest integral of |s|^m (pivot - s)^-e over a window of length
-    width in [lo, hi), exact; math.inf when it diverges.  At pivot 0,
-    |s|^m = (0 - s)^m joins the law; at another pivot a finite mass with
-    m != 0 is None (edge_integral takes that factor).  The heaviest window
-    hugs hi when the law's exponent is > 0, else lo.
+    width in [lo, hi), exact; math.inf when it diverges.  width may be an
+    array of lengths, one mass each.  At pivot 0, |s|^m = (0 - s)^m joins
+    the law; at another pivot a finite mass with m != 0 is None
+    (edge_integral takes that factor).  The heaviest window hugs hi when
+    the law's exponent is > 0, else lo.
     """
     if not pivot >= hi:  # a NaN pivot fails too
         raise ValueError(f"power-law pivot {pivot:g} is below the end of [{lo:g}, {hi:g}): "
@@ -271,12 +271,9 @@ def powerlaw_mass(e, pivot, lo, hi, width=math.inf, m=0):
     if m and pivot != 0:
         return None
     e = _frac(e) - _frac(m)
-    width = min(width, hi - lo)
-    if e > 0:
-        left, right = pivot - hi + width, pivot - hi
-    else:
-        left, right = pivot - lo, pivot - lo - width
-    return float(_pl_primitive(left, right, float(1 - e)))
+    width = np.minimum(width, hi - lo)
+    mass = _pl_primitive(pivot - hi + width if e > 0 else pivot - lo, width, float(1 - e))
+    return mass if mass.ndim else float(mass)
 
 
 def edge_integral(e, lo, hi, w, cuts=()):
@@ -356,57 +353,45 @@ def weight_norm(weight, q, D):
     return float(D.integrate(samples ** float(q)) ** (1.0 / float(q)))
 
 
-def _hat_integrals(domain, ax, i, theta, weight):
-    """(int w*(1-u), int w*u) over the first fraction theta of cell i
-    along ax: the weight w against the cell's two hat functions, with u
-    the position in the cell in units of the spacing h.  An int weight n
-    is (s - node)^n about each hat's own node; (u-1)^2 u = u(1-u) - u^2(1-u)."""
-    h = domain.spacing(ax)
-    if weight in (1, 2):
-        down = h * h * theta * theta * (0.5 - theta / 3.0)
-        down2 = h**3 * theta**3 * (1.0 / 3.0 - 0.25 * theta)
-        return (down, -down) if weight == 1 else (down2, h * down - down2)
-    if weight is None:
-        whole = h * theta
-        up = 0.5 * h * theta * theta
-    else:
-        mu, piv = _frac(weight[0]), weight[1]
-        x = domain.bounds[ax][0] + h * i
-        far, near = piv - x, piv - x - h * theta
-        whole = _pl_primitive(far, near, float(1 - mu))
-        up = (far * whole - _pl_primitive(far, near, float(2 - mu))) / h
-    return whole - up, up
-
-
 def window_matrix(domain, ax, lower, upper, weight=None):
     """The window integrals of the interpolant along one axis, as a matrix.
 
     Row r maps the node values along ax to the exact integral of
     weight(s) times their piecewise-linear interpolant over
-    [lower[r], upper[r]].  weight is None (1), (mu, pivot) for
-    (pivot - s)^-mu, or an int n: column i then takes (s - x_i)^n.  Row
-    i of the running matrix integrates from the axis lower bound to node
-    i; each window end adds its partial cell to that row, so a window row
-    holds only the cells it covers.
+    [lower[r], upper[r]], clamped to the axis.  weight is None (1),
+    (mu, pivot) for (pivot - s)^-mu, or an int n: column i then takes
+    (s - x_i)^n.  Each window is clipped to every cell [x_c, x_c + h],
+    and the overlap [a, a + w] adds the integrals of the cell's two hats
+    to columns c and c + 1, from a - x_c and w themselves: GAUSS2 for a
+    polynomial weight (hat integrands of degree <= 3), _pl_primitive over
+    the gap w for a law.  A row is a sum of local terms, so it is exact to
+    rounding whatever the window's width.
     """
-    m = domain.grid[ax]
-    cells = np.arange(m - 1)
-    down, up = _hat_integrals(domain, ax, cells, 1.0, weight)
-    running = np.zeros((m, m))
-    running[cells + 1, cells] = down
-    running[cells + 1, cells + 1] = up
-    running = np.cumsum(running, axis=0)
-
-    def antideriv(coords):
-        i, ip1, theta = _axis_locate(domain, ax, coords)
-        down, up = _hat_integrals(domain, ax, i, theta, weight)
-        rows = running[i]
-        r = np.arange(len(i))
-        rows[r, i] += down
-        rows[r, ip1] += up
-        return rows
-
-    return antideriv(upper) - antideriv(lower)
+    xs = domain.axis_coords(ax)
+    h = domain.spacing(ax)
+    a = np.clip(np.asarray(lower, dtype=float)[:, None], xs[:-1], xs[1:])
+    w = np.clip(np.asarray(upper, dtype=float)[:, None], xs[:-1], xs[1:])
+    w -= a
+    rows = np.zeros((len(a), xs.size))
+    if isinstance(weight, tuple):
+        mu, pivot = _frac(weight[0]), weight[1]
+        far = pivot - a
+        whole = _pl_primitive(far, w, float(1 - mu))
+        # int (s - a) (pivot - s)^-mu ds = far * whole - int (pivot - s)^(1-mu) ds
+        up = far * whole - _pl_primitive(far, w, float(2 - mu))
+        a -= xs[:-1]  # the overlap's start in its cell
+        up += a * whole
+        up /= h
+        rows[:, :-1] = whole - up
+        rows[:, 1:] += up
+    else:
+        n = weight or 0
+        a -= xs[:-1]  # the overlap's start in its cell
+        for g, gw in zip(*GAUSS2):
+            u = (a + w * g) / h  # the Gauss point in units of h from x_c
+            rows[:, :-1] += gw * w * (1.0 - u) * (h * u) ** n
+            rows[:, 1:] += gw * w * u * (h * (u - 1.0)) ** n
+    return rows
 
 
 def window_stack(domain, ax, lower, upper, weight=None):
@@ -450,17 +435,25 @@ def window_rows(domain, ax, t, cuts, vals):
     between the images of cuts, where it is vals.
 
     Built once per axis (lo, hi, m), t-node block and pieces (cuts,
-    vals), and kept in _ROW_MEMO within MEMO_BYTES, least recently used
-    out first.  The rows carry no factor of a form's degree or of the
-    domain's volume, so charts that share an axis share its rows.
+    vals), and kept by memo.  The rows carry no factor of a form's degree
+    or of the domain's volume, so charts that share an axis share its
+    rows.
     """
     cuts, vals = np.asarray(cuts, dtype=float), np.asarray(vals, dtype=float)
-    key = (domain.bounds[ax], domain.grid[ax], domain.periodic[ax],
+    key = (_window_rows, domain.bounds[ax], domain.grid[ax], domain.periodic[ax],
            t.tobytes(), cuts.tobytes(), vals.tobytes())
-    rows = _ROW_MEMO.pop(key, None)
-    if rows is None:
-        rows = read_only(_window_rows(domain, ax, t, cuts, vals))
-    _ROW_MEMO[key] = rows
-    while sum(a.nbytes for pair in _ROW_MEMO.values() for a in pair) > MEMO_BYTES:
+    return memo(key, lambda: _window_rows(domain, ax, t, cuts, vals))
+
+
+def memo(key, build):
+    """The read-only tuple of arrays build() returns, kept in _ROW_MEMO
+    under key within MEMO_BYTES, least recently used out first: a later
+    call with the same key builds nothing.  Every retained window matrix
+    is held here, so one bound covers them all."""
+    arrays = _ROW_MEMO.pop(key, None)
+    if arrays is None:
+        arrays = read_only(build())
+    _ROW_MEMO[key] = arrays
+    while sum(a.nbytes for held in _ROW_MEMO.values() for a in held) > MEMO_BYTES:
         del _ROW_MEMO[next(iter(_ROW_MEMO))]
-    return rows
+    return arrays

@@ -12,11 +12,14 @@ graded mesh and _interp's exact exponent rule decides finiteness before
 any numbers are trusted.  One function, _sup_norms, gives the sup at
 every t-node to C_integral and sup_indicator_norm.  For sampled beta, or
 the |x| moment, it is a grid search over sliding-window integrals on
-_interp's stacked-operator path, as for K_y and A_alpha: one
-window_stack build per distinct axis and pass for each block of t-nodes
-within _interp.STACK_BYTES, applied by apply_axes.  t = 0, and a t-node
-where a grid node's window covers the box, search nothing: the integrand
-is nonnegative, so the sup is the whole-box mass, computed once a call.
+_interp's stacked-operator path, as for K_y and A_alpha: per block of
+t-nodes within _interp.STACK_BYTES, one window_stack per distinct axis
+and pass, applied by apply_axes.  The grid's and the whole box's stacks
+are kept by _interp.memo, the one memo of A_alpha's window rows too, so
+a later call on the same box and t-nodes builds only its refinement's.
+t = 0, and a t-node where a grid node's window covers the box, search
+nothing: the integrand is nonnegative, so the sup is the whole-box mass,
+computed once a call.
 
 The weight norms are _interp's t_norm and weight_norm, the same for
 beta, gamma and alpha: the exact powerlaw_mass of a power law where it
@@ -28,7 +31,7 @@ import math
 
 import numpy as np
 
-from ._interp import (_frac, apply_axes, diverges, gauss01, law_exponent, node_blocks,
+from ._interp import (_frac, apply_axes, diverges, gauss01, law_exponent, memo, node_blocks,
                       powerlaw_mass, t_norm, weight_norm, window_stack)
 from .homotopy import check_admissible_weight
 from .vanishing import _window
@@ -105,29 +108,32 @@ def _window_ends(D, ax, t, z):
     return wl, np.maximum(wu, wl)
 
 
-def _axis_stacks(D, ends, pl=None):
-    """One window_stack per axis over that axis's (lower, upper) ends,
-    built once per distinct (bounds, m, ends, weight): the axes of a cube
-    share one build.  pl = (mu, pivot) weights axis 0 by the exact
-    power-law factor (pivot-s)^-mu instead of treating it as part of the
-    samples."""
-    built, stacks = {}, []
-    for ax, (wl, wu) in enumerate(ends):
-        weight = pl if ax == 0 else None
-        key = (D.bounds[ax], D.grid[ax], wl.shape, wl.tobytes(), wu.tobytes(), weight)
-        if key not in built:
-            built[key] = window_stack(D, ax, wl, wu, weight)
-        stacks.append(built[key])
-    return stacks
-
-
 def _window_stacks(D, nodes, coords, pl=None):
     """The window matrices of the z in coords for every t in nodes, per
-    axis stacked to shape (len(nodes), len(z), m), from _axis_stacks.  The
-    window of z is the product of its _window_ends.  coords[ax] is one z
-    vector for every t-node or one row per t-node."""
-    t = np.asarray(nodes, dtype=float)[:, None]
-    return _axis_stacks(D, [_window_ends(D, ax, t, z) for ax, z in enumerate(coords)], pl)
+    axis stacked to shape (len(nodes), len(z), m).  The window of z is
+    the product of its _window_ends; nodes None gives the whole box, one
+    [lo, hi] window per axis.  coords[ax] is one z vector for every t-node
+    (the grid) or one row per t-node (a refinement).  pl = (mu, pivot)
+    weights axis 0 by the exact power-law factor (pivot-s)^-mu instead of
+    treating it as part of the samples.  The axes of a cube that share
+    their windows share one build.  The grid's and the whole box's stacks
+    are kept by _interp.memo, keyed by axis, ends and weight, so a later
+    call builds none of them; a refinement's windows follow beta through
+    its winners, and its stacks are built for this call only."""
+    stacks, built = [], {}
+    for ax, z in enumerate(coords):
+        if nodes is None:
+            wl, wu = (np.array([[end]]) for end in D.bounds[ax])
+        else:
+            wl, wu = _window_ends(D, ax, np.asarray(nodes, dtype=float)[:, None], z)
+        weight = pl if ax == 0 else None
+        key = (window_stack, D.bounds[ax], D.grid[ax], wl.shape, wl.tobytes(), wu.tobytes(), weight)
+        if key not in built:
+            def build():
+                return (window_stack(D, ax, wl, wu, weight),)
+            built[key] = (build() if np.ndim(z) > 1 else memo(key, build))[0]
+        stacks.append(built[key])
+    return stacks
 
 
 # perfbench/tracing.py wraps _window_mass_field here: call it by this name
@@ -146,8 +152,8 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     search over z at the sampling resolution plus one local refinement
     pass, 9 points per axis around its winner; the middle one is the
     winner itself, so the refined max is the sup.  The window matrices
-    are built once per block of searched t-nodes, one build per distinct
-    axis and pass (_axis_stacks); each row is computed on its own, so
+    come per block of searched t-nodes from _window_stacks, at most one
+    build per distinct axis and pass; each row is computed on its own, so
     blocking leaves every sup unchanged.
     """
     nodes = np.asarray(nodes, dtype=float)
@@ -163,7 +169,7 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
         wl, wu = _window_ends(D, ax, nodes[live, None], z)
         covered[live] &= ((wl == lo) & (wu == hi)).any(axis=1)
     if covered.any():
-        full = _axis_stacks(D, [(np.array([[lo]]), np.array([[hi]])) for lo, hi in D.bounds], pl)
+        full = _window_stacks(D, None, coords, pl)
         whole = _window_mass_field(qfield, [s[0] for s in full], work).item()
         sups[covered] = max(whole, 0.0) ** (1.0 / q)
     search = np.flatnonzero(~covered)
@@ -203,10 +209,10 @@ def _sup_norms(D, beta, q, nodes, moment="none"):
         shrinks = [1.0 if t == 0.0 else min(1.0, (1.0 - t) / t) for t in nodes]
         if not law:
             return [beta.value * (D.volume * s**D.dim) ** (1.0 / fq) for s in shrinks]
-        (lo0, hi0), mu = D.bounds[0], law_exponent(beta.lam, q)
-        return [(powerlaw_mass(mu, beta.pivot, lo0, hi0, (hi0 - lo0) * s)
-                 * math.prod((hi - lo) * s for lo, hi in D.bounds[1:])) ** (1.0 / fq)
-                for s in shrinks]
+        (lo0, hi0), s = D.bounds[0], np.array(shrinks)
+        mass = powerlaw_mass(law_exponent(beta.lam, q), beta.pivot, lo0, hi0, (hi0 - lo0) * s)
+        fiber = math.prod(((hi - lo) * s for lo, hi in D.bounds[1:]), start=np.ones(len(s)))
+        return ((mass * fiber) ** (1.0 / fq)).tolist()
     qfield = 1.0 if law else beta.sample_on(D) ** fq
     if moment == "|x|":
         qfield = qfield * np.sqrt(sum(c**2 for c in D.meshgrid())) ** fq

@@ -143,6 +143,66 @@ def test_window_matrix_row_matches_powerlaw_mass(lam, q, shift):
         assert heaviest == pytest.approx(mass, rel=1e-14, abs=0.0), f"width={width}"
 
 
+def test_window_rows_reaching_the_pivot_take_its_whole_mass():
+    # a law singular at the axis end: a window [a, hi] integrates the law
+    # up to the pivot itself.  On [0.3, 1.4] the sum lo + 16 h misses hi
+    # by rounding, and a window end placed there left out a sliver whose
+    # share of the mass (pivot - s)^-0.9 is not small: 3% of [1.3, 1.4]
+    lo, hi, mu = 0.3, 1.4, 0.9
+    dom = box([[lo, hi]], [17])
+    e = float(1 - Fraction(mu))
+    for a in (lo, 1.0, 1.3, 1.39, dom.axis_coords(0)[15]):
+        row = window_matrix(dom, 0, np.array([a]), np.array([hi]), (mu, hi))[0]
+        assert row.sum() == pytest.approx((hi - a) ** e / e, rel=1e-14, abs=0.0), a
+
+
+def _window_row_40_digits(a, b, weight, m):
+    """The window row of [a, b] on m nodes of [0, 1] at 40 digits: per
+    cell, int (s - y) v(s) ds of each hat (s - y)/(x_other - y) against
+    v(s) = (s - x_i)^n, or (1 - s)^-mu for the law (mu, 1.0), by closed
+    antiderivatives in the hat's own local variable."""
+    with mpmath.workdps(40):
+        a, b, h = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(1) / (m - 1)
+        row = [mpmath.mpf(0)] * m
+        for c in range(m - 1):
+            lo, hi = max(a, c * h), min(b, (c + 1) * h)
+            if lo >= hi:
+                continue
+            for i, y in ((c, (c + 1) * h), (c + 1, c * h)):
+                x = i * h
+                if isinstance(weight, tuple):
+                    mu = mpmath.mpf(weight[0])
+                    # v = 1 - s: (s - y) = (1 - y) - v
+                    def prim(v):
+                        return (1 - y) * v ** (1 - mu) / (1 - mu) - v ** (2 - mu) / (2 - mu)
+                    val = prim(1 - lo) - prim(1 - hi)
+                else:
+                    n = weight or 0
+                    # v = s - x: (s - y) = v + (x - y)
+                    def prim(v):
+                        return v ** (n + 2) / (n + 2) + (x - y) * v ** (n + 1) / (n + 1)
+                    val = prim(hi - x) - prim(lo - x)
+                row[i] += val / (x - y)
+        return [float(r) for r in row]
+
+
+@pytest.mark.parametrize("weight", [None, 1, 2, (0.25, 1.0)], ids=["None", "1", "2", "law"])
+def test_window_rows_exact_for_narrow_windows(weight):
+    # 400 random windows of width 10^U(-8, 0) on 17 nodes of [0, 1]: each
+    # row is a sum of local cell terms, so it matches a 40-digit reference
+    # to 1e-14 of its absolute sum whatever its width.  Running sums from
+    # the axis end missed by up to 2.3e-8 here (the law)
+    dom = box([[0.0, 1.0]], [17])
+    rng = np.random.default_rng(14)
+    width = 10.0 ** rng.uniform(-8.0, 0.0, 400)
+    lower = rng.uniform(0.0, 1.0 - width)
+    upper = lower + width
+    got = window_matrix(dom, 0, lower, upper, weight)
+    for a, b, row in zip(lower, upper, got):
+        ref = np.array(_window_row_40_digits(a, b, weight, 17))
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).sum(), (a, b - a)
+
+
 @pytest.mark.parametrize("e", [0.5, 0.9, 0.98])
 @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
 def test_t_moment_norm_matches_beta_function(e, q):
@@ -429,12 +489,14 @@ def test_sup_window_search_skips_covered_nodes(monkeypatch):
 
 
 def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
-    # one window_matrix call per distinct axis and pass for each block of
-    # searched t-nodes: the coarse search, the refinement, and once per
-    # call the whole-box rows.  beta = (1+x)(3-y)(1+z) is separable, so
-    # the x and z winners sit on the same node, y's elsewhere: the
-    # refinement shares x's rows with z, never with y.  At the CLI maxima
-    # (257^2, 256 t-nodes) the blocks' builds stay within the byte budget
+    # from a cold memo, one window_matrix call per distinct axis and pass
+    # for each block of searched t-nodes: the coarse search, the
+    # refinement, and the whole-box rows.  beta = (1+x)(3-y)(1+z) is
+    # separable, so the x and z winners sit on the same node, y's
+    # elsewhere: the refinement shares x's rows with z, never with y.  A
+    # second identical call builds the refinement's rows only.  At the CLI
+    # maxima (257^2, 256 t-nodes) the blocks' builds stay within the byte
+    # budget
     calls = []
     build = _interp.window_matrix
 
@@ -442,10 +504,12 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
         calls.append(len(lower))
         return build(domain, ax, lower, upper, weight)
 
-    def run(dom, t_nodes):
+    def run(dom, t_nodes, cold=True):
         c = dom.meshgrid()
         beta = (1.0 + c[0]) * (3.0 - c[1]) * (1.0 + c[2] if dom.dim > 2 else 1.0)
         calls.clear()
+        if cold:
+            monkeypatch.setattr(_interp, "_ROW_MEMO", {})
         C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=WeightProfile.sampled(beta)),
                    t_nodes=t_nodes)
         return sorted(calls), int((~_covered(dom, _graded_nodes(t_nodes)[0])).sum())
@@ -460,6 +524,9 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
             # whole box, refinement of x (and z) and of y, coarse search
             assert got == sorted([1] * len(distinct) + [searched * 9] * 2
                                  + [searched * m for _, m in distinct]), (grid, t_nodes)
+            # the grid's and the whole box's rows are kept, the
+            # refinement's follow beta and are built again
+            assert run(dom, t_nodes, cold=False)[0] == [searched * 9] * 2, (grid, t_nodes)
 
     dom = box([[0, 1], [0, 1]], [257, 257])
     got, searched = run(dom, 256)

@@ -540,6 +540,22 @@ def test_A_alpha_matches_gauss_oracle(bounds, grid, k, knots):
         assert np.abs(got[idx] - f).max() <= 1e-10 * scale, idx
 
 
+def test_sloped_A_alpha_matches_gauss_oracle_near_t_1():
+    # 9 random knots: each piece's slope reaches the rows as slope/(1-t),
+    # largest at the t-nodes next to 1, where the windows are narrowest.
+    # Rows built from local cell terms keep A_alpha at the oracle to 1e-12
+    # at 256 t-nodes; running sums from the axis end missed by 5.0e-7
+    dom = box([[-0.3, 1.1], [0.2, 2.0], [0.5, 1.0]], (9, 7, 5))
+    rng = np.random.default_rng(28)
+    alpha = _unit_sampled_t(dom, np.sort(rng.uniform(-0.3, 1.1, 9)), rng.uniform(0.5, 2.0, 9))
+    om = _multilinear_form(dom, 2, rng)
+    got = A_alpha(om, alpha, t_nodes=256)
+    want = gauss_averaged_K(om, alpha, 256)
+    scale = max(np.abs(f).max() for f in want.coeffs.values())
+    for idx, f in want.coeffs.items():
+        assert np.abs(got[idx] - f).max() <= 1e-12 * scale, idx
+
+
 def test_piecewise_linear_alpha_mass_is_exact():
     # knots [0, 0.3, 1] off the 33-node grid: the exact mass is 1, where
     # trapezoids on the domain grid or a y-grid read below it

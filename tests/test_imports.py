@@ -1,10 +1,11 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
-rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, only
-t_norm (and a law alpha's |y| moment) integrates weights in t, one
-function gives the C-integral's sups, the t-node block rule and the
-exponent rule stay in _interp, the Cech nerve stays in cover, A_alpha
-calls no K_y, and every function the benchmark's tracer wraps exists."""
+rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, one
+memo holds every retained window matrix, only t_norm (and a law alpha's
+|y| moment) integrates weights in t, one function gives the C-integral's
+sups, the t-node block rule and the exponent rule stay in _interp, the
+Cech nerve stays in cover, A_alpha calls no K_y, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -113,14 +114,15 @@ def test_no_fixed_rule_rebuilt_per_call():
     assert rebuilt == {}
 
 
-def _callers(tree, name):
-    """The innermost function around each call of name (None at module level)."""
+def _owners(tree, hit):
+    """The innermost function around each node that hit accepts (None at
+    module level)."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        elif isinstance(node, ast.Call) and _call_name(node) == name:
+        elif hit(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -129,12 +131,26 @@ def _callers(tree, name):
     return found
 
 
+def _callers(tree, name):
+    """The innermost function around each call of name (None at module level)."""
+    return _owners(tree, lambda node: isinstance(node, ast.Call) and _call_name(node) == name)
+
+
 def test_only_gauss01_builds_gauss_rules():
     # gauss01 keeps one read-only rule per node count; a leggauss call
     # anywhere else would build a rule per call again
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "leggauss")}
     assert callers == {("_interp.py", "gauss01")}
+
+
+def test_one_memo_holds_every_window_matrix():
+    # _ROW_MEMO is named only where it is defined and inside _interp.memo,
+    # so one bounded rule, within MEMO_BYTES, holds every retained window
+    # matrix: A_alpha's rows and the C-integral's stacks alike
+    namers = {(name, fn) for name, tree in _sources().items()
+              for fn in _owners(tree, lambda node: getattr(node, "id", None) == "_ROW_MEMO")}
+    assert namers == {("_interp.py", None), ("_interp.py", "memo")}
 
 
 def test_only_t_norm_integrates_weights():
