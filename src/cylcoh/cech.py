@@ -50,17 +50,11 @@ class CechCochain:
         return sorted(self.data.items(), key=lambda kv: kv[0])
 
     def max_abs(self):
-        return max((f.max_abs() for _, f in self.data.items()), default=0.0)
-
-    def map(self, fn):
-        return CechCochain(
-            self.cover, self.depth, self.degree, {key: fn(f) for key, f in self.data.items()}
-        )
+        return float(np.max([f.max_abs() for f in self.data.values()], initial=0.0))
 
     def d(self):
-        out = self.map(exterior_derivative)
-        out.degree = self.degree + 1
-        return out
+        return CechCochain(self.cover, self.depth, self.degree + 1,
+                           {key: exterior_derivative(f) for key, f in self.data.items()})
 
     def __sub__(self, other):
         if set(self.data) != set(other.data):
@@ -78,17 +72,15 @@ class CechCochain:
 
 def coboundary(lam):
     """Alternating sum of restrictions, one Cech depth up; at depth 0 it
-    restricts the global form to every patch."""
+    restricts the global form to every patch.  Each cell's form is made
+    once and every face's restriction is added into it in face order."""
     data = {}
     for key, chart, faces, _ in lam.cover.cells(lam.depth + 1):
-        acc = None
+        acc = data[key] = GridForm(chart, lam.degree)
         for sign, _, parent, ix in faces:
-            src = lam.data[parent]
-            piece = GridForm(chart, src.degree, {idx: arr[ix] for idx, arr in src.coeffs.items()})
-            if sign < 0:
-                piece = -piece
-            acc = piece if acc is None else acc + piece
-        data[key] = acc
+            op = np.add if sign > 0 else np.subtract
+            for idx, arr in lam.data[parent].coeffs.items():
+                op(acc.coeffs[idx], arr[ix], out=acc.coeffs[idx])
     return CechCochain(lam.cover, lam.depth + 1, lam.degree, data)
 
 
@@ -116,7 +108,7 @@ def _cocycle_residual(lam):
         for arr in form.coeffs.values():
             sub = arr[sl]
             if sub.size:
-                worst = max(worst, float(np.max(np.abs(sub))))
+                worst = float(np.maximum(worst, np.max(np.abs(sub))))
     scale = max(lam.max_abs(), 1e-30)
     return worst / scale
 
@@ -132,9 +124,9 @@ def solve_coboundary(lam, pou, tol=1e-8):
     """
     cover = lam.cover
     res = _cocycle_residual(lam)
-    if res > tol:
+    if not res <= tol:
         raise ValueError(f"input is not a cocycle: coboundary residual {res:.3e}")
-    data = {key: GridForm.zeros(chart, lam.degree)
+    data = {key: GridForm(chart, lam.degree)
             for key, chart, _, _ in cover.cells(lam.depth - 1)}
     # each cell (K, kcomp) feeds its faces' parents, so every kappa_I sums
     # its terms in K order, then components(K) order
@@ -147,24 +139,21 @@ def solve_coboundary(lam, pou, tol=1e-8):
     return CechCochain(cover, lam.depth - 1, lam.degree, data), res
 
 
-def _uniform_solve(form, t_nodes):
-    alpha = WeightProfile.constant(1.0 / form.domain.volume)
-    return A_alpha(form, alpha, t_nodes=t_nodes)
-
-
 def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
     """Local primitives down the double complex: xi^s of degree k-1-s with
     d(xi^s) = (delta xi^{s-1}) per component, starting from omega itself.
 
     Returns (xi_list, residuals): residuals[s] is the largest relative
     patch-solve residual at depth s."""
+    if omega.domain != cover.domain:
+        raise ValueError(f"the cover is on {cover.domain!r}, not on omega's {omega.domain!r}")
     k = omega.degree
     if k < 1:
         raise ValueError("need a form of degree at least 1 to glue")
     scale = max(omega.max_abs(), 1e-30)
     if k < omega.domain.dim:
         closed_res = exterior_derivative(omega).max_abs() / scale
-        if closed_res > tol:
+        if not closed_res <= tol:
             raise ValueError(f"omega is not closed: d-residual {closed_res:.3e}")
     xi_list = []
     residuals = []
@@ -174,14 +163,14 @@ def descend_xi(omega, cover, t_nodes=32, tol=1e-6):
         worst = 0.0
         lam_scale = max(lam.max_abs(), 1e-30)
         for (I, comp), form in lam.entries():
-            xi = _uniform_solve(form, t_nodes)
+            xi = A_alpha(form, WeightProfile.constant(1.0 / form.domain.volume), t_nodes=t_nodes)
             res = (exterior_derivative(xi) - form).max_abs() / lam_scale
-            if res > tol:
+            if not res <= tol:
                 raise ValueError(
                     f"patch solve failed at depth {s} on V_{I}: residual {res:.3e}"
                 )
             data[(I, comp)] = xi
-            worst = max(worst, res)
+            worst = float(np.maximum(worst, res))
         xi_list.append(CechCochain(cover, lam.depth, k - 1 - s, data))
         residuals.append(worst)
         if s < k - 1:
@@ -207,7 +196,7 @@ def constant_correction(xi_last, tol=1e-8):
     for rix, (key, _, faces, _) in enumerate(rows):
         vals = lam.data[key].coeffs[()]
         mean = float(vals.mean())
-        drift = max(drift, float(np.max(np.abs(vals - mean))))
+        drift = float(np.maximum(drift, np.max(np.abs(vals - mean))))
         b[rix] = mean
         for sign, _, parent, _ in faces:
             A[rix, col[parent]] += sign
@@ -217,11 +206,11 @@ def constant_correction(xi_last, tol=1e-8):
     else:
         sol = np.zeros(len(unknowns))
         res = 0.0
-    if res > tol * max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0):
+    if not res <= tol * max(1.0, float(np.max(np.abs(b))) if len(b) else 1.0):
         raise ValueError(f"cover cocycle obstruction: residual {res:.3e}")
     data = {}
     for i, (key, chart, _, _) in enumerate(unknowns):
-        c = GridForm.zeros(chart, 0)
+        c = GridForm(chart, 0)
         c.coeffs[()] += sol[i]
         data[key] = c
     out = CechCochain(cover, xi_last.depth, 0, data)
@@ -280,9 +269,8 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
     resid = (exterior_derivative(xi) - omega).max_abs()
     scale = max(omega.max_abs(), 1e-30)
     beta_w = None if beta.kind == "constant" and beta.value == 1.0 else beta
-    gamma_w = gamma
     xi_norm = lp_norm(xi, q, weight=beta_w)
-    omega_norm = lp_norm(omega, p, weight=gamma_w)
+    omega_norm = lp_norm(omega, p, weight=gamma)
     report = {
         "residual": resid,
         "relative_residual": resid / scale,

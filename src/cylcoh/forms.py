@@ -44,10 +44,6 @@ class GridForm:
                 self[idx] = field
 
     @classmethod
-    def zeros(cls, domain, degree):
-        return cls(domain, degree)
-
-    @classmethod
     def from_callable(cls, domain, degree, fns):
         """Sample callables fns[idx](*mesh) into a form; a bare callable
         is accepted for 0-forms."""
@@ -77,7 +73,7 @@ class GridForm:
     def _binary(self, other, op):
         if not isinstance(other, GridForm):
             return NotImplemented
-        if other.degree != self.degree or other.domain.grid != self.domain.grid:
+        if other.degree != self.degree or other.domain != self.domain:
             raise ValueError("form mismatch")
         out = GridForm(self.domain, self.degree)
         for idx in self.coeffs:
@@ -103,9 +99,7 @@ class GridForm:
 
     def max_abs(self):
         """Largest absolute coefficient over the grid, sup_x max_I |f_I(x)|."""
-        if not self.coeffs:
-            return 0.0
-        return float(max(np.abs(f).max() for f in self.coeffs.values()))
+        return float(np.max([np.abs(f).max() for f in self.coeffs.values()]))
 
     def __repr__(self):
         return f"GridForm(degree={self.degree}, grid={self.domain.grid})"
@@ -229,7 +223,7 @@ def sample_coeff(dom, cp):
 
 
 def sample_form(dom, degree, params):
-    om = GridForm.zeros(dom, degree)
+    om = GridForm(dom, degree)
     for idx, cp in params.items():
         om.coeffs[idx] = sample_coeff(dom, cp)
     return om

@@ -7,6 +7,7 @@ from cylcoh import (
     GridForm,
     HypothesisFailure,
     WeightProfile,
+    cech,
     circle_cover,
     coboundary,
     cylinder,
@@ -52,7 +53,7 @@ def test_coboundary_pair_signs():
     consts = [2.0, 5.0, 11.0]
     for i in range(3):
         comp = cov.components((i,))[0]
-        g = GridForm.zeros(cov.component_domain(comp), 0)
+        g = GridForm(cov.component_domain(comp), 0)
         g[()] = consts[i]
         data[((i,), comp)] = g
     lam = CechCochain(cov, 1, 0, data)
@@ -110,7 +111,7 @@ def test_descend_validation():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
     cov = circle_cover(dom)
     with pytest.raises(ValueError, match="degree at least 1"):
-        descend_xi(GridForm.zeros(dom, 0), cov)
+        descend_xi(GridForm(dom, 0), cov)
     open_form = random_form(dom, 1, np.random.default_rng(5))
     with pytest.raises(ValueError, match="not closed"):
         descend_xi(open_form, cov)
@@ -232,7 +233,7 @@ def test_glue_reports_best_q():
 
 def test_glue_detects_angle_form_obstruction():
     dom = cylinder([0, 1], [[0, 1]], [9, 32])
-    om = GridForm.zeros(dom, 1)
+    om = GridForm(dom, 1)
     om[(1,)] = 1.0
     with pytest.raises(ValueError, match="cover cocycle obstruction"):
         glue_primitive(om, circle_cover(dom))
@@ -245,3 +246,74 @@ def test_cochain_subtract_needs_matching_keys():
     b = CechCochain(cov, 1, 1, dict(list(a.data.items())[:2]))
     with pytest.raises(ValueError, match="keys do not match"):
         a - b
+
+
+def _cell_cochain(cover, depth, degree, rng):
+    """Independent random forms on every cell chart at one depth."""
+    data = {key: random_form(chart, degree, rng) for key, chart, _, _ in cover.cells(depth)}
+    return CechCochain(cover, depth, degree, data)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_coboundary_is_the_signed_sum_of_face_restrictions(depth, monkeypatch):
+    dom = cylinder([0, 1], [[0, 1], [0, 1]], [5, 32, 32])
+    cov = torus_cover(dom)
+    lam = _cell_cochain(cov, depth, 1, np.random.default_rng(20 + depth))
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return GridForm(*args, **kwargs)
+
+    monkeypatch.setattr(cech, "GridForm", counted)
+    up = coboundary(lam)
+    cells = cov.cells(depth + 1)
+    assert len(cells) > 0
+    # one form per cell, filled in place: no form per face
+    assert len(built) == len(cells)
+    assert sorted(up.data) == sorted(key for key, *_ in cells)
+    for key, chart, faces, _ in cells:
+        for idx, got in up.data[key].coeffs.items():
+            want = np.zeros(chart.grid)
+            for sign, _, parent, ix in faces:
+                want = want + sign * lam.data[parent].coeffs[idx][ix]
+            assert np.array_equal(got, want), f"(delta lam)_{key} at {idx}"
+
+
+@pytest.mark.parametrize("fiber, grid, idx, node", [
+    ([[0, 1], [0, 1]], [17, 32, 32], (1, 2), (5, 7, 9)),
+    ([[0, 1]], [17, 32], (0, 1), (5, 7)),
+])
+def test_glue_refuses_nan(fiber, grid, idx, node):
+    # a 2-form on the torus cylinder fails the closedness check; on the
+    # circle cylinder it is top degree, has none, and fails its patch solve
+    dom = cylinder([0, 1], fiber, grid)
+    cov = torus_cover(dom) if len(fiber) == 2 else circle_cover(dom)
+    om = exterior_derivative(random_form(dom, 1, np.random.default_rng(15), amplitude=1e-6))
+    om[idx][node] = np.nan
+    assert np.isnan(om.max_abs())
+    with pytest.raises(ValueError, match="nan"):
+        glue_primitive(om, cov, t_nodes=16, tol=1e-4)
+
+
+def test_nan_cochain_is_not_a_cocycle():
+    dom = cylinder([0, 1], [[0, 1]], [9, 32])
+    cov = circle_cover(dom)
+    lam = coboundary(_patch_cochain(cov, 1, np.random.default_rng(16)))
+    assert np.isfinite(lam.max_abs())
+    lam.entries()[-1][1][(1,)][4, 2] = np.nan
+    assert np.isnan(lam.max_abs())
+    with pytest.raises(ValueError, match="not a cocycle: coboundary residual nan"):
+        solve_coboundary(lam, cov.partition_of_unity())
+
+
+@pytest.mark.parametrize("cover_domain", [
+    cylinder([0, 1], [[0, 1]], [33, 48]),  # another grid
+    cylinder([0, 2], [[0, 1]], [33, 32]),  # same grid, another t-interval
+])
+def test_glue_refuses_a_cover_of_another_domain(cover_domain):
+    dom = cylinder([0, 1], [[0, 1]], [33, 32])
+    om = exterior_derivative(random_form(dom, 0, np.random.default_rng(17), amplitude=3e-6))
+    with pytest.raises(ValueError, match="the cover is on") as err:
+        glue_primitive(om, circle_cover(cover_domain))
+    assert repr(cover_domain) in str(err.value) and repr(dom) in str(err.value)

@@ -101,3 +101,22 @@ def test_top_degree_d_raises():
     om = GridForm(dom, 2, {(0, 1): 1.0})
     with pytest.raises(ValueError):
         exterior_derivative(om)
+
+
+def test_max_abs_keeps_nan_in_any_coefficient():
+    dom = box([[0, 1], [0, 1]], [5, 5])
+    om = GridForm(dom, 1, {(0,): 0.5})
+    assert om.max_abs() == 0.5
+    om[(1,)][2, 3] = np.nan
+    assert np.isnan(om.max_abs())
+
+
+def test_binary_ops_need_the_same_domain():
+    # same grid, another box: the sum would be a form on neither
+    a = GridForm(box([[0, 1], [0, 1]], [5, 5]), 1, {(0,): 1.0})
+    b = GridForm(box([[0, 2], [0, 1]], [5, 5]), 1, {(0,): 1.0})
+    with pytest.raises(ValueError, match="form mismatch"):
+        a + b
+    with pytest.raises(ValueError, match="form mismatch"):
+        a - b
+    assert np.array_equal((a + a)[(0,)], np.full((5, 5), 2.0))

@@ -4,7 +4,8 @@ rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, one
 memo holds every retained window matrix, only t_norm (and a law alpha's
 |y| moment) integrates weights in t, one function gives the C-integral's
 sups, the t-node block rule and the exponent rule stay in _interp, the
-Cech nerve stays in cover, A_alpha calls no K_y, and every function the
+Cech nerve stays in cover, A_alpha calls no K_y, no function only
+passes its own parameters on to another call, and every function the
 benchmark's tracer wraps exists."""
 
 import ast
@@ -231,6 +232,36 @@ def test_nerve_stays_in_cover():
     defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "find_parent"}
     assert defined == set()
+
+
+def _pass_throughs(tree):
+    """Functions whose whole body (after a docstring) is return f(<their
+    own parameters, in order>): a second name for a call.  A method's
+    self or cls is not counted as a parameter."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params = params[1:] if params[:1] in (["self"], ["cls"]) else params
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if not (params and len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(call := body[0].value, ast.Call)):
+            continue
+        passed = [a.id if isinstance(a, ast.Name) else None for a in call.args]
+        passed += [k.arg if isinstance(k.value, ast.Name) and k.arg == k.value.id else None
+                   for k in call.keywords]
+        if passed == params:
+            found.append(fn.name)
+    return sorted(found)
+
+
+def test_no_pass_through_functions():
+    # a function or method that only hands its own parameters on to
+    # another call is a second name for it: callers use the call itself
+    found = {name: fns for name, tree in _sources().items() if (fns := _pass_throughs(tree))}
+    assert found == {}
 
 
 def test_tracer_sites_resolve():
