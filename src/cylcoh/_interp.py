@@ -19,20 +19,32 @@ K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
 splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
 per block, each axis's matrices for every t-node come from one build
 (scaled_axis_matrices, window_stack, or window_rows for A_alpha) and
-serve every field; and every product is an axis_product, one matmul
-into a reused buffer rather than a fresh array (apply_axes chains one
-per axis).  Every row is built on its own, so the blocking leaves every
-value unchanged.  One memo, bounded by MEMO_BYTES and least recently
-used out first, keeps every built window stack read-only: window_rows'
-for A_alpha, so charts that share an axis build its rows once, and the
-C-integral's grid windows, so a repeated constant builds only its
-refinement's.
+serve every field; and every product is a matmul into a reused buffer
+rather than a fresh array, mostly one axis_product (apply_axes chains
+one per axis).  Every row is built on its own, so the blocking leaves
+every value of A_alpha and C_integral unchanged.  K_y takes the
+t-integral inside its last product: per t-node, scaled_eval applies the
+last axis's stencils and then the middle axes' to the nodes axis 0's
+stencils reach, read in place, into that t-node's rows of one stack,
+and one product of the block's axis-0 matrices, side by side, with the
+stack sums the block's t-nodes (sum factorisation over t as well as
+space).  scaled_blocks splits K_y's t-nodes by the rows each slab can
+take, so the stack, the axis-0 matrices and every stencil build fit
+STACK_BYTES; reblocking changes only the order of that sum.  K_y's
+stack, axis-0 matrices and scratch grid come from workspace: buffers
+kept per thread (threading.local) within WORK_BYTES and reused by every
+later call, so a call faults in no fresh pages for them.  One memo,
+bounded by MEMO_BYTES and least recently used out first, keeps every
+built window stack read-only: window_rows' for A_alpha, so charts that
+share an axis build its rows once, and the C-integral's grid windows, so
+a repeated constant builds only its refinement's.
 
 Every weight norm of alpha, beta and gamma lives here too: weight_norm
 over a box, a t-only profile's t_norm times the fiber measure.  t_norm
 takes a closed mass where there is one (powerlaw_mass, on the window
 matrices' _pl_primitive), else edge_integral: tanh-sinh pieces cut at 0
-and at a profile's knots, against a law singular at the right end.
+and at a profile's knots, against a law singular at the right end,
+evaluated in chunks of pieces whose arrays stay within CHUNK_BYTES.
 Every quadrature rule is built once, read-only: gauss01 keeps one rule
 per node count, and TANH_SINH is built at import.  So does the
 package's one exponent rule (_exceeds, diverges), exact on p, q and
@@ -41,12 +53,17 @@ pbar as given and on a profile's lam at the binary value of its float.
 
 import functools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 
 # byte budget of one stacked build of per-t-node axis matrices
 STACK_BYTES = 4 << 20
+# byte bound of the buffers one thread's workspace keeps between calls
+WORK_BYTES = 4 * STACK_BYTES
+# byte bound of each temporary of one chunk of edge_integral's pieces
+CHUNK_BYTES = 16 << 10
 
 
 @functools.cache
@@ -87,10 +104,34 @@ _ROW_MEMO = {}
 
 def node_blocks(count, node_bytes):
     """Consecutive slices of range(count), each a block of t-nodes whose
-    stacked build, at node_bytes per t-node, fits in STACK_BYTES (one
-    t-node per block at least)."""
-    size = max(1, STACK_BYTES // node_bytes)
-    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
+    stacked build fits in STACK_BYTES (one t-node per block at least):
+    node_bytes is one byte count for every t-node or one per t-node."""
+    blocks, start, held = [], 0, 0
+    for i, size in enumerate(np.broadcast_to(node_bytes, (count,))):
+        if i > start and held + size > STACK_BYTES:
+            blocks.append(slice(start, i))
+            start, held = i, 0
+        held += size
+    return blocks + [slice(start, count)] if count else blocks
+
+
+def scaled_blocks(domain, nodes):
+    """K_y's blocks of t-nodes, and the most slab rows one block stacks.
+
+    A t-node's stencils along an axis of m nodes reach at most
+    min(m, ceil(t (m - 1)) + 5) of them: the scaled points span t (m - 1)
+    cells, a stencil start moves by at most one node per cell, and a
+    stencil spans 4 nodes (one more for rounding).  So its slab takes at
+    most that many rows of axis 0 times the other axes' nodes, and each
+    block's stack of slabs, its side-by-side axis-0 matrices (m0 rows)
+    and each axis's stencil build fit STACK_BYTES.
+    """
+    t = np.asarray(nodes, dtype=float)
+    reach = [np.minimum(m, np.ceil(t * (m - 1)) + 5).astype(int) for m in domain.grid]
+    rest = math.prod(domain.grid[1:])
+    node_bytes = 8 * np.max([reach[0] * rest] + [m * c for m, c in zip(domain.grid, reach)], axis=0)
+    blocks = node_blocks(len(t), node_bytes)
+    return blocks, max(int(reach[0][block].sum()) for block in blocks)
 
 
 def _axis_stencil(domain, ax, coords):
@@ -188,17 +229,57 @@ def apply_axes(field, mats, work):
 
 
 def scaled_eval(field, mats, work):
-    """Field values at t*x + (1-t)*y for every grid point x, separably,
-    given one t-node's (mat, cols) per axis from scaled_axis_matrices.
+    """One t-node's slab: the field interpolated at t*x_a + (1-t)*y_a on
+    every axis a but 0, given the t-node's (mat, cols) per axis from
+    scaled_axis_matrices.  Axis 0 stays cut down to the nodes cols[0], so
+    the slab has shape (c0, m1, ..., m_last); mats[0]'s matrix applied
+    along its axis 0 gives the values at t*x + (1-t)*y for every grid
+    point x.
 
-    The points fill the box t*D + (1-t)*y, so the field is first cut down
-    to the nodes their stencils reach, into work[0]; apply_axes then costs
-    about t times the full-grid products per axis.
+    The points fill the box t*D + (1-t)*y, so the products read only the
+    nodes the stencils reach, never a copy of them: the last axis first,
+    as one matrix product over a view of field cut on axes 0 and last
+    (a middle axis cut too would make it one product per row), then each
+    middle axis down to axis 1, on a view cut to its own nodes
+    (axis_product).  The last product lands in the flat buffer work[0],
+    which holds at least the slab; the others alternate with work[1],
+    which holds at least the grid.  The slab is a view of work[0].
     """
-    crop = field[tuple(cols for _, cols in mats)]
-    out = work[0][: crop.size].reshape(crop.shape)
-    out[...] = crop
-    return apply_axes(out, [mat for mat, _ in mats], work)
+    if len(mats) == 1:
+        out = work[0][: mats[0][1].stop - mats[0][1].start]
+        out[...] = field[mats[0][1]]
+        return out
+    n = len(mats) - 1
+    mat, cols = mats[-1]
+    view = field[(mats[0][1],) + (slice(None),) * (n - 1) + (cols,)]
+    rows = view.reshape(-1, view.shape[-1])  # a view: the middle axes are whole
+    m = mat.shape[0]
+    x = np.matmul(rows, mat.T, out=work[(n - 1) % 2][: rows.shape[0] * m].reshape(-1, m))
+    x = x.reshape(view.shape[:-1] + (m,))
+    for ax in range(n - 1, 0, -1):
+        mat, cols = mats[ax]
+        x = axis_product(x[(slice(None),) * ax + (cols,)], mat, ax, work[(ax - 1) % 2])
+    return x
+
+
+# one thread's held workspace buffers, one per role
+_WORK = threading.local()
+
+
+def workspace(*sizes):
+    """Flat float buffers of the given sizes, one per role, as views of
+    this thread's held buffers, so that later calls on the thread reuse
+    their pages rather than fault in fresh ones.  A role grows to the
+    largest size asked of it while the held buffers together stay within
+    WORK_BYTES; a request past that gets fresh arrays.  The contents are
+    whatever the last caller left.
+    """
+    held = getattr(_WORK, "bufs", [])
+    held = held + [np.empty(0)] * (len(sizes) - len(held))
+    grown = [b if b.size >= n else np.empty(n) for b, n in zip(held, sizes)] + held[len(sizes) :]
+    if 8 * sum(b.size for b in grown) <= WORK_BYTES:
+        _WORK.bufs = grown
+    return [b[:n] for b, n in zip(grown, sizes)]
 
 
 def _ratio(x):
@@ -283,16 +364,26 @@ def edge_integral(e, lo, hi, w, cuts=()):
     its accuracy at a kink or an algebraic singularity at a piece's end.
     The last piece takes it in u = (hi - t)^(1-e), which removes the
     law's edge singularity; the others fold the law into w.  1 - e is
-    exact."""
+    exact.  The pieces go to w in chunks whose arrays stay within
+    CHUNK_BYTES, so a profile with hundreds of knots makes no temporary
+    large enough for malloc to map it fresh; the chunk sums add in piece
+    order, and a profile whose pieces fit one chunk takes a single sum."""
     ends = np.unique([lo, hi] + [c for c in (0.0, *cuts) if lo < c < hi])
     x, wts = TANH_SINH
     g = float(1 - _frac(e))
     big_u = (hi - ends[-2]) ** g
     width = np.diff(ends)[:-1, None]
-    inner = ends[:-2, None] + width * x
-    t = np.concatenate((inner.ravel(), hi - (big_u * x) ** (1.0 / g)))
-    scale = np.concatenate((width * wts * (hi - inner) ** -float(e), big_u / g * wts[None]), axis=None)
-    return float((scale * w(t)).sum())
+    per = max(1, CHUNK_BYTES // (8 * x.size))
+    total = 0.0
+    for start in range(0, len(ends) - 1, per):
+        stop = min(start + per, len(width))
+        inner = ends[start:stop, None] + width[start:stop] * x
+        t, scale = [inner.ravel()], [width[start:stop] * wts * (hi - inner) ** -float(e)]
+        if start + per >= len(ends) - 1:  # the last piece, in u
+            t.append(hi - (big_u * x) ** (1.0 / g))
+            scale.append(big_u / g * wts[None])
+        total += float((np.concatenate(scale, axis=None) * w(np.concatenate(t))).sum())
+    return total
 
 
 def linear_pieces(weight, lo, hi):

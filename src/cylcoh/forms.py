@@ -54,6 +54,15 @@ class GridForm:
             form[idx] = fn(*domain.meshgrid()) if callable(fn) else fn
         return form
 
+    @classmethod
+    def holding(cls, domain, degree, coeffs):
+        """A form that holds coeffs as they are, with no zero fill and no
+        copy: grid-shaped float arrays, one per increasing multi-index of
+        the degree, in increasing_indices order."""
+        form = cls.__new__(cls)
+        form.domain, form.degree, form.coeffs = domain, degree, coeffs
+        return form
+
     def _check_index(self, idx):
         idx = tuple(int(i) for i in idx)
         if idx not in self.coeffs:
@@ -75,10 +84,8 @@ class GridForm:
             return NotImplemented
         if other.degree != self.degree or other.domain != self.domain:
             raise ValueError("form mismatch")
-        out = GridForm(self.domain, self.degree)
-        for idx in self.coeffs:
-            out.coeffs[idx] = op(self.coeffs[idx], other.coeffs[idx])
-        return out
+        return GridForm.holding(self.domain, self.degree,
+                                {idx: op(f, other.coeffs[idx]) for idx, f in self.coeffs.items()})
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -87,10 +94,9 @@ class GridForm:
         return self._binary(other, np.subtract)
 
     def __mul__(self, c):
-        out = GridForm(self.domain, self.degree)
-        for idx in self.coeffs:
-            out.coeffs[idx] = self.coeffs[idx] * float(c)
-        return out
+        c = float(c)
+        return GridForm.holding(self.domain, self.degree,
+                                {idx: f * c for idx, f in self.coeffs.items()})
 
     __rmul__ = __mul__
 

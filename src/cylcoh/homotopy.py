@@ -9,10 +9,15 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
 and K_y omega integrates it over t in [0,1] by Gauss-Legendre.  The
 stencil matrices that evaluate a field at t*x + (1-t)*y depend only on
 the axis, the t-node and y, so K_y builds each axis's matrices once per
-block of t-nodes, with the quadrature weight w_t t^(k-1) folded into the
-last axis's matrices, and applies them to every coefficient; the factor
-x_a - y_a multiplies the t-integral afterwards, as a 1-D array broadcast
-along axis a.
+block of t-nodes and applies them to every coefficient.  Per t-node,
+scaled_eval applies the last axis's and then the middle axes' stencils
+to the nodes axis 0's stencils reach, read in place, into that t-node's
+rows of one stack; the block's axis-0 matrices, each times its
+quadrature weight w_t t^(k-1) and set side by side, then take the whole
+stack in one product, which sums the block's t-nodes.  The stack lives
+in a per-thread workspace reused across calls.  The factor x_a - y_a
+multiplies the t-integral afterwards, as a 1-D array broadcast along
+axis a.
 
 A_alpha averages K_y over centers y against a unit-mass weight
 alpha(y) = a(y_0), piecewise linear in y_0.  After z = t*x + (1-t)*y it
@@ -36,12 +41,14 @@ import math
 import numpy as np
 
 from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, linear_pieces,
-                      node_blocks, scaled_axis_matrices, scaled_eval, weight_norm, window_rows)
-from .forms import GridForm
+                      node_blocks, scaled_axis_matrices, scaled_blocks, scaled_eval, weight_norm,
+                      window_rows, workspace)
+from .forms import GridForm, increasing_indices
 from .weights import WeightProfile
 
 # perfbench/tracing.py wraps scaled_eval and _box_integral here: call them by
-# these names; _box_integral is one single-axis product of A_alpha
+# these names; _box_integral is one single-axis product of A_alpha, and
+# K_y's block products call axis_product, so they count in K_y's own time
 _box_integral = axis_product
 
 DEGREE0_MSG = "K_y is zero on 0-forms; use the identity f - f(y) instead"
@@ -63,10 +70,15 @@ def _inside(domain, pt):
 def K_y(omega, y, t_nodes=32):
     """Cone homotopy operator: degree k -> k-1, K_y d + d K_y = id.
 
-    Each axis's stencil matrices come from one build per block of
-    t-nodes, with the quadrature weight w_t t^(k-1) folded into the last
-    axis's, and serve every coefficient; each coefficient's t-integral
-    runs on across the blocks.
+    Per block of t-nodes (_interp.scaled_blocks), each axis's stencil
+    matrices come from one build and serve every coefficient.  Each
+    t-node's slab of a coefficient (scaled_eval: every axis but 0) fills
+    its rows of one stack, and one product with the block's axis-0
+    matrices side by side, each times its w_t t^(k-1), sums the block's
+    t-nodes.  The stack, the axis-0 matrices and a grid-sized scratch
+    buffer are this thread's _interp.workspace; the t-integrals are made
+    per call, since holding them too raised the peak memory of a run by
+    more than their size.
     """
     dom = omega.domain
     _require_box(dom, "K_y")
@@ -77,26 +89,40 @@ def K_y(omega, y, t_nodes=32):
         raise ValueError("x or y outside domain")
     nodes, wts = gauss01(t_nodes)
     wts = wts * nodes ** (omega.degree - 1)
-    # reused grid-sized buffers: fresh arrays per t-node let malloc hand
-    # their pages back to the system and fault them in again
-    work = (np.empty(dom.grid).ravel(), np.empty(dom.grid).ravel())
-    # (x_a - y_a) does not depend on t, so integrate f_I(psi) first; zeros_like
-    # fills a malloc'd array, where np.zeros' calloc can map fresh pages
-    fint = {idx: np.zeros_like(field, dtype=float) for idx, field in omega.coeffs.items()}
-    for block in node_blocks(len(nodes), 8 * max(dom.grid) ** 2):
+    blocks, rows = scaled_blocks(dom, nodes)
+    m0, size = dom.grid[0], math.prod(dom.grid)
+    rest = size // m0
+    # a block's stack and its axis-0 matrices share one buffer
+    both, scratch = workspace(rows * (rest + m0), size)
+    stack, lead = both[: rows * rest], both[rows * rest :]
+    # (x_a - y_a) does not depend on t, so integrate f_I(psi) first, into fint
+    fint = np.empty((len(omega.coeffs),) + dom.grid)
+    for n, block in enumerate(blocks):
         mats = [scaled_axis_matrices(dom, ax, y, nodes[block]) for ax in range(dom.dim)]
-        for (mat, _), w in zip(mats[-1], wts[block]):
-            mat *= w
-        for idx, field in omega.coeffs.items():
-            for node_mats in zip(*mats):
-                fint[idx] += scaled_eval(field, node_mats, work)
-    out = GridForm(dom, omega.degree - 1)
-    for idx, f in fint.items():
+        offsets = np.cumsum([0] + [mat.shape[1] for mat, _ in mats[0]])
+        cat = lead[: m0 * offsets[-1]].reshape(m0, -1)
+        for (mat, _), w, lo, hi in zip(mats[0], wts[block], offsets, offsets[1:]):
+            np.multiply(mat, w, out=cat[:, lo:hi])
+        slabs = stack[: offsets[-1] * rest].reshape((-1,) + dom.grid[1:])
+        for f, field in zip(fint, omega.coeffs.values()):
+            for node_mats, lo in zip(zip(*mats), offsets):
+                scaled_eval(field, node_mats, (stack[lo * rest :], scratch))
+            if n == 0:
+                axis_product(slabs, cat, 0, f.reshape(-1))
+            else:
+                f += axis_product(slabs, cat, 0, scratch)
+    out = {}
+    for f, idx in zip(fint, omega.coeffs):
         for r, a in enumerate(idx):
             lever = (dom.axis_coords(a) - y[a]).reshape((-1,) + (1,) * (dom.dim - 1 - a))
-            term = np.multiply(f, -lever if r % 2 else lever, out=work[0].reshape(dom.grid))
-            out.coeffs[idx[:r] + idx[r + 1 :]] += term
-    return out
+            lever = -lever if r % 2 else lever
+            J = idx[:r] + idx[r + 1 :]
+            if J in out:
+                out[J] += np.multiply(f, lever, out=scratch.reshape(dom.grid))
+            else:
+                out[J] = f * lever
+    degree = omega.degree - 1
+    return GridForm.holding(dom, degree, {J: out[J] for J in increasing_indices(dom.dim, degree)})
 
 
 def _fiber_moment(D, pprime, t):

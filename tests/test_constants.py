@@ -309,6 +309,40 @@ def test_sampled_t_norms_match_exact_interpolant(case):
     assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("case", sorted(SAMPLED_T_CASES))
+def test_chunked_edge_integral_matches_one_sum(monkeypatch, case):
+    # the pieces go to the integrand in chunks: a profile whose pieces fit
+    # one chunk takes one sum, as before, and a chunked one differs from
+    # that one sum by rounding only
+    knots, samples, q, lo = SAMPLED_T_CASES[case]
+    beta = WeightProfile.sampled_t(knots, samples)
+    norms = [(t_norm(beta, q, lo, 1.0), t_norm(beta, q, lo, 1.0, moment_t=True))]
+    monkeypatch.setattr(_interp, "CHUNK_BYTES", 1 << 30)
+    one_sum = (t_norm(beta, q, lo, 1.0), t_norm(beta, q, lo, 1.0, moment_t=True))
+    if len(knots) + 2 <= _interp.CHUNK_BYTES // (8 * _interp.TANH_SINH[0].size):
+        assert norms[0] == one_sum
+    assert norms[0] == pytest.approx(one_sum, rel=1e-15, abs=0.0)
+
+
+def test_edge_integral_temporaries_stay_small():
+    # a 257-knot profile (31,000 integrand points) takes its pieces in
+    # chunks: the largest memory in use during a norm stays under 128 KiB,
+    # below malloc's threshold for mapping fresh pages
+    import tracemalloc
+
+    knots, samples, q, lo = SAMPLED_T_CASES["graded-257"]
+    beta = WeightProfile.sampled_t(knots, samples)
+    t_norm(beta, q, lo, 1.0, moment_t=True)
+    tracemalloc.start()
+    try:
+        t_norm(beta, q, lo, 1.0, moment_t=True)
+        t_norm(beta, q, lo, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 << 10, peak
+
+
 @pytest.mark.parametrize("mu", [0.25, 0.6])
 def test_window_mass_field_exact_for_powerlaw_weight(mu):
     # qfield = (a0 + a1 s)(c0 + c1 y): the interpolant is the field itself,

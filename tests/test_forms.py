@@ -120,3 +120,30 @@ def test_binary_ops_need_the_same_domain():
     with pytest.raises(ValueError, match="form mismatch"):
         a - b
     assert np.array_equal((a + a)[(0,)], np.full((5, 5), 2.0))
+
+
+def test_form_arithmetic_allocates_only_its_result(monkeypatch):
+    # +, -, scalar * and negation build each result coefficient once, with
+    # no zero-filled form first, and hold the same values as the
+    # elementwise operations
+    dom = box([[0, 1], [0, 2], [0, 1]], [5, 6, 7])
+    rng = np.random.default_rng(4)
+    a, b = random_form(dom, 2, rng), random_form(dom, 2, rng)
+    zeros = []
+    real_zeros = np.zeros
+
+    def counted(*args, **kwargs):
+        zeros.append(args)
+        return real_zeros(*args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", counted)
+    results = {"add": a + b, "sub": a - b, "mul": 2.5 * a, "rmul": a * -3, "neg": -a}
+    assert zeros == []
+    monkeypatch.undo()
+    want = {"add": lambda i: a[i] + b[i], "sub": lambda i: a[i] - b[i],
+            "mul": lambda i: a[i] * 2.5, "rmul": lambda i: a[i] * -3.0, "neg": lambda i: a[i] * -1.0}
+    for name, form in results.items():
+        assert (form.domain, form.degree, list(form.coeffs)) == (dom, 2, list(a.coeffs))
+        for idx in a.coeffs:
+            assert np.array_equal(form[idx], want[name](idx)), (name, idx)
+            assert not np.shares_memory(form[idx], a[idx])

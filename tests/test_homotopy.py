@@ -119,50 +119,74 @@ def test_K_identity_closed_trig():
 
 @pytest.mark.parametrize("t", [0.03, 0.5, 0.97])
 def test_scaled_eval_matches_point_eval(t):
-    # two closed cubic axes, one 3-node (linear) axis
-    dom = box([[0, 1], [0, 2], [-1, 1]], [9, 8, 3])
-    field = np.random.default_rng(7).standard_normal(dom.grid)
-    y = np.array([0.3, 1.9, -0.4])
-    pts = t * np.stack([c.ravel() for c in dom.meshgrid()], axis=-1) + (1 - t) * y
-    want = point_eval(field, dom, pts).reshape(dom.grid)
-    mats = [scaled_axis_matrices(dom, ax, y, [t])[0] for ax in range(dom.dim)]
-    work = (np.empty(field.size), np.empty(field.size))
-    got = scaled_eval(field, mats, work)
-    assert np.abs(got - want).max() <= 1e-13
+    # closed cubic axes and one 3-node (linear) axis, in 3-D, 2-D and 1-D:
+    # the slab holds every axis but 0, cut to the nodes axis 0's stencils
+    # reach, and axis 0's matrix applied to it finishes the evaluation
+    for bounds, grid in (([[0, 1], [0, 2], [-1, 1]], [9, 8, 3]), ([[0, 1], [0, 2]], [9, 8]),
+                         ([[-1, 1]], [9])):
+        dom = box(bounds, grid)
+        field = np.random.default_rng(7).standard_normal(dom.grid)
+        y = np.array([0.3, 1.9, -0.4])[: dom.dim]
+        pts = t * np.stack([c.ravel() for c in dom.meshgrid()], axis=-1) + (1 - t) * y
+        want = point_eval(field, dom, pts).reshape(dom.grid)
+        mats = [scaled_axis_matrices(dom, ax, y, [t])[0] for ax in range(dom.dim)]
+        (mat0, cols0), rest = mats[0], dom.grid[1:]
+        slab_out, scratch = np.full(field.size, np.nan), np.full(field.size, np.nan)
+        slab = scaled_eval(field, mats, (slab_out, scratch))
+        assert slab.shape == (cols0.stop - cols0.start,) + rest
+        assert np.shares_memory(slab, slab_out)
+        got = (mat0 @ slab.reshape(slab.shape[0], -1)).reshape(dom.grid)
+        assert np.abs(got - want).max() <= 1e-13, grid
 
 
-@pytest.mark.parametrize(
-    "bounds, grid, y",
-    [
-        ([[0, 1], [0, 2], [-1, 1]], [9, 8, 3], [0.3, 1.9, -0.4]),
-        ([[-0.5, 1.0], [0, 2]], [13, 10], [0.8, 0.4]),
-    ],
-    ids=["9x8x3", "13x10"],
-)
-def test_K_y_matches_pointwise_quadrature(bounds, grid, y):
+# (bounds, grid, y): 3-node axes take the linear stencils; y on a corner
+# puts every scaled point on one side of it
+POINTWISE_CASES = {
+    "9x8x3": ([[0, 1], [0, 2], [-1, 1]], [9, 8, 3], [0.3, 1.9, -0.4]),
+    "13x10": ([[-0.5, 1.0], [0, 2]], [13, 10], [0.8, 0.4]),
+    "3x9x3": ([[0, 1], [0, 2], [-1, 1]], [3, 9, 3], [0.5, 0.2, 0.1]),
+    "3x3": ([[0, 1], [0, 1]], [3, 3], [0.25, 0.75]),
+    "corner-9x7x5": ([[0, 1], [0, 2], [-1, 1]], [9, 7, 5], [1.0, 0.0, -1.0]),
+    "corner-11x6": ([[-0.5, 1.0], [0, 2]], [11, 6], [-0.5, 2.0]),
+    "9": ([[-1, 1]], [9], [0.3]),
+}
+
+
+@pytest.mark.parametrize("case", list(POINTWISE_CASES))
+def test_K_y_matches_pointwise_quadrature(monkeypatch, case):
     # K_y is the Gauss-Legendre sum over t of
     # t^(k-1) sum_r (-1)^r f_I(t x + (1-t) y) (x_{i_r} - y_{i_r}),
-    # here with f_I evaluated point by point at every grid point x
+    # here with f_I evaluated point by point at every grid point x: at 32
+    # t-nodes in one block, and at 7 and 13 under budgets of a few of the
+    # largest slabs, which split them into blocks of unequal sizes
+    bounds, grid, y = POINTWISE_CASES[case]
     dom = box(bounds, grid)
-    y = np.array(y)
+    y = np.array(y, dtype=float)
     xs = np.stack([c.ravel() for c in dom.meshgrid()], axis=-1)
-    nodes, wts = homotopy.gauss01(32)
+    slab_bytes = 8 * grid[0] * max(math.prod(grid[1:]), grid[0])
     rng = np.random.default_rng(13)
-    for k in range(1, dom.dim + 1):
-        om = GridForm(dom, k)
-        for idx in om.coeffs:
-            om.coeffs[idx] = rng.standard_normal(dom.grid)
-        want = {jdx: np.zeros(xs.shape[0]) for jdx in increasing_indices(dom.dim, k - 1)}
-        for t, w in zip(nodes, wts):
-            for idx, field in om.coeffs.items():
-                val = w * t ** (k - 1) * point_eval(field, dom, t * xs + (1 - t) * y)
-                for r, a in enumerate(idx):
-                    want[idx[:r] + idx[r + 1 :]] += (-1) ** r * val * (xs[:, a] - y[a])
-        got = K_y(om, y)
-        for jdx, ref in want.items():
-            ref = ref.reshape(dom.grid)
-            err = np.abs(got[jdx] - ref).max()
-            assert err <= 1e-13 * np.abs(ref).max(), f"k={k} {jdx}: {err:.3e}"
+    for t_nodes, budget in ((32, None), (7, 3), (13, 5)):
+        nodes, wts = homotopy.gauss01(t_nodes)
+        if budget:
+            monkeypatch.setattr(_interp, "STACK_BYTES", budget * slab_bytes)
+            sizes = [b.stop - b.start for b in _interp.scaled_blocks(dom, nodes)[0]]
+            assert len(sizes) > 1 and len(set(sizes)) > 1, sizes
+        for k in range(1, dom.dim + 1):
+            om = GridForm(dom, k)
+            for idx in om.coeffs:
+                om.coeffs[idx] = rng.standard_normal(dom.grid)
+            want = {jdx: np.zeros(xs.shape[0]) for jdx in increasing_indices(dom.dim, k - 1)}
+            for t, w in zip(nodes, wts):
+                for idx, field in om.coeffs.items():
+                    val = w * t ** (k - 1) * point_eval(field, dom, t * xs + (1 - t) * y)
+                    for r, a in enumerate(idx):
+                        want[idx[:r] + idx[r + 1 :]] += (-1) ** r * val * (xs[:, a] - y[a])
+            got = K_y(om, y, t_nodes=t_nodes)
+            assert list(got.coeffs) == list(want)
+            for jdx, ref in want.items():
+                ref = ref.reshape(dom.grid)
+                err = np.abs(got[jdx] - ref).max()
+                assert err <= 1e-13 * np.abs(ref).max(), f"{t_nodes} nodes, k={k} {jdx}: {err:.3e}"
 
 
 def test_K_y_builds_stencils_once_per_axis(monkeypatch):
@@ -311,9 +335,10 @@ def test_a_alpha_builds_window_matrices_once_per_axis(monkeypatch):
 
 @pytest.mark.parametrize("grid", [(17, 12), (9, 8, 7)])
 def test_blocked_K_y_and_A_alpha_match_one_block(monkeypatch, grid):
-    # every stencil and window row is built on its own and each t-integral
-    # keeps its node order, so blocks of 3 of the 16 t-nodes (6 blocks)
-    # give what one block gives, bitwise
+    # every stencil and window row is built on its own, so blocks of 3 of
+    # the 16 t-nodes (6 blocks) give A_alpha what one block gives,
+    # bitwise; K_y sums each block's t-nodes inside one product, so its
+    # blocks change only the order of the sum
     dom = box([[0, 1], [-0.5, 1.5], [0.2, 0.9]][: len(grid)], grid)
     uniform = WeightProfile.constant(1.0 / dom.volume)
     y = [0.3, 0.7, 0.5][: len(grid)]
@@ -323,21 +348,26 @@ def test_blocked_K_y_and_A_alpha_match_one_block(monkeypatch, grid):
     def run():
         return [(K_y(om, y, t_nodes=16), A_alpha(om, uniform, t_nodes=16)) for om in oms]
 
+    assert len(_interp.scaled_blocks(dom, _interp.gauss01(16)[0])[0]) == 1
     whole = run()
     monkeypatch.setattr(_interp, "STACK_BYTES", 3 * 8 * max(grid) ** 2 + 7)
     assert len(_interp.node_blocks(16, 8 * max(grid) ** 2)) == 6
-    for pair, ref in zip(run(), whole):
-        for got, want in zip(pair, ref):
-            for idx, field in want.coeffs.items():
-                assert np.array_equal(got[idx], field), f"{got!r} {idx}"
+    assert len(_interp.scaled_blocks(dom, _interp.gauss01(16)[0])[0]) > 3
+    for (got_K, got_A), (want_K, want_A) in zip(run(), whole):
+        scale = want_K.max_abs()
+        for idx, field in want_K.coeffs.items():
+            assert np.abs(got_K[idx] - field).max() <= 1e-14 * scale, f"{got_K!r} {idx}"
+        for idx, field in want_A.coeffs.items():
+            assert np.array_equal(got_A[idx], field), f"{got_A!r} {idx}"
 
 
 def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
-    # at the CLI maxima (257^2, 256 t-nodes) K_y's stencil matrices and
-    # A_alpha's window stacks come in several blocks, no build above the
-    # budget, and the window-row memo stays within MEMO_BYTES; the
-    # products are skipped, only the builds matter here
-    stencils, windows = [], []
+    # at the CLI maxima (257^2, 256 t-nodes) K_y's stencil matrices, its
+    # stacks of slabs and its side-by-side axis-0 matrices, and A_alpha's
+    # window stacks, come in several blocks, no build above the budget,
+    # and the window-row memo stays within MEMO_BYTES; the products are
+    # skipped, only the builds matter here
+    stencils, windows, stacks, leads = [], [], [], []
     stencil_build, window_build = homotopy.scaled_axis_matrices, _interp.window_matrix
 
     def stencil_counted(*args):
@@ -349,20 +379,113 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
         windows.append(len(lower) * domain.grid[ax] * 8)
         return window_build(domain, ax, lower, upper, weight)
 
+    def product_counted(field, mat, ax, out, rotate=False):
+        stacks.append(field.nbytes)
+        leads.append(mat.nbytes)
+        return 0.0
+
     monkeypatch.setattr(homotopy, "scaled_axis_matrices", stencil_counted)
     monkeypatch.setattr(_interp, "window_matrix", window_counted)
     monkeypatch.setattr(homotopy, "scaled_eval", lambda field, mats, work: 0.0)
+    monkeypatch.setattr(homotopy, "axis_product", product_counted)
     monkeypatch.setattr(homotopy, "_box_integral", lambda field, mat, ax, out, rotate=False: field)
     monkeypatch.setattr(_interp, "_ROW_MEMO", {})
     dom = box([[0, 1], [0, 1]], [257, 257])
     om = GridForm(dom, 1)
     K_y(om, [0.5, 0.5], t_nodes=256)
     A_alpha(om, WeightProfile.constant(1.0), t_nodes=256)
-    for builds in (stencils, windows):
+    assert len(stacks) == len(leads) == len(om.coeffs) * len(stencils) // dom.dim
+    for builds in (stencils, windows, stacks, leads):
         assert len(builds) > 2 * dom.dim
         assert max(builds) <= _interp.STACK_BYTES
     held = [a.nbytes for rows in _interp._ROW_MEMO.values() for a in rows]
     assert held and sum(held) <= _interp.MEMO_BYTES
+
+
+def test_K_y_allocates_no_grid_sized_array_per_t_node():
+    # a second call takes its stack and scratch grid from the thread's
+    # workspace: beyond its t-integrals (one grid per coefficient) and its
+    # output (one per output coefficient) it allocates only its stencil
+    # matrices, under one grid at 8 t-nodes; a fresh pair of grid-sized
+    # work buffers, as each call once made, would pass that
+    import tracemalloc
+
+    dom = box([[0, 1]] * 3, [33, 33, 33])
+    grid_bytes = 8 * math.prod(dom.grid)
+    for k in (1, 3):
+        om = random_form(dom, k, np.random.default_rng(2))
+        K_y(om, [0.5, 0.5, 0.5], t_nodes=8)
+        tracemalloc.start()
+        try:
+            out = K_y(om, [0.5, 0.5, 0.5], t_nodes=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids = len(om.coeffs) + len(out.coeffs)
+        assert peak < (grids + 1) * grid_bytes, (k, peak / grid_bytes)
+
+
+def test_workspace_reuses_its_buffers_within_the_bound():
+    # on a fresh thread: a role grows to the largest size asked of it and
+    # later calls get views of the same memory; a request past WORK_BYTES
+    # gets fresh arrays and leaves the held ones as they were
+    import threading
+
+    seen = {}
+
+    def run():
+        first = _interp.workspace(100, 10)
+        again = _interp.workspace(50, 10)
+        grown = _interp.workspace(200, 10)
+        past = _interp.workspace(_interp.WORK_BYTES // 8, 10)
+        after = _interp.workspace(200, 10)
+        seen["sizes"] = [b.size for b in first + again + grown + past + after]
+        seen["shared"] = [np.shares_memory(a, b) for a, b in
+                          ((first[0], again[0]), (first[1], grown[1]), (grown[0], past[0]),
+                           (grown[0], after[0]), (first[0], grown[0]))]
+
+    th = threading.Thread(target=run)
+    th.start()
+    th.join(timeout=60)
+    assert not th.is_alive()
+    assert seen["sizes"] == [100, 10, 50, 10, 200, 10, _interp.WORK_BYTES // 8, 10, 200, 10]
+    assert seen["shared"] == [True, True, False, True, False]
+
+
+def test_concurrent_K_y_calls_equal_sequential_ones():
+    # each thread keeps its own workspace, so calls on three threads at
+    # once (more than the cores), switching often, give what the same
+    # calls give one after another, bitwise
+    import sys
+    import threading
+
+    rng = np.random.default_rng(23)
+    cases = [(random_form(box([[0, 1]] * 3, [17, 15, 13]), k, rng), [0.4, 0.5, 0.6]) for k in (1, 2)]
+    cases += [(random_form(box([[0, 1]] * 2, [41, 37]), 1, rng), [0.2, 0.9])]
+    want = [K_y(om, y, t_nodes=24) for om, y in cases]
+    got = {slot: [] for slot in range(3)}
+
+    def work(slot):
+        for n in range(3 * len(cases)):
+            i = (n + slot) % len(cases)
+            got[slot].append((i, K_y(*cases[i], t_nodes=24)))
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in got]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for slot, outs in got.items():
+        assert len(outs) == 3 * len(cases), slot
+        for i, out in outs:
+            for idx, field in want[i].coeffs.items():
+                assert np.array_equal(out[idx], field), (slot, i, idx)
 
 
 # single-axis products per t-node of the factored plan; term by term takes
