@@ -49,6 +49,10 @@ Every quadrature rule is built once, read-only: gauss01 keeps one rule
 per node count, and TANH_SINH is built at import.  So does the
 package's one exponent rule (_exceeds, diverges), exact on p, q and
 pbar as given and on a profile's lam at the binary value of its float.
+_exceeds reads a law's mu as the integer pair _law_ratio forms, so a
+caller that asks many exponents of one law forms that pair once: the
+vanishing criterion's tail-law memo keeps it with each law, and
+AdmissibleRegion forms 1/alpha and 1/beta when it is built.
 """
 
 import functools
@@ -302,14 +306,25 @@ def law_exponent(lam, x):
     return _frac(lam) * _frac(x)
 
 
+def _law_ratio(mu):
+    """mu as the (num, den) pair _exceeds reads: exact (see _ratio), and
+    an infinite mu as (+-1, 0)."""
+    try:
+        return _ratio(mu)
+    except OverflowError:  # an infinite mu
+        return (1 if mu > 0 else -1), 0
+
+
 def _exceeds(mu, exponent, m=0, pivot=None, reach=False):
     """The exponent rule: is mu*exponent - m*[pivot = 0], the exponent of
     |t|^m (pivot - t)^(-mu*exponent) at its pivot, > 1 (>= 1 with reach)?
-    Exact, by integer cross-multiplication; exponent is (num, den > 0)."""
-    try:
-        num, den = mu.as_integer_ratio()
-    except OverflowError:  # an infinite mu
-        return mu > 0
+    Exact, by integer cross-multiplication.  mu is the pair _law_ratio
+    forms, once per law by the callers that ask many exponents of one
+    law; exponent is (num, den > 0).  An infinite mu exceeds when it is
+    positive."""
+    num, den = mu
+    if not den:
+        return num > 0
     lhs, rhs = num * exponent[0], den * exponent[1]
     if m and pivot == 0:
         mn, md = _ratio(m)
@@ -320,7 +335,7 @@ def _exceeds(mu, exponent, m=0, pivot=None, reach=False):
 def diverges(e, pivot, hi, m=0):
     """int^hi |t|^m (pivot - t)^-e dt diverges: hi is the pivot and the
     exponent there is >= 1 (the vanishing conditions ask for > 1)."""
-    return pivot == hi and _exceeds(e, (1, 1), m, pivot, reach=True)
+    return pivot == hi and _exceeds(_law_ratio(e), (1, 1), m, pivot, reach=True)
 
 
 def _pl_primitive(left, gap, e):

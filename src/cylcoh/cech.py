@@ -8,7 +8,7 @@ depth, the global form being the depth-0 cochain on the one component of
 the empty index tuple; deeper components are boxes, so every local solve
 is a cone-operator call on a box chart.
 
-The nerve itself, which cell is a face of which and the index arrays
+The nerve itself, which cell is a face of which and the slice pieces
 between them, is the cover's cell table (GoodCover.cells), built once
 with the cover; this module only does arithmetic on it.
 """
@@ -32,14 +32,18 @@ class CechCochain:
 
     data maps (I, comp) to a GridForm on the component's unrolled box;
     depth is len(I).  At depth 0 the one key is ((), cover.full) and its
-    form lives on the full domain (see whole).
+    form lives on the full domain (see whole).  scale is the sup of the
+    cochains this one was formed from by coboundary or subtraction, 0
+    for one given directly; the cocycle check measures against it (see
+    _cocycle_residual).
     """
 
-    def __init__(self, cover, depth, degree, data):
+    def __init__(self, cover, depth, degree, data, scale=0.0):
         self.cover = cover
         self.depth = depth
         self.degree = degree
         self.data = data
+        self.scale = scale
 
     @classmethod
     def whole(cls, cover, form):
@@ -64,6 +68,7 @@ class CechCochain:
             self.depth,
             self.degree,
             {key: f - other.data[key] for key, f in self.data.items()},
+            scale=max(self.max_abs(), other.max_abs()),
         )
 
     def __repr__(self):
@@ -73,15 +78,18 @@ class CechCochain:
 def coboundary(lam):
     """Alternating sum of restrictions, one Cech depth up; at depth 0 it
     restricts the global form to every patch.  Each cell's form is made
-    once and every face's restriction is added into it in face order."""
+    once and every face's restriction is added into it in face order,
+    piece by piece (GoodCover.index_between)."""
     data = {}
     for key, chart, faces, _ in lam.cover.cells(lam.depth + 1):
         acc = data[key] = GridForm(chart, lam.degree)
-        for sign, _, parent, ix in faces:
+        for sign, _, parent, pieces in faces:
             op = np.add if sign > 0 else np.subtract
             for idx, arr in lam.data[parent].coeffs.items():
-                op(acc.coeffs[idx], arr[ix], out=acc.coeffs[idx])
-    return CechCochain(lam.cover, lam.depth + 1, lam.degree, data)
+                for dst, src in pieces:
+                    out = acc.coeffs[idx][dst]
+                    op(out, arr[src], out=out)
+    return CechCochain(lam.cover, lam.depth + 1, lam.degree, data, scale=lam.max_abs())
 
 
 def _cocycle_residual(lam):
@@ -93,6 +101,11 @@ def _cocycle_residual(lam):
     chart artifact, not a cocycle defect.  One interior node in from the
     rim both charts use the same central stencil, so the residual there
     measures the actual mismatch.
+
+    The sup is relative to lam's own sup or, when larger, to the sup of
+    the cochains lam was formed from (lam.scale): a lam formed as a
+    coboundary or difference that cancels to rounding is a cocycle to
+    rounding of its operands, not of itself.
     """
     up = coboundary(lam)
     cover = lam.cover
@@ -109,8 +122,7 @@ def _cocycle_residual(lam):
             sub = arr[sl]
             if sub.size:
                 worst = float(np.maximum(worst, np.max(np.abs(sub))))
-    scale = max(lam.max_abs(), 1e-30)
-    return worst / scale
+    return worst / max(up.scale, lam.scale, 1e-30)
 
 
 def solve_coboundary(lam, pou, tol=1e-8):
@@ -130,12 +142,17 @@ def solve_coboundary(lam, pou, tol=1e-8):
             for key, chart, _, _ in cover.cells(lam.depth - 1)}
     # each cell (K, kcomp) feeds its faces' parents, so every kappa_I sums
     # its terms in K order, then components(K) order
-    for key, _, faces, rho_ix in cover.cells(lam.depth):
+    for key, _, faces, rho_pieces in cover.cells(lam.depth):
         form = lam.data[key]
-        for sign, j, parent, ix in faces:
-            rho = pou.fields[j][rho_ix]
+        for sign, j, parent, pieces in faces:
+            field = pou.fields[j]
             for idx, arr in form.coeffs.items():
-                data[parent].coeffs[idx][ix] += sign * rho * arr
+                term = np.empty_like(arr)
+                for dst, src in rho_pieces:
+                    np.multiply(sign * field[src], arr[dst], out=term[dst])
+                for dst, src in pieces:
+                    out = data[parent].coeffs[idx][src]
+                    out += term[dst]
     return CechCochain(cover, lam.depth - 1, lam.degree, data), res
 
 

@@ -4,12 +4,13 @@ Patches are products of node-index runs (arcs) on the periodic fiber
 axes.  A run (start, count) means nodes start .. start+count-1 taken mod
 the axis size; unrolling a run gives a plain box chart, so every patch
 and every intersection component is a box on which the cone-type
-operators apply.  All restrictions are exact index selections, which is
-what keeps the gluing recursion free of resampling error.
+operators apply.  All restrictions are exact selections by slices (a
+run through the seam is two of them), which is what keeps the gluing
+recursion free of resampling error.
 
 A cover builds its Cech nerve once, when it is constructed: the cells
 (index tuple, component) of every depth with their charts, faces and
-index arrays (GoodCover.cells), which is all the gluing in cech reads.
+slice pieces (GoodCover.cells), which is all the gluing in cech reads.
 """
 
 import itertools
@@ -201,23 +202,33 @@ class GoodCover:
         return True
 
     def index_between(self, parent, child, shape=None):
-        """np.ix_ index arrays picking the child component out of an array
-        laid out on the parent component (self.full for the whole domain).
+        """Slice pieces picking the child component out of an array laid
+        out on the parent component (self.full for the whole domain).
 
-        Runs wrap mod the axis size, and child must lie inside parent.
-        Axes where shape has size 1 stay size 1, so partition fields keep
-        broadcasting.
+        The pieces are a tuple of blocks (dst, src), each a tuple of one
+        slice per axis: child[dst] = parent[src] for every block covers
+        the child once.  Runs wrap mod the axis size, so a child run that
+        crosses the seam of a whole axis splits into two pieces, and the
+        blocks are every combination of one piece per axis.  Child must
+        lie inside parent.  Axes where shape has size 1 take slice(None)
+        on both sides, so partition fields keep broadcasting.
         """
         if not self._contains(parent, child):
             raise ValueError("component is not contained in the parent")
-        idxs = []
+        per_axis = []
         for ax, ((ps, _), (cs, cc)) in enumerate(zip(parent, child)):
             if shape is not None and shape[ax] == 1:
-                idxs.append(np.zeros(1, dtype=int))
-            else:
-                m = self.domain.grid[ax]
-                idxs.append(((cs - ps) % m + np.arange(cc)) % m)
-        return np.ix_(*idxs)
+                per_axis.append([(slice(None), slice(None))])
+                continue
+            m = self.domain.grid[ax]
+            start = (cs - ps) % m
+            head = min(cc, m - start)
+            pieces = [(slice(0, head), slice(start, start + head))]
+            if head < cc:
+                pieces.append((slice(head, cc), slice(0, cc - head)))
+            per_axis.append(pieces)
+        return tuple((tuple(d for d, _ in combo), tuple(s for _, s in combo))
+                     for combo in itertools.product(*per_axis))
 
     def _build_cells(self):
         l = len(self)

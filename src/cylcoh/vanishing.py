@@ -9,7 +9,10 @@ x = -log((b - t)/(b - a)) over its last TAIL_SAMPLES samples before b,
 with delta = 1/mean(x), the slope a factor |log(b - t)|^(+-1) adds to
 the fit.  A profile is immutable, so its tail law is fitted once per
 profile and interval (a, b) and serves every (n, k, p, q) queried
-against it.  Each slope is mu times the condition's exponent, and a
+against it: the module's memo _TAIL_LAWS keeps it under id(profile),
+with the integer ratio of its mu that _exceeds reads, formed once when
+the law is fitted, and a finalizer drops a profile's laws when the
+profile dies.  Each slope is mu times the condition's exponent, and a
 condition whose slope is within delta*|exponent| of 1 is undecided.
 
 The verdict needs slope > 1, the strict threshold of the source's
@@ -19,8 +22,9 @@ either reading of the source.  The decision is exact: CriterionInput
 keeps u = n/q - k + 2, v = k - n/p and the gate as integers from p and
 q as given (_window), and _interp's exponent rule _exceeds compares
 mu*exponent with 1 by integer cross-multiplication, as
-AdmissibleRegion.contains does with mu = 1/alpha and 1/beta.  Only the
-fitted tail's delta band is a float test, being a tolerance by nature.
+AdmissibleRegion.contains does with mu = 1/alpha and 1/beta, whose
+ratios the region forms once, when it is built.  Only the fitted tail's
+delta band is a float test, being a tolerance by nature.
 
 Bounded rule: with s bounded above and g away from 0 the cylinder is
 bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
@@ -40,13 +44,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._interp import _exceeds, _frac, _ratio
+from ._interp import _exceeds, _frac, _law_ratio, _ratio
 from .weights import WeightProfile
 
 INF = math.inf
 TAIL_SAMPLES = 64
-# per profile, its tail laws keyed by (a, b); see _tail_law
-_TAIL_LAWS = weakref.WeakKeyDictionary()
+# per profile id, its tail-law entries keyed by (a, b); see _tail_law
+_TAIL_LAWS = {}
+CONDITIONS = ("I1: int s^(n/q-k+2) divergent", "I2: int t s^(n/q-k+2) divergent",
+              "I3: int g^(k-n/p) divergent")
+# per condition, the reasons a report lists when it fails and when it is
+# undecided, formed once
+_REASONS = {name: (name + " does not hold", name + " undecided: slope within the tail band")
+            for name in CONDITIONS}
 
 
 def _window(n, k, p, q):
@@ -114,6 +124,8 @@ class AdmissibleRegion:
         self.alpha = alpha
         self.beta = beta
         self.b_infinite = bool(b_infinite)
+        # contains' laws mu = 1/alpha and 1/beta, as _exceeds reads them
+        self._mu = None if INF in (alpha, beta) else (_law_ratio(1 / alpha), _law_ratio(1 / beta))
         self.reason = None
         if self.b_infinite:
             self.reason = (
@@ -153,10 +165,11 @@ class AdmissibleRegion:
         if self.b_infinite:
             return False
         p, q = self._exact(p, q)
-        if INF in (self.alpha, self.beta):
+        if self._mu is None:
             return False
         u, v, gate = _window(self.n, self.k, p, q)
-        return p <= q and gate and _exceeds(1 / self.alpha, u) and _exceeds(1 / self.beta, v)
+        mu_alpha, mu_beta = self._mu
+        return p <= q and gate and _exceeds(mu_alpha, u) and _exceeds(mu_beta, v)
 
     def margin(self, p, q):
         """Smallest strict-inequality slack at (p, q), as a float.
@@ -294,7 +307,8 @@ class CriterionInput:
 
 
 def _powerlaw_conditions(inp, law_s, law_g):
-    """I1-I3 of the tail laws s ~ (b - t)^(-mu_s), g ~ (b - t)^(-mu_g).
+    """I1-I3 of the tail laws s ~ (b - t)^(-mu_s), g ~ (b - t)^(-mu_g),
+    each a memo entry (law, mu's ratio) of _tail_law.
 
     Each integrand is (b - t)^(-slope) near b, with slope mu*exponent;
     in I2 the factor |t| lies between two positive constants near b != 0,
@@ -302,39 +316,54 @@ def _powerlaw_conditions(inp, law_s, law_g):
     m = 1, a slope mu*u - 1.  "holds" is decided exactly by _exceeds;
     "slope" and "exponent" are floats.  A condition whose slope lies within
     delta*|exponent| of 1 is undecided, "holds": None; exact laws have
-    delta 0.
+    delta 0.  A zero exponent makes the integrand 1 whatever the law, so
+    it is always decided.
     """
-    n, k, p, q = inp.n, inp.k, inp.p, inp.q
-    u = n / q - k + 2.0
-    v = k - n / p
-    mu_u = law_s["mu"] * u
-    rows = (
-        ("I1: int s^(n/q-k+2) divergent", mu_u, u, law_s, _exceeds(law_s["mu"], inp.u)),
-        ("I2: int t s^(n/q-k+2) divergent", mu_u - (inp.b == 0), u, law_s,
-         _exceeds(law_s["mu"], inp.u, 1, inp.b)),
-        ("I3: int g^(k-n/p) divergent", law_g["mu"] * v, v, law_g, _exceeds(law_g["mu"], inp.v)),
-    )
-    conds = {}
-    for name, slope, exponent, law, holds in rows:
-        # a zero exponent makes the integrand 1 whatever the law: decided
-        undecided = exponent != 0 and abs(slope - 1.0) < law["delta"] * abs(exponent)
-        conds[name] = {"holds": None if undecided else holds,
-                       "slope": slope, "exponent": exponent}
-    return conds
+    (s, mu_s), (g, mu_g) = law_s, law_g
+    i1, i2, i3 = CONDITIONS
+    u = inp.n / inp.q - inp.k + 2.0
+    v = inp.k - inp.n / inp.p
+    slope1 = s["mu"] * u
+    slope2 = slope1 - (inp.b == 0)
+    slope3 = g["mu"] * v
+    band_u = s["delta"] * abs(u)
+    band_v = g["delta"] * abs(v)
+    return {
+        i1: {
+            "holds": None if u != 0 and abs(slope1 - 1.0) < band_u else _exceeds(mu_s, inp.u),
+            "slope": slope1, "exponent": u},
+        i2: {
+            "holds": (None if u != 0 and abs(slope2 - 1.0) < band_u
+                      else _exceeds(mu_s, inp.u, 1, inp.b)),
+            "slope": slope2, "exponent": u},
+        i3: {
+            "holds": None if v != 0 and abs(slope3 - 1.0) < band_v else _exceeds(mu_g, inp.v),
+            "slope": slope3, "exponent": v},
+    }
 
 
 def _tail_law(prof, a, b):
-    """The tail law of a t-only profile toward (a, b), fitted once.
+    """The memo entry (law, mu's ratio) of a t-only profile's tail law
+    toward (a, b), fitted once; None when _fit_tail_law has no law.
 
     A profile is immutable, so its law is a pure function of (prof, a,
-    b): _TAIL_LAWS keeps it per profile, keyed by (a, b), for as long as
-    the profile lives.  The memo's dicts are shared; copy before handing
-    one out.  Only a miss inserts.
+    b): _TAIL_LAWS keeps it under id(prof), keyed by (a, b), with the
+    pair _exceeds reads formed when the law is fitted, and a finalizer
+    drops the profile's entries when the profile dies, before its id can
+    name another.  The memo's dicts are shared; copy before handing one
+    out.  Only a miss inserts.
     """
     try:
-        return _TAIL_LAWS[prof][a, b]
+        return _TAIL_LAWS[id(prof)][a, b]
     except KeyError:
-        return _TAIL_LAWS.setdefault(prof, {}).setdefault((a, b), _fit_tail_law(prof, a, b))
+        pass
+    entries = _TAIL_LAWS.get(id(prof))
+    if entries is None:
+        entries = _TAIL_LAWS[id(prof)] = {}
+        weakref.finalize(prof, _TAIL_LAWS.pop, id(prof), None)
+    law = _fit_tail_law(prof, a, b)
+    entry = entries[a, b] = None if law is None else (law, _law_ratio(law["mu"]))
+    return entry
 
 
 def _fit_tail_law(prof, a, b):
@@ -358,15 +387,16 @@ def _fit_tail_law(prof, a, b):
             "rms": math.sqrt(float(np.mean((yc - mu * xc) ** 2)))}
 
 
-def _sampled_conditions(inp, tail):
+def _sampled_conditions(inp, law_s, law_g):
     """(conditions, undecided reasons) of a query with a sampled-t
-    profile, from its tail laws."""
-    if None in tail.values():
+    profile, from the memo entries of its tail laws."""
+    if law_s is None or law_g is None:
         return {}, ["fewer than 3 samples before b, or no spread in their b - t"]
-    if all(abs(law["mu"]) <= law["delta"] for law in tail.values()):
+    (s, _), (g, _) = law_s, law_g
+    if abs(s["mu"]) <= s["delta"] and abs(g["mu"]) <= g["delta"]:
         return {}, ["tail bands of s and g contain 0: bounded and |log|-growing "
                     "twisting cannot be told apart"]
-    return _powerlaw_conditions(inp, tail["s"], tail["g"]), []
+    return _powerlaw_conditions(inp, law_s, law_g), []
 
 
 def criterion_check(inp):
@@ -390,20 +420,28 @@ def criterion_check(inp):
         route = "b-infinite"
         failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
     else:
-        laws = {"s": _tail_law(inp.s, inp.a, inp.b), "g": _tail_law(inp.g, inp.a, inp.b)}
+        ab = inp.a, inp.b
+        try:  # the memo hit, read in place: the path of every repeated query
+            law_s, law_g = _TAIL_LAWS[id(inp.s)][ab], _TAIL_LAWS[id(inp.g)][ab]
+        except KeyError:
+            law_s, law_g = _tail_law(inp.s, *ab), _tail_law(inp.g, *ab)
         if "sampled-t" in (inp.s.kind, inp.g.kind):
             # the report's own dicts: the memo's stay unchanged
             route = "fitted-tail"
-            tail = {name: None if law is None else dict(law) for name, law in laws.items()}
-            conds, undecided = _sampled_conditions(inp, laws)
-        elif all(law["mu"] == 0 for law in laws.values()):
+            tail = {"s": None if law_s is None else dict(law_s[0]),
+                    "g": None if law_g is None else dict(law_g[0])}
+            conds, undecided = _sampled_conditions(inp, law_s, law_g)
+        elif law_s[0]["mu"] == 0 and law_g[0]["mu"] == 0:
             route = "bounded"
         else:
             route = "powerlaw"
-            conds = _powerlaw_conditions(inp, laws["s"], laws["g"])
-    failed += [name + " does not hold" for name, c in conds.items() if c["holds"] is False]
-    undecided += [name + " undecided: slope within the tail band"
-                  for name, c in conds.items() if c["holds"] is None]
+            conds = _powerlaw_conditions(inp, law_s, law_g)
+    for name, c in conds.items():
+        holds = c["holds"]
+        if holds is False:
+            failed.append(_REASONS[name][0])
+        elif holds is None:
+            undecided.append(_REASONS[name][1])
 
     if inp.hdr_zero is False:
         failed.append(f"de Rham condition H^{inp.k}_DR(N) = 0 does not hold")

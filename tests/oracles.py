@@ -3,7 +3,9 @@
 point_eval applies the cubic stencils of _interp point by point,
 cone_pullback_fiber evaluates the cone pullback at a single point, and
 gauss_averaged_K sums K_y over Gauss centers; the tests hold
-scaled_eval, K_y and A_alpha against them.
+scaled_eval, K_y and A_alpha against them.  take and run_index read a
+restriction between cover components block by block and by fancy
+indexing of the wrapped runs, for the tests of the cover's slice pieces.
 """
 
 import itertools
@@ -83,3 +85,27 @@ def gauss_averaged_K(omega, alpha, t_nodes):
         weight = np.prod([wt for _, wt in center]) * alpha.eval_t(y[0])
         out = out + weight * K_y(omega, y, t_nodes=t_nodes)
     return out
+
+
+def take(arr, pieces):
+    """arr restricted by GoodCover.index_between's slice pieces: a fresh
+    array filled block by block, NaN wherever no block writes."""
+    shape = [max(dst[ax].indices(n)[1] for dst, _ in pieces) for ax, n in enumerate(arr.shape)]
+    out = np.full(shape, np.nan)
+    for dst, src in pieces:
+        out[dst] = arr[src]
+    return out
+
+
+def run_index(cover, parent, child, shape=None):
+    """np.ix_ arrays picking child out of an array laid out on parent:
+    node (cs - ps) % m + i, mod the axis size m, on each axis, and node 0
+    on axes where shape has size 1."""
+    idxs = []
+    for ax, ((ps, _), (cs, cc)) in enumerate(zip(parent, child)):
+        m = cover.domain.grid[ax]
+        if shape is not None and shape[ax] == 1:
+            idxs.append(np.zeros(1, dtype=int))
+        else:
+            idxs.append(((cs - ps) % m + np.arange(cc)) % m)
+    return np.ix_(*idxs)

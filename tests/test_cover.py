@@ -5,6 +5,7 @@ import pytest
 
 from cylcoh import circle_cover, cylinder, torus_cover
 from cylcoh.cover import GoodCover, PartitionOfUnity
+from oracles import run_index, take
 
 
 def test_circle_cover_three_arcs():
@@ -64,16 +65,19 @@ def test_index_between_broadcast():
     assert cov.component_domain(cov.full) is dom
     comp = cov.components((0, 1))[0]
     full = np.arange(9 * 32, dtype=float).reshape(9, 32)
-    sub = full[cov.index_between(cov.full, comp)]
+    sub = take(full, cov.index_between(cov.full, comp))
     assert sub.shape == (9, 3)
     assert np.array_equal(sub[:, 0], full[:, 10])
-    # arc 2 runs through the seam: indices wrap mod the axis size
+    # arc 2 runs through the seam: its run splits into two slices
     arc = cov.components((2,))[0]
-    wrapped = full[cov.index_between(cov.full, arc)]
+    pieces = cov.index_between(cov.full, arc)
+    assert pieces == (((slice(0, 9), slice(0, 12)), (slice(0, 9), slice(20, 32))),
+                      ((slice(0, 9), slice(12, 15)), (slice(0, 9), slice(0, 3))))
+    wrapped = take(full, pieces)
     assert np.array_equal(wrapped[0], full[0, np.r_[20:32, 0:3]])
     # size-1 axes stay size 1 so partition fields keep broadcasting
     rho = np.ones((1, 32))
-    assert rho[cov.index_between(cov.full, comp, rho.shape)].shape == (1, 3)
+    assert take(rho, cov.index_between(cov.full, comp, rho.shape)).shape == (1, 3)
 
 
 def test_index_between_containment():
@@ -81,9 +85,10 @@ def test_index_between_containment():
     cov = circle_cover(dom)
     par = cov.components((2,))[0]
     child = cov.components((1, 2))[0]
-    rows, cols = cov.index_between(par, child)
-    assert np.array_equal(rows.ravel(), np.arange(9))
-    assert np.array_equal(cols.ravel(), np.arange(3))
+    (dst, (rows, cols)), = cov.index_between(par, child)
+    assert dst == (slice(0, 9), slice(0, 3))
+    assert np.array_equal(np.arange(9)[rows], np.arange(9))
+    assert np.array_equal(np.arange(15)[cols], np.arange(3))
 
     other = cov.components((0,))[0]
     with pytest.raises(ValueError, match="not contained"):
@@ -102,13 +107,17 @@ def test_cell_table(make, grid, counts):
     (key, chart, faces, _), = cov.cells(0)
     assert key == ((), cov.full) and chart is dom and faces == ()
     rho_shape = tuple(m if per else 1 for m, per in zip(dom.grid, dom.periodic))
+    rng = np.random.default_rng(0)
+    full, rho = rng.standard_normal(dom.grid), rng.standard_normal(rho_shape)
     for d in range(1, len(cov) + 1):
         for (J, comp), chart, faces, rho_index in cov.cells(d):
             assert chart == cov.component_domain(comp)
-            full_ix = cov.index_between(cov.full, comp, rho_shape)
-            assert all(np.array_equal(a, b) for a, b in zip(rho_index, full_ix))
+            # every node of the component comes from one block, the node
+            # the wrapped run names
+            want = rho[run_index(cov, cov.full, comp, rho_shape)]
+            assert np.array_equal(take(rho, rho_index), want)
             assert len(faces) == d
-            for r, (sign, patch, (sub, parent), ix) in enumerate(faces):
+            for r, (sign, patch, (sub, parent), pieces) in enumerate(faces):
                 assert (sign, patch, sub) == ((-1) ** r, J[r], J[:r] + J[r + 1 :])
                 accepted = []
                 for cand in cov.components(sub):
@@ -118,8 +127,9 @@ def test_cell_table(make, grid, counts):
                         continue
                     accepted.append(cand)
                 assert accepted == [parent]
-                want = cov.index_between(parent, comp)
-                assert all(np.array_equal(a, b) for a, b in zip(ix, want))
+                on_parent = take(full, cov.index_between(cov.full, parent))
+                want = full[run_index(cov, cov.full, comp)]
+                assert np.array_equal(take(on_parent, pieces), want)
 
 
 @pytest.mark.parametrize("make, fiber_axes", [(circle_cover, 1), (torus_cover, 2)])

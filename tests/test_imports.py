@@ -194,7 +194,7 @@ def test_block_rule_stays_in_interp():
     assert found == {}
 
 
-EXPONENT_RULE = {"_ratio", "_frac", "_exceeds"}
+EXPONENT_RULE = {"_ratio", "_frac", "_law_ratio", "_exceeds"}
 
 
 def _lam_products(tree):

@@ -44,11 +44,13 @@ def test_condition_slopes_closed_form(mu):
     # when its exact slope exceeds 1: mu = 0.5 puts I1 at slope exactly 1
     # for (n, k, p, q) = (2, 1, 2, 2), where int (b-t)^(-1) diverges but
     # the strict window excludes the point
-    law = {"mu": mu, "delta": 0.0}
     for b in (1.0, -1.0, 0.0):
         for n, k, p, q in [(4, 3, 2.0, 2.5), (2, 1, 2.0, 2.0), (4, 1, 3.0, 7.0)]:
             inp = CriterionInput(n, k, p, q, (b - 1.0, b), WeightProfile.powerlaw(mu, b))
             u, v = n / q - k + 2.0, k - n / p
+            # the memo entry (law, mu's ratio) of the law (mu, 0)
+            law = vanishing._tail_law(inp.s, inp.a, inp.b)
+            assert law == ({"mu": mu, "delta": 0.0, "rms": 0.0}, mu.as_integer_ratio())
             conds = _powerlaw_conditions(inp, law, law)
             want = (mu * u, mu * u - (b == 0), mu * v)
             assert [c["slope"] for c in conds.values()] == list(want)
@@ -552,6 +554,87 @@ def test_report_tail_is_not_the_memo():
     rep["tail"]["s"]["mu"] = 99.0
     assert rep["tail"]["g"]["mu"] != 99.0
     assert json.dumps(criterion_check(inp), sort_keys=True) == want
+
+
+def _exact_holds(mu, n, k, p, q, b):
+    """I1-I3 of the law (b - t)^(-mu) over Fractions: mu*u > 1, mu*u - [b = 0]
+    > 1 and mu*v > 1, with u = n/q - k + 2 and v = k - n/p."""
+    mu = Fraction(mu)
+    u, v = n / Fraction(q) - k + 2, k - n / Fraction(p)
+    return [mu * u > 1, mu * u - (b == 0) > 1, mu * v > 1]
+
+
+def test_criterion_check_matches_fraction_oracle():
+    # the criterion-6 grid under the laws 1/2, 1, 2, 3 toward b = 1, 0, -1:
+    # every exact law decides all three conditions as the Fractions do, and
+    # the law's sampled twin decides each condition it decides at its own
+    # fitted mu
+    grid = [(n, k, Fraction(21, i), Fraction(21, j)) for n in (2, 4) for k in range(1, n + 2)
+            for i in range(1, 22) for j in range(1, i + 1)]
+    decided = 0
+    for lam in (Fraction(1, 2), 1, 2, 3):
+        for b in (1.0, 0.0, -1.0):
+            ts = b - 2.0 ** (-12.0 * np.arange(256) / 256)
+            exact = WeightProfile.powerlaw(float(lam), b)
+            twin = WeightProfile.sampled_t(ts, (b - ts) ** -float(lam))
+            for n, k, p, q in grid:
+                rep = criterion_check(CriterionInput(n, k, p, q, (b - 1.0, b), exact))
+                assert rep["route"] == "powerlaw"
+                want = _exact_holds(lam, n, k, p, q, b)
+                assert [c["holds"] for c in rep["conditions"].values()] == want
+                rep = criterion_check(CriterionInput(n, k, p, q, (b - 1.0, b), twin))
+                mu = rep["tail"]["s"]["mu"]
+                assert rep["route"] == "fitted-tail" and abs(mu - lam) < 1e-3
+                got = [c["holds"] for c in rep["conditions"].values()]
+                assert len(got) == 3
+                for holds, want_holds in zip(got, _exact_holds(mu, n, k, p, q, b), strict=True):
+                    if holds is not None:
+                        decided += 1
+                        assert holds == want_holds, (lam, b, n, k, str(p), str(q))
+    assert decided > 60000
+
+
+def test_tail_law_memo_goes_with_its_profile():
+    ts = np.linspace(0.0, 1.0, 129)[:-1]
+    reused = 0
+    for _ in range(5):
+        prof = WeightProfile.sampled_t(ts, (1.0 - ts) ** -1.0)
+        rep = criterion_check(CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), prof))
+        assert rep["tail"]["s"]["mu"] == pytest.approx(1.0)
+        key = id(prof)
+        assert list(vanishing._TAIL_LAWS[key]) == [(0.0, 1.0)]
+        del prof  # no cycle holds a profile, so it dies here
+        assert key not in vanishing._TAIL_LAWS
+        # a profile made now often lands at the freed address; it fits its own law
+        other = WeightProfile.sampled_t(ts, (1.0 - ts) ** -3.0)
+        reused += id(other) == key
+        rep = criterion_check(CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), other))
+        assert rep["tail"]["s"]["mu"] == pytest.approx(3.0)
+        del other
+    assert reused > 0, "no profile was made at a freed address"
+
+
+def test_criterion_check_calls_conditions_through_the_module(monkeypatch):
+    # one call per query, looked up on the module, so a wrapper installed
+    # there (as the benchmark's tracer does) sees every call
+    calls = []
+    for name in ("_powerlaw_conditions", "_sampled_conditions"):
+        def counted(*args, fn=getattr(vanishing, name), name=name):
+            calls.append(name)
+            return fn(*args)
+
+        monkeypatch.setattr(vanishing, name, counted)
+    ts = np.linspace(0.0, 1.0, 129)[:-1]
+    warps = [(WeightProfile.powerlaw(2.0, 1.0), ["_powerlaw_conditions"]),
+             (WeightProfile.sampled_t(ts, (1.0 - ts) ** -2.0),
+              ["_sampled_conditions", "_powerlaw_conditions"]),
+             (WeightProfile.sampled_t(ts, np.full(ts.size, 1.5)), ["_sampled_conditions"]),
+             (WeightProfile.constant(1.5), [])]
+    for warp, want in warps:
+        for n, k, p, q in [(4, 3, 2.0, 2.5), (2, 1, 1.0, 4.0)]:
+            calls.clear()
+            criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp))
+            assert calls == want
 
 
 def test_gauss01_built_once_per_node_count():
