@@ -40,11 +40,13 @@ share an axis build its rows once, and the C-integral's grid windows, so
 a repeated constant builds only its refinement's.
 
 Every weight norm of alpha, beta and gamma lives here too: weight_norm
-over a box, a t-only profile's t_norm times the fiber measure.  t_norm
-takes a closed mass where there is one (powerlaw_mass, on the window
-matrices' _pl_primitive), else edge_integral: tanh-sinh pieces cut at 0
-and at a profile's knots, against a law singular at the right end,
-evaluated in chunks of pieces whose arrays stay within CHUNK_BYTES.
+over a box, a t-only profile's t_norm times the fiber measure, and a
+full-grid weight's DomainSpec.norm of its samples, the one norm rule for
+sampled fields.  t_norm takes a closed mass where there is one
+(powerlaw_mass, on the window matrices' _pl_primitive), else
+edge_integral: tanh-sinh pieces cut at 0 and at a profile's knots,
+against a law singular at the right end, evaluated in chunks of pieces
+whose arrays stay within CHUNK_BYTES.
 Every quadrature rule is built once, read-only: gauss01 keeps one rule
 per node count, and TANH_SINH is built at import.  So does the
 package's one exponent rule (_exceeds, diverges), exact on p, q and
@@ -448,15 +450,12 @@ def t_norm(weight, q, lo, hi, moment_t=False, measure=1.0):
 def weight_norm(weight, q, D):
     """||w||_{L^q(D)} of a weight on a box D: its mass at q = 1 and its
     sup at q = inf.  A t-only profile takes its t_norm on D's t-axis
-    times the fiber measure; a full-grid sampled weight takes D's
-    trapezoid rule, or its largest sample."""
+    times the fiber measure; a full-grid sampled weight is D.norm of its
+    samples."""
     if weight.t_only:
         fiber = math.prod(hi - lo for lo, hi in D.bounds[1:])
         return t_norm(weight, q, *D.bounds[0], measure=fiber)
-    samples = weight.sample_on(D)
-    if q == math.inf:
-        return float(samples.max())
-    return float(D.integrate(samples ** float(q)) ** (1.0 / float(q)))
+    return D.norm(weight.sample_on(D), q)
 
 
 def window_matrix(domain, ax, lower, upper, weight=None):

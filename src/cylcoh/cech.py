@@ -285,8 +285,7 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
 
     resid = (exterior_derivative(xi) - omega).max_abs()
     scale = max(omega.max_abs(), 1e-30)
-    beta_w = None if beta.kind == "constant" and beta.value == 1.0 else beta
-    xi_norm = lp_norm(xi, q, weight=beta_w)
+    xi_norm = lp_norm(xi, q, weight=beta)
     omega_norm = lp_norm(omega, p, weight=gamma)
     report = {
         "residual": resid,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 
-from .domain import DomainSpec, cylinder
+from .domain import KINDS as DOMAIN_KINDS, DomainSpec, cylinder
 from .forms import exterior_derivative, lp_norm, random_form
 from .weights import WeightProfile
 from .homotopy import K_y, A_alpha, check_admissible_weight
@@ -68,9 +68,13 @@ SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "report": {"type": "string"},
         "csv": {"type": "string"},
-        # only the grid's entries are checked here; a malformed domain
-        # reaches the handler and gets an error report
-        "domain": {"type": "object", "properties": {"grid": {"items": GRID_ITEMS}}},
+        "domain": {"type": "object", "required": ["kind", "bounds", "grid"],
+                   "properties": {"kind": {"enum": list(DOMAIN_KINDS)},
+                                  "bounds": {"type": "array", "items": {
+                                      "type": "array", "items": NUMBER, "minItems": 2, "maxItems": 2}},
+                                  "grid": {"type": "array", "items": GRID_ITEMS},
+                                  "periodic": {"type": "array", "items": {"type": "boolean"}}},
+                   "additionalProperties": False},
         "degree": {"type": "integer", "minimum": 0},
         # the maxima bound the work of one scenario
         "count": {"type": "integer", "minimum": 1, "maximum": 100},

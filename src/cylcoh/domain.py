@@ -104,6 +104,26 @@ class DomainSpec:
             out = out * w.reshape(shape)
         return float(out.sum())
 
+    def norm(self, density, p, weight=None):
+        """||density||_{L^p(weight)} of a nonnegative sampled density: the
+        largest density * weight at p = inf, else
+        integrate(density**p * weight**p) ** (1/p).  weight is None or a
+        WeightProfile; a t-only one enters as its column at the axis-0
+        nodes, broadcast over the fiber, so no grid-sized weight is built."""
+        p = float(p)
+        if weight is None:
+            sigma = None
+        elif weight.t_only:
+            sigma = weight.eval_t(self.axis_coords(0)).reshape((-1,) + (1,) * (self.dim - 1))
+        else:
+            sigma = weight.sample_on(self)
+        if p == np.inf:
+            return float((density if sigma is None else density * sigma).max())
+        field = density**p
+        if sigma is not None:
+            field *= sigma**p
+        return self.integrate(field) ** (1.0 / p)
+
     @property
     def volume(self):
         lengths = [hi - lo for lo, hi in self.bounds]

@@ -7,8 +7,6 @@ import itertools
 
 import numpy as np
 
-from .weights import WeightProfile
-
 
 def increasing_indices(dim, k):
     """All increasing multi-index tuples of length k drawn from range(dim)."""
@@ -158,36 +156,13 @@ def exterior_derivative(omega):
     return out
 
 
-def _weight_field(weight, domain):
-    if weight is None:
-        return None
-    if isinstance(weight, WeightProfile):
-        return weight.sample_on(domain)
-    return np.asarray(weight, dtype=float) * np.ones(domain.grid)
-
-
 def lp_norm(omega, p, weight=None):
-    """Weighted L^p norm by tensor trapezoid quadrature.
-
-    The density is the Euclidean coefficient norm sqrt(sum_I f_I^2); the
-    weight sigma (None, a WeightProfile, or numbers broadcast to the grid)
-    enters as sigma^p inside the integral.  p = inf takes the weighted sup
-    instead.
-    """
-    p = float(p)
+    """Weighted L^p norm of a form: DomainSpec.norm of the Euclidean
+    coefficient density sqrt(sum_I f_I^2) against the weight (None or a
+    WeightProfile), the weighted sup at p = inf."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    dom = omega.domain
-    dens = np.sqrt(sum(f * f for f in omega.coeffs.values()))
-    sigma = _weight_field(weight, dom)
-    if np.isinf(p):
-        if sigma is not None:
-            dens = dens * sigma
-        return float(dens.max())
-    integrand = dens**p
-    if sigma is not None:
-        integrand = integrand * sigma**p
-    return float(dom.integrate(integrand) ** (1.0 / p))
+    return omega.domain.norm(np.sqrt(sum(f * f for f in omega.coeffs.values())), p, weight)
 
 
 # Seeded analytic test forms.  Forms are drawn as parameter sets first

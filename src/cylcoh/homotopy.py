@@ -143,9 +143,9 @@ def check_admissible_weight(alpha, D, p):
     Checks int alpha = 1 (tol 1e-8), ||alpha||_{p'} < inf and
     ||alpha(y)|y||_{p'} < inf with p' = p/(p-1) exactly (sup norm when
     p = 1).  The mass and ||alpha||_{p'} are _interp.weight_norm's, as
-    for beta and gamma.  ||alpha(y)|y|||_{p'} is the grid trapezoid (or
-    the largest sample), except for a law pivoting at the right t-edge,
-    which takes the edge rule.
+    for beta and gamma.  ||alpha(y)|y|||_{p'} is D.norm of the density
+    alpha|y| (the grid trapezoid, or the largest sample), except for a law
+    pivoting at the right t-edge, which takes the edge rule.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -162,11 +162,7 @@ def check_admissible_weight(alpha, D, p):
         mnorm = math.inf if math.isinf(anorm) else edge_integral(
             e, lo0, hi0, lambda t: _fiber_moment(D, pprime, t)) ** (1.0 / pprime)
     else:
-        field = alpha.sample_on(D) * np.sqrt(sum(c**2 for c in D.meshgrid()))
-        if np.isinf(pprime):
-            mnorm = float(field.max())
-        else:
-            mnorm = D.integrate(field**pprime) ** (1.0 / pprime)
+        mnorm = D.norm(alpha.sample_on(D) * np.sqrt(sum(c**2 for c in D.meshgrid())), pprime)
 
     if not (np.isfinite(mass) and abs(mass - 1.0) <= 1e-8):
         violations.append(f"unit mass (got {mass:.6g})")

@@ -62,8 +62,10 @@ _REASONS = {name: (name + " does not hold", name + " undecided: slope within the
 def _window(n, k, p, q):
     """u = n/q - k + 2 and v = k - n/p as (num, den > 0) pairs, and the
     gate q(n+1-p) < np, exactly at the p, q >= 1 given.  Integer
-    arithmetic throughout, so a query builds no Fraction."""
-    (pn, pd), (qn, qd) = _ratio(p), _ratio(q)
+    arithmetic throughout, so a query builds no Fraction.  An infinite p
+    or q is the ratio 1/0, so its inverse is 0 exactly: at q = inf,
+    u = 2 - k and the gate is p > n + 1."""
+    (pn, pd), (qn, qd) = ((1, 0) if x == INF else _ratio(x) for x in (p, q))
     gate = qn * ((n + 1) * pd - pn) < n * pn * qd
     return (n * qd + (2 - k) * qn, qn), (k * pn - n * pd, pn), gate
 
@@ -181,11 +183,11 @@ class AdmissibleRegion:
         if self.b_infinite:
             return -INF
         p, q = self._exact(p, q)
-        inv_p, inv_q = 1 / p, 1 / q
+        inv_p, inv_q = (Fraction(0) if x == INF else 1 / x for x in (p, q))
         return min(float(slack) for slack in (
             INF if self.left == INF else inv_q - self.left,
             -INF if self.right == -INF else self.right - inv_p,
-            (q - 1) / (q * (self.n + 1)) - (inv_p - inv_q),
+            (1 - inv_q) / (self.n + 1) - (inv_p - inv_q),
         ))
 
     def q_interval(self, p):

@@ -128,16 +128,32 @@ def test_readme_scenarios_validate():
         jsonschema.validate(json.loads(block.split("```")[0]), SCHEMA)
 
 
-def test_malformed_bounds_reports_error(tmp_path, capsys):
-    sc = {
-        "command": "homotopy-check",
-        "degree": 1,
-        "domain": {"kind": "box", "bounds": 5, "grid": [65]},
-    }
-    code, report, _ = _run(tmp_path, sc)
-    assert code == 1
-    assert "(lo, hi) pairs" in report["error"]
-    assert "homotopy-check failed" in capsys.readouterr().err
+HOMOTOPY_CHECK = {"command": "homotopy-check", "degree": 1}
+CONSTANT = {"command": "constant", "k": 1, "p": 2, "q": 2}
+
+
+@pytest.mark.parametrize(
+    "base, domain, where",
+    [
+        (HOMOTOPY_CHECK, {"kind": "box", "bounds": 5, "grid": [65]}, "domain/bounds"),
+        (HOMOTOPY_CHECK, {"kind": "box", "bounds": [[0.0, 1.0]], "grid": 5}, "domain/grid"),
+        (CONSTANT, {"kind": "box", "bounds": [[0.0]], "grid": [33]}, "domain/bounds/0"),
+        (CONSTANT, {"kind": "box", "bounds": [[0.0, 1.0]], "grid": [33], "periodic": True},
+         "domain/periodic"),
+        (CONSTANT, {"kind": "torus", "bounds": [[0.0, 1.0]], "grid": [33]}, "domain/kind"),
+        (CONSTANT, {"kind": "box", "bounds": [[0.0, 1.0]], "grid": [33], "warp": [1.0] * 33},
+         "domain"),
+        (CONSTANT, {"kind": "box", "grid": [33]}, "domain"),
+    ],
+    ids=["bounds", "grid", "short-pair", "periodic", "kind", "unknown-key", "no-bounds"],
+)
+def test_malformed_domain_is_a_schema_error(tmp_path, capsys, base, domain, where):
+    # the schema owns the domain's shape, so no handler runs and no
+    # report is written
+    code, report, _ = _run(tmp_path, dict(base, domain=domain))
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and err.endswith(f"(at {where})\n"), err
 
 
 @pytest.mark.parametrize(
@@ -147,10 +163,8 @@ def test_malformed_bounds_reports_error(tmp_path, capsys):
          "warp": {"kind": "sampled", "t": [0.0, 0.5], "values": [1.0] * 6, "shape": [4, 2]}},
         {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
          "fiber_bounds": 5},
-        {"command": "homotopy-check", "degree": 1,
-         "domain": {"kind": "box", "bounds": [[0.0, 1.0]], "grid": 5}},
     ],
-    ids=["warp", "fiber_bounds", "grid"],
+    ids=["warp", "fiber_bounds"],
 )
 def test_malformed_field_reports_error(tmp_path, sc):
     code, report, _ = _run(tmp_path, sc)
@@ -348,14 +362,16 @@ def test_warp_schema_refuses_unknown_kind(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("schema error: ")
 
 
-def test_twisted_cylinder_domain_is_an_error(tmp_path):
-    # no route reads a warp, so a warped domain is refused rather than ignored
+def test_twisted_cylinder_domain_is_an_error(tmp_path, capsys):
+    # no route reads a warp, so a warped domain is refused rather than
+    # ignored: the domain schema knows neither the kind nor the key
     dom = {"kind": "twisted-cylinder", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [9, 8],
            "periodic": [False, True], "warp": [1.0] * 72}
     sc = {"command": "constant", "domain": dom, "k": 1, "p": 2, "q": 2, "route": "corollary"}
     code, report, _ = _run(tmp_path, sc)
-    assert code == 1
-    assert "unknown domain kind 'twisted-cylinder'" in report["error"]
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and err.endswith("(at domain)\n"), err
 
 
 def test_report_byte_identical(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cylcoh import DomainSpec, box, cylinder
+from cylcoh import DomainSpec, WeightProfile, box, cylinder
 
 
 def test_box_basics():
@@ -36,6 +36,21 @@ def test_quadrature_polynomial_exact():
     dom = box([[0, 1], [0, 1]], [6, 9])
     x, y = dom.meshgrid()
     assert dom.integrate(2.0 * x + y) == pytest.approx(1.5)
+
+
+def test_norm_closed_forms():
+    # p = 1 against a constant weight: the trapezoid is exact on a
+    # density linear in each axis, 3 * int (1 + x + 2y + xy) = 3 * 8 = 24
+    dom = box([[0, 1], [0, 2]], [6, 9])
+    x, y = dom.meshgrid()
+    assert dom.norm(1.0 + x + 2.0 * y + x * y, 1, WeightProfile.constant(3.0)) == pytest.approx(
+        24.0, rel=1e-14)
+    # p = inf against the sampled-t weight 2 - t: (1 + t)(2 - t) peaks at
+    # t = 1/2, a node, with 9/4; the fiber factor peaks at 1
+    cyl = cylinder([0, 1], [[0, 1]], [9, 8])
+    t, th = cyl.meshgrid()
+    weight = WeightProfile.sampled_t([0.0, 1.0], [2.0, 1.0])
+    assert cyl.norm((1.0 + t) * np.cos(np.pi * th) ** 2, np.inf, weight) == 2.25
 
 
 def test_periodic_quadrature_trig_exact():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cylcoh import GridForm, box, cylinder, exterior_derivative, lp_norm
+from cylcoh import GridForm, WeightProfile, box, cylinder, exterior_derivative, lp_norm
 from cylcoh.forms import random_form
 
 
@@ -47,15 +47,28 @@ def test_lp_norm_flat_cases():
     one = GridForm.from_callable(dom, 0, lambda x, y: 1.0 + 0 * x)
     assert lp_norm(one, 2.0) == pytest.approx(1.0)
     dx1 = GridForm(dom, 1, {(0,): 1.0})
-    assert lp_norm(dx1, 1.0, weight=2.0) == pytest.approx(2.0)
+    assert lp_norm(dx1, 1.0, weight=WeightProfile.constant(2.0)) == pytest.approx(2.0)
     # coefficients (3, 4) on a cylinder of area 2: the density is the
     # Euclidean norm 5, while max_abs is the largest coefficient, 4
     cyl = cylinder([0, 1], [[0, 2]], [9, 16])
     om = GridForm(cyl, 1, {(0,): 3.0, (1,): 4.0})
     assert lp_norm(om, np.inf) == pytest.approx(5.0, rel=1e-15)
     assert lp_norm(om, 2.0) == pytest.approx(5.0 * np.sqrt(2.0), rel=1e-14)
-    assert lp_norm(om, 1.0, weight=0.5) == pytest.approx(5.0, rel=1e-14)
+    assert lp_norm(om, 1.0, weight=WeightProfile.constant(0.5)) == pytest.approx(5.0, rel=1e-14)
     assert om.max_abs() == 4.0
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.25, np.inf])
+def test_lp_norm_weights_enter_bitwise(q):
+    # a unit weight changes no bit, and a t-only weight's broadcast
+    # column gives the same bits as its values sampled on the full grid
+    dom = cylinder([0, 1], [[0, 1], [0, 2]], [9, 8, 6])
+    om = random_form(dom, 1, np.random.default_rng(3))
+    assert lp_norm(om, q, WeightProfile.constant(1.0)) == lp_norm(om, q)
+    for weight in (WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.7]),
+                   WeightProfile.powerlaw(0.25, 2.0), WeightProfile.constant(2.0)):
+        full = WeightProfile.sampled(weight.sample_on(dom))
+        assert lp_norm(om, q, weight) == lp_norm(om, q, full)
 
 
 def _gradient_roll_d(om):

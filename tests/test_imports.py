@@ -3,10 +3,11 @@ module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, one
 memo holds every retained window matrix, only t_norm (and a law alpha's
 |y| moment) integrates weights in t, one function gives the C-integral's
-sups, the t-node block rule and the exponent rule stay in _interp, the
-Cech nerve stays in cover, A_alpha calls no K_y, no function only
-passes its own parameters on to another call, and every function the
-benchmark's tracer wraps exists."""
+sups, DomainSpec.norm is the one caller of the grid integral, the t-node
+block rule and the exponent rule stay in _interp, the Cech nerve stays
+in cover, A_alpha calls no K_y, no function only passes its own
+parameters on to another call, and every function the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -170,6 +171,15 @@ def test_one_sup_rule_for_the_c_integral():
     tree = _sources()["constants.py"]
     assert _callers(tree, "_sup_window_norms") == {"_sup_norms"}
     assert _callers(tree, "integrate") == set()
+
+
+def test_one_norm_rule_for_sampled_fields():
+    # lp_norm, weight_norm's full-grid branch and the bounded |y| moment
+    # all take DomainSpec.norm, the one caller of the grid integral, so a
+    # change to how a weight enters lands in one place
+    callers = {(name, fn) for name, tree in _sources().items()
+               for fn in _callers(tree, "integrate")}
+    assert callers == {("domain.py", "norm")}
 
 
 def test_a_alpha_averages_no_K_y():

@@ -186,6 +186,22 @@ def test_region_margin_sign():
     assert reg.margin(3, 3) < 0
 
 
+def test_region_at_q_infinite():
+    # 1/q = 0 exactly: u = 2 - k, and the gate q(n+1-p) < np reads p > n + 1
+    reg = AdmissibleRegion(4, 1, Fraction(1, 2), Fraction(1, 10))
+    assert reg.contains(6, math.inf)
+    # slacks 1/8, 9/40 - 1/6 = 7/120 and the gate's 1/5 - 1/6 = 1/30
+    assert reg.margin(6, math.inf) == float(Fraction(1, 30))
+    assert abs(reg.margin(6, 10**12) - 1 / 30) < 1e-11
+    assert not reg.contains(5, math.inf) and reg.margin(5, math.inf) == 0.0
+    # 1/p = 0 too: the gate holds, and p <= q asks q = inf
+    assert reg.contains(math.inf, math.inf) and reg.margin(math.inf, math.inf) == 0.125
+    assert not reg.contains(math.inf, 6)
+    reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
+    assert not reg.contains(2, math.inf)
+    assert reg.margin(2, math.inf) == -0.375
+
+
 def test_region_grid_nests_under_refinement():
     reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
     coarse = {(ip, iq) for ip, iq, m in region_grid(reg, 8) if m}
