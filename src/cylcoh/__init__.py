@@ -17,7 +17,6 @@ from .constants import (
     corollary_box_bound,
     cylinder_constant,
     Q_factor,
-    sup_indicator_norm,
 )
 from .cover import GoodCover, circle_cover, torus_cover
 from .cech import CechCochain, HypothesisFailure, coboundary, glue_primitive
@@ -48,7 +47,6 @@ __all__ = [
     "corollary_box_bound",
     "cylinder_constant",
     "Q_factor",
-    "sup_indicator_norm",
     "GoodCover",
     "circle_cover",
     "torus_cover",

@@ -30,10 +30,10 @@ and one product of the block's axis-0 matrices, side by side, with the
 stack sums the block's t-nodes (sum factorisation over t as well as
 space).  scaled_blocks splits K_y's t-nodes by the rows each slab can
 take, so the stack, the axis-0 matrices and every stencil build fit
-STACK_BYTES; reblocking changes only the order of that sum.  K_y's
-stack, axis-0 matrices and scratch grid come from workspace: buffers
-kept per thread (threading.local) within WORK_BYTES and reused by every
-later call, so a call faults in no fresh pages for them.  One memo,
+STACK_BYTES; reblocking changes only the order of that sum.  Every
+operator makes its buffers once per call and keeps none between calls:
+K_y its stack, axis-0 matrices and scratch grid, as A_alpha and the
+C-integral's search make theirs.  One memo,
 bounded by MEMO_BYTES and least recently used out first, keeps every
 built window stack read-only: window_rows' for A_alpha, so charts that
 share an axis build its rows once, and the C-integral's grid windows, so
@@ -59,15 +59,12 @@ AdmissibleRegion forms 1/alpha and 1/beta when it is built.
 
 import functools
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
 
 # byte budget of one stacked build of per-t-node axis matrices
 STACK_BYTES = 4 << 20
-# byte bound of the buffers one thread's workspace keeps between calls
-WORK_BYTES = 4 * STACK_BYTES
 # byte bound of each temporary of one chunk of edge_integral's pieces
 CHUNK_BYTES = 16 << 10
 
@@ -243,49 +240,23 @@ def scaled_eval(field, mats, work):
     point x.
 
     The points fill the box t*D + (1-t)*y, so the products read only the
-    nodes the stencils reach, never a copy of them: the last axis first,
-    as one matrix product over a view of field cut on axes 0 and last
-    (a middle axis cut too would make it one product per row), then each
-    middle axis down to axis 1, on a view cut to its own nodes
-    (axis_product).  The last product lands in the flat buffer work[0],
-    which holds at least the slab; the others alternate with work[1],
-    which holds at least the grid.  The slab is a view of work[0].
+    nodes the stencils reach, never a copy of them: one axis_product per
+    axis from the last down to axis 1, each on a view cut to that axis's
+    nodes, the first on field cut on axis 0 too (a middle axis cut as
+    well would make it one product per row).  The last product lands in
+    the flat buffer work[0], which holds at least the slab; the others
+    alternate with work[1], which holds at least the grid.  The slab is
+    a view of work[0].
     """
+    x = field[mats[0][1]]
     if len(mats) == 1:
-        out = work[0][: mats[0][1].stop - mats[0][1].start]
-        out[...] = field[mats[0][1]]
+        out = work[0][: x.size]
+        out[...] = x
         return out
-    n = len(mats) - 1
-    mat, cols = mats[-1]
-    view = field[(mats[0][1],) + (slice(None),) * (n - 1) + (cols,)]
-    rows = view.reshape(-1, view.shape[-1])  # a view: the middle axes are whole
-    m = mat.shape[0]
-    x = np.matmul(rows, mat.T, out=work[(n - 1) % 2][: rows.shape[0] * m].reshape(-1, m))
-    x = x.reshape(view.shape[:-1] + (m,))
-    for ax in range(n - 1, 0, -1):
+    for ax in range(len(mats) - 1, 0, -1):
         mat, cols = mats[ax]
         x = axis_product(x[(slice(None),) * ax + (cols,)], mat, ax, work[(ax - 1) % 2])
     return x
-
-
-# one thread's held workspace buffers, one per role
-_WORK = threading.local()
-
-
-def workspace(*sizes):
-    """Flat float buffers of the given sizes, one per role, as views of
-    this thread's held buffers, so that later calls on the thread reuse
-    their pages rather than fault in fresh ones.  A role grows to the
-    largest size asked of it while the held buffers together stay within
-    WORK_BYTES; a request past that gets fresh arrays.  The contents are
-    whatever the last caller left.
-    """
-    held = getattr(_WORK, "bufs", [])
-    held = held + [np.empty(0)] * (len(sizes) - len(held))
-    grown = [b if b.size >= n else np.empty(n) for b, n in zip(held, sizes)] + held[len(sizes) :]
-    if 8 * sum(b.size for b in grown) <= WORK_BYTES:
-        _WORK.bufs = grown
-    return [b[:n] for b, n in zip(grown, sizes)]
 
 
 def _ratio(x):

@@ -92,8 +92,9 @@ SCHEMA = {
         "interval": {"type": "array", "minItems": 2, "maxItems": 2},
         "warp": WARP,
         "asymptotic": {"type": "boolean"},
+        "y": {"type": "array", "items": NUMBER},
         # read by the handlers and checked there
-        **{key: {} for key in ("y", "k", "pbar", "alpha", "beta", "gamma", "weight", "t_bounds",
+        **{key: {} for key in ("k", "pbar", "alpha", "beta", "gamma", "weight", "t_bounds",
                                "fiber_bounds", "hdr_zero", "fiber", "lambda", "lam_g",
                                "b_infinite")},
     },

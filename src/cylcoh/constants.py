@@ -9,12 +9,12 @@ Everything reduces to the t-integral
 centering weight alpha and, in the two-weight version, the norm of
 1/gamma.  The endpoint t -> 1 is singular, so the quadrature uses a
 graded mesh and _interp's exact exponent rule decides finiteness before
-any numbers are trusted.  One function, _sup_norms, gives the sup at
-every t-node to C_integral and sup_indicator_norm.  For sampled beta, or
-the |x| moment, it is a grid search over sliding-window integrals on
-_interp's stacked-operator path, as for K_y and A_alpha: per block of
-t-nodes within _interp.STACK_BYTES, one window_stack per distinct axis
-and pass, applied by apply_axes.  The grid's and the whole box's stacks
+any numbers are trusted.  One function, _sup_norms, gives C_integral
+the sup at every t-node.  For sampled beta, or the |x| moment, it is a
+grid search over sliding-window integrals on _interp's stacked-operator
+path, as for K_y and A_alpha: per block of t-nodes within
+_interp.STACK_BYTES, one window_stack per distinct axis and pass,
+applied by apply_axes.  The grid's and the whole box's stacks
 are kept by _interp.memo, the one memo of A_alpha's window rows too, so
 a later call on the same box and t-nodes builds only its refinement's.
 t = 0, and a t-node where a grid node's window covers the box, search
@@ -218,22 +218,6 @@ def _sup_norms(D, beta, q, nodes, moment="none"):
         qfield = qfield * np.sqrt(sum(c**2 for c in D.meshgrid())) ** fq
     pl = (law_exponent(beta.lam, q), beta.pivot) if law else None
     return _sup_window_norms(qfield, D, fq, nodes, pl=pl)
-
-
-def sup_indicator_norm(D, beta, q, t):
-    """sup_z || beta(x) 1_{tx+(1-t)D}(z) ||_{L^q(D, dx)}.
-
-    C_integral's sup rule, _sup_norms, at this t.  t = 0 gives
-    ||beta||_{L^q(D)} (for sampled beta the whole-box mass of its
-    window rows), t = 1 gives 0.
-    """
-    if D.kind != "box" or any(D.periodic):
-        raise ValueError("sup_indicator_norm needs a box domain")
-    if not 0.0 <= t <= 1.0:  # a NaN t fails too
-        raise ValueError("t must lie in [0, 1]")
-    if t == 1.0:
-        return 0.0
-    return _sup_norms(D, beta, q, [t])[0]
 
 
 def _graded_nodes(t_nodes):

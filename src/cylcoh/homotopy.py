@@ -14,10 +14,10 @@ scaled_eval applies the last axis's and then the middle axes' stencils
 to the nodes axis 0's stencils reach, read in place, into that t-node's
 rows of one stack; the block's axis-0 matrices, each times its
 quadrature weight w_t t^(k-1) and set side by side, then take the whole
-stack in one product, which sums the block's t-nodes.  The stack lives
-in a per-thread workspace reused across calls.  The factor x_a - y_a
-multiplies the t-integral afterwards, as a 1-D array broadcast along
-axis a.
+stack in one product, which sums the block's t-nodes.  The stack is
+made once per call, as is every buffer of both operators.  The factor
+x_a - y_a multiplies the t-integral afterwards, as a 1-D array broadcast
+along axis a.
 
 A_alpha averages K_y over centers y against a unit-mass weight
 alpha(y) = a(y_0), piecewise linear in y_0.  After z = t*x + (1-t)*y it
@@ -42,7 +42,7 @@ import numpy as np
 
 from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, linear_pieces,
                       node_blocks, scaled_axis_matrices, scaled_blocks, scaled_eval, weight_norm,
-                      window_rows, workspace)
+                      window_rows)
 from .forms import GridForm, increasing_indices
 from .weights import WeightProfile
 
@@ -75,16 +75,17 @@ def K_y(omega, y, t_nodes=32):
     t-node's slab of a coefficient (scaled_eval: every axis but 0) fills
     its rows of one stack, and one product with the block's axis-0
     matrices side by side, each times its w_t t^(k-1), sums the block's
-    t-nodes.  The stack, the axis-0 matrices and a grid-sized scratch
-    buffer are this thread's _interp.workspace; the t-integrals are made
-    per call, since holding them too raised the peak memory of a run by
-    more than their size.
+    t-nodes.  The stack, the axis-0 matrices, a grid-sized scratch
+    buffer and the t-integrals are made once per call, and none outlives
+    it.  y must have one coordinate per axis.
     """
     dom = omega.domain
     _require_box(dom, "K_y")
     if omega.degree == 0:
         raise ValueError(DEGREE0_MSG)
     y = np.asarray(y, dtype=float)
+    if y.shape != (dom.dim,):
+        raise ValueError(f"y has shape {y.shape}, the {dom.dim}-D domain needs ({dom.dim},)")
     if not _inside(dom, y):
         raise ValueError("x or y outside domain")
     nodes, wts = gauss01(t_nodes)
@@ -92,9 +93,7 @@ def K_y(omega, y, t_nodes=32):
     blocks, rows = scaled_blocks(dom, nodes)
     m0, size = dom.grid[0], math.prod(dom.grid)
     rest = size // m0
-    # a block's stack and its axis-0 matrices share one buffer
-    both, scratch = workspace(rows * (rest + m0), size)
-    stack, lead = both[: rows * rest], both[rows * rest :]
+    stack, lead, scratch = np.empty(rows * rest), np.empty(rows * m0), np.empty(size)
     # (x_a - y_a) does not depend on t, so integrate f_I(psi) first, into fint
     fint = np.empty((len(omega.coeffs),) + dom.grid)
     for n, block in enumerate(blocks):

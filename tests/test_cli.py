@@ -661,6 +661,26 @@ def test_homotopy_averaged_refuses_full_grid_weight(tmp_path, capsys):
     _one_line_error(capsys, "error: homotopy-check failed: A_alpha takes a constant or sampled-t")
 
 
+@pytest.mark.parametrize("y, shape", [([0.5, 0.5, 7.0], "(3,)"), ([0.5], "(1,)")])
+def test_homotopy_refuses_a_center_of_the_wrong_length(tmp_path, capsys, y, shape):
+    # K_y takes one coordinate of y per axis, so a longer y is not run at
+    # its first two coordinates and a shorter one fails by name
+    sc = {"command": "homotopy-check", "degree": 1, "count": 1, "y": y,
+          "domain": {"kind": "box", "bounds": [[0, 1], [0, 1]], "grid": [9, 9]}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and "error" in report
+    _one_line_error(capsys, f"error: homotopy-check failed: y has shape {shape}, "
+                            "the 2-D domain needs (2,)")
+
+
+def test_homotopy_center_is_an_array_of_numbers(tmp_path, capsys):
+    sc = {"command": "homotopy-check", "degree": 1, "domain": BOX33, "y": [0.5, "0.5"]}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: ") and err.endswith("(at y/1)\n"), err
+
+
 def test_homotopy_averaged_admits_unit_mass_powerlaw_past_the_edge(tmp_path, capsys):
     # the weight check takes the law's exact mass, 1, so the weight is not
     # refused as inadmissible (exit 2); A_alpha then refuses the power law

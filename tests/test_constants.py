@@ -20,11 +20,10 @@ from cylcoh import (
     corollary_box_bound,
     cylinder,
     cylinder_constant,
-    sup_indicator_norm,
 )
 from cylcoh import _interp, constants
 from cylcoh._interp import STACK_BYTES, powerlaw_mass, t_norm, window_matrix
-from cylcoh.constants import _graded_nodes, _window_mass_field, _window_stacks
+from cylcoh.constants import _graded_nodes, _sup_norms, _window_mass_field, _window_stacks
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -32,20 +31,19 @@ def test_sup_indicator_constant_beta_exact():
     # value * min(1, (1-t)/t)^(dim/q), exact for constant weights
     dom = box([[0, 1]], [65])
     one = WeightProfile.constant(1.0)
-    assert sup_indicator_norm(dom, one, 2.0, 0.0) == pytest.approx(1.0)
-    assert sup_indicator_norm(dom, one, 2.0, 1.0) == 0.0
-    assert sup_indicator_norm(dom, one, 2.0, 0.25) == pytest.approx(1.0)
-    assert sup_indicator_norm(dom, one, 2.0, 0.5) == pytest.approx(1.0)
-    got = sup_indicator_norm(dom, one, 2.0, 0.75)
+    assert _sup_norms(dom, one, 2.0, [0.0])[0] == pytest.approx(1.0)
+    assert _sup_norms(dom, one, 2.0, [0.25])[0] == pytest.approx(1.0)
+    assert _sup_norms(dom, one, 2.0, [0.5])[0] == pytest.approx(1.0)
+    got = _sup_norms(dom, one, 2.0, [0.75])[0]
     assert got == pytest.approx((1.0 / 3.0) ** 0.5, rel=1e-12)
 
     two = WeightProfile.constant(2.0)
-    assert sup_indicator_norm(dom, two, 2.0, 0.75) == pytest.approx(
+    assert _sup_norms(dom, two, 2.0, [0.75])[0] == pytest.approx(
         2.0 * (1.0 / 3.0) ** 0.5, rel=1e-12
     )
 
     sq = box([[0, 1], [0, 1]], [17, 17])
-    got = sup_indicator_norm(sq, one, 1.0, 0.75)
+    got = _sup_norms(sq, one, 1.0, [0.75])[0]
     assert got == pytest.approx((1.0 / 3.0) ** 2, rel=1e-12)
 
 
@@ -54,10 +52,10 @@ def test_sup_indicator_halfway_square():
     # z = (1/2, 1/2): full overlap, norm exactly 1
     dom = box([[0, 1], [0, 1]], [33, 33])
     one = WeightProfile.constant(1.0)
-    assert sup_indicator_norm(dom, one, 1.0, 0.5) == pytest.approx(1.0)
+    assert _sup_norms(dom, one, 1.0, [0.5])[0] == pytest.approx(1.0)
 
     flat = WeightProfile.sampled(np.ones(dom.grid))
-    got = sup_indicator_norm(dom, flat, 1.0, 0.5)
+    got = _sup_norms(dom, flat, 1.0, [0.5])[0]
     assert abs(got - 1.0) <= 1e-9, f"grid-search sup {got} != 1"
 
 
@@ -69,16 +67,7 @@ def test_sup_indicator_sampled_t_whole_box_is_one_rule():
     for beta in (WeightProfile.sampled_t([0.0, 0.3, 1.0], [0.5, 1.5, 0.5]),
                  WeightProfile.sampled(grid)):
         for q in (1.0, 2.0):
-            assert sup_indicator_norm(dom, beta, q, 0.25) == sup_indicator_norm(dom, beta, q, 0.0)
-
-
-@pytest.mark.parametrize("t", [math.nan, -0.0625, 1.0625])
-def test_sup_indicator_refuses_t_outside_unit_interval(t):
-    dom = box([[0, 1], [0, 1]], [9, 9])
-    for beta in (WeightProfile.constant(1.0), WeightProfile.powerlaw(0.25, 1.0),
-                 WeightProfile.sampled(np.ones(dom.grid))):
-        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
-            sup_indicator_norm(dom, beta, 2.0, t)
+            assert _sup_norms(dom, beta, q, [0.25])[0] == _sup_norms(dom, beta, q, [0.0])[0]
 
 
 def test_sup_indicator_sampled_matches_constant():
@@ -86,8 +75,8 @@ def test_sup_indicator_sampled_matches_constant():
     one = WeightProfile.constant(1.0)
     flat = WeightProfile.sampled(np.ones(dom.grid))
     for t in (0.3, 0.6, 0.85):
-        a = sup_indicator_norm(dom, one, 2.0, t)
-        b = sup_indicator_norm(dom, flat, 2.0, t)
+        a = _sup_norms(dom, one, 2.0, [t])[0]
+        b = _sup_norms(dom, flat, 2.0, [t])[0]
         assert abs(a - b) <= 0.05 * a, f"t={t}: exact {a} vs grid {b}"
 
 
@@ -96,21 +85,21 @@ def test_sup_indicator_powerlaw_exact():
     # (2-x)^(-1/2), q=2: window of length 1/3 hugs the right edge where the
     # weight peaks; int_{2/3}^1 (2-x)^(-1) dx = log(4/3)
     beta = WeightProfile.powerlaw(0.5, 2.0)
-    got = sup_indicator_norm(dom, beta, 2.0, 0.75)
+    got = _sup_norms(dom, beta, 2.0, [0.75])[0]
     assert got == pytest.approx(math.log(4.0 / 3.0) ** 0.5, rel=1e-12)
 
     # decreasing weight (2-x)^1 hugs the left edge instead
     grow = WeightProfile.powerlaw(-1.0, 2.0)
-    got = sup_indicator_norm(dom, grow, 2.0, 0.75)
+    got = _sup_norms(dom, grow, 2.0, [0.75])[0]
     want = ((8.0 - (5.0 / 3.0) ** 3) / 3.0) ** 0.5
     assert got == pytest.approx(want, rel=1e-12)
 
     # pivot on the edge with lam*q >= 1: divergent, decided symbolically
     sing = WeightProfile.powerlaw(0.5, 1.0)
-    assert sup_indicator_norm(dom, sing, 2.0, 0.75) == math.inf
+    assert _sup_norms(dom, sing, 2.0, [0.75])[0] == math.inf
     # and the t = 0 full norm with lam*q < 1 stays exact: int (1-x)^(-1/2) = 2
     soft = WeightProfile.powerlaw(0.25, 1.0)
-    assert sup_indicator_norm(dom, soft, 2.0, 0.0) == pytest.approx(
+    assert _sup_norms(dom, soft, 2.0, [0.0])[0] == pytest.approx(
         2.0**0.5, rel=1e-12
     )
 
@@ -397,7 +386,7 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
     C_integral(ConstantRequest(1, 2.0, 3.0, dom, beta=beta), t_nodes=24)
     assert len(seen) == 1 and len(seen[0]) == len(nodes)
     for t, sup in zip(nodes, seen[0]):
-        assert sup == sup_indicator_norm(dom, beta, 3.0, t), f"t={t}"
+        assert sup == _sup_norms(dom, beta, 3.0, [t])[0], f"t={t}"
 
     # the |x| moment of a power law, whose law enters the axis-0 windows
     law = WeightProfile.powerlaw(0.25, 1.0)
@@ -409,7 +398,7 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
         assert sup == pytest.approx(one, rel=1e-14, abs=0.0), f"t={t}"
 
     # constant and power-law beta take the closed form, no window search:
-    # C_integral's per-t sups are sup_indicator_norm's, bitwise
+    # C_integral's per-t sups are one-node _sup_norms calls', bitwise
     sup_norms = constants._sup_norms
 
     def closed(*args, **kwargs):
@@ -417,7 +406,7 @@ def test_c_integral_blocked_sups_match_per_t(monkeypatch, grid, split):
         return seen[-1]
 
     betas = (WeightProfile.constant(1.5), law, WeightProfile.powerlaw(-1.0, 2.0))
-    wants = [[sup_indicator_norm(dom, b, 3.0, t) for t in nodes] for b in betas]
+    wants = [[_sup_norms(dom, b, 3.0, [t])[0] for t in nodes] for b in betas]
     monkeypatch.setattr(constants, "_sup_norms", closed)
     for beta, want in zip(betas, wants):
         seen.clear()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,16 @@ def test_degree0_message():
         K_y(f, [0.5])
 
 
+@pytest.mark.parametrize("y", [[0.5, 0.5, 7.0], [0.5], [[0.5, 0.5]]])
+def test_K_y_refuses_a_center_of_the_wrong_length(y):
+    # y takes one coordinate per axis: the bounds check alone would read
+    # only the first dim of them and drop the rest unread
+    om = GridForm(box([[0, 1], [0, 1]], [9, 9]), 1)
+    shape = re.escape(str(np.shape(y)))
+    with pytest.raises(ValueError, match=rf"y has shape {shape}, the 2-D domain needs \(2,\)"):
+        K_y(om, y)
+
+
 @pytest.mark.parametrize(
     "axis, weight",
     [pytest.param(None, None, id="None")]
@@ -403,57 +414,32 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
 
 
 def test_K_y_allocates_no_grid_sized_array_per_t_node():
-    # a second call takes its stack and scratch grid from the thread's
-    # workspace: beyond its t-integrals (one grid per coefficient) and its
-    # output (one per output coefficient) it allocates only its stencil
-    # matrices, under one grid at 8 t-nodes; a fresh pair of grid-sized
-    # work buffers, as each call once made, would pass that
+    # one call's peak holds its output, its t-integrals (one grid per
+    # coefficient), one scratch grid and its block buffers: the stack of
+    # slabs and the axis-0 matrices each fit STACK_BYTES, as does each
+    # axis's stencil build (scaled_blocks), so together they take at most
+    # (2 + dim) STACK_BYTES; one more grid per t-node would add 256 grids,
+    # about 73 MB, at 256 t-nodes
     import tracemalloc
 
     dom = box([[0, 1]] * 3, [33, 33, 33])
     grid_bytes = 8 * math.prod(dom.grid)
-    for k in (1, 3):
-        om = random_form(dom, k, np.random.default_rng(2))
-        K_y(om, [0.5, 0.5, 0.5], t_nodes=8)
-        tracemalloc.start()
-        try:
-            out = K_y(om, [0.5, 0.5, 0.5], t_nodes=8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        grids = len(om.coeffs) + len(out.coeffs)
-        assert peak < (grids + 1) * grid_bytes, (k, peak / grid_bytes)
-
-
-def test_workspace_reuses_its_buffers_within_the_bound():
-    # on a fresh thread: a role grows to the largest size asked of it and
-    # later calls get views of the same memory; a request past WORK_BYTES
-    # gets fresh arrays and leaves the held ones as they were
-    import threading
-
-    seen = {}
-
-    def run():
-        first = _interp.workspace(100, 10)
-        again = _interp.workspace(50, 10)
-        grown = _interp.workspace(200, 10)
-        past = _interp.workspace(_interp.WORK_BYTES // 8, 10)
-        after = _interp.workspace(200, 10)
-        seen["sizes"] = [b.size for b in first + again + grown + past + after]
-        seen["shared"] = [np.shares_memory(a, b) for a, b in
-                          ((first[0], again[0]), (first[1], grown[1]), (grown[0], past[0]),
-                           (grown[0], after[0]), (first[0], grown[0]))]
-
-    th = threading.Thread(target=run)
-    th.start()
-    th.join(timeout=60)
-    assert not th.is_alive()
-    assert seen["sizes"] == [100, 10, 50, 10, 200, 10, _interp.WORK_BYTES // 8, 10, 200, 10]
-    assert seen["shared"] == [True, True, False, True, False]
+    block_bytes = (2 + dom.dim) * _interp.STACK_BYTES
+    for t_nodes in (8, 256):
+        for k in (1, 3):
+            om = random_form(dom, k, np.random.default_rng(2))
+            tracemalloc.start()
+            try:
+                out = K_y(om, [0.5, 0.5, 0.5], t_nodes=t_nodes)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            grids = len(om.coeffs) + len(out.coeffs) + 1
+            assert peak < grids * grid_bytes + block_bytes, (t_nodes, k, peak / grid_bytes)
 
 
 def test_concurrent_K_y_calls_equal_sequential_ones():
-    # each thread keeps its own workspace, so calls on three threads at
+    # every call makes its own buffers, so calls on three threads at
     # once (more than the cores), switching often, give what the same
     # calls give one after another, bitwise
     import sys

@@ -5,9 +5,9 @@ memo holds every retained window matrix, only t_norm (and a law alpha's
 |y| moment) integrates weights in t, one function gives the C-integral's
 sups, DomainSpec.norm is the one caller of the grid integral, the t-node
 block rule and the exponent rule stay in _interp, the Cech nerve stays
-in cover, A_alpha calls no K_y, no function only passes its own
-parameters on to another call, and every function the benchmark's
-tracer wraps exists."""
+in cover, A_alpha calls no K_y, no module imports threading, no
+function only passes its own parameters on to another call, and every
+function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -165,9 +165,9 @@ def test_only_t_norm_integrates_weights():
 
 
 def test_one_sup_rule_for_the_c_integral():
-    # C_integral and sup_indicator_norm take every sup from _sup_norms,
-    # the one caller of the window search, which takes t = 0 as a covered
-    # node: no function of constants integrates beta on the grid itself
+    # C_integral takes every sup from _sup_norms, the one caller of the
+    # window search, which takes t = 0 as a covered node: no function of
+    # constants integrates beta on the grid itself
     tree = _sources()["constants.py"]
     assert _callers(tree, "_sup_window_norms") == {"_sup_norms"}
     assert _callers(tree, "integrate") == set()
@@ -180,6 +180,16 @@ def test_one_norm_rule_for_sampled_fields():
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "integrate")}
     assert callers == {("domain.py", "norm")}
+
+
+def test_no_module_imports_threading():
+    # every operator makes its buffers once per call and keeps none
+    # between calls: buffers held per thread cost every process 4-6 MiB
+    # of peak memory, and the throughput they bought was not resolved
+    importers = sorted(name for name, tree in _sources().items() for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) and "threading" in {a.name for a in node.names}
+                       or isinstance(node, ast.ImportFrom) and node.module == "threading")
+    assert importers == []
 
 
 def test_a_alpha_averages_no_K_y():
