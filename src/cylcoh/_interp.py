@@ -12,8 +12,9 @@ a power-law factor or a power of the distance to each hat's own node,
 exactly; this keeps the averaging pipeline exact on multilinear
 coefficient fields.  One local rule builds every window row: each cell
 the window overlaps adds its two hat integrals over the overlap alone
-(GAUSS2, or _pl_primitive for a law), so a narrow window is exact to
-rounding too.
+(GAUSS2, or for a law _pl_primitive and _pl_moment, a moment about the
+overlap's own start), so a narrow window, or a law pivoting far past
+the axis, is exact to rounding too.
 
 K_y, A_alpha and C_integral share one stacked-operator path: node_blocks
 splits their t-nodes into blocks whose stacked builds fit STACK_BYTES;
@@ -22,18 +23,22 @@ per block, each axis's matrices for every t-node come from one build
 serve every field; and every product is a matmul into a reused buffer
 rather than a fresh array, mostly one axis_product (apply_axes chains
 one per axis).  Every row is built on its own, so the blocking leaves
-every value of A_alpha and C_integral unchanged.  K_y takes the
-t-integral inside its last product: per t-node, scaled_eval applies the
-last axis's stencils and then the middle axes' to the nodes axis 0's
-stencils reach, read in place, into that t-node's rows of one stack,
-and one product of the block's axis-0 matrices, side by side, with the
-stack sums the block's t-nodes (sum factorisation over t as well as
-space).  scaled_blocks splits K_y's t-nodes by the rows each slab can
-take, so the stack, the axis-0 matrices and every stencil build fit
-STACK_BYTES; reblocking changes only the order of that sum.  Every
-operator makes its buffers once per call and keeps none between calls:
-K_y its stack, axis-0 matrices and scratch grid, as A_alpha and the
-C-integral's search make theirs.  One memo,
+every value of A_alpha and C_integral unchanged.  K_y's stencils come
+from one _axis_stencil call per axis and call (scaled_taps: each
+(t-node, grid point)'s first node and weights), and each block fills
+its matrices from them.  K_y takes the t-integral inside its last
+product: per t-node, scaled_eval cuts the field to the nodes the
+stencils reach on every axis, a view, applies the middle axes' stencils
+and then the last axis's into that t-node's rows of one stack, and one
+product of the block's axis-0 matrices, filled side by side into one
+buffer, with the stack sums the block's t-nodes (sum factorisation over
+t as well as space).  scaled_blocks splits K_y's t-nodes by the rows
+each slab can take, so the stack, the axis-0 matrices and each other
+axis's matrices fit STACK_BYTES; reblocking changes only the order of
+that sum.  Every operator makes its buffers once per call and keeps
+none between calls: K_y its taps, stack and axis-0 matrices, with its
+output as its scratch grid, as A_alpha and the C-integral's search make
+theirs.  One memo,
 bounded by MEMO_BYTES and least recently used out first, keeps every
 built window stack read-only: window_rows' for A_alpha, so charts that
 share an axis build its rows once, and the C-integral's grid windows, so
@@ -126,8 +131,8 @@ def scaled_blocks(domain, nodes):
     cells, a stencil start moves by at most one node per cell, and a
     stencil spans 4 nodes (one more for rounding).  So its slab takes at
     most that many rows of axis 0 times the other axes' nodes, and each
-    block's stack of slabs, its side-by-side axis-0 matrices (m0 rows)
-    and each axis's stencil build fit STACK_BYTES.
+    block's stack of slabs and its side-by-side matrices of each axis
+    (m rows each; axis 0's take the t-sum) fit STACK_BYTES.
     """
     t = np.asarray(nodes, dtype=float)
     reach = [np.minimum(m, np.ceil(t * (m - 1)) + 5).astype(int) for m in domain.grid]
@@ -138,7 +143,8 @@ def scaled_blocks(domain, nodes):
 
 
 def _axis_stencil(domain, ax, coords):
-    """Interpolation taps along one axis: (indices, weights), shape (taps, n).
+    """Interpolation taps along one axis: (start, weights), shapes (n,) and
+    (taps, n); tap r of coordinate i sits on node start[i] + r.
 
     Cubic Lagrange on 4 consecutive nodes where the axis allows it,
     otherwise the 2-point linear stencil; coords are clamped to the axis.
@@ -150,10 +156,8 @@ def _axis_stencil(domain, ax, coords):
     if m < 4:
         i = np.clip(u.astype(int), 0, m - 2)
         frac = u - i
-        return np.stack([i, i + 1]), np.stack([1.0 - frac, frac])
-    b = np.minimum(u.astype(int), m - 2)
-    start = np.clip(b - 1, 0, m - 4)
-    idx = np.stack([start + r for r in range(4)])
+        return i, np.stack([1.0 - frac, frac])
+    start = np.clip(np.minimum(u.astype(int), m - 2) - 1, 0, m - 4)
     xi = u - start
     wts = np.stack([
         -(xi - 1.0) * (xi - 2.0) * (xi - 3.0) / 6.0,
@@ -161,33 +165,49 @@ def _axis_stencil(domain, ax, coords):
         -0.5 * xi * (xi - 1.0) * (xi - 3.0),
         xi * (xi - 1.0) * (xi - 2.0) / 6.0,
     ])
-    return idx, wts
+    return start, wts
 
 
-def scaled_axis_matrices(domain, ax, y, nodes):
-    """The interpolation along ax at t*x_a + (1-t)*y[ax], one matrix per t.
-
-    The stencils of all t-nodes come from one _axis_stencil call on the
-    (len(nodes), m) scaled coordinates.  Returns a list of (mat, cols),
-    one per t in nodes: row r of mat holds the stencil weights of grid
-    point r on the nodes in cols, the narrowest node range that any of
-    that t-node's stencils touches, so mat @ v[cols] interpolates the
-    node vector v at every scaled coordinate.
-    """
+def scaled_taps(domain, ax, y, nodes):
+    """The stencils along ax at t*x_a + (1-t)*y[ax] for every t-node and
+    grid point x_a, from one _axis_stencil call: (start, weights), shapes
+    (len(nodes), m) and (taps, len(nodes), m).  K_y builds them once per
+    axis and call, and fills each block's matrices from them
+    (scaled_axis_matrices)."""
     xs = domain.axis_coords(ax)
     t = np.asarray(nodes, dtype=float)[:, None]
-    stencil = _axis_stencil(domain, ax, (t * xs + (1.0 - t) * y[ax]).ravel())
-    # (taps, t-nodes * m) -> per t-node (taps, m)
-    idx, wts = (a.reshape(len(a), -1, xs.size).swapaxes(0, 1) for a in stencil)
-    rows = np.arange(xs.size)
-    out = []
-    for i, w in zip(idx, wts):
-        lo = int(i.min())
-        mat = np.zeros((xs.size, int(i.max()) + 1 - lo))
-        # the taps of one row sit on distinct nodes, so each entry is set once
-        mat[rows, i - lo] = w
-        out.append((mat, slice(lo, lo + mat.shape[1])))
-    return out
+    start, wts = _axis_stencil(domain, ax, (t * xs + (1.0 - t) * y[ax]).ravel())
+    return start.reshape(t.size, xs.size), wts.reshape(len(wts), t.size, xs.size)
+
+
+def scaled_axis_matrices(taps, block, scale=None, out=None):
+    """The interpolation matrices of the t-nodes in block, from their
+    scaled_taps, side by side in one (m, sum of widths) matrix.
+
+    Each t-node's matrix has one row per grid point, holding its stencil
+    weights (times the t-node's entry of scale, if given) on the columns
+    cols, the narrowest node range that any of that t-node's stencils
+    touches; so mat @ v[cols] interpolates the node vector v at every
+    scaled coordinate.  The side-by-side matrix fills out (flat, zeroed
+    here) or a new array.  Returns it and one (mat, cols) per t-node, mat
+    a view of its columns.
+    """
+    start, wts = taps[0][block], taps[1][:, block]
+    lo = start.min(axis=1)
+    width = start.max(axis=1) + len(wts) - lo
+    ends = np.cumsum(width)
+    m = start.shape[1]
+    side = np.empty(m * ends[-1]) if out is None else out[: m * ends[-1]]
+    side.fill(0.0)
+    # each (t, x)'s first tap in side, flat; the taps of one row sit on
+    # distinct nodes, and the t-nodes on disjoint columns, so each entry
+    # is set once
+    first = start + (ends - width - lo)[:, None] + np.arange(0, side.size, ends[-1])
+    for r, w in enumerate(wts):
+        side[first + r] = w if scale is None else w * scale[:, None]
+    side = side.reshape(m, -1)
+    return side, [(side[:, e - c : e], slice(a, a + c))
+                  for a, c, e in zip(lo.tolist(), width.tolist(), ends.tolist())]
 
 
 def axis_product(field, mat, ax, out, rotate=False):
@@ -240,23 +260,24 @@ def scaled_eval(field, mats, work):
     point x.
 
     The points fill the box t*D + (1-t)*y, so the products read only the
-    nodes the stencils reach, never a copy of them: one axis_product per
-    axis from the last down to axis 1, each on a view cut to that axis's
-    nodes, the first on field cut on axis 0 too (a middle axis cut as
-    well would make it one product per row).  The last product lands in
-    the flat buffer work[0], which holds at least the slab; the others
-    alternate with work[1], which holds at least the grid.  The slab is
-    a view of work[0].
+    nodes the stencils reach: field cut to cols on every axis, a view.
+    The middle axes go first, each one axis_product batched over the axes
+    before it, and the last axis last, as one product over the contiguous
+    result.  Up to 3-D the first product reads the view in place: each
+    batch is a strided 2-D block that BLAS takes without a copy.  The
+    last product lands in the flat buffer work[0], which holds at least
+    the slab; the others alternate with work[1], which holds at least the
+    grid.  The slab is a view of work[0].
     """
-    x = field[mats[0][1]]
-    if len(mats) == 1:
+    x = field[tuple(cols for _, cols in mats)]
+    last = len(mats) - 1
+    if not last:
         out = work[0][: x.size]
         out[...] = x
         return out
-    for ax in range(len(mats) - 1, 0, -1):
-        mat, cols = mats[ax]
-        x = axis_product(x[(slice(None),) * ax + (cols,)], mat, ax, work[(ax - 1) % 2])
-    return x
+    for ax in range(1, last):
+        x = axis_product(x, mats[ax][0], ax, work[(last - ax) % 2])
+    return axis_product(x, mats[last][0], last, work[0])
 
 
 def _ratio(x):
@@ -429,6 +450,46 @@ def weight_norm(weight, q, D):
     return D.norm(weight.sample_on(D), q)
 
 
+def _pl_moment(far, gap, mu, whole):
+    """int_0^gap v (far - v)^-mu dv for 0 <= gap <= far, elementwise: the
+    first moment of a law over a cell's overlap [a, a + gap] about a, with
+    far = pivot - a and whole = _pl_primitive(far, gap, 1 - mu).
+
+    Where gap <= far/4 it is far^-mu gap^2 times the sum over k of
+    (mu)_k / k! r^k / (k + 2), r = gap/far: the binomial series of
+    (1 - v/far)^-mu integrated term by term, which forms no difference of
+    near-equal integrals, so it is exact to rounding however far past the
+    cell the pivot lies.  Its terms are taken (by Horner's rule) until they
+    fall below rounding at the largest such r.  Where gap > far/4 it is
+    far*whole - int (far - v)^(1-mu), which cancels by a factor of about
+    2 far/gap, at most 8; where gap is 0 it is 0.
+    """
+    out = np.zeros_like(gap)
+    wide = 4.0 * gap > far
+    if wide.any():
+        f = far[wide]
+        out[wide] = f * whole[wide] - _pl_primitive(f, gap[wide], float(2 - mu))
+    near = (gap > 0) & ~wide
+    if near.any():
+        f, g = far[near], gap[near]
+        r = g / f
+        mu, top = float(mu), float(r.max())
+        # the sum is at least its k = 0 term 1/2, times (1 - r)^-mu if mu < 0
+        tol = 2.0**-55 * (1.0 - top) ** max(-mu, 0.0)
+        coefs, c, k = [0.5], 1.0, 0
+        # past k = 2|mu| + 2 each term is at most 3/8 of the one before
+        while k < 2.0 * abs(mu) + 2.0 or abs(c) * top**k > tol:
+            c *= (mu + k) / (k + 1)
+            k += 1
+            coefs.append(c / (k + 2))
+        total = np.full_like(r, coefs[-1])
+        for coef in coefs[-2::-1]:
+            total *= r
+            total += coef
+        out[near] = f**-mu * g * g * total
+    return out
+
+
 def window_matrix(domain, ax, lower, upper, weight=None):
     """The window integrals of the interpolant along one axis, as a matrix.
 
@@ -453,8 +514,7 @@ def window_matrix(domain, ax, lower, upper, weight=None):
         mu, pivot = _frac(weight[0]), weight[1]
         far = pivot - a
         whole = _pl_primitive(far, w, float(1 - mu))
-        # int (s - a) (pivot - s)^-mu ds = far * whole - int (pivot - s)^(1-mu) ds
-        up = far * whole - _pl_primitive(far, w, float(2 - mu))
+        up = _pl_moment(far, w, mu, whole)  # int (s - a) (pivot - s)^-mu ds
         a -= xs[:-1]  # the overlap's start in its cell
         up += a * whole
         up /= h

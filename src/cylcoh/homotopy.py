@@ -7,17 +7,18 @@ lines psi_y(x, t) = t*x + (1-t)*y.  The dt-component of the pullback is
                          (x_{i_r} - y_{i_r}) dx_{I minus i_r}
 
 and K_y omega integrates it over t in [0,1] by Gauss-Legendre.  The
-stencil matrices that evaluate a field at t*x + (1-t)*y depend only on
-the axis, the t-node and y, so K_y builds each axis's matrices once per
-block of t-nodes and applies them to every coefficient.  Per t-node,
-scaled_eval applies the last axis's and then the middle axes' stencils
-to the nodes axis 0's stencils reach, read in place, into that t-node's
-rows of one stack; the block's axis-0 matrices, each times its
-quadrature weight w_t t^(k-1) and set side by side, then take the whole
-stack in one product, which sums the block's t-nodes.  The stack is
-made once per call, as is every buffer of both operators.  The factor
-x_a - y_a multiplies the t-integral afterwards, as a 1-D array broadcast
-along axis a.
+stencils that evaluate a field at t*x + (1-t)*y depend only on the
+axis, the t-node and y, so K_y builds each axis's stencils once per
+call, for every t-node (_interp.scaled_taps), fills each block of
+t-nodes' matrices from them and applies those to every coefficient.
+Per t-node, scaled_eval cuts the field to the nodes the stencils reach
+on every axis, read in place, and applies the middle axes' and then the
+last axis's stencils into that t-node's rows of one stack; the block's
+axis-0 matrices, filled side by side and each times its quadrature
+weight w_t t^(k-1), then take the whole stack in one product, which
+sums the block's t-nodes.  The stack is made once per call, as is every
+buffer of both operators.  The factor x_a - y_a multiplies the
+t-integral afterwards, as a 1-D array broadcast along axis a.
 
 A_alpha averages K_y over centers y against a unit-mass weight
 alpha(y) = a(y_0), piecewise linear in y_0.  After z = t*x + (1-t)*y it
@@ -41,8 +42,8 @@ import math
 import numpy as np
 
 from ._interp import (_frac, axis_product, edge_integral, gauss01, law_exponent, linear_pieces,
-                      node_blocks, scaled_axis_matrices, scaled_blocks, scaled_eval, weight_norm,
-                      window_rows)
+                      node_blocks, scaled_axis_matrices, scaled_blocks, scaled_eval, scaled_taps,
+                      weight_norm, window_rows)
 from .forms import GridForm, increasing_indices
 from .weights import WeightProfile
 
@@ -70,14 +71,17 @@ def _inside(domain, pt):
 def K_y(omega, y, t_nodes=32):
     """Cone homotopy operator: degree k -> k-1, K_y d + d K_y = id.
 
-    Per block of t-nodes (_interp.scaled_blocks), each axis's stencil
-    matrices come from one build and serve every coefficient.  Each
-    t-node's slab of a coefficient (scaled_eval: every axis but 0) fills
-    its rows of one stack, and one product with the block's axis-0
-    matrices side by side, each times its w_t t^(k-1), sums the block's
-    t-nodes.  The stack, the axis-0 matrices, a grid-sized scratch
-    buffer and the t-integrals are made once per call, and none outlives
-    it.  y must have one coordinate per axis.
+    Each axis's stencils for every t-node come from one scaled_taps call.
+    Per block of t-nodes (_interp.scaled_blocks), each axis's matrices
+    are filled from those taps and serve every coefficient: axis 0's
+    side by side straight into one buffer, each times its w_t t^(k-1).
+    Each t-node's slab of a coefficient (scaled_eval: every axis but 0)
+    fills its rows of one stack, and one product with the block's axis-0
+    matrices sums the block's t-nodes.  The taps, the stack (one grid at
+    least), the axis-0 matrices, the t-integrals and the output are made
+    once per call, and only the output outlives it: its first coefficient
+    is the t-sums' scratch grid until the levers fill it, and the stack
+    is the levers' scratch.  y must have one coordinate per axis.
     """
     dom = omega.domain
     _require_box(dom, "K_y")
@@ -91,17 +95,19 @@ def K_y(omega, y, t_nodes=32):
     nodes, wts = gauss01(t_nodes)
     wts = wts * nodes ** (omega.degree - 1)
     blocks, rows = scaled_blocks(dom, nodes)
+    taps = [scaled_taps(dom, ax, y, nodes) for ax in range(dom.dim)]
     m0, size = dom.grid[0], math.prod(dom.grid)
     rest = size // m0
-    stack, lead, scratch = np.empty(rows * rest), np.empty(rows * m0), np.empty(size)
+    degree = omega.degree - 1
+    out = {J: np.empty(dom.grid) for J in increasing_indices(dom.dim, degree)}
+    stack, lead = np.empty(max(rows * rest, size)), np.empty(rows * m0)
+    scratch = next(iter(out.values())).reshape(-1)  # until the levers fill it
     # (x_a - y_a) does not depend on t, so integrate f_I(psi) first, into fint
     fint = np.empty((len(omega.coeffs),) + dom.grid)
     for n, block in enumerate(blocks):
-        mats = [scaled_axis_matrices(dom, ax, y, nodes[block]) for ax in range(dom.dim)]
-        offsets = np.cumsum([0] + [mat.shape[1] for mat, _ in mats[0]])
-        cat = lead[: m0 * offsets[-1]].reshape(m0, -1)
-        for (mat, _), w, lo, hi in zip(mats[0], wts[block], offsets, offsets[1:]):
-            np.multiply(mat, w, out=cat[:, lo:hi])
+        cat, first = scaled_axis_matrices(taps[0], block, wts[block], lead)
+        mats = [first] + [scaled_axis_matrices(tp, block)[1] for tp in taps[1:]]
+        offsets = np.cumsum([0] + [mat.shape[1] for mat, _ in first])
         slabs = stack[: offsets[-1] * rest].reshape((-1,) + dom.grid[1:])
         for f, field in zip(fint, omega.coeffs.values()):
             for node_mats, lo in zip(zip(*mats), offsets):
@@ -110,18 +116,18 @@ def K_y(omega, y, t_nodes=32):
                 axis_product(slabs, cat, 0, f.reshape(-1))
             else:
                 f += axis_product(slabs, cat, 0, scratch)
-    out = {}
+    filled = set()
     for f, idx in zip(fint, omega.coeffs):
         for r, a in enumerate(idx):
             lever = (dom.axis_coords(a) - y[a]).reshape((-1,) + (1,) * (dom.dim - 1 - a))
             lever = -lever if r % 2 else lever
             J = idx[:r] + idx[r + 1 :]
-            if J in out:
-                out[J] += np.multiply(f, lever, out=scratch.reshape(dom.grid))
+            if J in filled:
+                out[J] += np.multiply(f, lever, out=stack[:size].reshape(dom.grid))
             else:
-                out[J] = f * lever
-    degree = omega.degree - 1
-    return GridForm.holding(dom, degree, {J: out[J] for J in increasing_indices(dom.dim, degree)})
+                np.multiply(f, lever, out=out[J])
+                filled.add(J)
+    return GridForm.holding(dom, degree, out)
 
 
 def _fiber_moment(D, pprime, t):

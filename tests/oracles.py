@@ -24,13 +24,13 @@ def point_eval(field, domain, pts):
     pts = np.atleast_2d(pts)
     stencils = [_axis_stencil(domain, ax, pts[:, ax]) for ax in range(domain.dim)]
     out = np.zeros(pts.shape[0])
-    for taps in itertools.product(*[range(len(s[0])) for s in stencils]):
+    for taps in itertools.product(*[range(len(s[1])) for s in stencils]):
         w = np.ones(pts.shape[0])
         ix = []
         for ax, tap in enumerate(taps):
-            idx, wts = stencils[ax]
+            start, wts = stencils[ax]
             w = w * wts[tap]
-            ix.append(idx[tap])
+            ix.append(start + tap)
         out += w * field[tuple(ix)]
     return out[0] if squeeze else out
 

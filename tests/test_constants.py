@@ -148,8 +148,8 @@ def test_window_rows_reaching_the_pivot_take_its_whole_mass():
 def _window_row_40_digits(a, b, weight, m):
     """The window row of [a, b] on m nodes of [0, 1] at 40 digits: per
     cell, int (s - y) v(s) ds of each hat (s - y)/(x_other - y) against
-    v(s) = (s - x_i)^n, or (1 - s)^-mu for the law (mu, 1.0), by closed
-    antiderivatives in the hat's own local variable."""
+    v(s) = (s - x_i)^n, or (pivot - s)^-mu for the law (mu, pivot), by
+    closed antiderivatives in the hat's own local variable."""
     with mpmath.workdps(40):
         a, b, h = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(1) / (m - 1)
         row = [mpmath.mpf(0)] * m
@@ -160,11 +160,11 @@ def _window_row_40_digits(a, b, weight, m):
             for i, y in ((c, (c + 1) * h), (c + 1, c * h)):
                 x = i * h
                 if isinstance(weight, tuple):
-                    mu = mpmath.mpf(weight[0])
-                    # v = 1 - s: (s - y) = (1 - y) - v
+                    mu, pivot = (mpmath.mpf(v) for v in weight)
+                    # v = pivot - s: (s - y) = (pivot - y) - v
                     def prim(v):
-                        return (1 - y) * v ** (1 - mu) / (1 - mu) - v ** (2 - mu) / (2 - mu)
-                    val = prim(1 - lo) - prim(1 - hi)
+                        return (pivot - y) * v ** (1 - mu) / (1 - mu) - v ** (2 - mu) / (2 - mu)
+                    val = prim(pivot - lo) - prim(pivot - hi)
                 else:
                     n = weight or 0
                     # v = s - x: (s - y) = v + (x - y)
@@ -175,12 +175,16 @@ def _window_row_40_digits(a, b, weight, m):
         return [float(r) for r in row]
 
 
-@pytest.mark.parametrize("weight", [None, 1, 2, (0.25, 1.0)], ids=["None", "1", "2", "law"])
+@pytest.mark.parametrize("weight", [None, 1, 2, (0.25, 1.0), (0.25, 2.0), (0.25, 10.0),
+                                    (0.25, 100.0)],
+                         ids=["None", "1", "2", "law", "law-pivot2", "law-pivot10", "law-pivot100"])
 def test_window_rows_exact_for_narrow_windows(weight):
     # 400 random windows of width 10^U(-8, 0) on 17 nodes of [0, 1]: each
     # row is a sum of local cell terms, so it matches a 40-digit reference
     # to 1e-14 of its absolute sum whatever its width.  Running sums from
-    # the axis end missed by up to 2.3e-8 here (the law)
+    # the axis end missed by up to 2.3e-8 here (the law); a law's up-hat
+    # moment formed about its pivot missed by 1.1e-14, 7.0e-14 and 5.9e-13
+    # at pivots 2, 10 and 100
     dom = box([[0.0, 1.0]], [17])
     rng = np.random.default_rng(14)
     width = 10.0 ** rng.uniform(-8.0, 0.0, 400)

@@ -18,7 +18,7 @@ from cylcoh import (
 )
 from cylcoh import _interp, homotopy
 from cylcoh.homotopy import _box_integral, DEGREE0_MSG
-from cylcoh._interp import scaled_axis_matrices, scaled_eval
+from cylcoh._interp import scaled_axis_matrices, scaled_eval, scaled_taps
 from cylcoh.forms import increasing_indices, random_form
 from oracles import cone_pullback_fiber, gauss_averaged_K, point_eval
 
@@ -130,7 +130,8 @@ def test_scaled_eval_matches_point_eval(t):
         y = np.array([0.3, 1.9, -0.4])[: dom.dim]
         pts = t * np.stack([c.ravel() for c in dom.meshgrid()], axis=-1) + (1 - t) * y
         want = point_eval(field, dom, pts).reshape(dom.grid)
-        mats = [scaled_axis_matrices(dom, ax, y, [t])[0] for ax in range(dom.dim)]
+        mats = [scaled_axis_matrices(scaled_taps(dom, ax, y, [t]), slice(0, 1))[1][0]
+                for ax in range(dom.dim)]
         (mat0, cols0), rest = mats[0], dom.grid[1:]
         slab_out, scratch = np.full(field.size, np.nan), np.full(field.size, np.nan)
         slab = scaled_eval(field, mats, (slab_out, scratch))
@@ -192,7 +193,9 @@ def test_K_y_matches_pointwise_quadrature(monkeypatch, case):
 
 def test_K_y_builds_stencils_once_per_axis(monkeypatch):
     # one stencil build per axis for all t-nodes, shared by every
-    # coefficient: a 3-form (1 coefficient) and a 2-form (3) in 3-D
+    # coefficient and every block of t-nodes: a 3-form (1 coefficient)
+    # and a 2-form (3) in 3-D, in one block and, under a budget of three
+    # of the largest slabs, in several
     calls = []
     build = _interp._axis_stencil
 
@@ -201,14 +204,21 @@ def test_K_y_builds_stencils_once_per_axis(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(_interp, "_axis_stencil", counted)
-    dom = box([[0, 1], [0, 1], [0, 1]], [9, 8, 7])
+    grid = [9, 8, 7]
+    dom = box([[0, 1], [0, 1], [0, 1]], grid)
+    slab_bytes = 8 * grid[0] * math.prod(grid[1:])
     rng = np.random.default_rng(3)
-    for k in (3, 2):
-        om = random_form(dom, k, rng)
-        for t_nodes in (4, 32):
-            calls.clear()
-            K_y(om, [0.4, 0.5, 0.6], t_nodes=t_nodes)
-            assert len(calls) == dom.dim, f"k={k} t_nodes={t_nodes}"
+    for budget in (None, 3):
+        if budget:
+            monkeypatch.setattr(_interp, "STACK_BYTES", budget * slab_bytes)
+        for k in (3, 2):
+            om = random_form(dom, k, rng)
+            for t_nodes in (4, 32):
+                blocks = _interp.scaled_blocks(dom, _interp.gauss01(t_nodes)[0])[0]
+                assert len(blocks) > 1 or not budget or t_nodes < 32, blocks
+                calls.clear()
+                K_y(om, [0.4, 0.5, 0.6], t_nodes=t_nodes)
+                assert len(calls) == dom.dim, f"k={k} t_nodes={t_nodes} {len(blocks)} blocks"
 
 
 @settings(max_examples=15, deadline=None)
@@ -376,14 +386,22 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
     # at the CLI maxima (257^2, 256 t-nodes) K_y's stencil matrices, its
     # stacks of slabs and its side-by-side axis-0 matrices, and A_alpha's
     # window stacks, come in several blocks, no build above the budget,
-    # and the window-row memo stays within MEMO_BYTES; the products are
-    # skipped, only the builds matter here
-    stencils, windows, stacks, leads = [], [], [], []
-    stencil_build, window_build = homotopy.scaled_axis_matrices, _interp.window_matrix
+    # and the window-row memo stays within MEMO_BYTES; K_y's taps, one
+    # start and 4 weights per (t-node, grid point) and axis, come once per
+    # axis and call, each within the budget too (about 2.6 MB); the
+    # products are skipped, only the builds matter here
+    taps, stencils, windows, stacks, leads = [], [], [], [], []
+    taps_build, stencil_build = homotopy.scaled_taps, homotopy.scaled_axis_matrices
+    window_build = _interp.window_matrix
+
+    def taps_counted(*args):
+        out = taps_build(*args)
+        taps.append(sum(a.nbytes for a in out))
+        return out
 
     def stencil_counted(*args):
         out = stencil_build(*args)
-        stencils.append(sum(mat.nbytes for mat, _ in out))
+        stencils.append(out[0].nbytes)
         return out
 
     def window_counted(domain, ax, lower, upper, weight=None):
@@ -395,6 +413,7 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
         leads.append(mat.nbytes)
         return 0.0
 
+    monkeypatch.setattr(homotopy, "scaled_taps", taps_counted)
     monkeypatch.setattr(homotopy, "scaled_axis_matrices", stencil_counted)
     monkeypatch.setattr(_interp, "window_matrix", window_counted)
     monkeypatch.setattr(homotopy, "scaled_eval", lambda field, mats, work: 0.0)
@@ -406,6 +425,7 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
     K_y(om, [0.5, 0.5], t_nodes=256)
     A_alpha(om, WeightProfile.constant(1.0), t_nodes=256)
     assert len(stacks) == len(leads) == len(om.coeffs) * len(stencils) // dom.dim
+    assert len(taps) == dom.dim and max(taps) <= _interp.STACK_BYTES
     for builds in (stencils, windows, stacks, leads):
         assert len(builds) > 2 * dom.dim
         assert max(builds) <= _interp.STACK_BYTES
@@ -414,18 +434,22 @@ def test_stacked_builds_fit_budget_at_cli_maxima(monkeypatch):
 
 
 def test_K_y_allocates_no_grid_sized_array_per_t_node():
-    # one call's peak holds its output, its t-integrals (one grid per
-    # coefficient), one scratch grid and its block buffers: the stack of
-    # slabs and the axis-0 matrices each fit STACK_BYTES, as does each
-    # axis's stencil build (scaled_blocks), so together they take at most
-    # (2 + dim) STACK_BYTES; one more grid per t-node would add 256 grids,
-    # about 73 MB, at 256 t-nodes
+    # one call's peak holds its output (also its scratch grid), its
+    # t-integrals (one grid per coefficient), its taps and its block
+    # buffers: the stack of slabs (one grid at least, the levers' scratch)
+    # and the axis-0 matrices each fit max(grid, STACK_BYTES) and
+    # STACK_BYTES, as do the matrices of each other axis
+    # (scaled_blocks); the axis-0 matrices are filled in place, with no
+    # build of their own to copy from.  The taps hold one int64 start and
+    # 4 weights per t-node and grid point of each axis.  One more grid per
+    # t-node would add 256 grids, about 73 MB, at 256 t-nodes
     import tracemalloc
 
     dom = box([[0, 1]] * 3, [33, 33, 33])
     grid_bytes = 8 * math.prod(dom.grid)
-    block_bytes = (2 + dom.dim) * _interp.STACK_BYTES
+    block_bytes = max(grid_bytes, _interp.STACK_BYTES) + dom.dim * _interp.STACK_BYTES
     for t_nodes in (8, 256):
+        taps_bytes = 5 * 8 * t_nodes * sum(dom.grid)
         for k in (1, 3):
             om = random_form(dom, k, np.random.default_rng(2))
             tracemalloc.start()
@@ -434,8 +458,9 @@ def test_K_y_allocates_no_grid_sized_array_per_t_node():
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            grids = len(om.coeffs) + len(out.coeffs) + 1
-            assert peak < grids * grid_bytes + block_bytes, (t_nodes, k, peak / grid_bytes)
+            grids = len(om.coeffs) + len(out.coeffs)
+            bound = grids * grid_bytes + block_bytes + taps_bytes
+            assert peak < bound, (t_nodes, k, peak / grid_bytes)
 
 
 def test_concurrent_K_y_calls_equal_sequential_ones():

@@ -3,11 +3,12 @@ module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, one
 memo holds every retained window matrix, only t_norm (and a law alpha's
 |y| moment) integrates weights in t, one function gives the C-integral's
-sups, DomainSpec.norm is the one caller of the grid integral, the t-node
-block rule and the exponent rule stay in _interp, the Cech nerve stays
-in cover, A_alpha calls no K_y, no module imports threading, no
-function only passes its own parameters on to another call, and every
-function the benchmark's tracer wraps exists."""
+sups, DomainSpec.norm is the one caller of the grid integral, scaled_taps
+is the one caller of the stencil build, the t-node block rule and the
+exponent rule stay in _interp, the Cech nerve stays in cover, A_alpha
+calls no K_y, no module imports threading, no function only passes its
+own parameters on to another call, and every function the benchmark's
+tracer wraps exists."""
 
 import ast
 import importlib.util
@@ -162,6 +163,15 @@ def test_only_t_norm_integrates_weights():
     callers = {(name, fn) for name, tree in _sources().items()
                for fn in _callers(tree, "edge_integral")}
     assert callers == {("_interp.py", "t_norm"), ("homotopy.py", "check_admissible_weight")}
+
+
+def test_one_stencil_build_per_axis_and_call():
+    # K_y's stencils come from scaled_taps, once per axis and call, and
+    # each block fills its matrices from those taps: no other function
+    # builds stencils, so no path goes back to a build per block
+    callers = {(name, fn) for name, tree in _sources().items()
+               for fn in _callers(tree, "_axis_stencil")}
+    assert callers == {("_interp.py", "scaled_taps")}
 
 
 def test_one_sup_rule_for_the_c_integral():
