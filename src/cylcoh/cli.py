@@ -118,6 +118,22 @@ SCHEMA = {
 REMOVED_KEYS = {"lam": "lambda", "patch_tol": "tolerance"}
 
 
+def _non_finite_at(sc):
+    """The path of the first inf or NaN number in a parsed scenario, as
+    "warp/values/4/0" ("" for the scenario itself), or None.  json.loads
+    makes one of 1e400 and of the Infinity and NaN literals; a string
+    such as "inf" is no number.  The walk keeps its own stack, so a
+    scenario json.loads accepted cannot nest too deeply for it."""
+    stack = [((), sc)]
+    while stack:
+        path, x = stack.pop()
+        if isinstance(x, float) and not math.isfinite(x):
+            return "/".join(map(str, path))
+        items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+        stack.extend((path + (key,), v) for key, v in reversed(list(items)))
+    return None
+
+
 def render_canonical(obj, indent=0):
     """Deterministic JSON: sorted keys, floats at 17 significant digits.
 
@@ -459,6 +475,11 @@ def main(argv=None):
         return 1
     except RecursionError as e:
         print(f"schema error: scenario nests too deeply: {e}", file=sys.stderr)
+        return 1
+    where = _non_finite_at(sc)
+    if where is not None:
+        print("schema error: numbers must be finite" + (f" (at {where})" if where else ""),
+              file=sys.stderr)
         return 1
     gone = sorted(REMOVED_KEYS.keys() & sc.keys()) if isinstance(sc, dict) else []
     if gone:

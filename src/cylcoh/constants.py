@@ -274,19 +274,11 @@ def corollary_box_bound(D, k, p, q, t_nodes=64):
 
         |D|^(1/q) int_0^1 t^(k-n/q) (1-t)^(-n/p) min(t^(n/q),(1-t)^(n/q)) dt
 
-    with n = dim(D); finite exactly when 1/p - 1/q < 1/n (p, q as given).
+    with n = dim(D): C_integral at beta = 1, whose sup is this closed
+    (|D| min(1, (1-t)/t)^n)^(1/q).  Finite exactly when 1/p - 1/q < 1/n
+    (p, q as given); q < p is refused, as for every constant.
     """
-    n = D.dim
-    if not _convex_gate(n, p, q):
-        return math.inf
-    p, q = float(p), float(q)
-    t, w = _graded_nodes(t_nodes)
-    vals = (
-        t ** (k - n / q)
-        * (1.0 - t) ** (-n / p)
-        * np.minimum(t ** (n / q), (1.0 - t) ** (n / q))
-    )
-    return float(D.volume ** (1.0 / q) * np.sum(w * vals))
+    return C_integral(ConstantRequest(k, p, q, D), t_nodes=t_nodes)
 
 
 def Q_factor(gamma, p, pbar, D):

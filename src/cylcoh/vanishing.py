@@ -9,11 +9,12 @@ x = -log((b - t)/(b - a)) over its last TAIL_SAMPLES samples before b,
 with delta = 1/mean(x), the slope a factor |log(b - t)|^(+-1) adds to
 the fit.  A profile is immutable, so its tail law is fitted once per
 profile and interval (a, b) and serves every (n, k, p, q) queried
-against it: the module's memo _TAIL_LAWS keeps it under id(profile),
-with the integer ratio of its mu that _exceeds reads, formed once when
-the law is fitted, and a finalizer drops a profile's laws when the
-profile dies.  Each slope is mu times the condition's exponent, and a
-condition whose slope is within delta*|exponent| of 1 is undecided.
+against it: the module's memo _TAIL_LAWS, weakly keyed by the profile
+itself, keeps it with the integer ratio of its mu that _exceeds reads,
+formed once when the law is fitted, and drops a profile's laws when the
+profile dies.  Each query fetches its two laws once, when it is built.
+Each slope is mu times the condition's exponent, and a condition whose
+slope is within delta*|exponent| of 1 is undecided.
 
 The verdict needs slope > 1, the strict threshold of the source's
 window (below).  int (b - t)^(-1) diverges, but slope 1 lies outside
@@ -49,8 +50,8 @@ from .weights import WeightProfile
 
 INF = math.inf
 TAIL_SAMPLES = 64
-# per profile id, its tail-law entries keyed by (a, b); see _tail_law
-_TAIL_LAWS = {}
+# per live profile, its tail-law entries keyed by (a, b); see _tail_law
+_TAIL_LAWS = weakref.WeakKeyDictionary()
 CONDITIONS = ("I1: int s^(n/q-k+2) divergent", "I2: int t s^(n/q-k+2) divergent",
               "I3: int g^(k-n/p) divergent")
 # per condition, the reasons a report lists when it fails and when it is
@@ -261,6 +262,9 @@ class CriterionInput:
     p and q are read exactly as given (a Fraction stays itself, a float
     is its own rational): the exponents u, v and the gate are kept exact
     (see _window), and the floats p and q serve the slopes and the report.
+    For a finite b, law_s and law_g are the memo entries of s's and g's
+    tail laws toward (a, b) (see _tail_law), one object when s is g;
+    None for an infinite b.
     """
 
     def __init__(self, n, k, p, q, interval, warp, hdr_zero=None):
@@ -306,6 +310,10 @@ class CriterionInput:
         if math.isinf(self.b) and s_prof.kind != "powerlaw":
             raise ValueError("infinite b needs power-law profiles")
         self.hdr_zero = hdr_zero
+        self.law_s = self.law_g = None
+        if self.b < INF:
+            self.law_s = _tail_law(s_prof, self.a, self.b)
+            self.law_g = self.law_s if g_prof is s_prof else _tail_law(g_prof, self.a, self.b)
 
 
 def _powerlaw_conditions(inp, law_s, law_g):
@@ -349,23 +357,17 @@ def _tail_law(prof, a, b):
     toward (a, b), fitted once; None when _fit_tail_law has no law.
 
     A profile is immutable, so its law is a pure function of (prof, a,
-    b): _TAIL_LAWS keeps it under id(prof), keyed by (a, b), with the
-    pair _exceeds reads formed when the law is fitted, and a finalizer
-    drops the profile's entries when the profile dies, before its id can
-    name another.  The memo's dicts are shared; copy before handing one
-    out.  Only a miss inserts.
+    b): _TAIL_LAWS keeps it under the profile, keyed by (a, b), with the
+    pair _exceeds reads formed when the law is fitted.  The memo holds
+    its profiles weakly, so a profile's entries leave with it.  The
+    memo's dicts are shared; copy before handing one out.  Only a miss
+    inserts.
     """
-    try:
-        return _TAIL_LAWS[id(prof)][a, b]
-    except KeyError:
-        pass
-    entries = _TAIL_LAWS.get(id(prof))
-    if entries is None:
-        entries = _TAIL_LAWS[id(prof)] = {}
-        weakref.finalize(prof, _TAIL_LAWS.pop, id(prof), None)
-    law = _fit_tail_law(prof, a, b)
-    entry = entries[a, b] = None if law is None else (law, _law_ratio(law["mu"]))
-    return entry
+    entries = _TAIL_LAWS.setdefault(prof, {})
+    if (a, b) not in entries:
+        law = _fit_tail_law(prof, a, b)
+        entries[a, b] = None if law is None else (law, _law_ratio(law["mu"]))
+    return entries[a, b]
 
 
 def _fit_tail_law(prof, a, b):
@@ -422,11 +424,7 @@ def criterion_check(inp):
         route = "b-infinite"
         failed.append("b is infinite: conditions I1-I3 cannot hold simultaneously")
     else:
-        ab = inp.a, inp.b
-        try:  # the memo hit, read in place: the path of every repeated query
-            law_s, law_g = _TAIL_LAWS[id(inp.s)][ab], _TAIL_LAWS[id(inp.g)][ab]
-        except KeyError:
-            law_s, law_g = _tail_law(inp.s, *ab), _tail_law(inp.g, *ab)
+        law_s, law_g = inp.law_s, inp.law_g
         if "sampled-t" in (inp.s.kind, inp.g.kind):
             # the report's own dicts: the memo's stay unchanged
             route = "fitted-tail"

@@ -7,8 +7,9 @@ decide their integrability exactly instead of by overflowing quadrature.
 Profiles are immutable: no attribute can be reassigned and no array
 written through the profile.  A 1-D table holds read-only copies, so a
 t-only profile's tail law (vanishing._tail_law) is a pure function of
-it; a full-grid table is a read-only view of the caller's samples, so it
-keeps no second grid in memory.
+it, memoised under the profile itself: a profile hashes by identity and
+is held weakly there.  A full-grid table is a read-only view of the
+caller's samples, so it keeps no second grid in memory.
 """
 
 import numpy as np

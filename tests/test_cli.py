@@ -751,3 +751,36 @@ def test_constant_cylinder_echoes_two_weights(tmp_path):
     norm = (13.0 / 12.0) ** 0.5
     assert abs(report["Q"] - norm) <= 1e-13
     assert abs(report["alpha_norm"] - norm) <= 1e-13
+
+
+WARP_1E400 = ('{"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 3, "warp": {"kind": "sampled", '
+              '"t": [0.1, 0.2, 0.3, 0.4, 0.5], "values": [[1, 1], [2, 2], [3, 3], [4, 4], [1e400, 5]]}}')
+BETA = ('{"command": "constant", "route": "cylinder", "k": 1, "p": 2, "q": 2, '
+        '"domain": {"kind": "box", "bounds": [[0.0, 1.0]], "grid": [17]}, '
+        '"beta": {"kind": "sampled-t", "t": [0.0, 0.5, 1.0], "values": [1.0, %s, 2.0]}}')
+
+
+@pytest.mark.parametrize("text, where", [
+    (WARP_1E400, "warp/values/4/0"),
+    (BETA % "Infinity", "beta/values/1"),
+    (BETA % "1e400", "beta/values/1"),
+    (BETA % "-Infinity", "beta/values/1"),
+    (BETA % "NaN", "beta/values/1"),
+])
+def test_non_finite_numbers_are_schema_errors(tmp_path, capsys, text, where):
+    # json.loads reads 1e400 and the Infinity and NaN literals as floats;
+    # each is refused by its path before any handler runs, so no NaN can
+    # reach a warp's fit or a constant's report
+    p = tmp_path / "scen.json"
+    p.write_text(text)
+    assert main(["--scenario", str(p)]) == 1
+    assert capsys.readouterr().err == f"schema error: numbers must be finite (at {where})\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
+def test_inf_as_a_string_stays_valid(tmp_path):
+    # the interval's "inf" is a string, no JSON number: the b-infinite route runs
+    sc = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 3, "interval": [0.0, "inf"],
+          "warp": {"kind": "powerlaw", "lam": 1.0, "pivot": 1.0}}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 2 and report["route"] == "b-infinite"

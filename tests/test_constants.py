@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -571,9 +572,8 @@ def test_c_integral_matches_analytic_reference():
     got = C_integral(req)
     ref = 2.0 - math.sqrt(2.0)
     assert abs(got - ref) <= 2e-4, f"C {got} vs analytic {ref}"
-    # same integrand as the closed-form box bound, so the two agree tightly
-    cor = corollary_box_bound(dom, 1, 2.0, 2.0)
-    assert got == pytest.approx(cor, rel=1e-10)
+    # the closed-form box bound is C at beta = 1
+    assert got == corollary_box_bound(dom, 1, 2.0, 2.0)
 
 
 def test_c_integral_equals_box_bound_for_flat_beta():
@@ -582,7 +582,7 @@ def test_c_integral_equals_box_bound_for_flat_beta():
         req = ConstantRequest(k, p, q, sq)
         got = C_integral(req)
         cor = corollary_box_bound(sq, k, p, q)
-        assert got == pytest.approx(cor, rel=1e-10), f"k={k} p={p} q={q}"
+        assert got == cor, f"k={k} p={p} q={q}"
 
 
 def test_c_integral_divergence():
@@ -607,6 +607,35 @@ def test_c_integral_moment_validation():
     req = ConstantRequest(1, 2.0, 2.0, dom)
     with pytest.raises(ValueError, match="moment"):
         C_integral(req, moment="x^2")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cylinder_constant(ConstantRequest(
+        1, 2.0, 2.0, box([[0, 1]], [9]), beta=WeightProfile.sampled(np.ones(9)))),
+     "cylinder constant needs a t-only beta"),
+    (lambda: corollary_box_bound(box([[0, 1]], [9]), 1, 3.0, 2.0), "need q >= p >= 1"),
+], ids=["cylinder-full-grid-beta", "corollary-q<p"])
+def test_constants_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize("weight", [
+    WeightProfile.constant(1.0), WeightProfile.powerlaw(0.5, 1.0),
+    WeightProfile.sampled_t([0.0, 1.0], [1.0, 2.0]),
+], ids=["constant", "powerlaw", "sampled-t"])
+def test_interp_refusals(weight):
+    with pytest.raises(ValueError, match="t_norm takes no t-moment at q = inf"):
+        t_norm(weight, math.inf, 0.0, 1.0, moment_t=True)
+
+
+@pytest.mark.parametrize("e, pivot, want", [
+    (math.inf, 1.0, True), (-math.inf, 1.0, False), (math.inf, 2.0, False),
+])
+def test_diverges_at_an_infinite_exponent(e, pivot, want):
+    # an infinite exponent is the ratio (+-1, 0): at the edge +inf
+    # diverges and -inf does not; a pivot past the edge never diverges
+    assert _interp.diverges(e, pivot, 1.0) is want
 
 
 @pytest.mark.parametrize("moment", ["none", "|x|"])

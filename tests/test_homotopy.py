@@ -261,6 +261,23 @@ def test_degree0_message():
         K_y(f, [0.5])
 
 
+PERIODIC = box([[0, 1], [0, 1]], [9, 16], periodic=[False, True])
+SQUARE = box([[0, 1], [0, 1]], [9, 9])
+UNIT = WeightProfile.constant(1.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: K_y(GridForm(PERIODIC, 1), [0.5, 0.5]), "K_y needs a convex box domain"),
+    (lambda: A_alpha(GridForm(PERIODIC, 1), UNIT), "A_alpha needs a convex box domain"),
+    (lambda: K_y(GridForm(SQUARE, 1), [0.5, 1.5]), "x or y outside domain"),
+    (lambda: A_alpha(GridForm(SQUARE, 0), UNIT), DEGREE0_MSG),
+    (lambda: check_admissible_weight(UNIT, SQUARE, 0.5), "p must be >= 1"),
+], ids=["K_y-periodic", "A_alpha-periodic", "K_y-outside", "A_alpha-0-form", "weight-p<1"])
+def test_homotopy_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
 @pytest.mark.parametrize("y", [[0.5, 0.5, 7.0], [0.5], [[0.5, 0.5]]])
 def test_K_y_refuses_a_center_of_the_wrong_length(y):
     # y takes one coordinate per axis: the bounds check alone would read

@@ -6,8 +6,9 @@ memo holds every retained window matrix, only t_norm (and a law alpha's
 sups, DomainSpec.norm is the one caller of the grid integral, scaled_taps
 is the one caller of the stencil build, the t-node block rule and the
 exponent rule stay in _interp, the Cech nerve stays in cover, A_alpha
-calls no K_y, no module imports threading, no function only passes its
-own parameters on to another call, and every function the benchmark's
+calls no K_y, no module imports threading, a vanishing query fetches
+its tail laws once and by no id, no function only passes its own
+parameters on to another call, and every function the benchmark's
 tracer wraps exists."""
 
 import ast
@@ -262,6 +263,24 @@ def test_nerve_stays_in_cover():
     defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "find_parent"}
     assert defined == set()
+
+
+def _calls(tree, name):
+    return sum(isinstance(node, ast.Call) and _call_name(node) == name for node in ast.walk(tree))
+
+
+def test_queries_carry_their_tail_laws():
+    # the tail-law memo is keyed by the profile itself, so no id names a
+    # profile and no finalizer clears one; CriterionInput fetches a
+    # query's laws when it is built and criterion_check reads them off
+    # the query, so no second lookup path into the memo comes back
+    trees = _sources()
+    vanishing = trees["vanishing.py"]
+    assert _calls(vanishing, "id") == _calls(vanishing, "finalize") == 0
+    init = next(fn for cls in ast.walk(vanishing)
+                if isinstance(cls, ast.ClassDef) and cls.name == "CriterionInput"
+                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__")
+    assert sum(_calls(tree, "_tail_law") for tree in trees.values()) == _calls(init, "_tail_law") > 0
 
 
 def _pass_throughs(tree):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +63,22 @@ def test_condition_slopes_closed_form(mu):
             for c, slope in zip(conds.values(), exact, strict=True):
                 assert c.keys() == {"holds", "slope", "exponent"}
                 assert c["holds"] == (slope > 1)
+
+
+FLAT = WeightProfile.constant(1.0)
+WINDOW = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CriterionInput(0, 1, 2.0, 3.0, (0.0, 1.0), FLAT), "fiber dimension must be >= 1"),
+    (lambda: CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), WeightProfile.sampled(np.ones((3, 3)))),
+     "twisting profiles must be functions of t"),
+    (lambda: WINDOW.contains(0.5, 2.0), "p and q must be >= 1"),
+    (lambda: WINDOW.q_interval(0.5), "p must be >= 1"),
+], ids=["n<1", "full-grid-warp", "contains-p<1", "q_interval-p<1"])
+def test_vanishing_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_region_window_fractions():
@@ -611,23 +628,42 @@ def test_criterion_check_matches_fraction_oracle():
 
 
 def test_tail_law_memo_goes_with_its_profile():
+    # the memo holds its profiles weakly: a profile's entries leave with
+    # it, and a profile made at the freed address fits its own law
     ts = np.linspace(0.0, 1.0, 129)[:-1]
     reused = 0
     for _ in range(5):
         prof = WeightProfile.sampled_t(ts, (1.0 - ts) ** -1.0)
         rep = criterion_check(CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), prof))
         assert rep["tail"]["s"]["mu"] == pytest.approx(1.0)
-        key = id(prof)
-        assert list(vanishing._TAIL_LAWS[key]) == [(0.0, 1.0)]
+        entries, address = vanishing._TAIL_LAWS[prof], id(prof)
+        assert list(entries) == [(0.0, 1.0)]
         del prof  # no cycle holds a profile, so it dies here
-        assert key not in vanishing._TAIL_LAWS
-        # a profile made now often lands at the freed address; it fits its own law
+        assert all(kept is not entries for kept in vanishing._TAIL_LAWS.values())
+        # a profile made now often lands at the freed address
         other = WeightProfile.sampled_t(ts, (1.0 - ts) ** -3.0)
-        reused += id(other) == key
+        reused += id(other) == address
         rep = criterion_check(CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), other))
         assert rep["tail"]["s"]["mu"] == pytest.approx(3.0)
         del other
     assert reused > 0, "no profile was made at a freed address"
+
+
+def test_query_carries_its_tail_laws():
+    # a query fetches its laws once, when built: one object when s is g,
+    # none toward an infinite b
+    ts = np.linspace(0.0, 1.0, 129)[:-1]
+    s = WeightProfile.sampled_t(ts, (1.0 - ts) ** -2.0)
+    g = WeightProfile.sampled_t(ts, (1.0 - ts) ** -1.0)
+    inp = CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), s)
+    assert inp.law_s is inp.law_g is vanishing._tail_law(s, 0.0, 1.0)
+    inp = CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), (s, g))
+    assert inp.law_s is vanishing._tail_law(s, 0.0, 1.0)
+    assert inp.law_g is vanishing._tail_law(g, 0.0, 1.0)
+    inp = CriterionInput(2, 1, 2.0, 3.0, (0.0, math.inf), WeightProfile.powerlaw(1.0, 1.0))
+    assert inp.law_s is inp.law_g is None
+    few = WeightProfile.sampled_t([0.1, 0.5], [1.0, 2.0])
+    assert CriterionInput(2, 1, 2.0, 3.0, (0.0, 1.0), few).law_s is None
 
 
 def test_criterion_check_calls_conditions_through_the_module(monkeypatch):
