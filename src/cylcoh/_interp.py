@@ -56,10 +56,12 @@ Every quadrature rule is built once, read-only: gauss01 keeps one rule
 per node count, and TANH_SINH is built at import.  So does the
 package's one exponent rule (_exceeds, diverges), exact on p, q and
 pbar as given and on a profile's lam at the binary value of its float.
-_exceeds reads a law's mu as the integer pair _law_ratio forms, so a
-caller that asks many exponents of one law forms that pair once: the
-vanishing criterion's tail-law memo keeps it with each law, and
-AdmissibleRegion forms 1/alpha and 1/beta when it is built.
+_exceeds reads a law's mu as the integer pair _ratio forms, so a caller
+that asks many exponents of one law forms that pair once: the vanishing
+criterion's tail-law memo keeps it with each law, and AdmissibleRegion
+forms 1/alpha and 1/beta when it is built.  _ratio is the one place
+infinity enters: +-inf is (+-1, 0), so an infinite p, q or mu has an
+inverse of exactly 0, and an infinite alpha a law mu = 0.
 """
 
 import functools
@@ -281,11 +283,14 @@ def scaled_eval(field, mats, work):
 
 
 def _ratio(x):
-    """(num, den > 0) of an int, float, numpy scalar or Fraction, exactly."""
+    """(num, den > 0) of an int, float, numpy scalar or Fraction, exactly;
+    +-inf is (+-1, 0), so its inverse is exactly 0.  NaN raises."""
     try:
         return x.as_integer_ratio()
     except AttributeError:  # numpy integers
         return int(x), 1
+    except OverflowError:  # an infinite float
+        return (1 if x > 0 else -1), 0
 
 
 def _frac(x):
@@ -300,22 +305,14 @@ def law_exponent(lam, x):
     return _frac(lam) * _frac(x)
 
 
-def _law_ratio(mu):
-    """mu as the (num, den) pair _exceeds reads: exact (see _ratio), and
-    an infinite mu as (+-1, 0)."""
-    try:
-        return _ratio(mu)
-    except OverflowError:  # an infinite mu
-        return (1 if mu > 0 else -1), 0
-
-
 def _exceeds(mu, exponent, m=0, pivot=None, reach=False):
     """The exponent rule: is mu*exponent - m*[pivot = 0], the exponent of
     |t|^m (pivot - t)^(-mu*exponent) at its pivot, > 1 (>= 1 with reach)?
-    Exact, by integer cross-multiplication.  mu is the pair _law_ratio
-    forms, once per law by the callers that ask many exponents of one
-    law; exponent is (num, den > 0).  An infinite mu exceeds when it is
-    positive."""
+    Exact, by integer cross-multiplication.  mu is the pair _ratio forms,
+    once per law by the callers that ask many exponents of one law;
+    exponent is (num, den > 0).  An infinite mu is (+-1, 0) and exceeds
+    when it is positive; an infinite alpha enters as mu = 1/alpha = 0,
+    (0, 1), which exceeds nothing."""
     num, den = mu
     if not den:
         return num > 0
@@ -329,7 +326,7 @@ def _exceeds(mu, exponent, m=0, pivot=None, reach=False):
 def diverges(e, pivot, hi, m=0):
     """int^hi |t|^m (pivot - t)^-e dt diverges: hi is the pivot and the
     exponent there is >= 1 (the vanishing conditions ask for > 1)."""
-    return pivot == hi and _exceeds(_law_ratio(e), (1, 1), m, pivot, reach=True)
+    return pivot == hi and _exceeds(_ratio(e), (1, 1), m, pivot, reach=True)
 
 
 def _pl_primitive(left, gap, e):
@@ -501,8 +498,8 @@ def window_matrix(domain, ax, lower, upper, weight=None):
     and the overlap [a, a + w] adds the integrals of the cell's two hats
     to columns c and c + 1, from a - x_c and w themselves: GAUSS2 for a
     polynomial weight (hat integrands of degree <= 3), _pl_primitive over
-    the gap w for a law.  A row is a sum of local terms, so it is exact to
-    rounding whatever the window's width.
+    the gap w for a law, on the nonempty overlaps only.  A row is a sum of
+    local terms, so it is exact to rounding whatever the window's width.
     """
     xs = domain.axis_coords(ax)
     h = domain.spacing(ax)
@@ -512,14 +509,15 @@ def window_matrix(domain, ax, lower, upper, weight=None):
     rows = np.zeros((len(a), xs.size))
     if isinstance(weight, tuple):
         mu, pivot = _frac(weight[0]), weight[1]
-        far = pivot - a
-        whole = _pl_primitive(far, w, float(1 - mu))
-        up = _pl_moment(far, w, mu, whole)  # int (s - a) (pivot - s)^-mu ds
-        a -= xs[:-1]  # the overlap's start in its cell
-        up += a * whole
+        r, c = np.nonzero(w > 0)  # the nonempty overlaps: (row, cell)
+        start, gap = a[r, c], w[r, c]
+        far = pivot - start
+        whole = _pl_primitive(far, gap, float(1 - mu))
+        up = _pl_moment(far, gap, mu, whole)  # int (s - a) (pivot - s)^-mu ds
+        up += (start - xs[c]) * whole  # from the overlap's start in its cell
         up /= h
-        rows[:, :-1] = whole - up
-        rows[:, 1:] += up
+        rows[r, c] = whole - up
+        rows[r, c + 1] += up
     else:
         n = weight or 0
         a -= xs[:-1]  # the overlap's start in its cell

@@ -30,6 +30,11 @@ from .vanishing import (AdmissibleRegion, powerlaw_exponents, CriterionInput,
 # points per grid axis: 257 is one doubling above the finest grid the
 # README, the tests and the acceptance ladders use (129)
 GRID_MAX = 257
+# points per grid in all, after --grid-scale: 129^3 is one doubling per
+# axis above the finest 3-D grid the tests and benchmarks use (65^3, and
+# criterion 4's 65 x 64 x 64), and bounds a float field at 16.4 MiB; the
+# schema's per-axis maximum alone admits a 257^4 grid, a 32.5 GiB field
+GRID_POINTS = 129**3
 GRID_ITEMS = {"type": "integer", "minimum": 3, "maximum": GRID_MAX}
 # an exponent is a number >= 1 or a string Fraction reads: "5/2" or "2.5"
 EXPONENT = {"anyOf": [{"type": "number", "minimum": 1},
@@ -196,20 +201,24 @@ def _scale_domain(domain, scale):
     Non-periodic axes scale the cell count: m -> round((m-1)*scale)+1.
     The snap keeps the standard covers' multiple-of-16 rule, and the
     floor of 32 the fewest nodes they accept.  A scaled axis above
-    GRID_MAX is a ValueError, raised before any field is sampled.
+    GRID_MAX, or a grid, scaled or not, of more than GRID_POINTS points
+    in all, is a ValueError, raised before any field is sampled.
     """
-    if scale is None or scale == 1.0:
-        return domain
-    new = []
-    for m, per in zip(domain.grid, domain.periodic):
-        if per:
-            mm = max(32, int(round(m * scale / 16.0)) * 16)
-        else:
-            mm = max(3, int(round((m - 1) * scale)) + 1)
-        new.append(mm)
-    if max(new) > GRID_MAX:
-        raise ValueError(f"scaled grid {new} exceeds {GRID_MAX} points per axis")
-    return domain.with_grid(tuple(new))
+    if scale is not None and scale != 1.0:
+        new = []
+        for m, per in zip(domain.grid, domain.periodic):
+            if per:
+                mm = max(32, int(round(m * scale / 16.0)) * 16)
+            else:
+                mm = max(3, int(round((m - 1) * scale)) + 1)
+            new.append(mm)
+        if max(new) > GRID_MAX:
+            raise ValueError(f"scaled grid {new} exceeds {GRID_MAX} points per axis")
+        domain = domain.with_grid(tuple(new))
+    points = math.prod(domain.grid)
+    if points > GRID_POINTS:
+        raise ValueError(f"grid {list(domain.grid)} has {points} points, above {GRID_POINTS} in all")
+    return domain
 
 
 def _weight(sc, key):
@@ -405,9 +414,8 @@ def _cmd_region(sc, args):
     ks = sc["k"] if isinstance(sc["k"], list) else [sc["k"]]
     b_inf = bool(sc.get("b_infinite", False))
     if "lambda" in sc:
-        es = powerlaw_exponents(_parse_frac(sc["lambda"]),
-                                _parse_frac(sc["lam_g"]) if "lam_g" in sc else None)
-        alpha, beta = es.alpha, es.beta
+        alpha, beta = powerlaw_exponents(_parse_frac(sc["lambda"]),
+                                         _parse_frac(sc["lam_g"]) if "lam_g" in sc else None)
     else:
         alpha = _parse_frac(sc["alpha"]) if sc.get("alpha") not in (None, "inf") else math.inf
         beta = _parse_frac(sc["beta"]) if sc.get("beta") not in (None, "inf") else math.inf

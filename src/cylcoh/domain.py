@@ -129,10 +129,6 @@ class DomainSpec:
         lengths = [hi - lo for lo, hi in self.bounds]
         return float(np.prod(lengths))
 
-    def sample(self, fn):
-        """Sample a callable fn(*coord_arrays) on the mesh grid."""
-        return np.asarray(fn(*self.meshgrid()), dtype=float) * np.ones(self.grid)
-
     def with_grid(self, grid):
         """Same domain on a different grid."""
         return DomainSpec(self.kind, self.bounds, grid, self.periodic)

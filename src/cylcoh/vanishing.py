@@ -24,8 +24,12 @@ keeps u = n/q - k + 2, v = k - n/p and the gate as integers from p and
 q as given (_window), and _interp's exponent rule _exceeds compares
 mu*exponent with 1 by integer cross-multiplication, as
 AdmissibleRegion.contains does with mu = 1/alpha and 1/beta, whose
-ratios the region forms once, when it is built.  Only the fitted tail's
-delta band is a float test, being a tolerance by nature.
+ratios the region forms once, when it is built.  Infinity enters only
+through _interp._ratio, as the ratio (1, 0): an infinite p or q has the
+inverse 0, and an infinite alpha or beta the law mu = 1/inf = 0, which
+exceeds nothing, so a bounded profile's region contains no point.  Only
+the fitted tail's delta band is a float test, being a tolerance by
+nature.
 
 Bounded rule: with s bounded above and g away from 0 the cylinder is
 bi-Lipschitz to the flat [a, b] x N, L_{q,p}-cohomology is bi-Lipschitz
@@ -45,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._interp import _exceeds, _frac, _law_ratio, _ratio
+from ._interp import _exceeds, _frac, _ratio
 from .weights import WeightProfile
 
 INF = math.inf
@@ -63,10 +67,10 @@ _REASONS = {name: (name + " does not hold", name + " undecided: slope within the
 def _window(n, k, p, q):
     """u = n/q - k + 2 and v = k - n/p as (num, den > 0) pairs, and the
     gate q(n+1-p) < np, exactly at the p, q >= 1 given.  Integer
-    arithmetic throughout, so a query builds no Fraction.  An infinite p
-    or q is the ratio 1/0, so its inverse is 0 exactly: at q = inf,
+    arithmetic throughout, so a query builds no Fraction.  _ratio reads
+    an infinite p or q as 1/0, so its inverse is 0 exactly: at q = inf,
     u = 2 - k and the gate is p > n + 1."""
-    (pn, pd), (qn, qd) = ((1, 0) if x == INF else _ratio(x) for x in (p, q))
+    (pn, pd), (qn, qd) = _ratio(p), _ratio(q)
     gate = qn * ((n + 1) * pd - pn) < n * pn * qd
     return (n * qd + (2 - k) * qn, qn), (k * pn - n * pd, pn), gate
 
@@ -76,28 +80,16 @@ def sphere_hdr_zero(n, k):
     return k not in (0, n)
 
 
-class ExponentSummary:
-    """Maximal integrability exponents of the twisting profiles.
-
-    s^u is integrable on [a,b) exactly for u < alpha, and g^v for
-    v < beta.  t*s^u shares alpha when b != 0 (see _powerlaw_conditions).
-    """
-
-    def __init__(self, alpha, beta):
-        self.alpha = alpha
-        self.beta = beta
-
-    def __repr__(self):
-        return f"ExponentSummary(alpha={self.alpha}, beta={self.beta})"
-
-
 def powerlaw_exponents(lam_s, lam_g=None):
-    """Exponent summary for s = (b-t)^(-lam_s), g = (b-t)^(-lam_g).
+    """The maximal integrability exponents (alpha, beta) of the twisting
+    s = (b-t)^(-lam_s), g = (b-t)^(-lam_g): s^u is integrable on [a, b)
+    exactly for u < alpha, and g^v for v < beta; t*s^u shares alpha when
+    b != 0 (see _powerlaw_conditions).
 
     (b-t)^(-lam*u) is integrable up to the finite endpoint exactly when
-    lam*u < 1, so the maximal exponent is 1/lam; nonpositive lam means a
-    bounded profile, reported as +inf.  lam_g defaults to lam_s (warped
-    product with a single law).
+    lam*u < 1, so the maximal exponent is 1/lam, a Fraction; nonpositive
+    lam means a bounded profile, reported as +inf.  lam_g defaults to
+    lam_s (warped product with a single law).
     """
     if lam_g is None:
         lam_g = lam_s
@@ -107,7 +99,7 @@ def powerlaw_exponents(lam_s, lam_g=None):
         raise ValueError("s must dominate g: lam_s >= lam_g required")
     alpha = 1 / lam_s if lam_s > 0 else INF
     beta = 1 / lam_g if lam_g > 0 else INF
-    return ExponentSummary(alpha, beta)
+    return alpha, beta
 
 
 class AdmissibleRegion:
@@ -127,8 +119,9 @@ class AdmissibleRegion:
         self.alpha = alpha
         self.beta = beta
         self.b_infinite = bool(b_infinite)
-        # contains' laws mu = 1/alpha and 1/beta, as _exceeds reads them
-        self._mu = None if INF in (alpha, beta) else (_law_ratio(1 / alpha), _law_ratio(1 / beta))
+        # contains' laws mu = 1/alpha and 1/beta, as _exceeds reads them;
+        # an infinite exponent is the law mu = 0, which exceeds nothing
+        self._mu = _ratio(1 / alpha), _ratio(1 / beta)
         self.reason = None
         if self.b_infinite:
             self.reason = (
@@ -168,8 +161,6 @@ class AdmissibleRegion:
         if self.b_infinite:
             return False
         p, q = self._exact(p, q)
-        if self._mu is None:
-            return False
         u, v, gate = _window(self.n, self.k, p, q)
         mu_alpha, mu_beta = self._mu
         return p <= q and gate and _exceeds(mu_alpha, u) and _exceeds(mu_beta, v)
@@ -366,7 +357,7 @@ def _tail_law(prof, a, b):
     entries = _TAIL_LAWS.setdefault(prof, {})
     if (a, b) not in entries:
         law = _fit_tail_law(prof, a, b)
-        entries[a, b] = None if law is None else (law, _law_ratio(law["mu"]))
+        entries[a, b] = None if law is None else (law, _ratio(law["mu"]))
     return entries[a, b]
 
 

@@ -193,8 +193,8 @@ def test_criterion_4_gluing_stability():
 def test_criterion_5_exact_region_values():
     t0 = time.perf_counter()
     half = Fraction(1, 2)
-    es = powerlaw_exponents(2)
-    ok = es.alpha == half and es.beta == half
+    alpha, beta = powerlaw_exponents(2)
+    ok = alpha == half and beta == half
 
     reg = AdmissibleRegion(4, 3, half, half)
     ok = ok and reg.q_interval(Fraction(2)) == (Fraction(2), Fraction(8, 3))
@@ -208,7 +208,7 @@ def test_criterion_5_exact_region_values():
 
     dt = time.perf_counter() - t0
     ok = ok and dt <= 1.0
-    detail = f"alpha=beta={es.alpha}, q-interval [2, 8/3), {dt:.2f}s"
+    detail = f"alpha=beta={alpha}, q-interval [2, 8/3), {dt:.2f}s"
     assert _line(5, "exact admissible-region values", ok, detail), detail
 
 

@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 import cylcoh
 from cylcoh import (CriterionInput, K_y, box, criterion_check, exterior_derivative,
                     warp_profiles)
-from cylcoh.cli import GRID_MAX, SCHEMA, main, render_canonical
+from cylcoh.cli import GRID_MAX, GRID_POINTS, SCHEMA, main, render_canonical
 from cylcoh.forms import random_form
 
 
@@ -390,16 +392,17 @@ def test_report_byte_identical(tmp_path):
     assert hashlib.md5(path2.read_bytes()).hexdigest() == first
 
 
-def _run_process(tmp_path, path, extra=()):
+def _run_process(tmp_path, path, extra=(), preexec_fn=None):
     """Run the CLI on a scenario in a child process, where a hang or a
-    huge allocation can be cut by the timeout."""
+    huge allocation can be cut by the timeout; preexec_fn runs in the
+    child before the CLI starts."""
     src = str(Path(cylcoh.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "cylcoh", "--scenario", str(path), "--out", str(tmp_path)]
         + list(extra),
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -444,6 +447,41 @@ def test_grid_scale_beyond_maximum_is_an_error(tmp_path):
     assert proc.returncode == 1
     report = json.loads((tmp_path / "scaled.report.json").read_text())
     assert f"exceeds {GRID_MAX} points per axis" in report["error"]
+
+
+def _limit_address_space():
+    # the child's own limit: 3 GiB holds the interpreter and numpy, and no
+    # grid-sized array of a refused grid, so a missed bound fails fast
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "sc, extra",
+    [
+        ({"command": "constant", "k": 1, "p": 2, "q": 2,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 4, "grid": [257] * 4}}, ()),
+        ({"command": "glue", "surface": "cylinder-t2", "grid": [257, 256, 256], "degree": 1}, ()),
+        # 65 nodes scaled by 2.5 is 161 per axis, within GRID_MAX; 161^3 is not
+        ({"command": "homotopy-check", "degree": 1,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 3, "grid": [65] * 3}},
+         ("--grid-scale", "2.5")),
+    ],
+    ids=["4-D", "glue", "scaled"],
+)
+def test_grid_points_bounded_before_sampling(tmp_path, sc, extra):
+    # each axis is within GRID_MAX, but the grid holds more than
+    # GRID_POINTS points: the handler stops with one error line and an
+    # error report before any grid-sized array is made (a 257^4 field
+    # alone is 32.5 GiB)
+    p = _write(tmp_path, "big.json", sc)
+    start = time.perf_counter()
+    proc = _run_process(tmp_path, p, extra, preexec_fn=_limit_address_space)
+    assert time.perf_counter() - start < 10.0
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and f"above {GRID_POINTS} in all" in lines[0], proc.stderr
+    report = json.loads((tmp_path / "big.report.json").read_text())
+    assert f"above {GRID_POINTS} in all" in report["error"]
 
 
 def test_region_csv_rows(tmp_path):

@@ -70,13 +70,6 @@ def test_with_grid_and_roundtrip():
     assert back == dom
 
 
-def test_sample_matches_meshgrid():
-    dom = box([[0, 1], [-1, 1]], [5, 7])
-    f = dom.sample(lambda x, y: x * y + 1.0)
-    x, y = dom.meshgrid()
-    assert np.allclose(f, x * y + 1.0)
-
-
 def test_invalid_grids():
     with pytest.raises(ValueError):
         box([[0, 1]], [2])

@@ -5,7 +5,8 @@ memo holds every retained window matrix, only t_norm (and a law alpha's
 |y| moment) integrates weights in t, one function gives the C-integral's
 sups, DomainSpec.norm is the one caller of the grid integral, scaled_taps
 is the one caller of the stencil build, the t-node block rule and the
-exponent rule stay in _interp, the Cech nerve stays in cover, A_alpha
+exponent rule stay in _interp, _ratio alone forms integer ratios (and
+so reads infinity), the Cech nerve stays in cover, A_alpha
 calls no K_y, no module imports threading, a vanishing query fetches
 its tail laws once and by no id, no function only passes its own
 parameters on to another call, and every function the benchmark's
@@ -225,7 +226,7 @@ def test_block_rule_stays_in_interp():
     assert found == {}
 
 
-EXPONENT_RULE = {"_ratio", "_frac", "_law_ratio", "_exceeds"}
+EXPONENT_RULE = {"_ratio", "_frac", "_exceeds"}
 
 
 def _lam_products(tree):
@@ -248,6 +249,25 @@ def test_exponent_rule_stays_in_interp():
     products = {name: lines for name, tree in trees.items()
                 if name not in ("_interp.py", "weights.py") and (lines := _lam_products(tree))}
     assert products == {}
+
+
+def test_one_spelling_of_infinity():
+    # _ratio is the one place a number becomes an integer pair, and so
+    # the one place an infinity becomes (+-1, 0): no other function calls
+    # as_integer_ratio, the exact window and region membership test no
+    # exponent against INF, and neither the old second ratio helper nor
+    # the class that only carried (alpha, beta) comes back
+    trees = _sources()
+    callers = {(name, owner) for name, tree in trees.items()
+               for owner in _callers(tree, "as_integer_ratio")}
+    assert callers == {("_interp.py", "_ratio")}
+    inf_readers = _owners(trees["vanishing.py"],
+                          lambda node: isinstance(node, ast.Name) and node.id == "INF")
+    assert not inf_readers & {"_window", "contains"}
+    defined = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("_law_ratio", "ExponentSummary")}
+    assert defined == set()
 
 
 NERVE_CALLS = {"index_between", "component_domain", "components"}

@@ -25,15 +25,12 @@ from cylcoh.vanishing import _powerlaw_conditions
 
 
 def test_powerlaw_exponents_exact():
-    e = powerlaw_exponents(2)
-    assert e.alpha == Fraction(1, 2) and e.beta == Fraction(1, 2)
-    e = powerlaw_exponents(1)
-    assert e.alpha == 1
-    e = powerlaw_exponents(3, 2)
-    assert e.alpha == Fraction(1, 3) and e.beta == Fraction(1, 2)
+    assert powerlaw_exponents(2) == (Fraction(1, 2), Fraction(1, 2))
+    assert powerlaw_exponents(1) == (1, 1)
+    assert powerlaw_exponents(3, 2) == (Fraction(1, 3), Fraction(1, 2))
     # nonpositive rate means a bounded profile
-    assert powerlaw_exponents(0).alpha == math.inf
-    assert powerlaw_exponents(-1).beta == math.inf
+    assert powerlaw_exponents(0) == powerlaw_exponents(-1) == (math.inf, math.inf)
+    assert powerlaw_exponents(1, -1) == (1, math.inf)
     with pytest.raises(ValueError, match="dominate"):
         powerlaw_exponents(1, 2)
 
@@ -113,8 +110,7 @@ BOUNDARY_POINTS = {
 @pytest.mark.parametrize("case", sorted(BOUNDARY_POINTS))
 def test_boundary_points_agree_with_region(case):
     (lam, n, k, p, q), failed = BOUNDARY_POINTS[case]
-    e = powerlaw_exponents(lam)
-    assert not AdmissibleRegion(n, k, e.alpha, e.beta).contains(p, q)
+    assert not AdmissibleRegion(n, k, *powerlaw_exponents(lam)).contains(p, q)
     rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0),
                                          WeightProfile.powerlaw(float(lam), 1.0), hdr_zero=True))
     assert rep["verdict"] == "HYPOTHESES-FAIL"
@@ -158,17 +154,16 @@ def _window_queries(draw):
 @given(_window_queries())
 def test_powerlaw_verdict_equals_region(query):
     lam_s, lam_g, n, k, p, q = query
-    e = powerlaw_exponents(lam_s, lam_g)
+    alpha, beta = powerlaw_exponents(lam_s, lam_g)
     warp = (WeightProfile.powerlaw(float(lam_s), 1.0), WeightProfile.powerlaw(float(lam_g), 1.0))
     rep = criterion_check(CriterionInput(n, k, p, q, (0.0, 1.0), warp, hdr_zero=True))
-    assert (rep["verdict"] == "VANISHES") == AdmissibleRegion(n, k, e.alpha, e.beta).contains(p, q)
+    assert (rep["verdict"] == "VANISHES") == AdmissibleRegion(n, k, alpha, beta).contains(p, q)
 
 
 def test_region_members_by_rate():
     # at p = q = 2, n = 4, k = 3 the window contains every rate above 1
     for lam in (2, 3, 4):
-        e = powerlaw_exponents(lam)
-        reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
+        reg = AdmissibleRegion(4, 3, *powerlaw_exponents(lam))
         assert reg.contains(2, 2), f"rate {lam}"
 
 
@@ -178,12 +173,10 @@ def test_region_empty_reasons():
     assert not reg.contains(2, 2)
     assert reg.margin(2, 2) == -math.inf
 
-    e = powerlaw_exponents(0)
-    reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
+    reg = AdmissibleRegion(4, 3, *powerlaw_exponents(0))
     assert reg.empty and "bounded twisting" in reg.reason
 
-    e = powerlaw_exponents(Fraction(9, 10))
-    reg = AdmissibleRegion(4, 3, e.alpha, e.beta)
+    reg = AdmissibleRegion(4, 3, *powerlaw_exponents(Fraction(9, 10)))
     assert reg.empty and "alpha + beta exceeds 2" in reg.reason
 
     # rate 1 at k=1, n=2 collapses both bounds to 0: no (1/q, 1/p] left
@@ -217,6 +210,40 @@ def test_region_at_q_infinite():
     reg = AdmissibleRegion(4, 3, Fraction(1, 2), Fraction(1, 2))
     assert not reg.contains(2, math.inf)
     assert reg.margin(2, math.inf) == -0.375
+
+
+@pytest.mark.parametrize("x, want", [
+    (math.inf, (1, 0)), (-math.inf, (-1, 0)), (np.float64("inf"), (1, 0)),
+    (np.float64("-inf"), (-1, 0)), (Fraction(-7, 3), (-7, 3)), (0.375, (3, 8)),
+    (np.int64(5), (5, 1)),
+])
+def test_ratio_reads_infinity_as_one_over_zero(x, want):
+    # the exact rule's one spelling of infinity: 1/inf is exactly 0
+    assert _interp._ratio(x) == want
+
+
+def test_ratio_refuses_nan():
+    for x in (math.nan, np.float64("nan")):
+        with pytest.raises(ValueError):
+            _interp._ratio(x)
+
+
+@pytest.mark.parametrize("alpha, beta", [(math.inf, Fraction(1, 2)),
+                                         (Fraction(1, 2), math.inf), (math.inf, math.inf)])
+def test_region_with_an_infinite_exponent_contains_nothing(alpha, beta):
+    # an infinite alpha or beta is the law mu = 1/inf = 0, which exceeds
+    # no exponent: no point of the triangle is a member, for any n and k
+    for n in range(1, 5):
+        for k in range(n + 2):
+            reg = AdmissibleRegion(n, k, alpha, beta)
+            assert reg.empty and "bounded twisting" in reg.reason
+            assert not any(member for _, _, member in region_grid(reg, 24))
+            assert not reg.contains(math.inf, math.inf)
+    # the margin still reads the finite bound and the gate: at n = 4,
+    # k = 3 and p = q = 2, the slacks are 5/8 - 1/2 = 1/8 and 1/10
+    reg = AdmissibleRegion(4, 3, alpha, beta)
+    want = 0.1 if beta < math.inf else -math.inf
+    assert reg.margin(2, 2) == want and not reg.contains(2, 2)
 
 
 def test_region_grid_nests_under_refinement():
