@@ -14,7 +14,6 @@ from .homotopy import K_y, A_alpha, check_admissible_weight
 from .constants import (
     ConstantRequest,
     C_integral,
-    corollary_box_bound,
     cylinder_constant,
     Q_factor,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "check_admissible_weight",
     "ConstantRequest",
     "C_integral",
-    "corollary_box_bound",
     "cylinder_constant",
     "Q_factor",
     "GoodCover",

@@ -260,8 +260,11 @@ def glue_primitive(omega, cover, beta=None, gamma=None, p=2.0, q=2.0, t_nodes=32
     number of patch solves, their largest relative residual, and the
     cocycle residual of the ascent's depth-s solve.  Weight
     hypotheses that fail produce a HypothesisFailure naming the culprit
-    instead of a numeric answer.
+    instead of a numeric answer; p and q outside q >= p >= 1 are a
+    ValueError before any check or solve.
     """
+    if not 1 <= p <= q:
+        raise ValueError("need q >= p >= 1")
     domain = omega.domain
     lo0, hi0 = domain.bounds[0]
     beta = beta if beta is not None else WeightProfile.constant(1.0)

@@ -20,7 +20,7 @@ from .domain import KINDS as DOMAIN_KINDS, DomainSpec, cylinder
 from .forms import exterior_derivative, lp_norm, random_form
 from .weights import WeightProfile
 from .homotopy import K_y, A_alpha, check_admissible_weight
-from .constants import ConstantRequest, C_integral, corollary_box_bound, cylinder_constant
+from .constants import ConstantRequest, C_integral, cylinder_constant
 from .cover import circle_cover, torus_cover
 from .cech import glue_primitive, HypothesisFailure
 from .vanishing import (AdmissibleRegion, powerlaw_exponents, CriterionInput,
@@ -35,7 +35,12 @@ GRID_MAX = 257
 # criterion 4's 65 x 64 x 64), and bounds a float field at 16.4 MiB; the
 # schema's per-axis maximum alone admits a 257^4 grid, a 32.5 GiB field
 GRID_POINTS = 129**3
-GRID_ITEMS = {"type": "integer", "minimum": 3, "maximum": GRID_MAX}
+# axes of a domain, and so the largest form degree: 4 is the most the
+# tests use, and a 13-axis grid of 3 points, within GRID_POINTS, still
+# asks for about 20 GiB of degree-6 components
+AXES_MAX = 4
+GRID = {"type": "array", "maxItems": AXES_MAX,
+        "items": {"type": "integer", "minimum": 3, "maximum": GRID_MAX}}
 # an exponent is a number >= 1 or a string Fraction reads: "5/2" or "2.5"
 EXPONENT = {"anyOf": [{"type": "number", "minimum": 1},
                       {"type": "string", "pattern": r"^[0-9]+(\.[0-9]+|/[0-9]+)?$"}]}
@@ -75,12 +80,13 @@ SCHEMA = {
         "csv": {"type": "string"},
         "domain": {"type": "object", "required": ["kind", "bounds", "grid"],
                    "properties": {"kind": {"enum": list(DOMAIN_KINDS)},
-                                  "bounds": {"type": "array", "items": {
+                                  "bounds": {"type": "array", "maxItems": AXES_MAX, "items": {
                                       "type": "array", "items": NUMBER, "minItems": 2, "maxItems": 2}},
-                                  "grid": {"type": "array", "items": GRID_ITEMS},
-                                  "periodic": {"type": "array", "items": {"type": "boolean"}}},
+                                  "grid": GRID,
+                                  "periodic": {"type": "array", "maxItems": AXES_MAX,
+                                               "items": {"type": "boolean"}}},
                    "additionalProperties": False},
-        "degree": {"type": "integer", "minimum": 0},
+        "degree": {"type": "integer", "minimum": 0, "maximum": AXES_MAX},
         # the maxima bound the work of one scenario
         "count": {"type": "integer", "minimum": 1, "maximum": 100},
         "t_nodes": {"type": "integer", "minimum": 2, "maximum": 256},
@@ -91,9 +97,9 @@ SCHEMA = {
         "p": EXPONENT,
         "q": EXPONENT,
         "surface": {"enum": ["cylinder-s1", "cylinder-t2"]},
-        "grid": {"type": "array", "items": GRID_ITEMS},
+        "grid": GRID,
         "mode": {"enum": ["identity", "averaged"]},
-        "route": {"enum": ["box", "corollary", "cylinder"]},
+        "route": {"enum": ["box", "cylinder"]},
         "interval": {"type": "array", "minItems": 2, "maxItems": 2},
         "warp": WARP,
         "asymptotic": {"type": "boolean"},
@@ -309,9 +315,6 @@ def _cmd_constant(sc, args):
         c1 = C_integral(req, moment="none", t_nodes=t_nodes)
         c2 = C_integral(req, moment="|x|", t_nodes=t_nodes)
         report.update({"C1": c1, "C2": c2, "finite": math.isfinite(c1) and math.isfinite(c2)})
-    elif route == "corollary":
-        val = corollary_box_bound(dom, req.k, *req.exact[:2], t_nodes=t_nodes)
-        report.update({"bound": val, "finite": math.isfinite(val)})
     else:
         out = cylinder_constant(req, t_nodes=t_nodes)
         report.update(out)

@@ -14,9 +14,9 @@ the sup at every t-node.  For sampled beta, or the |x| moment, it is a
 grid search over sliding-window integrals on _interp's stacked-operator
 path, as for K_y and A_alpha: per block of t-nodes within
 _interp.STACK_BYTES, one window_stack per distinct axis and pass,
-applied by apply_axes.  The grid's and the whole box's stacks
-are kept by _interp.memo, the one memo of A_alpha's window rows too, so
-a later call on the same box and t-nodes builds only its refinement's.
+applied by apply_axes.  Every stack is kept by _interp.memo, the one
+memo of A_alpha's window rows too, so a repeated constant builds no
+window stack.
 t = 0, and a t-node where a grid node's window covers the box, search
 nothing: the integrand is nonnegative, so the sup is the whole-box mass,
 computed once a call.
@@ -115,12 +115,11 @@ def _window_stacks(D, nodes, coords, pl=None):
     [lo, hi] window per axis.  coords[ax] is one z vector for every t-node
     (the grid) or one row per t-node (a refinement).  pl = (mu, pivot)
     weights axis 0 by the exact power-law factor (pivot-s)^-mu instead of
-    treating it as part of the samples.  The axes of a cube that share
-    their windows share one build.  The grid's and the whole box's stacks
-    are kept by _interp.memo, keyed by axis, ends and weight, so a later
-    call builds none of them; a refinement's windows follow beta through
-    its winners, and its stacks are built for this call only."""
-    stacks, built = [], {}
+    treating it as part of the samples.  Every stack is kept by
+    _interp.memo, keyed by axis, ends and weight, so the axes of a cube
+    that share their windows share one build, and a repeated call builds
+    none."""
+    stacks = []
     for ax, z in enumerate(coords):
         if nodes is None:
             wl, wu = (np.array([[end]]) for end in D.bounds[ax])
@@ -128,11 +127,7 @@ def _window_stacks(D, nodes, coords, pl=None):
             wl, wu = _window_ends(D, ax, np.asarray(nodes, dtype=float)[:, None], z)
         weight = pl if ax == 0 else None
         key = (window_stack, D.bounds[ax], D.grid[ax], wl.shape, wl.tobytes(), wu.tobytes(), weight)
-        if key not in built:
-            def build():
-                return (window_stack(D, ax, wl, wu, weight),)
-            built[key] = (build() if np.ndim(z) > 1 else memo(key, build))[0]
-        stacks.append(built[key])
+        stacks.append(memo(key, lambda: (window_stack(D, ax, wl, wu, weight),))[0])
     return stacks
 
 
@@ -267,18 +262,6 @@ def C_integral(req, moment="none", t_nodes=64):
     for t, w, sup in zip(nodes, wts, sups):
         total += w * sup * t**k * (1.0 - t) ** (-D.dim / p)
     return float(total)
-
-
-def corollary_box_bound(D, k, p, q, t_nodes=64):
-    """Closed upper bound for C(k,p,q,n,1) on a box:
-
-        |D|^(1/q) int_0^1 t^(k-n/q) (1-t)^(-n/p) min(t^(n/q),(1-t)^(n/q)) dt
-
-    with n = dim(D): C_integral at beta = 1, whose sup is this closed
-    (|D| min(1, (1-t)/t)^n)^(1/q).  Finite exactly when 1/p - 1/q < 1/n
-    (p, q as given); q < p is refused, as for every constant.
-    """
-    return C_integral(ConstantRequest(k, p, q, D), t_nodes=t_nodes)
 
 
 def Q_factor(gamma, p, pbar, D):

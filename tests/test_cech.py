@@ -233,6 +233,19 @@ def test_glue_refuses_divergent_beta():
     assert "||t beta(t)||_{L^q[a,b)} divergent" in msg
 
 
+@pytest.mark.parametrize("p, q", [(3.0, 2.0), (0.5, 2.0)], ids=["q<p", "p<1"])
+def test_glue_refuses_exponents_outside_the_range(p, q, monkeypatch):
+    # the exponents are refused as ConstantRequest refuses them, before the
+    # divergent beta is checked and before any patch is solved
+    dom = cylinder([0, 1], [[0, 1]], [33, 32])
+    om = exterior_derivative(random_form(dom, 0, np.random.default_rng(10), amplitude=3e-6))
+    calls = []
+    monkeypatch.setattr(cech, "A_alpha", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="need q >= p >= 1"):
+        glue_primitive(om, circle_cover(dom), beta=WeightProfile.powerlaw(2.0, 1.0), p=p, q=q)
+    assert calls == []
+
+
 def test_glue_refuses_vanishing_gamma():
     dom = cylinder([0, 1], [[0, 1]], [33, 32])
     f = random_form(dom, 0, np.random.default_rng(11), amplitude=3e-6)

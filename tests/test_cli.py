@@ -17,7 +17,7 @@ import pytest
 import cylcoh
 from cylcoh import (CriterionInput, K_y, box, criterion_check, exterior_derivative,
                     warp_profiles)
-from cylcoh.cli import GRID_MAX, GRID_POINTS, SCHEMA, main, render_canonical
+from cylcoh.cli import AXES_MAX, GRID_MAX, GRID_POINTS, SCHEMA, main, render_canonical
 from cylcoh.forms import random_form
 
 
@@ -369,7 +369,7 @@ def test_twisted_cylinder_domain_is_an_error(tmp_path, capsys):
     # ignored: the domain schema knows neither the kind nor the key
     dom = {"kind": "twisted-cylinder", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [9, 8],
            "periodic": [False, True], "warp": [1.0] * 72}
-    sc = {"command": "constant", "domain": dom, "k": 1, "p": 2, "q": 2, "route": "corollary"}
+    sc = {"command": "constant", "domain": dom, "k": 1, "p": 2, "q": 2}
     code, report, _ = _run(tmp_path, sc)
     assert code == 1 and report is None
     err = capsys.readouterr().err
@@ -484,6 +484,33 @@ def test_grid_points_bounded_before_sampling(tmp_path, sc, extra):
     assert f"above {GRID_POINTS} in all" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "sc, where",
+    [
+        # 1716 degree-6 components on a 3^13 grid, within GRID_POINTS: about 20 GiB
+        ({"command": "homotopy-check", "degree": 6,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 13, "grid": [3] * 13}}, "degree"),
+        ({"command": "homotopy-check", "degree": 1,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0]] * 13, "grid": [3] * 13}}, "domain/grid"),
+        ({"command": "homotopy-check", "degree": 1,
+          "domain": dict(BOX33, periodic=[False] * (AXES_MAX + 1))}, "domain/periodic"),
+        ({"command": "glue", "surface": "cylinder-t2", "grid": [33] + [32] * AXES_MAX,
+          "degree": 1}, "grid"),
+    ],
+    ids=["13-D-degree-6", "13-D", "periodic", "glue-grid"],
+)
+def test_axes_and_degree_are_bounded(tmp_path, sc, where):
+    # more than AXES_MAX axes, or a degree above it, is a schema error
+    # naming the path, refused before any handler runs
+    p = _write(tmp_path, "wide.json", sc)
+    proc = _run_process(tmp_path, p, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("schema error: "), proc.stderr
+    assert lines[0].endswith(f"(at {where})"), proc.stderr
+    assert not (tmp_path / "wide.report.json").exists()
+
+
 def test_region_csv_rows(tmp_path):
     sc = {
         "command": "region",
@@ -568,10 +595,12 @@ def test_glue_too_coarse_for_the_cover_is_an_error(tmp_path, capsys, surface, gr
 
 
 @pytest.mark.parametrize("field, message", [({"grid": [33, 32, 32]}, "grid needs 2 axes for cylinder-s1"),
-                                            ({"degree": 0}, "glue needs degree >= 1")],
-                         ids=["grid-length", "degree-0"])
+                                            ({"degree": 0}, "glue needs degree >= 1"),
+                                            ({"p": 3, "q": 2}, "need q >= p >= 1"),
+                                            ({"p": "1/2", "q": 2}, "need q >= p >= 1")],
+                         ids=["grid-length", "degree-0", "q<p", "p<1"])
 def test_glue_malformed_scenario_is_an_error(tmp_path, capsys, field, message):
-    # both pass the schema and are refused by the handler, with one error line
+    # each passes the schema and is refused by the handler, with one error line
     sc = {"command": "glue", "surface": "cylinder-s1", "grid": [33, 32], "degree": 1,
           "count": 1, **field}
     code, report, _ = _run(tmp_path, sc)
@@ -744,7 +773,7 @@ def test_grid_scale_flag(tmp_path):
     assert report["domain"]["grid"] == [17, 17]
 
 
-def test_constant_routes(tmp_path):
+def test_constant_routes(tmp_path, capsys):
     dom1d = {"kind": "box", "bounds": [[0.0, 1.0]], "grid": [65]}
     sc = {"command": "constant", "domain": dom1d, "k": 1, "p": 2, "q": 2}
     code, report, _ = _run(tmp_path, sc, name="c_box.json")
@@ -752,9 +781,12 @@ def test_constant_routes(tmp_path):
     assert report["finite"] is True
     assert abs(report["C1"] - (2.0 - 2.0**0.5)) <= 2e-4
 
-    sc = dict(sc, route="corollary")
-    code, report, _ = _run(tmp_path, sc, name="c_cor.json")
-    assert code == 0 and report["finite"] is True
+    # the box route's C1 at beta = 1 is the closed box bound: no second
+    # route gives it
+    code, report, _ = _run(tmp_path, dict(sc, route="corollary"), name="c_cor.json")
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("schema error: ") and err.endswith("(at route)\n")
 
     sc = {
         "command": "constant",

@@ -18,7 +18,6 @@ from cylcoh import (
     WeightProfile,
     box,
     check_admissible_weight,
-    corollary_box_bound,
     cylinder,
     cylinder_constant,
 )
@@ -522,9 +521,9 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
     # refinement, and the whole-box rows.  beta = (1+x)(3-y)(1+z) is
     # separable, so the x and z winners sit on the same node, y's
     # elsewhere: the refinement shares x's rows with z, never with y.  A
-    # second identical call builds the refinement's rows only.  At the CLI
-    # maxima (257^2, 256 t-nodes) the blocks' builds stay within the byte
-    # budget
+    # second identical call builds nothing.  At the CLI maxima (257^2, 256
+    # t-nodes) the blocks' builds stay within the byte budget, and the
+    # memo within its own
     calls = []
     build = _interp.window_matrix
 
@@ -552,9 +551,8 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
             # whole box, refinement of x (and z) and of y, coarse search
             assert got == sorted([1] * len(distinct) + [searched * 9] * 2
                                  + [searched * m for _, m in distinct]), (grid, t_nodes)
-            # the grid's and the whole box's rows are kept, the
-            # refinement's follow beta and are built again
-            assert run(dom, t_nodes, cold=False)[0] == [searched * 9] * 2, (grid, t_nodes)
+            # every stack is kept, the refinement's too
+            assert run(dom, t_nodes, cold=False)[0] == [], (grid, t_nodes)
 
     dom = box([[0, 1], [0, 1]], [257, 257])
     got, searched = run(dom, 256)
@@ -562,6 +560,8 @@ def test_c_integral_builds_windows_once_per_axis_and_block(monkeypatch):
     assert blocks > 1 and got.count(1) == 1 and got.count(9 * searched) == 0
     assert len(got) == 1 + 3 * blocks and sum(got) == 1 + searched * (257 + 2 * 9)
     assert max(got) * 257 * 8 <= STACK_BYTES
+    held = sum(a.nbytes for arrays in _interp._ROW_MEMO.values() for a in arrays)
+    assert held <= _interp.MEMO_BYTES
 
 
 def test_c_integral_matches_analytic_reference():
@@ -572,17 +572,21 @@ def test_c_integral_matches_analytic_reference():
     got = C_integral(req)
     ref = 2.0 - math.sqrt(2.0)
     assert abs(got - ref) <= 2e-4, f"C {got} vs analytic {ref}"
-    # the closed-form box bound is C at beta = 1
-    assert got == corollary_box_bound(dom, 1, 2.0, 2.0)
 
 
 def test_c_integral_equals_box_bound_for_flat_beta():
+    # at beta = 1 the sup is the closed (|D| min(1, (1-t)/t)^n)^(1/q), so
+    # C is that bound summed on the graded t-rule; the window search on
+    # sampled ones finds the same sups to rounding
     sq = box([[0, 1], [0, 1]], [17, 17])
+    t, w = _graded_nodes(64)
+    flat = WeightProfile.sampled(np.ones(sq.grid))
     for k, p, q in [(1, 2.0, 2.0), (2, 2.0, 3.0), (1, 1.0, 1.4)]:
-        req = ConstantRequest(k, p, q, sq)
-        got = C_integral(req)
-        cor = corollary_box_bound(sq, k, p, q)
-        assert got == cor, f"k={k} p={p} q={q}"
+        got = C_integral(ConstantRequest(k, p, q, sq))
+        bound = sum(w * np.minimum(1.0, (1.0 - t) / t) ** (2 / q) * t**k * (1.0 - t) ** (-2 / p))
+        assert got == pytest.approx(bound, rel=1e-13, abs=0), f"k={k} p={p} q={q}"
+        searched = C_integral(ConstantRequest(k, p, q, sq, beta=flat))
+        assert searched == pytest.approx(got, rel=1e-9, abs=0), f"k={k} p={p} q={q}"
 
 
 def test_c_integral_divergence():
@@ -590,7 +594,6 @@ def test_c_integral_divergence():
     # 1/p - 1/q = 1/2 = 1/dim: log-divergent endpoint
     req = ConstantRequest(1, 1.0, 2.0, sq)
     assert C_integral(req) == math.inf
-    assert corollary_box_bound(sq, 1, 1.0, 2.0) == math.inf
     # just inside the gate it is finite
     req = ConstantRequest(1, 1.0, 1.9, sq)
     assert math.isfinite(C_integral(req))
@@ -613,8 +616,8 @@ def test_c_integral_moment_validation():
     (lambda: cylinder_constant(ConstantRequest(
         1, 2.0, 2.0, box([[0, 1]], [9]), beta=WeightProfile.sampled(np.ones(9)))),
      "cylinder constant needs a t-only beta"),
-    (lambda: corollary_box_bound(box([[0, 1]], [9]), 1, 3.0, 2.0), "need q >= p >= 1"),
-], ids=["cylinder-full-grid-beta", "corollary-q<p"])
+    (lambda: C_integral(ConstantRequest(1, 3.0, 2.0, box([[0, 1]], [9]))), "need q >= p >= 1"),
+], ids=["cylinder-full-grid-beta", "box-q<p"])
 def test_constants_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
@@ -664,8 +667,8 @@ def test_request_validation_and_gates():
     assert g["prop-convex"] and not g["thm-cylinder"]
     g = ConstantRequest(2, 1.5, 6.0, sq).gates()
     assert not g["prop-convex"]
-    assert corollary_box_bound(sq, 2, 1.5, 6.0) == math.inf
-    assert math.isfinite(corollary_box_bound(sq, 2, 1.5, 5.0))
+    assert C_integral(ConstantRequest(2, 1.5, 6.0, sq)) == math.inf
+    assert math.isfinite(C_integral(ConstantRequest(2, 1.5, 5.0, sq)))
     # C_integral's finiteness for bounded beta is the same exact gate, also
     # at floats within rounding of 1/p - 1/q = 1/2
     for i in range(1, 37):

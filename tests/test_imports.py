@@ -1,8 +1,9 @@
 """Static checks on the package sources: every imported name and every
 module constant is used, every public name has a caller, no function
 rebuilds a fixed quadrature rule, only gauss01 builds Gauss rules, one
-memo holds every retained window matrix, only t_norm (and a law alpha's
-|y| moment) integrates weights in t, one function gives the C-integral's
+memo holds every retained window matrix and builds every window stack
+outside _interp, the box constant has one name, only t_norm (and a law
+alpha's |y| moment) integrates weights in t, one function gives the C-integral's
 sups, DomainSpec.norm is the one caller of the grid integral, scaled_taps
 is the one caller of the stencil build, the t-node block rule and the
 exponent rule stay in _interp, _ratio alone forms integer ratios (and
@@ -156,6 +157,33 @@ def test_one_memo_holds_every_window_matrix():
     namers = {(name, fn) for name, tree in _sources().items()
               for fn in _owners(tree, lambda node: getattr(node, "id", None) == "_ROW_MEMO")}
     assert namers == {("_interp.py", None), ("_interp.py", "memo")}
+
+
+def test_every_window_stack_goes_through_the_memo():
+    # outside _interp every window stack is built inside a build handed to
+    # memo, the refinement's too, so a repeated constant builds none and
+    # no per-call cache of stacks comes back
+    trees = _sources()
+    loose = {}
+    for name, tree in trees.items():
+        calls = {node for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and _call_name(node) == "window_stack"}
+        memo_args = [arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and _call_name(node) == "memo" for arg in node.args]
+        calls -= {node for arg in memo_args for node in ast.walk(arg)}
+        if name != "_interp.py" and calls:
+            loose[name] = len(calls)
+    assert loose == {}
+    assert _callers(trees["constants.py"], "window_stack")
+
+
+def test_one_name_for_the_box_constant():
+    # C(k, p, q, n, 1) on a box is C_integral at beta = 1: no second name
+    # for it, such as the deleted corollary bound, comes back
+    defined = {(name, node.name) for name, tree in _sources().items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("corollary")}
+    assert defined == set()
+    assert [name for name in cylcoh.__all__ if name.startswith("corollary")] == []
 
 
 def test_only_t_norm_integrates_weights():
