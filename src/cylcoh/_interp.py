@@ -41,8 +41,8 @@ output as its scratch grid, as A_alpha and the C-integral's search make
 theirs.  One memo,
 bounded by MEMO_BYTES and least recently used out first, keeps every
 built window stack read-only: window_rows' for A_alpha, so charts that
-share an axis build its rows once, and the C-integral's grid windows, so
-a repeated constant builds only its refinement's.
+share an axis build its rows once, and the C-integral's, its
+refinement's included, so a repeated constant builds none.
 
 Every weight norm of alpha, beta and gamma lives here too: weight_norm
 over a box, a t-only profile's t_norm times the fiber measure, and a

@@ -46,6 +46,10 @@ EXPONENT = {"anyOf": [{"type": "number", "minimum": 1},
                       {"type": "string", "pattern": r"^[0-9]+(\.[0-9]+|/[0-9]+)?$"}]}
 
 NUMBER = {"type": "number"}
+# a number, or a string Fraction reads: "-3/2", "0.25" or "1e-3"
+FRACTION = {"anyOf": [NUMBER, {"type": "string",
+                               "pattern": r"^[-+]?([0-9]+/[0-9]+|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?)$"}]}
+K = {"type": "integer", "minimum": 0}
 
 
 def _warp_kind(kind, required, optional=()):
@@ -104,13 +108,21 @@ SCHEMA = {
         "warp": WARP,
         "asymptotic": {"type": "boolean"},
         "y": {"type": "array", "items": NUMBER},
+        # a list of k for region only: the first allOf rule keeps the others to one
+        "k": {"anyOf": [K, {"type": "array", "items": K, "minItems": 1}]},
+        "pbar": EXPONENT,
+        "lambda": FRACTION,
+        "lam_g": FRACTION,
+        "hdr_zero": {"type": ["boolean", "null"]},
+        "fiber": {"enum": ["sphere"]},
+        "b_infinite": {"type": "boolean"},
         # read by the handlers and checked there
-        **{key: {} for key in ("k", "pbar", "alpha", "beta", "gamma", "weight", "t_bounds",
-                               "fiber_bounds", "hdr_zero", "fiber", "lambda", "lam_g",
-                               "b_infinite")},
+        **{key: {} for key in ("alpha", "beta", "gamma", "weight", "t_bounds", "fiber_bounds")},
     },
     "additionalProperties": False,
     "allOf": [
+        {"if": {"properties": {"command": {"not": {"const": "region"}}}},
+         "then": {"properties": {"k": K}}},
         {"if": {"properties": {"command": {"const": "homotopy-check"}}},
          "then": {"required": ["domain", "degree"]}},
         {"if": {"properties": {"command": {"const": "constant"}}},
@@ -123,11 +135,6 @@ SCHEMA = {
          "then": {"required": ["n", "k"]}},
     ],
 }
-
-# removed keys and their replacements, refused before the schema names
-# them as unknown
-REMOVED_KEYS = {"lam": "lambda", "patch_tol": "tolerance"}
-
 
 def _non_finite_at(sc):
     """The path of the first inf or NaN number in a parsed scenario, as
@@ -265,10 +272,14 @@ def _cmd_homotopy(sc, args):
             resid = (recon + dK - om).max_abs() / dom_scale
             residuals.append(float(resid))
     else:
+        p = _parse_frac(sc.get("p", 2))
+        q = _parse_frac(sc["q"]) if "q" in sc else p
+        if not 1 <= p <= q:
+            raise ValueError("need q >= p >= 1")
         alpha = _weight(sc, "weight")
         if alpha is None:
             alpha = WeightProfile.constant(1.0 / dom.volume)
-        adm = check_admissible_weight(alpha, dom, _parse_frac(sc.get("p", 2)))
+        adm = check_admissible_weight(alpha, dom, p)
         report["weight_check"] = adm
         if not adm["admissible"]:
             raise HypothesisFailure(
@@ -283,8 +294,8 @@ def _cmd_homotopy(sc, args):
             residuals.append(float(resid))
             if "p" in sc and "q" in sc:
                 beta = _weight(sc, "beta")
-                num = lp_norm(prim, _parse_frac(sc["q"]), beta)
-                den = max(lp_norm(om, _parse_frac(sc["p"])), 1e-30)
+                num = lp_norm(prim, q, beta)
+                den = max(lp_norm(om, p), 1e-30)
                 ratios.append(num / den)
         if ratios:
             report["norm_ratio_max"] = max(ratios)
@@ -374,11 +385,9 @@ def _cmd_glue(sc, args):
     return report, 0 if report["pass"] else 1, None
 
 
-def _parse_warp(sc):
-    """The warp's profiles; WARP has checked its keys for its kind."""
-    d = sc["warp"]
-    interval = sc.get("interval", [0.0, 1.0])
-    b = _parse_bound(interval[1])
+def _parse_warp(d, b):
+    """The profiles of warp d on an interval ending at b; WARP has checked
+    its keys for its kind."""
     kind = d["kind"]
     if kind == "powerlaw":
         return WeightProfile.powerlaw(float(d["lam"]), float(d.get("pivot", b)))
@@ -402,7 +411,7 @@ def _cmd_vanish(sc, args):
         hdr = sphere_hdr_zero(sc["n"], sc["k"])
     inp = CriterionInput(
         sc["n"], sc["k"], _parse_frac(sc["p"]), _parse_frac(sc["q"]),
-        (a, b), _parse_warp(sc), hdr_zero=hdr,
+        (a, b), _parse_warp(sc["warp"], b), hdr_zero=hdr,
     )
     if sc.get("asymptotic", False):
         report = asymptotic_delegate(inp)
@@ -491,10 +500,6 @@ def main(argv=None):
     if where is not None:
         print("schema error: numbers must be finite" + (f" (at {where})" if where else ""),
               file=sys.stderr)
-        return 1
-    gone = sorted(REMOVED_KEYS.keys() & sc.keys()) if isinstance(sc, dict) else []
-    if gone:
-        print(f"schema error: {gone[0]!r} was removed; use {REMOVED_KEYS[gone[0]]!r}", file=sys.stderr)
         return 1
     try:
         jsonschema.validate(sc, SCHEMA)

@@ -12,10 +12,11 @@ graded mesh and _interp's exact exponent rule decides finiteness before
 any numbers are trusted.  One function, _sup_norms, gives C_integral
 the sup at every t-node.  For sampled beta, or the |x| moment, it is a
 grid search over sliding-window integrals on _interp's stacked-operator
-path, as for K_y and A_alpha: per block of t-nodes within
-_interp.STACK_BYTES, one window_stack per distinct axis and pass,
-applied by apply_axes.  Every stack is kept by _interp.memo, the one
-memo of A_alpha's window rows too, so a repeated constant builds no
+path, as for K_y and A_alpha: _window_stacks takes each axis's windows
+by their (lower, upper) ends, per block of t-nodes within
+_interp.STACK_BYTES, and builds one window_stack per distinct axis and
+pass, applied by apply_axes.  Every stack is kept by _interp.memo, the
+one memo of A_alpha's window rows too, so a repeated constant builds no
 window stack.
 t = 0, and a t-node where a grid node's window covers the box, search
 nothing: the integrand is nonnegative, so the sup is the whole-box mass,
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._interp import (_frac, apply_axes, diverges, gauss01, law_exponent, memo, node_blocks,
                       powerlaw_mass, t_norm, weight_norm, window_stack)
-from .homotopy import check_admissible_weight
+from .homotopy import _require_box, check_admissible_weight
 from .vanishing import _window
 from .weights import WeightProfile
 
@@ -108,23 +109,16 @@ def _window_ends(D, ax, t, z):
     return wl, np.maximum(wu, wl)
 
 
-def _window_stacks(D, nodes, coords, pl=None):
-    """The window matrices of the z in coords for every t in nodes, per
-    axis stacked to shape (len(nodes), len(z), m).  The window of z is
-    the product of its _window_ends; nodes None gives the whole box, one
-    [lo, hi] window per axis.  coords[ax] is one z vector for every t-node
-    (the grid) or one row per t-node (a refinement).  pl = (mu, pivot)
-    weights axis 0 by the exact power-law factor (pivot-s)^-mu instead of
-    treating it as part of the samples.  Every stack is kept by
-    _interp.memo, keyed by axis, ends and weight, so the axes of a cube
-    that share their windows share one build, and a repeated call builds
-    none."""
+def _window_stacks(D, ends, pl=None):
+    """The window matrices of the (lower, upper) ends in ends, one pair of
+    (nodes, n) arrays per axis, stacked to shape (nodes, n, m).  pl =
+    (mu, pivot) weights axis 0 by the exact power-law factor (pivot-s)^-mu
+    instead of treating it as part of the samples.  Every stack is kept
+    by _interp.memo, keyed by axis, ends and weight, so the axes of a
+    cube that share their windows share one build, and a repeated call
+    builds none."""
     stacks = []
-    for ax, z in enumerate(coords):
-        if nodes is None:
-            wl, wu = (np.array([[end]]) for end in D.bounds[ax])
-        else:
-            wl, wu = _window_ends(D, ax, np.asarray(nodes, dtype=float)[:, None], z)
+    for ax, (wl, wu) in enumerate(ends):
         weight = pl if ax == 0 else None
         key = (window_stack, D.bounds[ax], D.grid[ax], wl.shape, wl.tobytes(), wu.tobytes(), weight)
         stacks.append(memo(key, lambda: (window_stack(D, ax, wl, wu, weight),))[0])
@@ -139,50 +133,49 @@ def _sup_window_norms(qfield, D, q, nodes, pl=None):
     """sup_z of the window integral of qfield, to the power 1/q, for every
     t in nodes.
 
+    The grid nodes' _window_ends come once per call, for every t > 0.
     t = 0, where every window is the whole box, and a t-node where some
     grid node's window is the whole box on every axis (t <= 1/2, with a
-    node near the middle) take the whole-box mass: the integrand is
-    nonnegative, so no window holds more.  That mass comes once per call
-    from the [lo, hi] row of each axis.  Every other t-node is a grid
-    search over z at the sampling resolution plus one local refinement
-    pass, 9 points per axis around its winner; the middle one is the
-    winner itself, so the refined max is the sup.  The window matrices
-    come per block of searched t-nodes from _window_stacks, at most one
-    build per distinct axis and pass; each row is computed on its own, so
-    blocking leaves every sup unchanged.
+    node near the middle) take the whole-box mass, from the ends [[lo]],
+    [[hi]] of each axis: the integrand is nonnegative, so no window holds
+    more.  Every other t-node is a grid search over z, on its rows of
+    those ends, plus one local refinement pass, 9 points per axis around
+    its winner; the middle one is the winner itself, so the refined max
+    is the sup.  The window matrices come per block of searched t-nodes
+    from _window_stacks, at most one build per distinct axis and pass;
+    each row is computed on its own, so blocking leaves every sup
+    unchanged.
     """
     nodes = np.asarray(nodes, dtype=float)
-    coords = [D.axis_coords(ax) for ax in range(D.dim)]
+    live = np.flatnonzero(nodes > 0.0)  # at t = 0 every window is the whole box
+    ends = [_window_ends(D, ax, nodes[live, None], D.axis_coords(ax)) for ax in range(D.dim)]
     # the refinement's 9 rows per axis can outnumber an axis's nodes
     rows = [max(m, 9) for m in D.grid]
     work = (np.empty(math.prod(rows)), np.empty(math.prod(rows)))
     sups = np.empty(len(nodes))
-    live = nodes > 0.0  # at t = 0 every window is the whole box
     covered = np.ones(len(nodes), dtype=bool)
-    for ax, z in enumerate(coords):
-        lo, hi = D.bounds[ax]
-        wl, wu = _window_ends(D, ax, nodes[live, None], z)
+    for (lo, hi), (wl, wu) in zip(D.bounds, ends):
         covered[live] &= ((wl == lo) & (wu == hi)).any(axis=1)
     if covered.any():
-        full = _window_stacks(D, None, coords, pl)
+        full = _window_stacks(D, [(np.array([[lo]]), np.array([[hi]])) for lo, hi in D.bounds], pl)
         whole = _window_mass_field(qfield, [s[0] for s in full], work).item()
         sups[covered] = max(whole, 0.0) ** (1.0 / q)
-    search = np.flatnonzero(~covered)
+    search = np.flatnonzero(~covered[live])  # rows of ends
     for block in node_blocks(len(search), 8 * max(rows) * max(D.grid)):
-        ts = nodes[search[block]]
-        coarse = _window_stacks(D, ts, coords, pl)
+        at = search[block]
+        ts = nodes[live[at], None]
+        coarse = _window_stacks(D, [(wl[at], wu[at]) for wl, wu in ends], pl)
         winners = []
         for i in range(len(ts)):
             mass = _window_mass_field(qfield, [s[i] for s in coarse], work)
             winners.append(np.unravel_index(int(np.argmax(mass)), mass.shape))
         fine = []
         for ax, idx in enumerate(np.array(winners).T):
-            lo, hi = D.bounds[ax]
-            h = D.spacing(ax)
-            c = coords[ax][idx]
-            fine.append(np.clip(np.linspace(c - h, c + h, 9, axis=-1), lo, hi))
-        refined = _window_stacks(D, ts, fine, pl)
-        for i, n in enumerate(search[block]):
+            c, h = D.axis_coords(ax)[idx], D.spacing(ax)
+            lattice = np.clip(np.linspace(c - h, c + h, 9, axis=-1), *D.bounds[ax])
+            fine.append(_window_ends(D, ax, ts, lattice))
+        refined = _window_stacks(D, fine, pl)
+        for i, n in enumerate(live[at]):
             mass = _window_mass_field(qfield, [s[i] for s in refined], work)
             sups[n] = max(float(mass.max()), 0.0) ** (1.0 / q)
     return sups.tolist()
@@ -249,8 +242,7 @@ def C_integral(req, moment="none", t_nodes=64):
     taken in its convex chart.
     """
     D = req.D
-    if D.kind != "box" or any(D.periodic):
-        raise ValueError("C_integral needs a box domain")
+    _require_box(D, "C_integral")
     if moment not in ("none", "|x|"):
         raise ValueError("moment must be 'none' or '|x|'")
     if not _c_integral_symbolic(req):

@@ -166,9 +166,7 @@ def box(bounds, grid, periodic=None):
     return DomainSpec("box", bounds, grid, periodic)
 
 
-def cylinder(t_bounds, fiber_bounds, grid, periodic_fiber=True):
-    """Product cylinder [a,b) x N, fiber periodic (torus) by default."""
-    bounds = [t_bounds, *fiber_bounds]
-    periodic = [False] + [periodic_fiber] * len(fiber_bounds)
-    return DomainSpec("cylinder", bounds, grid, periodic)
+def cylinder(t_bounds, fiber_bounds, grid):
+    """Product cylinder [a,b) x N, the fiber a flat torus (periodic axes)."""
+    return DomainSpec("cylinder", [t_bounds, *fiber_bounds], grid, [False] + [True] * len(fiber_bounds))
 

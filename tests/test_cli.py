@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cylcoh
+import cylcoh.cli as cli
 from cylcoh import (CriterionInput, K_y, box, criterion_check, exterior_derivative,
                     warp_profiles)
 from cylcoh.cli import AXES_MAX, GRID_MAX, GRID_POINTS, SCHEMA, main, render_canonical
@@ -609,16 +610,18 @@ def test_glue_malformed_scenario_is_an_error(tmp_path, capsys, field, message):
     assert capsys.readouterr().err == f"error: glue failed: {message}\n"
 
 
-@pytest.mark.parametrize("sc, key, use",
-                         [({"command": "region", "n": 4, "k": 3, "lam": 2, "p": 2}, "lam", "lambda"),
+@pytest.mark.parametrize("sc, key",
+                         [({"command": "region", "n": 4, "k": 3, "lam": 2, "p": 2}, "lam"),
                           ({"command": "glue", "surface": "cylinder-s1", "grid": [33, 32],
-                            "degree": 1, "patch_tol": 1e-9}, "patch_tol", "tolerance")],
+                            "degree": 1, "patch_tol": 1e-9}, "patch_tol")],
                          ids=["lam", "patch_tol"])
-def test_removed_keys_are_refused(tmp_path, capsys, sc, key, use):
-    # a removed key is refused with one error line, not run as if unset
+def test_removed_keys_are_refused(tmp_path, capsys, sc, key):
+    # a removed key is an unknown key to the schema: one error line naming
+    # it, and no report, not a scenario run as if it were unset
     code, report, _ = _run(tmp_path, sc)
     assert code == 1 and report is None
-    assert capsys.readouterr().err == f"schema error: {key!r} was removed; use {use!r}\n"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("schema error: ") and f"{key!r}" in err
 
 
 def test_unknown_key_is_refused(tmp_path, capsys):
@@ -628,6 +631,53 @@ def test_unknown_key_is_refused(tmp_path, capsys):
     assert code == 1 and report is None
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("schema error: ") and "'lamda'" in err
+
+
+VANISH = {"command": "vanish", "n": 2, "k": 1, "p": 2, "q": 3,
+          "warp": {"kind": "powerlaw", "lam": 0.2}}
+REGION = {"command": "region", "n": 4, "k": 3, "lambda": 2, "p": 2}
+CONSTANT = {"command": "constant", "domain": BOX33, "k": 1, "p": 2, "q": 3}
+
+
+@pytest.mark.parametrize("sc, where", [
+    (dict(VANISH, hdr_zero="false"), "hdr_zero"),
+    (dict(CONSTANT, k=3.7), "k"),
+    (dict(VANISH, k=-1), "k"),
+    (dict(CONSTANT, k=[1]), "k"),
+    (dict(REGION, k=3.7), "k"),
+    (dict(REGION, k=[]), "k"),
+    (dict(REGION, b_infinite="no"), "b_infinite"),
+    (dict(CONSTANT, pbar=True), "pbar"),
+    (dict(VANISH, fiber="spehre"), "fiber"),
+    (dict(REGION, **{"lambda": "two"}), "lambda"),
+    (dict(REGION, lam_g=[1]), "lam_g"),
+], ids=["hdr_zero-string", "k-float", "k-negative", "k-list-outside-region", "region-k-float",
+        "region-k-empty", "b_infinite-string", "pbar-bool", "fiber-misspelt", "lambda-word",
+        "lam_g-list"])
+def test_top_level_scalars_are_typed(tmp_path, capsys, sc, where):
+    # each was once passed through untyped and run as something else
+    # ("false" as true, 3.7 as 3, true as 1): one schema error at its path
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("schema error: "), err
+    assert err.endswith(f"(at {where})\n"), err
+
+
+@pytest.mark.parametrize("sc", [dict(REGION, k=[1, 2]), dict(REGION, **{"lambda": "-3/2"}),
+                                dict(REGION, lam_g="1e-1"), dict(VANISH, hdr_zero=None, fiber="sphere"),
+                                dict(CONSTANT, pbar="3/2")],
+                         ids=["region-k-list", "lambda-fraction", "lam_g-exponent", "sphere",
+                              "pbar-fraction"])
+def test_typed_scalars_take_their_values(tmp_path, sc):
+    code, report, _ = _run(tmp_path, sc)
+    assert code in (0, 2) and report is not None and "error" not in report
+
+
+def test_untyped_schema_keys_are_the_handlers_own():
+    # the keys the schema passes through as {} are checked by their handlers
+    untyped = {key for key, rule in SCHEMA["properties"].items() if rule == {}}
+    assert untyped == {"alpha", "beta", "gamma", "weight", "t_bounds", "fiber_bounds"}
 
 
 def test_glue_grid_scale_keeps_the_cover_fine_enough(tmp_path):
@@ -726,6 +776,22 @@ def test_homotopy_averaged_refuses_full_grid_weight(tmp_path, capsys):
     assert code == 1
     assert "constant or sampled-t centering weight" in report["error"]
     _one_line_error(capsys, "error: homotopy-check failed: A_alpha takes a constant or sampled-t")
+
+
+@pytest.mark.parametrize("exponents", [{"p": 3, "q": 2}, {"p": "1/2"}, {"p": "1/2", "q": 2}],
+                         ids=["q<p", "p<1", "p<1-with-q"])
+def test_homotopy_averaged_refuses_exponents_out_of_order(tmp_path, capsys, monkeypatch, exponents):
+    # as glue and constant do: q >= p >= 1, refused before any form is
+    # drawn (p = 3, q = 2 once ran and reported a norm_ratio_max of 0.1505)
+    drawn = []
+    monkeypatch.setattr(cli, "random_form", lambda *args: drawn.append(args))
+    sc = {"command": "homotopy-check", "degree": 1, "mode": "averaged", "tolerance": 0.5,
+          "domain": {"kind": "box", "bounds": [[0.0, 1.0], [0.0, 1.0]], "grid": [17, 17]},
+          **exponents}
+    code, report, _ = _run(tmp_path, sc)
+    assert code == 1 and drawn == []
+    assert report == {"command": "homotopy-check", "error": "need q >= p >= 1"}
+    assert capsys.readouterr().err == "error: homotopy-check failed: need q >= p >= 1\n"
 
 
 @pytest.mark.parametrize("y, shape", [([0.5, 0.5, 7.0], "(3,)"), ([0.5], "(1,)")])

@@ -23,7 +23,8 @@ from cylcoh import (
 )
 from cylcoh import _interp, constants
 from cylcoh._interp import STACK_BYTES, powerlaw_mass, t_norm, window_matrix
-from cylcoh.constants import _graded_nodes, _sup_norms, _window_mass_field, _window_stacks
+from cylcoh.constants import (_graded_nodes, _sup_norms, _window_ends, _window_mass_field,
+                              _window_stacks)
 
 
 def test_sup_indicator_constant_beta_exact():
@@ -353,17 +354,17 @@ def test_window_mass_field_exact_for_powerlaw_weight(mu):
         return c0 * v + 0.5 * c1 * v * v
 
     coords = [np.linspace(0.0, 1.0, 13), np.linspace(0.0, 2.0, 7)]
-    nodes = (0.2, 0.5, 0.8)
-    stacks = _window_stacks(dom, nodes, coords, pl=(mu, 1.0))
+    nodes = np.array([0.2, 0.5, 0.8])[:, None]
+    ends = []
+    for z, (lo, hi) in zip(coords, dom.bounds):
+        wl = np.clip((z - (1.0 - nodes) * hi) / nodes, lo, hi)
+        wu = np.clip((z - (1.0 - nodes) * lo) / nodes, lo, hi)
+        ends.append((wl, np.maximum(wu, wl)))
+    stacks = _window_stacks(dom, ends, pl=(mu, 1.0))
     work = (np.empty(qfield.size), np.empty(qfield.size))
-    for i, t in enumerate(nodes):
+    for i in range(len(nodes)):
         got = _window_mass_field(qfield, [s[i] for s in stacks], work)
-        ends = []
-        for z, (lo, hi) in zip(coords, dom.bounds):
-            wl = np.clip((z - (1.0 - t) * hi) / t, lo, hi)
-            wu = np.clip((z - (1.0 - t) * lo) / t, lo, hi)
-            ends.append((wl, np.maximum(wu, wl)))
-        (sl, su), (yl, yu) = ends
+        (sl, su), (yl, yu) = ((wl[i], wu[i]) for wl, wu in ends)
         ref = np.outer(prim_s(1.0 - sl) - prim_s(1.0 - su), prim_y(yu) - prim_y(yl))
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -441,14 +442,18 @@ def _searched_sups(qfield, D, q, nodes, pl=None):
             out = np.moveaxis(np.tensordot(mat, out, axes=(1, ax)), 0, ax)
         return out
 
+    def windows(t, coords):
+        ends = [_window_ends(D, ax, np.array([[t]]), z) for ax, z in enumerate(coords)]
+        return mass([s[0] for s in _window_stacks(D, ends, pl)])
+
     coords = [D.axis_coords(ax) for ax in range(D.dim)]
     sups = []
     for t in nodes:
-        coarse = mass([s[0] for s in _window_stacks(D, [t], coords, pl)])
+        coarse = windows(t, coords)
         winner = np.unravel_index(int(np.argmax(coarse)), coarse.shape)
         fine = [np.clip(np.linspace(c[i] - D.spacing(ax), c[i] + D.spacing(ax), 9), *D.bounds[ax])
                 for ax, (c, i) in enumerate(zip(coords, winner))]
-        refined = mass([s[0] for s in _window_stacks(D, [t], fine, pl)])
+        refined = windows(t, fine)
         sups.append(max(coarse.max(), refined.max(), 0.0) ** (1.0 / q))
     return sups
 
@@ -645,7 +650,7 @@ def test_diverges_at_an_infinite_exponent(e, pivot, want):
 def test_c_integral_needs_box_domain(moment):
     # the windows tx + (1-t)D must not wrap around a periodic axis
     req = ConstantRequest(1, 2.0, 2.0, cylinder([0, 1], [[0, 1]], [17, 16]))
-    with pytest.raises(ValueError, match="needs a box domain"):
+    with pytest.raises(ValueError, match="C_integral needs a convex box domain"):
         C_integral(req, moment=moment)
 
 

@@ -1,10 +1,13 @@
 """Good covers of periodic fibers, their components, and partitions of unity."""
 
+import re
+
 import numpy as np
 import pytest
 
 from cylcoh import circle_cover, cylinder, torus_cover
 from cylcoh.cover import GoodCover, PartitionOfUnity
+from cylcoh.domain import DomainSpec
 from oracles import run_index, take
 
 
@@ -194,8 +197,53 @@ def test_cover_validation():
         GoodCover(dom, [None, [(0, 32), (30, 4)]])
     with pytest.raises(ValueError, match="not periodic"):
         GoodCover(dom, [[(0, 5)], [(0, 20), (16, 20)]])
-    box_dom = cylinder([0, 1], [[0, 1]], [9, 32], periodic_fiber=False)
+    box_dom = DomainSpec("cylinder", [[0, 1], [0, 1]], [9, 32])
     with pytest.raises(ValueError, match="one periodic axis"):
         circle_cover(box_dom)
     with pytest.raises(ValueError, match="two periodic axes"):
         torus_cover(dom)
+
+
+def _tampered(change):
+    """The circle cover's partition of unity after change(cover, profiles,
+    fields) has edited its lists."""
+    cov = circle_cover(cylinder([0, 1], [[0, 1]], [9, 32]))
+    pou = cov.partition_of_unity()
+    profiles, fields = [list(prof) for prof in pou.profiles], list(pou.fields)
+    change(cov, profiles, fields)
+    out = PartitionOfUnity(cov, profiles)
+    out.fields = fields
+    return out
+
+
+def _off_arc(value):
+    """A change that sets patch 0's profile to value at the node just past
+    its arc, where the other patches cover the fiber."""
+    def change(cov, profiles, fields):
+        s, c = cov.patch_runs(0)[1]
+        profiles[0][1] = profiles[0][1].copy()
+        profiles[0][1][(s + c) % 32] = value
+    return change
+
+
+def _doubled(cov, profiles, fields):
+    fields[0] = 2.0 * fields[0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: GoodCover(cylinder([0, 1], [[0, 1]], [9, 32]), [None]), "need one arc list per axis"),
+    (lambda: GoodCover(cylinder([0, 1], [[0, 1]], [9, 32]), [None, []]), "periodic axis 1 needs arcs"),
+    (lambda: GoodCover(cylinder([0, 1], [[0, 1]], [9, 32]), [None, [(0, 2), (1, 31)]]),
+     "arc must span at least two cells and not the whole axis"),
+    (lambda: GoodCover(cylinder([0, 1], [[0, 1]], [9, 32]), [None, [(0, 8), (8, 8)]]),
+     "arc interiors do not cover axis 1"),
+    (lambda: PartitionOfUnity(circle_cover(cylinder([0, 1], [[0, 1]], [9, 32])),
+                              [[None, np.zeros(32)]] * 3),
+     "cover bumps leave part of the fiber uncovered"),
+    (lambda: _tampered(_doubled).validate(), "partition does not sum to 1"),
+    (lambda: _tampered(_off_arc(-1e-9)).validate(), "negative bump value"),
+    (lambda: _tampered(_off_arc(1e-9)).validate(), "bump 0 leaks outside its patch on axis 1"),
+], ids=["arc-lists", "no-arcs", "short-arc", "gap", "uncovered", "sum", "sign", "leak"])
+def test_cover_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,20 @@ def test_invalid_grids():
         box([[0, 1]], [2])
     with pytest.raises(ValueError):
         DomainSpec("cylinder", [[0, 1], [0, 1]], [5, 8], periodic=[True, True])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DomainSpec("annulus", [[0, 1]], [5]), "unknown domain kind 'annulus'"),
+    (lambda: DomainSpec("box", [[0, 1, 2]], [5]), "bounds must be a sequence of (lo, hi) pairs"),
+    (lambda: DomainSpec("box", [0, 1], [5]), "bounds must be a sequence of (lo, hi) pairs"),
+    (lambda: box([[0, 1], [0, 1]], [5]), "bounds, grid, periodic must have equal length"),
+    (lambda: box([[0, 1]], [5], periodic=[False, True]), "bounds, grid, periodic must have equal length"),
+    (lambda: box([[1, 0]], [5]), "bad interval (1.0, 0.0)"),
+    (lambda: box([[0, float("inf")]], [5]), "bad interval (0.0, inf)"),
+    (lambda: DomainSpec("cylinder", [[0, 1]], [5]), "cylinder needs a fiber axis"),
+    (lambda: box([[0, 1], [0, 2]], [5, 7]).integrate(np.ones((7, 5))), "field shape (7, 5) != grid (5, 7)"),
+], ids=["kind", "triple", "not-pairs", "grid-length", "periodic-length", "reversed", "infinite",
+        "no-fiber", "integrate-shape"])
+def test_domain_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

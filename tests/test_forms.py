@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,3 +162,28 @@ def test_form_arithmetic_allocates_only_its_result(monkeypatch):
         for idx in a.coeffs:
             assert np.array_equal(form[idx], want[name](idx)), (name, idx)
             assert not np.shares_memory(form[idx], a[idx])
+
+
+SQUARE = box([[0, 1], [0, 2]], [5, 7])
+
+
+def _set(form, idx, field):
+    form[idx] = field
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GridForm(SQUARE, 3), ValueError, "degree 3 out of range for dim 2"),
+    (lambda: GridForm(SQUARE, -1), ValueError, "degree -1 out of range for dim 2"),
+    (lambda: GridForm(SQUARE, 1)[(0, 1)], KeyError, "bad multi-index (0, 1) for degree 1"),
+    (lambda: GridForm(SQUARE, 2)[(1, 0)], KeyError, "bad multi-index (1, 0) for degree 2"),
+    (lambda: _set(GridForm(SQUARE, 1), (2,), 1.0), KeyError, "bad multi-index (2,) for degree 1"),
+    (lambda: _set(GridForm(SQUARE, 1), (0,), np.ones((2, 5, 7))), ValueError,
+     "field shape (2, 5, 7) != grid (5, 7)"),
+    (lambda: GridForm(SQUARE, 0, {(): np.ones((3, 5, 1))}), ValueError,
+     "field shape (3, 5, 7) != grid (5, 7)"),
+    (lambda: lp_norm(GridForm(SQUARE, 1), 0.5), ValueError, "p must be >= 1"),
+], ids=["degree-high", "degree-negative", "index-length", "index-order", "set-index", "set-shape",
+        "init-shape", "lp-norm-p<1"])
+def test_grid_form_refusals(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,3 +146,21 @@ def test_caller_mutation_leaves_sampled_t_fit_unchanged():
     ts[-5:] *= 0.5
     vals[:] = 1.0
     assert _fit_tail_law(w, 0.0, 1.0) == before
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: WeightProfile("lognormal", value=1.0), "unknown weight kind 'lognormal'"),
+    (lambda: WeightProfile("powerlaw", lam=0.5), "power law needs lam and pivot"),
+    (lambda: WeightProfile("powerlaw", pivot=1.0), "power law needs lam and pivot"),
+    (lambda: WeightProfile("sampled-t", tcoords=[0.0, 1.0]), "sampled-t needs tcoords and samples"),
+    (lambda: WeightProfile.sampled_t([0.0, 0.5, 1.0], [1.0, 2.0]), "tcoords/samples must be matching 1-D arrays"),
+    (lambda: WeightProfile.sampled_t([[0.0, 1.0]], [[1.0, 2.0]]), "tcoords/samples must be matching 1-D arrays"),
+    (lambda: WeightProfile.sampled_t([0.0, 1.0], [1.0, -2.0]), "weight samples must be positive"),
+    (lambda: WeightProfile("sampled"), "sampled weight needs samples"),
+    (lambda: WeightProfile.sampled(np.array([[1.0, 0.0], [1.0, 1.0]])), "weight samples must be positive"),
+    (lambda: WeightProfile.sampled(np.array([1.0, np.nan])), "weight samples must be positive"),
+], ids=["kind", "powerlaw-no-pivot", "powerlaw-no-lam", "sampled-t-no-samples", "sampled-t-lengths",
+        "sampled-t-2-D", "sampled-t-negative", "sampled-no-samples", "sampled-zero", "sampled-nan"])
+def test_weight_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
